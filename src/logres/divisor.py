@@ -252,7 +252,6 @@ def poly_determinant(rows: Sequence[Sequence[WeightedPoly]]) -> WeightedPoly:
         total = WeightedPoly.zero(weights)
         sign = 1
         remaining = mask
-        position = 0
         while remaining:
             col = (remaining & -remaining).bit_length() - 1
             entry = rows[row][col]
@@ -260,7 +259,6 @@ def poly_determinant(rows: Sequence[Sequence[WeightedPoly]]) -> WeightedPoly:
                 total = total + entry * det_for(mask & ~(1 << col)) * sign
             sign = -sign
             remaining &= remaining - 1
-            position += 1
         memo[mask] = total
         return total
 
@@ -310,12 +308,12 @@ class StructureFunctions:
 
     table: Dict[Tuple[int, int], Tuple[WeightedPoly, ...]]
     size: int
+    weights: Tuple[int, ...]
 
     def coefficients(self, i: int, j: int) -> Tuple[WeightedPoly, ...]:
         """Coefficient vector for any ordered pair, antisymmetric in (i, j)."""
         if i == j:
-            zero = next(iter(self.table.values()))[0] * 0
-            return tuple(zero for _ in range(self.size))
+            return (WeightedPoly.zero(self.weights),) * self.size
         if i < j:
             return self.table[(i, j)]
         return tuple(-c for c in self.table[(j, i)])
@@ -346,7 +344,7 @@ def structure_functions(d: FreeDivisor) -> StructureFunctions:
                         f"frame is not closed under bracket at pair ({i}, {j})"
                     ) from exc
             table[(i, j)] = tuple(coeffs)
-    return StructureFunctions(table=table, size=d.n)
+    return StructureFunctions(table=table, size=d.n, weights=d.weights)
 
 
 @dataclass(frozen=True)

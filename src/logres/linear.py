@@ -2,14 +2,16 @@
 
 RationalMatrix is a small immutable dense matrix of Fractions.  The row
 reduction here is the single exact solver behind every eigenspace, kernel and
-linear-system computation in the package.
+linear-system computation in the package; ``block_kernel`` applies it to each
+connected block of a sparse matrix given by columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .univariate import UniPoly, uni_evaluate, uni_trim
 
@@ -225,6 +227,58 @@ def rref(matrix: RationalMatrix, rhs: Optional[Sequence[Fraction]] = None) -> Rr
     )
 
 
+def block_kernel(columns: Sequence[Mapping[Hashable, Fraction]]) -> List[Dict[int, Fraction]]:
+    """Kernel basis of the matrix whose column j has the entries ``columns[j]``.
+
+    Each column maps row keys to values.  Two columns are connected when they
+    share a row key, and every connected block is row-reduced on its own by
+    ``rref``.  The reduced form of a block-diagonal matrix is made of the
+    reduced forms of its blocks, so the result is ``rref(dense).kernel``
+    exactly: the same vectors, in increasing order of their free column.  Each
+    vector is returned as its nonzero entries, in increasing column order.
+    """
+    parent = list(range(len(columns)))
+
+    def root(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    owner: Dict[Hashable, int] = {}
+    for j, column in enumerate(columns):
+        for key in column:
+            first = owner.setdefault(key, j)
+            a, b = root(first), root(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    blocks: Dict[int, List[int]] = {}
+    for j in range(len(columns)):
+        blocks.setdefault(root(j), []).append(j)
+
+    kernel: List[Tuple[int, Dict[int, Fraction]]] = []
+    for block in blocks.values():
+        row_of: Dict[Hashable, int] = {}
+        for j in block:
+            for key in columns[j]:
+                row_of.setdefault(key, len(row_of))
+        if not row_of:
+            # a column without entries is a zero column: its own block and free
+            kernel.append((block[0], {block[0]: Fraction(1)}))
+            continue
+        rows = [[Fraction(0)] * len(block) for _ in row_of]
+        for pos, j in enumerate(block):
+            for key, value in columns[j].items():
+                rows[row_of[key]][pos] = value
+        result = rref(RationalMatrix(rows))
+        pivots = set(result.pivots)
+        free = [pos for pos in range(len(block)) if pos not in pivots]
+        for pos, vec in zip(free, result.kernel):
+            kernel.append((block[pos], {block[q]: v for q, v in enumerate(vec) if v}))
+    kernel.sort(key=lambda item: item[0])
+    return [vec for _, vec in kernel]
+
+
 def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
     """A particular solution of matrix * x = rhs, or None if inconsistent."""
     result = rref(matrix, rhs)
@@ -321,9 +375,7 @@ def integer_eigenvalues(matrix: RationalMatrix) -> List[int]:
     if valuation >= len(coeffs):
         raise ArithmeticError("characteristic polynomial vanished identically")
     shifted = coeffs[valuation:]
-    denominator_lcm = 1
-    for c in shifted:
-        denominator_lcm = denominator_lcm * c.denominator // _gcd(denominator_lcm, c.denominator)
+    denominator_lcm = math.lcm(*(c.denominator for c in shifted))
     ints = [int(c * denominator_lcm) for c in shifted]
     roots = set()
     if valuation > 0:
@@ -334,9 +386,3 @@ def integer_eigenvalues(matrix: RationalMatrix) -> List[int]:
             if uni_evaluate([Fraction(v) for v in ints], Fraction(candidate)) == 0:
                 roots.add(candidate)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1

@@ -3,7 +3,11 @@
 Given a divisor and a semisimple residue, the linear compatibility equations
 for the connection components have graded polynomial solutions whose degrees
 are pinned by the integer eigenvalues of ad of the grading residue value.
-This module computes exact bases of those solution spaces, emits the
+This module computes exact bases of those solution spaces, one degree at a
+time: every candidate z^a * M gets its residual as a sparse column, and the
+columns are row-reduced block by block, where a block is a connected set of
+columns sharing equation rows.  The toral directions act on monomials with
+integer weights, so the blocks are small.  It then emits the
 polynomial system cutting out the flat locus inside them, assembles the
 connection attached to a point, and cross-checks the emitted system against a
 direct curvature computation.
@@ -27,7 +31,7 @@ from .divisor import (
     structure_functions,
 )
 from .liealg import ResidueData, ad_operator, validate_residue
-from .linear import RationalMatrix, inverse, integer_eigenvalues, rref
+from .linear import RationalMatrix, block_kernel, inverse, integer_eigenvalues, rref
 from .polynomials import Monomial, WeightedPoly, monomials_of_degree
 
 
@@ -117,14 +121,58 @@ class _Channel:
 
 
 def _solve_channels(ctx: _DivisorContext, channels: Sequence[_Channel]) -> List[Tuple[int, Tuple[MatrixPolyMap, ...]]]:
-    """Joint graded solve over all channels; returns (degree, tuple) basis vectors."""
+    """Joint graded solve over all channels; returns (degree, tuple) basis vectors.
+
+    The candidates of a degree are z^a * M for each channel, monomial z^a and
+    eigenmatrix M of ad of the grading element.  Equation k * len(channels) + e
+    is frame direction k (toral ones first, then semisimple ones) applied to
+    channel e.  A candidate's residual is written straight into a sparse column
+    keyed by (equation, row, column, monomial), from V_k(z^a) * M minus
+    z^a * (shift * M + [C_k, M]), with C_k the residue value of direction k;
+    ``block_kernel`` then row-reduces each connected block of columns.
+    """
     d = ctx.divisor
     m = ctx.matrix_size
     weights = d.weights
     ad_d = ad_operator(ctx.residue.grading_element())
-    toral_fields = [d.frame[i].field for i in d.toral_indices]
-    semis_fields = [d.frame[i].field for i in d.semisimple_indices]
-    chi = ctx.residue.chi or ()
+    fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
+    values = tuple(ctx.residue.s_list) + tuple(ctx.residue.chi or ())
+    toral_count = d.toral_count
+    width = len(channels)
+
+    def nonzero(mat: RationalMatrix) -> List[Tuple[int, int, Fraction]]:
+        return [(r, c, mat[r, c]) for r in range(m) for c in range(m) if mat[r, c]]
+
+    # per eigenvalue: (entries of M, entries of [C_k, M] per k) for each eigenmatrix M
+    eigendata: Dict[int, List[Tuple[list, list]]] = {}
+    # per (direction, monomial): the terms of V_k(z^a)
+    images: Dict[Tuple[int, Monomial], Dict[Monomial, Fraction]] = {}
+
+    def residual(c_idx: int, mono: Monomial, entries, brackets) -> Dict[tuple, Fraction]:
+        column: Dict[tuple, Fraction] = {}
+        for k, field in enumerate(fields):
+            image = images.get((k, mono))
+            if image is None:
+                image = images[(k, mono)] = field.apply(WeightedPoly.monomial(mono, weights)).terms
+            own = k * width + c_idx
+            for image_mono, coeff in image.items():
+                for r, c, v in entries:
+                    key = (own, r, c, image_mono)
+                    column[key] = column.get(key, 0) + coeff * v
+            for r, c, v in brackets[k]:
+                key = (own, r, c, mono)
+                column[key] = column.get(key, 0) - v
+            # equation (k, e) also subtracts a constant multiple of the candidate
+            for e, ch in enumerate(channels):
+                if k < toral_count:
+                    shift = ch.toral_offsets[k] if e == c_idx else 0
+                else:
+                    shift = ch.coupling[k - toral_count][c_idx]
+                if shift:
+                    for r, c, v in entries:
+                        key = (k * width + e, r, c, mono)
+                        column[key] = column.get(key, 0) - shift * v
+        return {key: v for key, v in column.items() if v}
 
     degrees = sorted(
         {
@@ -135,83 +183,34 @@ def _solve_channels(ctx: _DivisorContext, channels: Sequence[_Channel]) -> List[
         }
     )
     out: List[Tuple[int, Tuple[MatrixPolyMap, ...]]] = []
-    zero_map = MatrixPolyMap.zeros(m, weights)
     for degree in degrees:
-        candidates: List[Tuple[int, MatrixPolyMap]] = []
+        monos = monomials_of_degree(weights, degree)
+        candidates: List[Tuple[int, Monomial, list]] = []
+        columns: List[Dict[tuple, Fraction]] = []
         for c_idx, ch in enumerate(channels):
-            if degree - ch.shift not in ctx.eigenvalues:
+            lam = degree - ch.shift
+            if lam not in ctx.eigenvalues:
                 continue
-            eigs = _eigenspace(ad_d, degree - ch.shift, m)
-            for mono in monomials_of_degree(weights, degree):
-                mono_poly = WeightedPoly.monomial(mono, weights)
-                for mat in eigs:
-                    candidates.append((c_idx, MatrixPolyMap.from_constant(mat, weights).scale(mono_poly)))
-        if not candidates:
-            continue
-
-        residuals: List[List[MatrixPolyMap]] = []  # per candidate, per equation
-        equations: List[Tuple[str, int, int]] = []
-        for i in range(len(toral_fields)):
-            for c_idx in range(len(channels)):
-                equations.append(("t", i, c_idx))
-        for a in range(len(semis_fields)):
-            for c_idx in range(len(channels)):
-                equations.append(("s", a, c_idx))
-        for cand_channel, cand in candidates:
-            row: List[MatrixPolyMap] = []
-            for kind, idx, c_idx in equations:
-                if kind == "t":
-                    if cand_channel != c_idx:
-                        row.append(zero_map)
-                        continue
-                    ch = channels[c_idx]
-                    s_const = MatrixPolyMap.from_constant(ctx.residue.s_list[idx], weights)
-                    value = cand.apply_field(toral_fields[idx])
-                    value = value - cand.scale(ch.toral_offsets[idx])
-                    value = value - (s_const.commutator(cand))
-                    row.append(value)
-                else:
-                    value = zero_map
-                    if cand_channel == c_idx:
-                        chi_const = MatrixPolyMap.from_constant(chi[idx], weights)
-                        value = cand.apply_field(semis_fields[idx]) - chi_const.commutator(cand)
-                    coeff = channels[c_idx].coupling[idx][cand_channel] if channels[c_idx].coupling else Fraction(0)
-                    if coeff:
-                        value = value - cand.scale(coeff)
-                    row.append(value)
-            residuals.append(row)
-
-        row_index: Dict[Tuple[int, int, int, Monomial], int] = {}
-        columns: List[Dict[int, Fraction]] = []
-        for cand_pos, row in enumerate(residuals):
-            column: Dict[int, Fraction] = {}
-            for eq_pos, value in enumerate(row):
-                for r in range(m):
-                    for c in range(m):
-                        for mono, coeff in value[r, c].terms.items():
-                            key = (eq_pos, r, c, mono)
-                            if key not in row_index:
-                                row_index[key] = len(row_index)
-                            column[row_index[key]] = coeff
-            columns.append(column)
-        if not row_index:
-            kernel = [
-                tuple(Fraction(1) if q == pos else Fraction(0) for q in range(len(candidates)))
-                for pos in range(len(candidates))
-            ]
-        else:
-            matrix_rows = [[Fraction(0)] * len(candidates) for _ in range(len(row_index))]
-            for cand_pos, column in enumerate(columns):
-                for row_pos, coeff in column.items():
-                    matrix_rows[row_pos][cand_pos] = coeff
-            kernel = list(rref(RationalMatrix(matrix_rows)).kernel)
-        for vec in kernel:
-            parts = [zero_map] * len(channels)
-            for cand_pos, coeff in enumerate(vec):
-                if coeff:
-                    c_idx, cand = candidates[cand_pos]
-                    parts[c_idx] = parts[c_idx] + cand.scale(coeff)
-            out.append((degree, tuple(parts)))
+            if lam not in eigendata:
+                eigendata[lam] = [
+                    (nonzero(mat), [nonzero(value.commutator(mat)) for value in values])
+                    for mat in _eigenspace(ad_d, lam, m)
+                ]
+            for mono in monos:
+                for entries, brackets in eigendata[lam]:
+                    candidates.append((c_idx, mono, entries))
+                    columns.append(residual(c_idx, mono, entries, brackets))
+        for vec in block_kernel(columns):
+            parts: List[Dict[Tuple[int, int], Dict[Monomial, Fraction]]] = [{} for _ in channels]
+            for cand_pos, coeff in vec.items():
+                c_idx, mono, entries = candidates[cand_pos]
+                for r, c, v in entries:
+                    terms = parts[c_idx].setdefault((r, c), {})
+                    terms[mono] = terms.get(mono, 0) + coeff * v
+            out.append((degree, tuple(
+                MatrixPolyMap([[WeightedPoly(weights, part.get((r, c))) for c in range(m)] for r in range(m)])
+                for part in parts
+            )))
     return out
 
 

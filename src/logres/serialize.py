@@ -36,7 +36,7 @@ def fraction_to_json(value: Fraction) -> str:
 
 
 def fraction_from_json(text) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     _require(isinstance(text, str), f"expected a rational string, got {text!r}")
     try:
@@ -60,7 +60,11 @@ def poly_from_json(data, weights: Sequence[int]) -> WeightedPoly:
     for item in data:
         _require(isinstance(item, dict) and "exponents" in item and "coeff" in item,
                  "each term needs 'exponents' and 'coeff'")
-        mono = tuple(int(e) for e in item["exponents"])
+        exponents = item["exponents"]
+        _require(isinstance(exponents, list)
+                 and all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exponents),
+                 f"exponents must be a list of non-negative integers, got {exponents!r}")
+        mono = tuple(exponents)
         _require(len(mono) == len(weights), f"term has {len(mono)} exponents, expected {len(weights)}")
         terms[mono] = terms.get(mono, Fraction(0)) + fraction_from_json(item["coeff"])
     return WeightedPoly(weights, terms)

@@ -68,6 +68,24 @@ def test_verify_divisor_malformed_input(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("term", [
+    {"exponents": 5, "coeff": "1/1"},
+    {"exponents": [1, -1], "coeff": "1/1"},
+    {"exponents": [1, "2"], "coeff": "1/1"},
+    {"exponents": [1, True], "coeff": "1/1"},
+    {"exponents": [1, 1], "coeff": 0.5},
+    {"exponents": [1, 1], "coeff": True},
+    {"exponents": [1, 1], "coeff": "x/2"},
+])
+def test_verify_divisor_malformed_polynomial_term(capsys, tmp_path, term):
+    data = serialize.divisor_to_json(catalog("cusp"))
+    data["f"] = [term]
+    path = write_json(tmp_path / "bad_term.json", data)
+    code, _, err = run(capsys, "verify-divisor", "--divisor", path)
+    assert code == 2
+    assert "error" in err
+
+
 def test_frame_info(capsys):
     code, out, _ = run(capsys, "frame-info", "--catalog", "sekiguchi_b5", "--format", "json")
     assert code == 0

@@ -97,6 +97,14 @@ def test_structure_functions_antisymmetry(seki):
     assert all(c.is_zero() for c in sf.coefficients(1, 1))
 
 
+def test_structure_functions_diagonal_of_a_single_field():
+    # one frame field has no bracket pairs, so the table is empty
+    d = catalog("normal_crossing_1")
+    sf = structure_functions(d)
+    assert sf.table == {}
+    assert sf.coefficients(0, 0) == (WeightedPoly.zero(d.weights),)
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_structure_functions_jacobi(name):
     d = catalog(name)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from logres import RationalMatrix, charpoly, integer_eigenvalues, rref
 from logres.liealg import ad_operator
-from logres.linear import MAX_CHARPOLY_DIM, determinant, inverse, solve_linear
+from logres.linear import MAX_CHARPOLY_DIM, block_kernel, determinant, inverse, solve_linear
 
 from conftest import diag
 
@@ -110,3 +110,78 @@ def test_integer_eigenvalues_against_kernels(m):
             assert kernel_dim > 0
         else:
             assert kernel_dim == 0
+
+
+# ------------------------------------------------------- block-wise kernel
+
+
+def dense_kernel(columns, ncols):
+    """The reference: rref of the dense matrix with one row per row key."""
+    keys = sorted({key for column in columns for key in column})
+    rows = [[column.get(key, Fraction(0)) for column in columns] for key in keys]
+    return list(rref(RationalMatrix(rows or [[Fraction(0)] * ncols])).kernel)
+
+
+def assert_block_kernel_matches(columns):
+    ncols = len(columns)
+    vectors = block_kernel(columns)
+    for vec in vectors:
+        assert list(vec) == sorted(vec)
+        assert all(v != 0 for v in vec.values())
+    densified = [tuple(vec.get(j, Fraction(0)) for j in range(ncols)) for vec in vectors]
+    assert densified == dense_kernel(columns, ncols)
+
+
+def col(**entries):
+    return {key: Fraction(v) for key, v in entries.items()}
+
+
+def test_block_kernel_zero_columns():
+    columns = [col(), col(a=1), col(), col(a=2), col()]
+    assert_block_kernel_matches(columns)
+    assert block_kernel(columns)[0] == {0: 1}
+
+
+def test_block_kernel_interleaved_blocks():
+    # block {a, b} owns columns 0, 3, 5 and block {c} columns 1, 2, 4; the
+    # second block's first free column comes before the first block's
+    columns = [col(a=1, b=1), col(c=2), col(c=-1), col(a=2, b=2), col(c=4), col(a=1)]
+    assert_block_kernel_matches(columns)
+    assert [sorted(vec) for vec in block_kernel(columns)] == [[1, 2], [0, 3], [1, 4]]
+
+
+def test_block_kernel_fully_coupled_block():
+    # a chain of shared rows couples every column into one block
+    columns = [col(a=1, b=1), col(b=1, c=1), col(c=1, d=1), col(a=1, d=-1), col(a=3)]
+    assert_block_kernel_matches(columns)
+
+
+def test_block_kernel_empty_row_set():
+    assert block_kernel([]) == []
+    columns = [col(), col(), col()]
+    assert block_kernel(columns) == [{0: 1}, {1: 1}, {2: 1}]
+    assert_block_kernel_matches(columns)
+
+
+@st.composite
+def sparse_columns(draw):
+    """Columns whose row keys are (block, row); the blocks interleave freely."""
+    ncols = draw(st.integers(1, 10))
+    nblocks = draw(st.integers(1, 4))
+    nrows = draw(st.integers(0, 3))
+    values = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+    columns = []
+    for _ in range(ncols):
+        block = draw(st.integers(0, nblocks - 1))
+        entries = {(block, r): Fraction(draw(values)) for r in range(nrows)}
+        if draw(st.booleans()):
+            # a cross-block entry couples two blocks
+            entries[(draw(st.integers(0, nblocks - 1)), 0)] = Fraction(draw(values))
+        columns.append({key: v for key, v in entries.items() if v})
+    return columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_columns())
+def test_block_kernel_equals_dense_rref_kernel(columns):
+    assert_block_kernel_matches(columns)
