@@ -18,14 +18,12 @@ from .divisor import (
     DivisorError,
     FreeDivisor,
     dlog_f_expansion,
-    dual_log_forms,
     form_structure_equations,
-    structure_functions,
     verify_saito,
 )
 from .liealg import jordan_chevalley, log_unipotent
 from .moduli import MembershipError, ResidueError, check_point, moduli_system
-from .polynomials import InexactDivisionError, WeightMismatchError
+from .polynomials import InexactDivisionError, WeightMismatchError, monomial_text
 from .serialize import SchemaError
 
 PASS, FINDING, BROKEN = 0, 1, 2
@@ -106,10 +104,10 @@ def cmd_verify_divisor(args) -> int:
 
 def cmd_frame_info(args) -> int:
     d = _load_divisor(args)
-    sf = structure_functions(d)
-    forms = dual_log_forms(d)
+    sf = d.structure
+    forms = d.dual_forms
     expansion = dlog_f_expansion(d)
-    structure = form_structure_equations(d, sf)
+    structure = form_structure_equations(d)
     names = d.variables
     labels = [f"V{i + 1}" for i in range(d.n)]
     machine = {
@@ -222,22 +220,13 @@ def cmd_emit_moduli(args) -> int:
         slots = ",".join(f"V{k + 1}" for k in eq.frame_slots)
         human.append(
             f"  [{eq.tag}] ({slots}) entry ({eq.entry[0] + 1},{eq.entry[1] + 1}) "
-            f"monomial {_mono_label(eq.base_monomial, d.variables)}: "
+            f"monomial {monomial_text(eq.base_monomial, d.variables)}: "
             f"{eq.poly.format(names)} = 0"
         )
     if args.output:
         human.append(f"written to {args.output}")
     _emit(args, payload, human)
     return PASS
-
-
-def _mono_label(mono, variables) -> str:
-    parts = [
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(variables, mono)
-        if e
-    ]
-    return "*".join(parts) if parts else "1"
 
 
 def cmd_check_flat(args) -> int:
@@ -282,7 +271,7 @@ def cmd_check_point(args) -> int:
         slots = ",".join(f"V{k + 1}" for k in v["frame_slots"])
         human.append(
             f"  violated [{v['tag']}] ({slots}) entry {tuple(v['entry'])} "
-            f"monomial {_mono_label(v['base_monomial'], d.variables)}"
+            f"monomial {monomial_text(v['base_monomial'], d.variables)}"
         )
     if len(violated) > 20:
         human.append(f"  ... and {len(violated) - 20} more")

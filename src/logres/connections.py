@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .divisor import FreeDivisor, StructureFunctions, VectorFieldPoly, structure_functions
+from .divisor import FreeDivisor, VectorFieldPoly
 from .linear import RationalMatrix
 from .polynomials import WeightedPoly
 
@@ -162,23 +162,20 @@ class LogConnection:
         return self.components[0].size
 
 
-def curvature(
-    conn: LogConnection, sf: Optional[StructureFunctions] = None
-) -> Dict[Tuple[int, int], MatrixPolyMap]:
-    """Curvature components R(V_i, V_j) for every frame pair i < j."""
+def _pair_curvature(conn: LogConnection, i: int, j: int) -> MatrixPolyMap:
     d = conn.divisor
-    sf = sf or structure_functions(d)
-    out: Dict[Tuple[int, int], MatrixPolyMap] = {}
-    for i in range(d.n):
-        for j in range(i + 1, d.n):
-            term = conn.components[j].apply_field(d.frame[i].field)
-            term = term - conn.components[i].apply_field(d.frame[j].field)
-            for k, c in enumerate(sf.coefficients(i, j)):
-                if not c.is_zero():
-                    term = term - conn.components[k].scale(c)
-            term = term - conn.components[i].commutator(conn.components[j])
-            out[(i, j)] = term
-    return out
+    comp = conn.components
+    term = comp[j].apply_field(d.frame[i].field) - comp[i].apply_field(d.frame[j].field)
+    for k, c in enumerate(d.structure.coefficients(i, j)):
+        if not c.is_zero():
+            term = term - comp[k].scale(c)
+    return term - comp[i].commutator(comp[j])
+
+
+def curvature(conn: LogConnection) -> Dict[Tuple[int, int], MatrixPolyMap]:
+    """Curvature components R(V_i, V_j) for every frame pair i < j."""
+    n = conn.divisor.n
+    return {(i, j): _pair_curvature(conn, i, j) for i in range(n) for j in range(i + 1, n)}
 
 
 @dataclass(frozen=True)
@@ -188,9 +185,16 @@ class FlatnessReport:
     residual: Optional[MatrixPolyMap]
 
 
-def is_flat(conn: LogConnection, sf: Optional[StructureFunctions] = None) -> FlatnessReport:
-    """Exact flatness test; reports the first nonvanishing curvature pair."""
-    for pair, component in sorted(curvature(conn, sf).items()):
-        if not component.is_zero():
-            return FlatnessReport(flat=False, witness=pair, residual=component)
+def is_flat(conn: LogConnection) -> FlatnessReport:
+    """Exact flatness test; reports the first nonvanishing curvature pair.
+
+    Pairs are taken in (i, j) order and the test stops at the first curved
+    one, so a non-flat connection does not pay for the rest.
+    """
+    n = conn.divisor.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            component = _pair_curvature(conn, i, j)
+            if not component.is_zero():
+                return FlatnessReport(flat=False, witness=(i, j), residual=component)
     return FlatnessReport(flat=True, witness=None, residual=None)

@@ -6,7 +6,10 @@ tangent to the hypersurface, annotated as toral, semisimple, or graded
 ("w" kind, the non-constant directions).  The determinant test of the frame
 coefficient matrix certifies that the frame is a basis of the logarithmic
 tangent sheaf; all structure functions, dual forms, and form structure
-equations are then exact polynomial computations.
+equations are then exact polynomial computations.  A ``FreeDivisor`` runs
+each of them once, on first use, and keeps the result in a cached property
+(``determinant``, ``adjugate``, ``structure``, ``constants``, ``dual_forms``);
+the module-level functions do the computing.
 """
 
 from __future__ import annotations
@@ -168,9 +171,6 @@ class FreeDivisor:
         )
         return VectorFieldPoly(coeffs)
 
-    def zero_poly(self) -> WeightedPoly:
-        return WeightedPoly.zero(self.weights)
-
     def coefficient_matrix(self) -> List[List[WeightedPoly]]:
         """Row i holds the coefficients of frame element i."""
         return [list(e.field.coefficients) for e in self.frame]
@@ -224,6 +224,28 @@ class FreeDivisor:
                 row.append(quotient.as_constant())
             matrix.append(row)
         return matrix
+
+    @cached_property
+    def determinant(self) -> WeightedPoly:
+        """Determinant of the frame coefficient matrix."""
+        return poly_determinant(self.coefficient_matrix())
+
+    @cached_property
+    def adjugate(self) -> Tuple[Tuple[WeightedPoly, ...], ...]:
+        """Adjugate of the frame coefficient matrix, shared and so read-only."""
+        return tuple(map(tuple, poly_adjugate(self.coefficient_matrix())))
+
+    @cached_property
+    def structure(self) -> StructureFunctions:
+        return structure_functions(self)
+
+    @cached_property
+    def constants(self) -> FrameConstants:
+        return frame_constants(self)
+
+    @cached_property
+    def dual_forms(self) -> LogFormFrame:
+        return dual_log_forms(self)
 
 
 @dataclass(frozen=True)
@@ -286,7 +308,7 @@ def verify_saito(d: FreeDivisor, trials: int = 8, seed: int = 0) -> SaitoResult:
     Also runs the Monte Carlo reducedness check on f; the returned constant c
     satisfies det = c * f exactly.
     """
-    det = poly_determinant(d.coefficient_matrix())
+    det = d.determinant
     if det.is_zero():
         return SaitoResult(False, None, "skipped", "frame determinant vanishes identically")
     try:
@@ -325,9 +347,8 @@ def structure_functions(d: FreeDivisor) -> StructureFunctions:
     The divisions are exact precisely because the frame is closed under
     bracket; an inexact division signals invalid divisor data.
     """
-    matrix = d.coefficient_matrix()
-    det = poly_determinant(matrix)
-    adj = poly_adjugate(matrix)
+    det = d.determinant
+    adj = d.adjugate
     table: Dict[Tuple[int, int], Tuple[WeightedPoly, ...]] = {}
     for i in range(d.n):
         for j in range(i + 1, d.n):
@@ -370,9 +391,9 @@ def _constant_of(poly: WeightedPoly, context: str) -> Fraction:
         raise DivisorError(f"{context}: expected a constant structure function") from exc
 
 
-def frame_constants(d: FreeDivisor, sf: Optional[StructureFunctions] = None) -> FrameConstants:
+def frame_constants(d: FreeDivisor) -> FrameConstants:
     """Extract and validate the constant structure blocks of the frame."""
-    sf = sf or structure_functions(d)
+    sf = d.structure
     toral = d.toral_indices
     semis = d.semisimple_indices
     wpos = d.w_indices
@@ -443,9 +464,9 @@ class LogFormFrame:
 def dual_log_forms(d: FreeDivisor) -> LogFormFrame:
     """Adjugate-based dual frame with the exact pairing identity enforced."""
     matrix = d.coefficient_matrix()
-    det = poly_determinant(matrix)
+    det = d.determinant
     constant = exact_divide(det, d.f).as_constant()
-    adj = poly_adjugate(matrix)
+    adj = d.adjugate
     numerators = tuple(tuple(adj[j][i] for j in range(d.n)) for i in range(d.n))
     for i in range(d.n):
         for l in range(d.n):
@@ -469,17 +490,14 @@ def dlog_f_expansion(d: FreeDivisor) -> Tuple[WeightedPoly, ...]:
     return tuple(out)
 
 
-def form_structure_equations(
-    d: FreeDivisor, sf: Optional[StructureFunctions] = None
-) -> Dict[int, Dict[Tuple[int, int], WeightedPoly]]:
+def form_structure_equations(d: FreeDivisor) -> Dict[int, Dict[Tuple[int, int], WeightedPoly]]:
     """Exterior derivatives of the dual frame: d xi^k = -sum c_ij^k xi^i ^ xi^j.
 
     Returns, for each form index k, the nonzero coefficients on the wedge
     basis xi^i ^ xi^j with i < j.
     """
-    sf = sf or structure_functions(d)
     out: Dict[int, Dict[Tuple[int, int], WeightedPoly]] = {k: {} for k in range(d.n)}
-    for (i, j), coeffs in sorted(sf.table.items()):
+    for (i, j), coeffs in sorted(d.structure.table.items()):
         for k, c in enumerate(coeffs):
             if not c.is_zero():
                 out[k][(i, j)] = -c

@@ -280,20 +280,27 @@ def validate_residue(residue: ResidueData, s_constants: Optional[dict] = None) -
     compatibility that makes the constant connection with those values flat.
     """
     m = residue.matrix_size
+    # equal values pass or fail alike, so each distinct S is checked once,
+    # under the first slot that carries it
+    first = {}
     for idx, s in enumerate(residue.s_list):
+        if s in first:
+            continue
         if not s.is_square() or s.rows != m:
             return ResidueReport(False, f"S_{idx + 1} is not square of size {m}")
         if not is_semisimple(s):
             return ResidueReport(False, f"S_{idx + 1} is not semisimple")
-    for i in range(residue.k):
-        for j in range(i + 1, residue.k):
-            if not commutator(residue.s_list[i], residue.s_list[j]).is_zero():
+        first[s] = idx
+    distinct = list(first.items())
+    for pos, (s, i) in enumerate(distinct):
+        for t, j in distinct[pos + 1:]:
+            if not commutator(s, t).is_zero():
                 return ResidueReport(False, f"S_{i + 1} and S_{j + 1} do not commute")
     if residue.chi is not None:
         for idx, y in enumerate(residue.chi):
             if not y.is_square() or y.rows != m:
                 return ResidueReport(False, f"chi_{idx + 1} is not square of size {m}")
-        for i, s in enumerate(residue.s_list):
+        for s, i in distinct:
             for j, y in enumerate(residue.chi):
                 if not commutator(s, y).is_zero():
                     return ResidueReport(False, f"S_{i + 1} does not centralize chi_{j + 1}")

@@ -13,17 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .univariate import UniPoly, uni_evaluate, uni_trim
+from .univariate import UniPoly, as_fraction, uni_evaluate, uni_trim
 
 MAX_CHARPOLY_DIM = 400
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
 class RationalMatrix:
@@ -32,7 +24,7 @@ class RationalMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
-        data = tuple(tuple(_coerce(v) for v in row) for row in rows)
+        data = tuple(tuple(as_fraction(v) for v in row) for row in rows)
         if not data or not data[0]:
             raise ValueError("matrices must have at least one row and one column")
         width = len(data[0])
@@ -51,7 +43,7 @@ class RationalMatrix:
     @classmethod
     def diagonal(cls, values: Sequence[Fraction]) -> "RationalMatrix":
         n = len(values)
-        return cls([[_coerce(values[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+        return cls([[as_fraction(values[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
 
     @property
     def rows(self) -> int:
@@ -95,11 +87,11 @@ class RationalMatrix:
             return RationalMatrix(
                 [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in self.entries]
             )
-        scalar = _coerce(other)
+        scalar = as_fraction(other)
         return RationalMatrix([[a * scalar for a in row] for row in self.entries])
 
     def __rmul__(self, other) -> "RationalMatrix":
-        scalar = _coerce(other)
+        scalar = as_fraction(other)
         return RationalMatrix([[a * scalar for a in row] for row in self.entries])
 
     def _check_shape(self, other: "RationalMatrix") -> None:
@@ -169,7 +161,7 @@ def rref(matrix: RationalMatrix, rhs: Optional[Sequence[Fraction]] = None) -> Rr
         if rhs.cols != 1:
             raise ValueError("only single-column right-hand sides are supported")
         rhs = [row[0] for row in rhs.entries]
-    vec = [_coerce(v) for v in rhs] if rhs is not None else None
+    vec = [as_fraction(v) for v in rhs] if rhs is not None else None
     if vec is not None and len(vec) != rows:
         raise ValueError("right-hand side length does not match row count")
 

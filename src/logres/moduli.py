@@ -19,20 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .connections import FlatnessReport, LogConnection, MatrixPolyMap, curvature, is_flat
-from .divisor import (
-    DivisorError,
-    FrameConstants,
-    FreeDivisor,
-    StructureFunctions,
-    VectorFieldPoly,
-    exact_divide,
-    frame_constants,
-    structure_functions,
-)
+from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
+from .divisor import DivisorError, FreeDivisor, VectorFieldPoly, exact_divide
 from .liealg import ResidueData, ad_operator, validate_residue
 from .linear import RationalMatrix, block_kernel, inverse, integer_eigenvalues, rref
-from .polynomials import Monomial, WeightedPoly, monomials_of_degree
+from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree
 
 
 class MembershipError(ValueError):
@@ -77,8 +68,6 @@ class SymmetryAlgebra:
 class _DivisorContext:
     divisor: FreeDivisor
     residue: ResidueData
-    sf: StructureFunctions
-    constants: FrameConstants
     eigenvalues: Tuple[int, ...]
 
     @property
@@ -95,14 +84,11 @@ def _context(d: FreeDivisor, residue: ResidueData) -> _DivisorContext:
         raise ResidueError("chi must carry one value per semisimple frame slot")
     if residue.chi is None and d.semisimple_indices:
         raise ResidueError("this divisor has semisimple frame directions; chi is required")
-    sf = structure_functions(d)
-    constants = frame_constants(d, sf)
-    s_dict = dict(constants.semisimple)
-    report = validate_residue(residue, s_constants=s_dict if residue.chi is not None else None)
+    report = validate_residue(residue, s_constants=d.constants.semisimple if residue.chi is not None else None)
     if not report.ok:
         raise ResidueError(report.message)
     lam = integer_eigenvalues(ad_operator(residue.grading_element()))
-    return _DivisorContext(divisor=d, residue=residue, sf=sf, constants=constants, eigenvalues=tuple(lam))
+    return _DivisorContext(divisor=d, residue=residue, eigenvalues=tuple(lam))
 
 
 def _eigenspace(operator: RationalMatrix, eigenvalue: int, m: int) -> List[RationalMatrix]:
@@ -221,11 +207,11 @@ def _component_channels(ctx: _DivisorContext) -> List[_Channel]:
     semis_count = len(d.semisimple_indices)
     channels = []
     for b in range(w_count):
-        offsets = tuple(ctx.constants.toral_w[(i, b)] for i in range(toral_count))
+        offsets = tuple(d.constants.toral_w[(i, b)] for i in range(toral_count))
         # coupling[a][other] multiplies the other channel in the equation of
         # semisimple direction a for this channel
         coupling = tuple(
-            tuple(ctx.constants.semisimple_action[(a, b)][other] for other in range(w_count))
+            tuple(d.constants.semisimple_action[(a, b)][other] for other in range(w_count))
             for a in range(semis_count)
         )
         channels.append(_Channel(shift=d.frame[d.w_indices[b]].grade, toral_offsets=offsets, coupling=coupling))
@@ -312,14 +298,15 @@ def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SymmetryAlgebra:
     gl_m; the strictly positive part exponentiates to polynomial gauge
     transformations equal to the identity at the origin.
     """
-    ctx = _context(d, residue)
+    return _symmetry_algebra(_context(d, residue))
+
+
+def _symmetry_algebra(ctx: _DivisorContext) -> SymmetryAlgebra:
     basis, dims = _correction_space(ctx)
-    constant = dims.get(0, 0)
-    positive = sum(count for degree, count in dims.items() if degree > 0)
     return SymmetryAlgebra(
         dimension=len(basis),
-        constant_dimension=constant,
-        positive_dimension=positive,
+        constant_dimension=dims.get(0, 0),
+        positive_dimension=sum(count for degree, count in dims.items() if degree > 0),
         basis=basis,
         dims_by_degree=dims,
     )
@@ -386,18 +373,9 @@ def _coordinate_name(prefix: str, slot_number: int, element: MatrixPolyMap, vari
         if coeff == 1:
             body = f"{prefix}{slot_number}[{r + 1},{c + 1}]"
             if any(mono):
-                body += "*" + _mono_text(mono, variables)
+                body += "*" + monomial_text(mono, variables)
             return body
     return f"{prefix}{slot_number}#{index + 1}"
-
-
-def _mono_text(mono: Monomial, variables: Sequence[str]) -> str:
-    factors = [
-        name if e == 1 else f"{name}^{e}"
-        for name, e in zip(variables, mono)
-        if e
-    ]
-    return "*".join(factors) if factors else "1"
 
 
 @dataclass(frozen=True)
@@ -425,18 +403,12 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     ctx = _context(d, residue)
     m = ctx.matrix_size
     comp_spaces = _component_spaces(ctx)
-    corr_basis, corr_dims = _correction_space(ctx)
+    symmetry = _symmetry_algebra(ctx)
     corr_spaces = [
-        SolutionSpace(slot=("correction", i), matrix_size=m, basis=corr_basis, dims_by_degree=dict(corr_dims))
+        SolutionSpace(slot=("correction", i), matrix_size=m, basis=symmetry.basis,
+                      dims_by_degree=dict(symmetry.dims_by_degree))
         for i in range(d.toral_count)
     ]
-    symmetry = SymmetryAlgebra(
-        dimension=len(corr_basis),
-        constant_dimension=corr_dims.get(0, 0),
-        positive_dimension=sum(v for k, v in corr_dims.items() if k > 0),
-        basis=corr_basis,
-        dims_by_degree=dict(corr_dims),
-    )
 
     coordinates: List[Coordinate] = []
     for space in comp_spaces + corr_spaces:
@@ -511,7 +483,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
             if a >= b:
                 continue
             i, j = d.w_indices[a], d.w_indices[b]
-            coeffs = ctx.sf.coefficients(i, j)
+            coeffs = d.structure.coefficients(i, j)
             value = general[("component", b)].apply_field(w_fields[a])
             value = value - general[("component", a)].apply_field(w_fields[b])
             for pos, k in enumerate(d.toral_indices):
@@ -550,7 +522,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         "matrix_size": m,
         "dim_components_per_slot": [space.dimension for space in comp_spaces],
         "dim_components": sum(space.dimension for space in comp_spaces),
-        "dim_corrections_per_slot": len(corr_basis),
+        "dim_corrections_per_slot": symmetry.dimension,
         "dim_symmetry_constant": symmetry.constant_dimension,
         "dim_symmetry_positive": symmetry.positive_dimension,
         "coordinates": ncoords,
@@ -724,7 +696,7 @@ def check_point(d: FreeDivisor, residue: ResidueData, point: ModuliPoint,
     system_flat = all(
         results[i] == 0 for i, eq in enumerate(problem.system.equations) if eq.tag in flat_tags
     )
-    report = is_flat(assemble_connection(d, residue, point, problem), sf=structure_functions(d))
+    report = is_flat(assemble_connection(d, residue, point, problem))
     if report.flat != system_flat:
         raise ArithmeticError(
             "emitted system and direct curvature disagree on flatness; broken invariant"

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .univariate import uni_add, uni_degree, uni_derivative, uni_gcd, uni_mul, uni_scale
+from .univariate import as_fraction, uni_add, uni_degree, uni_derivative, uni_gcd, uni_mul, uni_scale
 
 Monomial = Tuple[int, ...]
 
@@ -24,14 +25,6 @@ class WeightMismatchError(ValueError):
 
 class InexactDivisionError(ArithmeticError):
     """Raised when a polynomial quotient would leave a nonzero remainder."""
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
 class WeightedPoly:
@@ -50,7 +43,7 @@ class WeightedPoly:
         self.weights = weights
         clean: Dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            coeff = _coerce(coeff)
+            coeff = as_fraction(coeff)
             if coeff == 0:
                 continue
             mono = tuple(int(e) for e in mono)
@@ -67,7 +60,7 @@ class WeightedPoly:
 
     @classmethod
     def constant(cls, value, weights: Sequence[int]) -> "WeightedPoly":
-        value = _coerce(value)
+        value = as_fraction(value)
         n = len(weights)
         return cls(weights, {(0,) * n: value} if value else {})
 
@@ -81,7 +74,7 @@ class WeightedPoly:
 
     @classmethod
     def monomial(cls, exponents: Sequence[int], weights: Sequence[int], coeff=1) -> "WeightedPoly":
-        return cls(weights, {tuple(exponents): _coerce(coeff)})
+        return cls(weights, {tuple(exponents): as_fraction(coeff)})
 
     # ----------------------------------------------------------------- queries
 
@@ -183,7 +176,7 @@ class WeightedPoly:
 
     def __mul__(self, other) -> "WeightedPoly":
         if not isinstance(other, WeightedPoly):
-            scalar = _coerce(other)
+            scalar = as_fraction(other)
             if scalar == 0:
                 return WeightedPoly.zero(self.weights)
             return WeightedPoly(self.weights, {m: c * scalar for m, c in self.terms.items()})
@@ -246,7 +239,7 @@ class WeightedPoly:
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point dimension does not match variable count")
-        values = [_coerce(v) for v in point]
+        values = [as_fraction(v) for v in point]
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             term = coeff
@@ -258,7 +251,7 @@ class WeightedPoly:
 
     def substitute(self, assignments: Dict[int, Fraction]) -> "WeightedPoly":
         """Set some variables to rational constants, keeping the same ring."""
-        values = {i: _coerce(v) for i, v in assignments.items()}
+        values = {i: as_fraction(v) for i, v in assignments.items()}
         terms: Dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
             factor = Fraction(1)
@@ -285,14 +278,8 @@ class WeightedPoly:
         names = list(names) if names is not None else [f"z{i}" for i in range(self.nvars)]
         chunks: List[str] = []
         for mono, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
+            body = monomial_text(mono, names)
+            if body == "1":
                 chunk = str(coeff)
             elif coeff == 1:
                 chunk = body
@@ -329,6 +316,12 @@ def exact_divide(num: WeightedPoly, den: WeightedPoly) -> WeightedPoly:
     return WeightedPoly(num.weights, quotient)
 
 
+def monomial_text(mono: Monomial, names: Sequence[str]) -> str:
+    """Render z^a as "x^2*y"; the constant monomial reads "1"."""
+    factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
+    return "*".join(factors) if factors else "1"
+
+
 def monomials_of_degree(weights: Sequence[int], degree: int) -> List[Monomial]:
     """All exponent tuples of exact E-degree ``degree``, in lexicographic order."""
     weights = tuple(int(w) for w in weights)
@@ -346,13 +339,6 @@ def monomials_of_degree(weights: Sequence[int], degree: int) -> List[Monomial]:
                 yield (e,) + tail
 
     return list(rec(0, degree))
-
-
-def monomials_up_to_degree(weights: Sequence[int], bound: int) -> List[Monomial]:
-    out: List[Monomial] = []
-    for d in range(bound + 1):
-        out.extend(monomials_of_degree(weights, d))
-    return out
 
 
 # ------------------------------------------------------------- squarefreeness
@@ -404,16 +390,14 @@ def squarefree_probable(f: WeightedPoly, trials: int = 8, seed: int = 0) -> str:
 def _restrict_to_line(f: WeightedPoly, base: Sequence[Fraction], direction: Sequence[Fraction]) -> List[Fraction]:
     """Coefficients of t -> f(base + t * direction), low degree first."""
     total = [Fraction(0)]
-    lines = [[Fraction(b), Fraction(d)] for b, d in zip(base, direction)]
     cache: Dict[Tuple[int, int], List[Fraction]] = {}
 
     def line_power(i: int, e: int) -> List[Fraction]:
+        """(base_i + t * direction_i) ** e, by the binomial theorem."""
         key = (i, e)
         if key not in cache:
-            if e == 0:
-                cache[key] = [Fraction(1)]
-            else:
-                cache[key] = uni_mul(line_power(i, e - 1), lines[i])
+            b, d = Fraction(base[i]), Fraction(direction[i])
+            cache[key] = [comb(e, k) * b ** (e - k) * d ** k for k in range(e + 1)]
         return cache[key]
 
     for mono, coeff in f.sorted_terms():

@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 
 from .catalog import catalog
 from .connections import LogConnection, MatrixPolyMap
-from .divisor import FrameElement, FreeDivisor, frame_constants
+from .divisor import FrameElement, FreeDivisor
 from .liealg import ResidueData
 from .linear import RationalMatrix
 from .moduli import Coordinate, Equation, ModuliPoint, PolySystem
@@ -27,6 +27,20 @@ class SchemaError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
+
+
+def _integer(value, what: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    _require(isinstance(value, list), f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _integers(value, what: str) -> tuple:
+    return tuple(_integer(v, f"each entry of {what}") for v in _list(value, what))
 
 
 # ----------------------------------------------------------------- fractions
@@ -87,7 +101,8 @@ def matrix_map_to_json(m: MatrixPolyMap) -> List[List[List[dict]]]:
 
 
 def matrix_map_from_json(data, weights: Sequence[int]) -> MatrixPolyMap:
-    _require(isinstance(data, list) and data, "matrix polynomial map must be a list of rows")
+    _require(isinstance(data, list) and data and all(isinstance(r, list) for r in data),
+             "matrix polynomial map must be a non-empty list of rows")
     return MatrixPolyMap([[poly_from_json(p, weights) for p in row] for row in data])
 
 
@@ -116,11 +131,10 @@ def divisor_to_json(d: FreeDivisor) -> dict:
     }
     if d.factors is not None:
         out["factors"] = [poly_to_json(p) for p in d.factors]
-    constants = frame_constants(d)
-    if constants.semisimple:
+    if d.constants.semisimple:
         out["semisimple_constants"] = {
             f"{i + 1},{j + 1}": [fraction_to_json(c) for c in row]
-            for (i, j), row in sorted(constants.semisimple.items())
+            for (i, j), row in sorted(d.constants.semisimple.items())
         }
     return out
 
@@ -131,20 +145,21 @@ def divisor_from_json(data) -> FreeDivisor:
     _require(isinstance(data, dict), "divisor file must be a JSON object")
     for key in ("variables", "weights", "f", "degree", "frame"):
         _require(key in data, f"divisor file is missing {key!r}")
-    variables = tuple(str(v) for v in data["variables"])
-    weights = tuple(int(w) for w in data["weights"])
+    variables = tuple(str(v) for v in _list(data["variables"], "variables"))
+    weights = _integers(data["weights"], "weights")
     _require(len(variables) == len(weights), "variables and weights differ in length")
     f = poly_from_json(data["f"], weights)
     frame = []
-    for raw in data["frame"]:
+    for raw in _list(data["frame"], "frame"):
         _require(isinstance(raw, dict) and "kind" in raw and "coefficients" in raw,
                  "each frame element needs 'kind' and 'coefficients'")
-        coefficients = tuple(poly_from_json(c, weights) for c in raw["coefficients"])
+        coefficients = tuple(poly_from_json(c, weights) for c in _list(raw["coefficients"], "coefficients"))
+        grade = raw.get("grade")
         frame.append(
             FrameElement(
                 kind=str(raw["kind"]),
                 field=VectorFieldPoly(coefficients),
-                grade=int(raw["grade"]) if "grade" in raw and raw["grade"] is not None else None,
+                grade=None if grade is None else _integer(grade, "grade"),
                 distinguished=bool(raw.get("distinguished", False)),
             )
         )
@@ -159,10 +174,10 @@ def divisor_from_json(data) -> FreeDivisor:
         variables=variables,
         weights=weights,
         f=f,
-        degree=int(data["degree"]),
+        degree=_integer(data["degree"], "degree"),
         frame=tuple(frame),
-        positive_combination=tuple(int(c) for c in combination),
-        factors=tuple(poly_from_json(p, weights) for p in factors) if factors is not None else None,
+        positive_combination=_integers(combination, "positive_combination"),
+        factors=tuple(poly_from_json(p, weights) for p in _list(factors, "factors")) if factors is not None else None,
     )
 
 
@@ -194,16 +209,16 @@ def residue_to_json(r: ResidueData) -> dict:
 def residue_from_json(data) -> ResidueData:
     _require(isinstance(data, dict), "residue file must be a JSON object")
     _require("S" in data, "residue file is missing 'S'")
-    s_list = tuple(matrix_from_json(m) for m in data["S"])
+    s_list = tuple(matrix_from_json(m) for m in _list(data["S"], "S"))
     combination = data.get("positive_combination", [1] * len(s_list))
     chi = data.get("chi")
     residue = ResidueData(
         s_list=s_list,
-        positive_combination=tuple(int(c) for c in combination),
-        chi=tuple(matrix_from_json(m) for m in chi) if chi is not None else None,
+        positive_combination=_integers(combination, "positive_combination"),
+        chi=tuple(matrix_from_json(m) for m in _list(chi, "chi")) if chi is not None else None,
     )
     if "k" in data:
-        _require(int(data["k"]) == residue.k, "'k' does not match the number of S matrices")
+        _require(_integer(data["k"], "k") == residue.k, "'k' does not match the number of S matrices")
     return residue
 
 
@@ -235,8 +250,8 @@ def point_to_json(p: ModuliPoint) -> dict:
 
 def point_from_json(data, weights: Sequence[int]) -> ModuliPoint:
     _require(isinstance(data, dict), "point file must be a JSON object")
-    components = tuple(matrix_map_from_json(c, weights) for c in data.get("components", []))
-    corrections = tuple(matrix_map_from_json(c, weights) for c in data.get("corrections", []))
+    components = tuple(matrix_map_from_json(c, weights) for c in _list(data.get("components", []), "components"))
+    corrections = tuple(matrix_map_from_json(c, weights) for c in _list(data.get("corrections", []), "corrections"))
     return ModuliPoint(components=components, corrections=corrections)
 
 

@@ -2,7 +2,8 @@
 
 Coefficients are stored low degree first.  These helpers back the
 characteristic polynomial manipulations and the line-restriction
-squarefreeness check; they are not a public polynomial type.
+squarefreeness check; they are not a public polynomial type.  ``as_fraction``
+is the one scalar coercion that the matrix and polynomial types share.
 """
 
 from __future__ import annotations
@@ -11,6 +12,15 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 UniPoly = List[Fraction]
+
+
+def as_fraction(value) -> Fraction:
+    """An int or Fraction as a Fraction; anything else is a TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
 def uni_trim(p: Sequence[Fraction]) -> UniPoly:

@@ -68,6 +68,26 @@ def test_verify_divisor_malformed_input(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("path, value", [
+    (("weights",), [[2], 3]),
+    (("weights",), [True, 3]),
+    (("degree",), [6]),
+    (("degree",), "6"),
+    (("positive_combination",), 1),
+    (("frame",), 5),
+    (("frame", 1, "grade"), 1.5),
+])
+def test_verify_divisor_malformed_field(capsys, tmp_path, path, value):
+    data = serialize.divisor_to_json(catalog("cusp"))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    code, _, err = run(capsys, "verify-divisor", "--divisor", write_json(tmp_path / "bad_field.json", data))
+    assert code == 2
+    assert path[-1] in err
+
+
 @pytest.mark.parametrize("term", [
     {"exponents": 5, "coeff": "1/1"},
     {"exponents": [1, -1], "coeff": "1/1"},
@@ -100,6 +120,16 @@ def test_residue_space(capsys, residue_file):
     payload = json.loads(out)
     assert payload["summary"]["dim_components"] == 13
     assert payload["symmetry_algebra"] == {"dimension": 3, "constant": 2, "positive": 1}
+
+
+@pytest.mark.parametrize("field, value", [("positive_combination", [True]), ("k", "1"), ("S", 5)])
+def test_residue_space_malformed_residue(capsys, tmp_path, field, value):
+    data = serialize.residue_to_json(residue_for(catalog("sekiguchi_b5"), S01))
+    data[field] = value
+    code, _, err = run(capsys, "residue-space", "--catalog", "sekiguchi_b5",
+                       "--residue", write_json(tmp_path / "bad_residue.json", data))
+    assert code == 2
+    assert field in err
 
 
 def test_emit_moduli_writes_file(capsys, tmp_path, residue_file):
@@ -150,6 +180,14 @@ def test_check_point(capsys, tmp_path, residue_file):
     payload = json.loads(out)
     assert payload["flat"] is False
     assert payload["violations"][0]["tag"] == "curvature"
+
+
+@pytest.mark.parametrize("point", [{"components": 5}, {"corrections": [[5]]}])
+def test_check_point_malformed_point(capsys, tmp_path, residue_file, point):
+    path = write_json(tmp_path / "bad_point.json", point)
+    code, _, err = run(capsys, "check-point", "--catalog", "sekiguchi_b5", "--residue", residue_file, "--point", path)
+    assert code == 2
+    assert "error" in err
 
 
 def test_jordan_additive(capsys, tmp_path):

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from logres import (
     LogConnection,
     MatrixPolyMap,
@@ -68,3 +70,24 @@ def test_matrix_poly_map_algebra(cusp):
     assert a.scale(Fraction(2))[0, 0] == 2 * x
     assert a.power(2) == a.matmul(a)
     assert a.evaluate([Fraction(3), Fraction(0)]) == RationalMatrix([[3, 9], [0, 3]])
+
+
+def _curved_connections():
+    seki = catalog("sekiguchi_b5")
+    yield LogConnection(seki, (constant(S01, seki), zeros(seki), zeros(seki)))
+    nc3 = catalog("normal_crossing_3")
+    # the third residue commutes with neither of the others: pairs (0, 2) and (1, 2) are curved
+    yield LogConnection(nc3, (constant(diag(0, 1), nc3), constant(diag(2, 3), nc3),
+                              constant(RationalMatrix([[0, 1], [1, 0]]), nc3)))
+    nc2 = catalog("normal_crossing_2")
+    yield LogConnection(nc2, (constant(RationalMatrix([[0, 1], [0, 0]]), nc2),
+                              constant(RationalMatrix([[0, 0], [1, 0]]), nc2)))
+
+
+@pytest.mark.parametrize("conn", list(_curved_connections()), ids=lambda c: c.divisor.name)
+def test_is_flat_reports_the_first_curved_pair_of_curvature(conn):
+    report = is_flat(conn)
+    pair, component = next((p, c) for p, c in sorted(curvature(conn).items()) if not c.is_zero())
+    assert not report.flat
+    assert report.witness == pair
+    assert report.residual == component

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logres import (
+    CATALOG_NAMES,
     FrameElement,
     FreeDivisor,
     VectorFieldPoly,
@@ -263,3 +264,28 @@ def test_bracket_is_a_lie_bracket(a, b, c):
     assert (left - right).is_zero()
     jacobi = bracket(a, bracket(b, c)) + bracket(b, bracket(c, a)) + bracket(c, bracket(a, b))
     assert jacobi.is_zero()
+
+
+def test_frame_analysis_is_computed_once(seki):
+    assert seki.structure is seki.structure
+    assert seki.constants is seki.constants
+    assert seki.dual_forms is seki.dual_forms
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_cached_frame_analysis_matches_a_fresh_computation(name):
+    # each fresh divisor object starts with an empty cache, so the functions
+    # on the right recompute everything from the frame
+    d = catalog(name)
+    assert d.structure == structure_functions(catalog(name))
+    assert d.constants == frame_constants(catalog(name))
+    assert d.dual_forms == dual_log_forms(catalog(name))
+    assert d.determinant == poly_determinant(catalog(name).coefficient_matrix())
+
+
+def test_populated_cache_keeps_equality_and_hash():
+    d, other = catalog("d4"), catalog("d4")
+    before = hash(d)
+    d.structure, d.constants, d.dual_forms
+    assert d == other
+    assert hash(d) == before == hash(other)

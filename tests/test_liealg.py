@@ -107,6 +107,36 @@ def test_validate_residue_rejects_noncommuting():
     assert not report.ok
 
 
+def test_validate_residue_checks_each_distinct_value_once(monkeypatch):
+    from logres import liealg
+
+    calls, brackets = [], []
+    semisimple, bracket = liealg.is_semisimple, liealg.commutator
+    monkeypatch.setattr(liealg, "is_semisimple", lambda s: calls.append(s) or semisimple(s))
+    monkeypatch.setattr(liealg, "commutator", lambda a, b: brackets.append((a, b)) or bracket(a, b))
+    r = ResidueData(s_list=(diag(0, 1),) * 5, positive_combination=(1,) * 5)
+    assert validate_residue(r).ok
+    assert calls == [diag(0, 1)]
+    assert brackets == []
+
+
+def test_validate_residue_names_the_first_failing_slot():
+    rotation = RationalMatrix([[0, 1], [1, 0]])
+    cases = [
+        ((diag(0, 1), E12, E12), "S_2 is not semisimple"),
+        ((diag(0, 1), diag(0, 1), rotation, rotation), "S_1 and S_3 do not commute"),
+        ((IDENT2, diag(0, 1), IDENT2, rotation), "S_2 and S_4 do not commute"),
+    ]
+    for s_list, message in cases:
+        report = validate_residue(ResidueData(s_list=s_list, positive_combination=(1,) * len(s_list)))
+        assert report.message == message
+
+
+def test_validate_residue_names_the_first_slot_not_centralizing_chi():
+    r = ResidueData(s_list=(IDENT2, diag(0, 1), diag(0, 1)), positive_combination=(1, 1, 1), chi=(CHI_E,))
+    assert validate_residue(r).message == "S_2 does not centralize chi_1"
+
+
 def test_validate_residue_sl2_triple():
     # chi values bracketing oppositely to frame constants: with frame
     # constants [h,f]=2f, [h,e]=-2e, [f,e]=h the triple (-h, e, f) passes

@@ -172,3 +172,21 @@ def test_squarefree_single_trial_is_inconclusive():
     f = p((1, 1), {(2, 0): 1})  # x^2
     assert squarefree_probable(f, trials=1, seed=0) == "inconclusive"
     assert squarefree_probable(f, trials=8, seed=0) == "not-squarefree"
+
+
+def test_line_restriction_of_a_high_power():
+    # line powers are built without recursion, so no stack depth grows with the exponent
+    from logres.polynomials import _restrict_to_line
+    from logres.univariate import uni_evaluate
+
+    f = WeightedPoly((1, 1), {(1500, 0): 1, (0, 1500): 1})
+    base, direction = [Fraction(3, 4), Fraction(-2)], [Fraction(1, 3), Fraction(5, 2)]
+    restricted = _restrict_to_line(f, base, direction)
+    assert len(restricted) == 1501
+    t = Fraction(2)
+    assert uni_evaluate(restricted, t) == f.evaluate([b + t * d for b, d in zip(base, direction)])
+
+
+def test_squarefree_of_a_high_power():
+    f = WeightedPoly((1, 1), {(1500, 0): 1})
+    assert squarefree_probable(f, trials=2, seed=0) == "not-squarefree"
