@@ -48,10 +48,6 @@ def _emit(args, machine: dict, human_lines: List[str]) -> None:
         sys.stdout.write("\n".join(human_lines) + "\n")
 
 
-def _poly_str(p, names) -> str:
-    return p.format(names)
-
-
 # ---------------------------------------------------------------- subcommands
 
 def cmd_catalog(args) -> int:
@@ -91,7 +87,7 @@ def cmd_verify_divisor(args) -> int:
     if expansion:
         human.append(
             "dlog f expansion: ("
-            + ", ".join(_poly_str(p, d.variables) for p in expansion)
+            + ", ".join(p.format(d.variables) for p in expansion)
             + ")"
         )
     _emit(args, machine, human)
@@ -131,27 +127,27 @@ def cmd_frame_info(args) -> int:
         grade = f", grade {e.grade}" if e.grade is not None else ""
         star = " (distinguished)" if e.distinguished else ""
         field = " + ".join(
-            f"({_poly_str(c, names)})*d/d{names[j]}" for j, c in enumerate(e.field.coefficients) if c
+            f"({c.format(names)})*d/d{names[j]}" for j, c in enumerate(e.field.coefficients) if c
         )
         human.append(f"  {labels[i]}: {e.kind}{grade}{star}: {field}")
     human.append("brackets [Vi, Vj] = sum_k c_ij^k Vk:")
     for (i, j), coeffs in sorted(sf.table.items()):
         parts = [
-            f"({_poly_str(c, names)})*{labels[k]}" for k, c in enumerate(coeffs) if not c.is_zero()
+            f"({c.format(names)})*{labels[k]}" for k, c in enumerate(coeffs) if not c.is_zero()
         ]
         human.append(f"  [{labels[i]},{labels[j]}] = " + (" + ".join(parts) if parts else "0"))
     human.append(f"dual forms: row_i / ({forms.constant} * f), rows:")
     for i, row in enumerate(forms.numerators):
         human.append(
-            f"  xi^{labels[i]}: " + ", ".join(f"{_poly_str(p, names)} d{names[j]}" for j, p in enumerate(row))
+            f"  xi^{labels[i]}: " + ", ".join(f"{p.format(names)} d{names[j]}" for j, p in enumerate(row))
         )
     human.append(
-        "dlog f = " + " , ".join(f"{_poly_str(p, names)} on xi^{labels[i]}" for i, p in enumerate(expansion))
+        "dlog f = " + " , ".join(f"{p.format(names)} on xi^{labels[i]}" for i, p in enumerate(expansion))
     )
     human.append("form structure equations d xi^k = - sum c_ij^k xi^i ^ xi^j:")
     for k, table in structure.items():
         parts = [
-            f"({_poly_str(c, names)}) xi^{labels[i]}^xi^{labels[j]}" for (i, j), c in sorted(table.items())
+            f"({c.format(names)}) xi^{labels[i]}^xi^{labels[j]}" for (i, j), c in sorted(table.items())
         ]
         human.append(f"  d xi^{labels[k]} = " + (" + ".join(parts) if parts else "0"))
     _emit(args, machine, human)
@@ -303,6 +299,13 @@ def cmd_jordan(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logres",
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-divisor", help="run the determinant and reducedness checks")
     add_common(p, divisor=True)
-    p.add_argument("--trials", type=int, default=8)
+    p.add_argument("--trials", type=_positive_int, default=8)
     p.set_defaults(handler=cmd_verify_divisor)
 
     p = sub.add_parser("frame-info", help="brackets, dual forms, and structure equations")

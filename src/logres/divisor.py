@@ -8,8 +8,8 @@ coefficient matrix certifies that the frame is a basis of the logarithmic
 tangent sheaf; all structure functions, dual forms, and form structure
 equations are then exact polynomial computations.  A ``FreeDivisor`` runs
 each of them once, on first use, and keeps the result in a cached property
-(``determinant``, ``adjugate``, ``structure``, ``constants``, ``dual_forms``);
-the module-level functions do the computing.
+(``determinant``, ``adjugate``, ``structure``, ``constants``, ``dual_forms``,
+``pairings``); the module-level functions do the computing.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .linear import RationalMatrix, inverse
 from .polynomials import (
     InexactDivisionError,
     WeightedPoly,
@@ -142,6 +143,7 @@ class FreeDivisor:
         if self.factors is not None and len(self.factors) != len(self.toral_indices):
             raise DivisorError("need one defining factor per toral direction")
         self._check_grading()
+        self._check_factors()
 
     # ------------------------------------------------------------------ basics
 
@@ -206,6 +208,18 @@ class FreeDivisor:
                 if not (self.frame[i].field - euler).is_zero():
                     raise DivisorError("the distinguished toral field must equal the Euler field")
 
+    def _check_factors(self) -> None:
+        if self.factors is None:
+            return
+        product = WeightedPoly.constant(1, self.weights)
+        for fac in self.factors:
+            product = product * fac
+        # if product = c * f, then c is the ratio at any monomial of f
+        mono, coeff = next(iter(self.f.terms.items()))
+        ratio = product.terms.get(mono, 0) / coeff
+        if ratio == 0 or product != self.f * ratio:
+            raise DivisorError("the product of the factors is not a nonzero rational multiple of f")
+
     # -------------------------------------------------------- derived structure
 
     @cached_property
@@ -247,6 +261,11 @@ class FreeDivisor:
     def dual_forms(self) -> LogFormFrame:
         return dual_log_forms(self)
 
+    @cached_property
+    def pairings(self) -> Tuple[Tuple[WeightedPoly, ...], ...]:
+        """``correction_pairings`` of this divisor, shared and so read-only."""
+        return tuple(map(tuple, correction_pairings(self)))
+
 
 @dataclass(frozen=True)
 class SaitoResult:
@@ -256,49 +275,60 @@ class SaitoResult:
     message: str = ""
 
 
-def poly_determinant(rows: Sequence[Sequence[WeightedPoly]]) -> WeightedPoly:
-    """Determinant of a square polynomial matrix, by subset recursion."""
+def _minor_table(rows: Sequence[Sequence[WeightedPoly]]):
+    """Memoized Laplace expansion of the minors of a square polynomial matrix.
+
+    The returned ``minor(row_ids, mask)`` is the determinant of the submatrix
+    on the rows ``row_ids`` (increasing) and the columns set in ``mask``,
+    expanded along its first row.  Every minor reached is kept under
+    (rows, columns), so the minors omitting row j share every sub-minor on the
+    rows after j with each other and with the determinant.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
     weights = rows[0][0].weights
-    # memo[mask] = determinant of the minor on the last popcount(mask) rows
-    # and the column set given by mask
-    memo: Dict[int, WeightedPoly] = {0: WeightedPoly.constant(1, weights)}
+    memo: Dict[Tuple[Tuple[int, ...], int], WeightedPoly] = {((), 0): WeightedPoly.constant(1, weights)}
 
-    def det_for(mask: int) -> WeightedPoly:
-        if mask in memo:
-            return memo[mask]
-        size = bin(mask).count("1")
-        row = n - size
+    def minor(row_ids: Tuple[int, ...], mask: int) -> WeightedPoly:
+        key = (row_ids, mask)
+        if key in memo:
+            return memo[key]
+        first, rest = row_ids[0], row_ids[1:]
         total = WeightedPoly.zero(weights)
         sign = 1
         remaining = mask
         while remaining:
             col = (remaining & -remaining).bit_length() - 1
-            entry = rows[row][col]
+            entry = rows[first][col]
             if entry:
-                total = total + entry * det_for(mask & ~(1 << col)) * sign
+                total = total + entry * minor(rest, mask & ~(1 << col)) * sign
             sign = -sign
             remaining &= remaining - 1
-        memo[mask] = total
+        memo[key] = total
         return total
 
-    return det_for((1 << n) - 1)
+    return minor
+
+
+def poly_determinant(rows: Sequence[Sequence[WeightedPoly]]) -> WeightedPoly:
+    """Determinant of a square polynomial matrix, by memoized Laplace expansion."""
+    n = len(rows)
+    return _minor_table(rows)(tuple(range(n)), (1 << n) - 1)
 
 
 def poly_adjugate(rows: Sequence[Sequence[WeightedPoly]]) -> List[List[WeightedPoly]]:
-    """Adjugate matrix: adj[i][j] = (-1)^(i+j) * minor(j, i)."""
+    """Adjugate matrix: adj[i][j] = (-1)^(i+j) * minor(j, i), from one minor table."""
     n = len(rows)
-    weights = rows[0][0].weights
-    if n == 1:
-        return [[WeightedPoly.constant(1, weights)]]
-    adj = [[WeightedPoly.zero(weights) for _ in range(n)] for _ in range(n)]
+    minor = _minor_table(rows)
+    full = (1 << n) - 1
+    adj = []
     for i in range(n):
+        row = []
         for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            value = poly_determinant(minor)
-            adj[i][j] = value if (i + j) % 2 == 0 else -value
+            value = minor(tuple(r for r in range(n) if r != j), full & ~(1 << i))
+            row.append(value if (i + j) % 2 == 0 else -value)
+        adj.append(row)
     return adj
 
 
@@ -477,6 +507,35 @@ def dual_log_forms(d: FreeDivisor) -> LogFormFrame:
             if pairing != expected:
                 raise DivisorError("dual form pairing identity failed; broken invariant")
     return LogFormFrame(numerators=numerators, constant=constant, f=d.f)
+
+
+def correction_pairings(d: FreeDivisor) -> List[List[WeightedPoly]]:
+    """The polynomials pairing each grading character with each graded field.
+
+    Entry [i][j] is the value on graded slot j of the closed 1-form dual to
+    toral direction i, computed from the per-factor logarithmic derivatives:
+    row i of inverse(C^T) against the exact quotients Z_j(f_a) / f_a, where
+    C is the factor degree matrix.
+    """
+    factors = d.effective_factors()
+    c_matrix = RationalMatrix(d.factor_degree_matrix)
+    t_matrix = inverse(c_matrix.transpose())
+    out: List[List[WeightedPoly]] = []
+    quotients: List[List[WeightedPoly]] = []
+    for j in d.w_indices:
+        row = []
+        for fac in factors:
+            row.append(exact_divide(d.frame[j].field.apply(fac), fac))
+        quotients.append(row)
+    for i in range(d.toral_count):
+        row = []
+        for j_pos in range(len(d.w_indices)):
+            total = WeightedPoly.zero(d.weights)
+            for a in range(len(factors)):
+                total = total + quotients[j_pos][a] * t_matrix[i, a]
+            row.append(total)
+        out.append(row)
+    return out
 
 
 def dlog_f_expansion(d: FreeDivisor) -> Tuple[WeightedPoly, ...]:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linear import RationalMatrix, charpoly, charpoly_at, inverse, rref
+from .linear import RationalMatrix, charpoly, charpoly_at, integer_eigenvalues, inverse, rref
 from .univariate import uni_squarefree_part
 
 
@@ -66,6 +67,11 @@ def ad_operator(a: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(list(zip(*cols)))
 
 
+def _kernel_matrices(operator: RationalMatrix, m: int) -> List[RationalMatrix]:
+    """Kernel basis of an operator on row-major flattened m x m matrices, as matrices."""
+    return [RationalMatrix([vec[i * m:(i + 1) * m] for i in range(m)]) for vec in rref(operator).kernel]
+
+
 def centralizer_algebra(mats: Sequence[RationalMatrix], size: Optional[int] = None) -> Tuple[int, List[RationalMatrix]]:
     """Dimension and basis of {X : [X, M]_c = 0 for every M in mats}."""
     if mats:
@@ -76,16 +82,9 @@ def centralizer_algebra(mats: Sequence[RationalMatrix], size: Optional[int] = No
         raise ValueError("an empty family needs an explicit matrix size")
     else:
         m = size
-    if not mats:
-        basis = []
-        for r in range(m):
-            for c in range(m):
-                unit = [[Fraction(int(i == r and j == c)) for j in range(m)] for i in range(m)]
-                basis.append(RationalMatrix(unit))
-        return m * m, basis
-    stacked = [row for mat in mats for row in ad_operator(mat).entries]
-    result = rref(RationalMatrix(stacked))
-    basis = [RationalMatrix([list(vec[i * m:(i + 1) * m]) for i in range(m)]) for vec in result.kernel]
+    # the empty family constrains nothing: one zero row has all of gl_m as kernel
+    stacked = [row for mat in mats for row in ad_operator(mat).entries] or [[0] * (m * m)]
+    basis = _kernel_matrices(RationalMatrix(stacked), m)
     return len(basis), basis
 
 
@@ -262,6 +261,18 @@ class ResidueData:
         for coeff, s in zip(self.positive_combination, self.s_list):
             total = total + coeff * s
         return total
+
+    @cached_property
+    def grading_eigenspaces(self) -> Dict[int, Tuple[RationalMatrix, ...]]:
+        """Each integer eigenvalue of ad of the grading element, in increasing
+        order, mapped to an eigenmatrix basis; computed once and shared, so
+        read-only, and like a divisor's cache no part of equality or hashing."""
+        ad = ad_operator(self.grading_element())
+        identity = RationalMatrix.identity(ad.rows)
+        return {
+            lam: tuple(_kernel_matrices(ad - lam * identity, self.matrix_size))
+            for lam in integer_eigenvalues(ad)
+        }
 
 
 @dataclass(frozen=True)

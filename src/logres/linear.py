@@ -141,7 +141,6 @@ class RationalMatrix:
 class RrefResult:
     rank: int
     pivots: Tuple[int, ...]
-    reduced: RationalMatrix
     solution: Optional[Tuple[Fraction, ...]]
     inconsistent: bool
     kernel: Tuple[Tuple[Fraction, ...], ...]
@@ -212,7 +211,6 @@ def rref(matrix: RationalMatrix, rhs: Optional[Sequence[Fraction]] = None) -> Rr
     return RrefResult(
         rank=rank,
         pivots=tuple(pivots),
-        reduced=RationalMatrix(work) if rows and cols else matrix,
         solution=solution,
         inconsistent=inconsistent,
         kernel=tuple(kernel),

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
-from .divisor import DivisorError, FreeDivisor, VectorFieldPoly, exact_divide
-from .liealg import ResidueData, ad_operator, validate_residue
-from .linear import RationalMatrix, block_kernel, inverse, integer_eigenvalues, rref
+from .divisor import DivisorError, FreeDivisor, VectorFieldPoly
+from .liealg import ResidueData, validate_residue
+from .linear import RationalMatrix, block_kernel, rref
 from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree
 
 
@@ -64,18 +64,8 @@ class SymmetryAlgebra:
     dims_by_degree: Dict[int, int]
 
 
-@dataclass(frozen=True)
-class _DivisorContext:
-    divisor: FreeDivisor
-    residue: ResidueData
-    eigenvalues: Tuple[int, ...]
-
-    @property
-    def matrix_size(self) -> int:
-        return self.residue.matrix_size
-
-
-def _context(d: FreeDivisor, residue: ResidueData) -> _DivisorContext:
+def _check_pair(d: FreeDivisor, residue: ResidueData) -> None:
+    """Raise ResidueError unless the residue fits the divisor and is valid."""
     if len(residue.s_list) != d.toral_count:
         raise ResidueError(f"residue carries {len(residue.s_list)} toral values, divisor has {d.toral_count}")
     if tuple(residue.positive_combination) != tuple(d.positive_combination):
@@ -87,14 +77,6 @@ def _context(d: FreeDivisor, residue: ResidueData) -> _DivisorContext:
     report = validate_residue(residue, s_constants=d.constants.semisimple if residue.chi is not None else None)
     if not report.ok:
         raise ResidueError(report.message)
-    lam = integer_eigenvalues(ad_operator(residue.grading_element()))
-    return _DivisorContext(divisor=d, residue=residue, eigenvalues=tuple(lam))
-
-
-def _eigenspace(operator: RationalMatrix, eigenvalue: int, m: int) -> List[RationalMatrix]:
-    shifted = operator - eigenvalue * RationalMatrix.identity(operator.rows)
-    result = rref(shifted)
-    return [RationalMatrix([list(vec[i * m:(i + 1) * m]) for i in range(m)]) for vec in result.kernel]
 
 
 @dataclass(frozen=True)
@@ -106,23 +88,22 @@ class _Channel:
     coupling: Tuple[Tuple[Fraction, ...], ...]
 
 
-def _solve_channels(ctx: _DivisorContext, channels: Sequence[_Channel]) -> List[Tuple[int, Tuple[MatrixPolyMap, ...]]]:
+def _solve_channels(d: FreeDivisor, residue: ResidueData,
+                    channels: Sequence[_Channel]) -> List[Tuple[int, Tuple[MatrixPolyMap, ...]]]:
     """Joint graded solve over all channels; returns (degree, tuple) basis vectors.
 
     The candidates of a degree are z^a * M for each channel, monomial z^a and
-    eigenmatrix M of ad of the grading element.  Equation k * len(channels) + e
+    M in ``residue.grading_eigenspaces``.  Equation k * len(channels) + e
     is frame direction k (toral ones first, then semisimple ones) applied to
     channel e.  A candidate's residual is written straight into a sparse column
     keyed by (equation, row, column, monomial), from V_k(z^a) * M minus
     z^a * (shift * M + [C_k, M]), with C_k the residue value of direction k;
     ``block_kernel`` then row-reduces each connected block of columns.
     """
-    d = ctx.divisor
-    m = ctx.matrix_size
+    m = residue.matrix_size
     weights = d.weights
-    ad_d = ad_operator(ctx.residue.grading_element())
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
-    values = tuple(ctx.residue.s_list) + tuple(ctx.residue.chi or ())
+    values = tuple(residue.s_list) + tuple(residue.chi or ())
     toral_count = d.toral_count
     width = len(channels)
 
@@ -130,7 +111,10 @@ def _solve_channels(ctx: _DivisorContext, channels: Sequence[_Channel]) -> List[
         return [(r, c, mat[r, c]) for r in range(m) for c in range(m) if mat[r, c]]
 
     # per eigenvalue: (entries of M, entries of [C_k, M] per k) for each eigenmatrix M
-    eigendata: Dict[int, List[Tuple[list, list]]] = {}
+    eigendata = {
+        lam: [(nonzero(mat), [nonzero(value.commutator(mat)) for value in values]) for mat in basis]
+        for lam, basis in residue.grading_eigenspaces.items()
+    }
     # per (direction, monomial): the terms of V_k(z^a)
     images: Dict[Tuple[int, Monomial], Dict[Monomial, Fraction]] = {}
 
@@ -164,7 +148,7 @@ def _solve_channels(ctx: _DivisorContext, channels: Sequence[_Channel]) -> List[
         {
             lam + ch.shift
             for ch in channels
-            for lam in ctx.eigenvalues
+            for lam in eigendata
             if lam + ch.shift >= 0 and monomials_of_degree(weights, lam + ch.shift)
         }
     )
@@ -175,13 +159,8 @@ def _solve_channels(ctx: _DivisorContext, channels: Sequence[_Channel]) -> List[
         columns: List[Dict[tuple, Fraction]] = []
         for c_idx, ch in enumerate(channels):
             lam = degree - ch.shift
-            if lam not in ctx.eigenvalues:
-                continue
             if lam not in eigendata:
-                eigendata[lam] = [
-                    (nonzero(mat), [nonzero(value.commutator(mat)) for value in values])
-                    for mat in _eigenspace(ad_d, lam, m)
-                ]
+                continue
             for mono in monos:
                 for entries, brackets in eigendata[lam]:
                     candidates.append((c_idx, mono, entries))
@@ -200,8 +179,7 @@ def _solve_channels(ctx: _DivisorContext, channels: Sequence[_Channel]) -> List[
     return out
 
 
-def _component_channels(ctx: _DivisorContext) -> List[_Channel]:
-    d = ctx.divisor
+def _component_channels(d: FreeDivisor) -> List[_Channel]:
     w_count = len(d.w_indices)
     toral_count = d.toral_count
     semis_count = len(d.semisimple_indices)
@@ -225,16 +203,15 @@ def solve_component_spaces(d: FreeDivisor, residue: ResidueData) -> List[Solutio
     E_i(B) = n_i B + [S_i, B]_c and, when chi is present, the coupled
     semisimple direction equations.
     """
-    ctx = _context(d, residue)
-    return _component_spaces(ctx)
+    _check_pair(d, residue)
+    return _component_spaces(d, residue)
 
 
-def _component_spaces(ctx: _DivisorContext) -> List[SolutionSpace]:
-    d = ctx.divisor
-    channels = _component_channels(ctx)
+def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
+    channels = _component_channels(d)
     if not channels:
         return []
-    solutions = _solve_channels(ctx, channels)
+    solutions = _solve_channels(d, residue, channels)
     per_slot: List[List[Tuple[int, MatrixPolyMap]]] = [[] for _ in channels]
     for degree, parts in solutions:
         support = [c_idx for c_idx, part in enumerate(parts) if not part.is_zero()]
@@ -252,7 +229,7 @@ def _component_spaces(ctx: _DivisorContext) -> List[SolutionSpace]:
         spaces.append(
             SolutionSpace(
                 slot=("component", b),
-                matrix_size=ctx.matrix_size,
+                matrix_size=residue.matrix_size,
                 basis=tuple(mp for _, mp in items),
                 dims_by_degree=dims,
             )
@@ -260,15 +237,15 @@ def _component_spaces(ctx: _DivisorContext) -> List[SolutionSpace]:
     return spaces
 
 
-def _correction_space(ctx: _DivisorContext) -> Tuple[Tuple[MatrixPolyMap, ...], Dict[int, int]]:
-    toral_count = ctx.divisor.toral_count
-    semis_count = len(ctx.divisor.semisimple_indices)
+def _correction_space(d: FreeDivisor, residue: ResidueData) -> Tuple[Tuple[MatrixPolyMap, ...], Dict[int, int]]:
+    toral_count = d.toral_count
+    semis_count = len(d.semisimple_indices)
     channel = _Channel(
         shift=0,
         toral_offsets=tuple(Fraction(0) for _ in range(toral_count)),
         coupling=tuple((Fraction(0),) for _ in range(semis_count)),
     )
-    solutions = _solve_channels(ctx, [channel])
+    solutions = _solve_channels(d, residue, [channel])
     dims: Dict[int, int] = {}
     basis = []
     for degree, parts in solutions:
@@ -283,10 +260,10 @@ def solve_correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[Soluti
     The corrections for every toral slot satisfy the same linear equations,
     so the returned spaces share one basis computed once.
     """
-    ctx = _context(d, residue)
-    basis, dims = _correction_space(ctx)
+    _check_pair(d, residue)
+    basis, dims = _correction_space(d, residue)
     return [
-        SolutionSpace(slot=("correction", i), matrix_size=ctx.matrix_size, basis=basis, dims_by_degree=dict(dims))
+        SolutionSpace(slot=("correction", i), matrix_size=residue.matrix_size, basis=basis, dims_by_degree=dict(dims))
         for i in range(d.toral_count)
     ]
 
@@ -298,11 +275,12 @@ def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SymmetryAlgebra:
     gl_m; the strictly positive part exponentiates to polynomial gauge
     transformations equal to the identity at the origin.
     """
-    return _symmetry_algebra(_context(d, residue))
+    _check_pair(d, residue)
+    return _symmetry_algebra(d, residue)
 
 
-def _symmetry_algebra(ctx: _DivisorContext) -> SymmetryAlgebra:
-    basis, dims = _correction_space(ctx)
+def _symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SymmetryAlgebra:
+    basis, dims = _correction_space(d, residue)
     return SymmetryAlgebra(
         dimension=len(basis),
         constant_dimension=dims.get(0, 0),
@@ -400,10 +378,10 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     and entrywise nilpotency.  Ordering is deterministic for byte-stable
     output.
     """
-    ctx = _context(d, residue)
-    m = ctx.matrix_size
-    comp_spaces = _component_spaces(ctx)
-    symmetry = _symmetry_algebra(ctx)
+    _check_pair(d, residue)
+    m = residue.matrix_size
+    comp_spaces = _component_spaces(d, residue)
+    symmetry = _symmetry_algebra(d, residue)
     corr_spaces = [
         SolutionSpace(slot=("correction", i), matrix_size=m, basis=symmetry.basis,
                       dims_by_degree=dict(symmetry.dims_by_degree))
@@ -605,35 +583,6 @@ def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fract
     return list(result.solution)
 
 
-def correction_pairings(d: FreeDivisor) -> List[List[WeightedPoly]]:
-    """The polynomials pairing each grading character with each graded field.
-
-    Entry [i][j] is the value on graded slot j of the closed 1-form dual to
-    toral direction i, computed from the per-factor logarithmic derivatives:
-    row i of inverse(C^T) against the exact quotients Z_j(f_a) / f_a, where
-    C is the factor degree matrix.
-    """
-    factors = d.effective_factors()
-    c_matrix = RationalMatrix(d.factor_degree_matrix)
-    t_matrix = inverse(c_matrix.transpose())
-    out: List[List[WeightedPoly]] = []
-    quotients: List[List[WeightedPoly]] = []
-    for j in d.w_indices:
-        row = []
-        for fac in factors:
-            row.append(exact_divide(d.frame[j].field.apply(fac), fac))
-        quotients.append(row)
-    for i in range(d.toral_count):
-        row = []
-        for j_pos in range(len(d.w_indices)):
-            total = WeightedPoly.zero(d.weights)
-            for a in range(len(factors)):
-                total = total + quotients[j_pos][a] * t_matrix[i, a]
-            row.append(total)
-        out.append(row)
-    return out
-
-
 def assemble_connection(d: FreeDivisor, residue: ResidueData, point: ModuliPoint,
                         problem: Optional[ModuliProblem] = None) -> LogConnection:
     """Build the connection attached to a normal-form point.
@@ -645,7 +594,12 @@ def assemble_connection(d: FreeDivisor, residue: ResidueData, point: ModuliPoint
     """
     problem = problem or moduli_system(d, residue)
     coordinates_of(point, problem)  # membership check
-    pairings = correction_pairings(d) if d.w_indices else []
+    return _assemble(d, residue, point)
+
+
+def _assemble(d: FreeDivisor, residue: ResidueData, point: ModuliPoint) -> LogConnection:
+    """The connection of a point already known to lie in the solution spaces."""
+    pairings = d.pairings if d.w_indices else ()
     components: List[MatrixPolyMap] = []
     toral_pos = {idx: pos for pos, idx in enumerate(d.toral_indices)}
     semis_pos = {idx: pos for pos, idx in enumerate(d.semisimple_indices)}
@@ -696,7 +650,7 @@ def check_point(d: FreeDivisor, residue: ResidueData, point: ModuliPoint,
     system_flat = all(
         results[i] == 0 for i, eq in enumerate(problem.system.equations) if eq.tag in flat_tags
     )
-    report = is_flat(assemble_connection(d, residue, point, problem))
+    report = is_flat(_assemble(d, residue, point))
     if report.flat != system_flat:
         raise ArithmeticError(
             "emitted system and direct curvature disagree on flatness; broken invariant"

@@ -43,6 +43,18 @@ def _integers(value, what: str) -> tuple:
     return tuple(_integer(v, f"each entry of {what}") for v in _list(value, what))
 
 
+def _object(value, keys: Sequence[str], what: str) -> dict:
+    _require(isinstance(value, dict), f"{what} must be a JSON object")
+    for key in keys:
+        _require(key in value, f"{what} is missing {key!r}")
+    return value
+
+
+def _string(value, what: str) -> str:
+    _require(isinstance(value, str), f"{what} must be a string, got {value!r}")
+    return value
+
+
 # ----------------------------------------------------------------- fractions
 
 def fraction_to_json(value: Fraction) -> str:
@@ -142,9 +154,7 @@ def divisor_to_json(d: FreeDivisor) -> dict:
 def divisor_from_json(data) -> FreeDivisor:
     from .divisor import VectorFieldPoly
 
-    _require(isinstance(data, dict), "divisor file must be a JSON object")
-    for key in ("variables", "weights", "f", "degree", "frame"):
-        _require(key in data, f"divisor file is missing {key!r}")
+    _object(data, ("variables", "weights", "f", "degree", "frame"), "divisor file")
     variables = tuple(str(v) for v in _list(data["variables"], "variables"))
     weights = _integers(data["weights"], "weights")
     _require(len(variables) == len(weights), "variables and weights differ in length")
@@ -207,8 +217,7 @@ def residue_to_json(r: ResidueData) -> dict:
 
 
 def residue_from_json(data) -> ResidueData:
-    _require(isinstance(data, dict), "residue file must be a JSON object")
-    _require("S" in data, "residue file is missing 'S'")
+    _object(data, ("S",), "residue file")
     s_list = tuple(matrix_from_json(m) for m in _list(data["S"], "S"))
     combination = data.get("positive_combination", [1] * len(s_list))
     chi = data.get("chi")
@@ -235,7 +244,7 @@ def connection_from_json(data) -> LogConnection:
     _require(isinstance(data, dict) and "divisor" in data and "components" in data,
              "connection file needs 'divisor' and 'components'")
     divisor = divisor_from_reference(data["divisor"])
-    components = tuple(matrix_map_from_json(c, divisor.weights) for c in data["components"])
+    components = tuple(matrix_map_from_json(c, divisor.weights) for c in _list(data["components"], "components"))
     return LogConnection(divisor=divisor, components=components)
 
 
@@ -285,34 +294,40 @@ def system_to_json(system: PolySystem, variables: Sequence[str]) -> dict:
 
 
 def system_from_json(data) -> PolySystem:
-    _require(isinstance(data, dict), "system file must be a JSON object")
-    coords = tuple(
-        Coordinate(
-            name=str(c["name"]),
-            slot=(str(c["slot"][0]), int(c["slot"][1])),
-            basis_index=int(c["basis_index"]),
-            degree=int(c["degree"]),
-        )
-        for c in data["coordinates"]
-    )
+    _object(data, ("divisor", "matrix_size", "coordinates", "equations"), "system file")
+    coords = []
+    for c in _list(data["coordinates"], "coordinates"):
+        _object(c, ("name", "slot", "basis_index", "degree"), "coordinate")
+        slot = _list(c["slot"], "slot")
+        _require(len(slot) == 2, f"slot must be [kind, index], got {slot!r}")
+        coords.append(Coordinate(
+            name=_string(c["name"], "coordinate name"),
+            slot=(_string(slot[0], "slot kind"), _integer(slot[1], "slot index")),
+            basis_index=_integer(c["basis_index"], "basis_index"),
+            degree=_integer(c["degree"], "degree"),
+        ))
     ncoords = len(coords)
     coord_weights = (1,) * (ncoords if ncoords else 1)
-    equations = tuple(
-        Equation(
-            tag=str(eq["tag"]),
-            frame_slots=tuple(int(v) for v in eq["frame_slots"]),
-            entry=(int(eq["entry"][0]) - 1, int(eq["entry"][1]) - 1),
-            base_monomial=tuple(int(v) for v in eq["base_monomial"]),
+    equations = []
+    for eq in _list(data["equations"], "equations"):
+        _object(eq, ("tag", "frame_slots", "entry", "base_monomial", "poly"), "equation")
+        entry = _integers(eq["entry"], "entry")
+        _require(len(entry) == 2 and min(entry) >= 1, f"entry must be two indices from 1, got {entry!r}")
+        equations.append(Equation(
+            tag=_string(eq["tag"], "tag"),
+            frame_slots=_integers(eq["frame_slots"], "frame_slots"),
+            entry=(entry[0] - 1, entry[1] - 1),
+            base_monomial=_integers(eq["base_monomial"], "base_monomial"),
             poly=poly_from_json(eq["poly"], coord_weights),
-        )
-        for eq in data["equations"]
-    )
+        ))
+    summary = data.get("summary", {})
+    _require(isinstance(summary, dict), f"summary must be a JSON object, got {summary!r}")
     return PolySystem(
-        divisor_name=str(data["divisor"]),
-        matrix_size=int(data["matrix_size"]),
-        coordinates=coords,
-        equations=equations,
-        summary=dict(data.get("summary", {})),
+        divisor_name=_string(data["divisor"], "divisor"),
+        matrix_size=_integer(data["matrix_size"], "matrix_size"),
+        coordinates=tuple(coords),
+        equations=tuple(equations),
+        summary=dict(summary),
     )
 
 

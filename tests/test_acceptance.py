@@ -34,10 +34,9 @@ from logres import (
     rref,
     verify_saito,
 )
-from logres.divisor import bracket
+from logres.divisor import bracket, correction_pairings
 from logres.liealg import ad_operator
 from logres.linear import determinant, integer_eigenvalues
-from logres.moduli import correction_pairings
 from logres.cli import main as cli_main
 
 from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, rand_fraction, residue_for

@@ -106,6 +106,22 @@ def test_verify_divisor_malformed_polynomial_term(capsys, tmp_path, term):
     assert "error" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_divisor_non_positive_trials_is_usage_error(capsys, trials):
+    code, _, err = run(capsys, "verify-divisor", "--catalog", "cusp", "--trials", trials)
+    assert code == 2
+    assert "--trials" in err
+
+
+def test_verify_divisor_rejects_factors_not_multiplying_to_f(capsys, tmp_path):
+    cusp = catalog("cusp")
+    data = serialize.divisor_to_json(cusp)
+    data["factors"] = [serialize.poly_to_json(cusp.f * cusp.f)]
+    code, _, err = run(capsys, "verify-divisor", "--divisor", write_json(tmp_path / "squared.json", data))
+    assert code == 2
+    assert "factors" in err
+
+
 def test_frame_info(capsys):
     code, out, _ = run(capsys, "frame-info", "--catalog", "sekiguchi_b5", "--format", "json")
     assert code == 0
@@ -166,6 +182,13 @@ def test_check_flat_pass_and_finding(capsys, tmp_path):
     assert code == 1
     payload = json.loads(out)
     assert payload["flat"] is False and payload["witness"] == [1, 2]
+
+
+def test_check_flat_malformed_components(capsys, tmp_path):
+    path = write_json(tmp_path / "bad_conn.json", {"divisor": {"catalog": "cusp"}, "components": 5})
+    code, _, err = run(capsys, "check-flat", "--connection", path)
+    assert code == 2
+    assert "components" in err
 
 
 def test_check_point(capsys, tmp_path, residue_file):

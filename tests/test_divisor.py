@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from logres import (
     structure_functions,
     verify_saito,
 )
-from logres.divisor import poly_adjugate, poly_determinant
+from logres.divisor import DivisorError, correction_pairings, poly_adjugate, poly_determinant
 
 from conftest import poly_of
 
@@ -224,17 +226,20 @@ def test_dual_form_pairing_identity(name):
             assert pairing == (det if i == l else WeightedPoly.zero(d.weights))
 
 
-def test_poly_adjugate_identity(seki):
-    matrix = seki.coefficient_matrix()
-    det = poly_determinant(matrix)
-    adj = poly_adjugate(matrix)
-    n = seki.n
-    for i in range(n):
-        for j in range(n):
-            total = WeightedPoly.zero(seki.weights)
-            for l in range(n):
-                total = total + matrix[i][l] * adj[l][j]
-            assert total == (det if i == j else WeightedPoly.zero(seki.weights))
+def test_poly_adjugate_identity():
+    # det is nonzero on every entry, so M * adj = det * I pins adj down
+    for name in ALL_NAMES:
+        d = catalog(name)
+        matrix = d.coefficient_matrix()
+        det = poly_determinant(matrix)
+        adj = poly_adjugate(matrix)
+        assert not det.is_zero()
+        for i in range(d.n):
+            for j in range(d.n):
+                total = WeightedPoly.zero(d.weights)
+                for l in range(d.n):
+                    total = total + matrix[i][l] * adj[l][j]
+                assert total == (det if i == j else WeightedPoly.zero(d.weights)), (name, i, j)
 
 
 # ------------------------------------------------------ bracket property tests
@@ -270,6 +275,7 @@ def test_frame_analysis_is_computed_once(seki):
     assert seki.structure is seki.structure
     assert seki.constants is seki.constants
     assert seki.dual_forms is seki.dual_forms
+    assert seki.pairings is seki.pairings
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
@@ -281,6 +287,7 @@ def test_cached_frame_analysis_matches_a_fresh_computation(name):
     assert d.constants == frame_constants(catalog(name))
     assert d.dual_forms == dual_log_forms(catalog(name))
     assert d.determinant == poly_determinant(catalog(name).coefficient_matrix())
+    assert d.pairings == tuple(map(tuple, correction_pairings(catalog(name))))
 
 
 def test_populated_cache_keeps_equality_and_hash():
@@ -289,3 +296,10 @@ def test_populated_cache_keeps_equality_and_hash():
     d.structure, d.constants, d.dual_forms
     assert d == other
     assert hash(d) == before == hash(other)
+
+
+def test_factors_must_multiply_to_f(cusp):
+    assert replace(cusp, factors=(cusp.f * 3,)).factors == (cusp.f * 3,)
+    for factors in ((cusp.f * cusp.f,), (WeightedPoly.zero(cusp.weights),)):
+        with pytest.raises(DivisorError, match="product of the factors"):
+            replace(cusp, factors=factors)

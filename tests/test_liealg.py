@@ -19,6 +19,7 @@ from logres import (
     monodromy_split,
     validate_residue,
 )
+from logres.linear import integer_eigenvalues, rref
 
 from conftest import CHI_E, CHI_F, CHI_H, E12, E21, IDENT2, diag
 
@@ -262,3 +263,34 @@ def test_lie_bracket_conventions():
     assert lie_bracket(a, b, RIGHT_INVARIANT) == commutator(b, a)
     with pytest.raises(ValueError):
         lie_bracket(a, b, "left-handed")
+
+
+GRADED_RESIDUES = {
+    "diagonal": ResidueData(s_list=(diag(0, 1, 3), diag(0, 1, 3)), positive_combination=(1, 1)),
+    "conjugated": ResidueData(
+        s_list=(RationalMatrix([[0, 1, 1], [0, 1, 2], [0, 0, 3]]),), positive_combination=(2,)),
+    "chi": ResidueData(s_list=(IDENT2,), positive_combination=(1,), chi=(CHI_H, CHI_E, CHI_F)),
+}
+
+
+@pytest.mark.parametrize("name", GRADED_RESIDUES)
+def test_grading_eigenspaces_are_the_integer_eigenspaces_of_ad(name):
+    r = GRADED_RESIDUES[name]
+    g = r.grading_element()
+    ad = ad_operator(g)
+    spaces = r.grading_eigenspaces
+    assert spaces is r.grading_eigenspaces
+    assert list(spaces) == integer_eigenvalues(ad)
+    for lam, basis in spaces.items():
+        assert all(commutator(g, mat) == lam * mat for mat in basis)
+        assert len(basis) == len(rref(ad - lam * RationalMatrix.identity(ad.rows)).kernel)
+        assert rref(RationalMatrix([mat.flatten() for mat in basis])).rank == len(basis)
+
+
+def test_populated_grading_cache_keeps_equality_and_hash():
+    r = ResidueData(s_list=(diag(0, 1, 3),), positive_combination=(1,))
+    other = ResidueData(s_list=(diag(0, 1, 3),), positive_combination=(1,))
+    before = hash(r)
+    r.grading_eigenspaces
+    assert r == other
+    assert hash(r) == before == hash(other)

@@ -22,9 +22,10 @@ from logres import (
     solve_correction_spaces,
     symmetry_algebra,
 )
+from logres.divisor import correction_pairings
 from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
-from logres.moduli import MembershipError, ResidueError, correction_pairings
+from logres.moduli import MembershipError, ResidueError
 
 from conftest import CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, diag, rand_fraction, residue_for
 
@@ -310,6 +311,22 @@ def test_check_point_flat_example(cusp):
     assert report.flat and report.in_variety
 
 
+def test_check_point_computes_coordinates_once(monkeypatch, cusp):
+    from logres import moduli
+
+    calls = []
+    original = moduli.coordinates_of
+    monkeypatch.setattr(moduli, "coordinates_of", lambda *args: calls.append(args) or original(*args))
+    residue = residue_for(cusp, S01)
+    problem = moduli_system(cusp, residue)
+    point = ModuliPoint(components=(unit_map(cusp, 0, 1),), corrections=(MatrixPolyMap.zeros(2, cusp.weights),))
+    assert check_point(cusp, residue, point, problem).flat
+    assert len(calls) == 1
+    outside = ModuliPoint(components=(unit_map(cusp, 0, 0),), corrections=point.corrections)
+    with pytest.raises(MembershipError):
+        check_point(cusp, residue, outside, problem)
+
+
 def test_check_point_normal_crossing_candidate():
     # correction z1 z2 E21 with S = diag(0,1) on both slots passes the bracket
     # grading [S_j, N]_c = l_j N and commutation, and the point is flat
@@ -444,10 +461,10 @@ def test_coupled_channel_solver_wiring(g2_divisor):
     # direction couples channel 1 to channel 2 with coefficient 1; with zero
     # residue the coupled equation forces the channel-2 value to vanish while
     # channel 1 stays free
-    from logres.moduli import _Channel, _context, _solve_channels
+    from logres.moduli import _Channel, _check_pair, _solve_channels
 
     residue = residue_for(g2_divisor, ZERO2)
-    ctx = _context(g2_divisor, residue)
+    _check_pair(g2_divisor, residue)
     semis_count = len(g2_divisor.semisimple_indices)
     zero_row = (Fraction(0), Fraction(0))
     couple_first = ((Fraction(0), Fraction(1)),) + (zero_row,) * (semis_count - 1)
@@ -455,7 +472,7 @@ def test_coupled_channel_solver_wiring(g2_divisor):
         _Channel(shift=0, toral_offsets=(Fraction(0),), coupling=couple_first),
         _Channel(shift=0, toral_offsets=(Fraction(0),), coupling=(zero_row,) * semis_count),
     ]
-    solutions = _solve_channels(ctx, channels)
+    solutions = _solve_channels(g2_divisor, residue, channels)
     assert len(solutions) == 4  # constants in gl_2 on channel 1 only
     for degree, parts in solutions:
         assert degree == 0

@@ -98,6 +98,26 @@ def test_system_roundtrip(seki):
     assert back.equations == problem.system.equations
 
 
+MALFORMED_SYSTEMS = {
+    "coordinates": lambda data: data.update(coordinates=5),
+    "frame_slots": lambda data: data["equations"][0].pop("frame_slots"),
+    "matrix_size": lambda data: data.update(matrix_size="2"),
+    "basis_index": lambda data: data["coordinates"][0].update(basis_index=True),
+    "slot": lambda data: data["coordinates"][0].update(slot=["component"]),
+    "entry": lambda data: data["equations"][0].update(entry=[0, 1]),
+    "equation": lambda data: data.update(equations=[5]),
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED_SYSTEMS)
+def test_system_from_json_rejects_malformed_fields(seki, field):
+    problem = moduli_system(seki, residue_for(seki, S01))
+    data = json.loads(json.dumps(serialize.system_to_json(problem.system, seki.variables)))
+    MALFORMED_SYSTEMS[field](data)
+    with pytest.raises(SchemaError, match=field):
+        serialize.system_from_json(data)
+
+
 def test_canonical_dumps_is_stable():
     payload = {"b": [1, 2], "a": {"y": Fraction is not None, "x": 0}}
     assert serialize.canonical_dumps(payload) == serialize.canonical_dumps(payload)
