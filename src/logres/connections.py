@@ -20,6 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .divisor import FreeDivisor, VectorFieldPoly
 from .linear import RationalMatrix
 from .polynomials import WeightedPoly
+from .univariate import power
 
 
 class MatrixPolyMap:
@@ -64,12 +65,18 @@ class MatrixPolyMap:
     def __hash__(self):
         return hash(self.entries)
 
+    def _check_size(self, other: "MatrixPolyMap") -> None:
+        if self.size != other.size:
+            raise ValueError("matrix polynomial map sizes do not match")
+
     def __add__(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
+        self._check_size(other)
         return MatrixPolyMap(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
+        self._check_size(other)
         return MatrixPolyMap(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
@@ -82,6 +89,7 @@ class MatrixPolyMap:
         return MatrixPolyMap([[a * factor for a in row] for row in self.entries])
 
     def matmul(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
+        self._check_size(other)
         m = self.size
         zero = WeightedPoly.zero(self.weights)
         out = []
@@ -102,14 +110,9 @@ class MatrixPolyMap:
         return self.matmul(other) - other.matmul(self)
 
     def power(self, k: int) -> "MatrixPolyMap":
-        result = MatrixPolyMap.from_constant(RationalMatrix.identity(self.size), self.weights)
-        base = self
-        while k:
-            if k & 1:
-                result = result.matmul(base)
-            base = base.matmul(base)
-            k >>= 1
-        return result
+        if k == 0:
+            return MatrixPolyMap.from_constant(RationalMatrix.identity(self.size), self.weights)
+        return power(self, k, MatrixPolyMap.matmul)
 
     def apply_field(self, field: VectorFieldPoly) -> "MatrixPolyMap":
         """Apply a vector field entrywise."""

@@ -240,14 +240,19 @@ class FreeDivisor:
         return matrix
 
     @cached_property
+    def _minors(self):
+        """The minor table of the frame coefficient matrix, shared by the determinant and adjugate."""
+        return _minor_table(self.coefficient_matrix())
+
+    @cached_property
     def determinant(self) -> WeightedPoly:
         """Determinant of the frame coefficient matrix."""
-        return poly_determinant(self.coefficient_matrix())
+        return _determinant(self._minors, self.n)
 
     @cached_property
     def adjugate(self) -> Tuple[Tuple[WeightedPoly, ...], ...]:
         """Adjugate of the frame coefficient matrix, shared and so read-only."""
-        return tuple(map(tuple, poly_adjugate(self.coefficient_matrix())))
+        return tuple(map(tuple, _adjugate(self._minors, self.n)))
 
     @cached_property
     def structure(self) -> StructureFunctions:
@@ -311,16 +316,12 @@ def _minor_table(rows: Sequence[Sequence[WeightedPoly]]):
     return minor
 
 
-def poly_determinant(rows: Sequence[Sequence[WeightedPoly]]) -> WeightedPoly:
-    """Determinant of a square polynomial matrix, by memoized Laplace expansion."""
-    n = len(rows)
-    return _minor_table(rows)(tuple(range(n)), (1 << n) - 1)
+def _determinant(minor, n: int) -> WeightedPoly:
+    return minor(tuple(range(n)), (1 << n) - 1)
 
 
-def poly_adjugate(rows: Sequence[Sequence[WeightedPoly]]) -> List[List[WeightedPoly]]:
-    """Adjugate matrix: adj[i][j] = (-1)^(i+j) * minor(j, i), from one minor table."""
-    n = len(rows)
-    minor = _minor_table(rows)
+def _adjugate(minor, n: int) -> List[List[WeightedPoly]]:
+    """adj[i][j] = (-1)^(i+j) * minor(j, i)."""
     full = (1 << n) - 1
     adj = []
     for i in range(n):
@@ -330,6 +331,16 @@ def poly_adjugate(rows: Sequence[Sequence[WeightedPoly]]) -> List[List[WeightedP
             row.append(value if (i + j) % 2 == 0 else -value)
         adj.append(row)
     return adj
+
+
+def poly_determinant(rows: Sequence[Sequence[WeightedPoly]]) -> WeightedPoly:
+    """Determinant of a square polynomial matrix, by memoized Laplace expansion."""
+    return _determinant(_minor_table(rows), len(rows))
+
+
+def poly_adjugate(rows: Sequence[Sequence[WeightedPoly]]) -> List[List[WeightedPoly]]:
+    """Adjugate matrix, from one minor table."""
+    return _adjugate(_minor_table(rows), len(rows))
 
 
 def verify_saito(d: FreeDivisor, trials: int = 8, seed: int = 0) -> SaitoResult:

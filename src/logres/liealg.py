@@ -139,7 +139,7 @@ def _additive_semisimple(a: RationalMatrix) -> RationalMatrix:
         gx = charpoly_at(x, g)
         if gx.is_zero():
             return x
-        x = x - charpoly_at(x, g) * inverse(charpoly_at(x, g_prime))
+        x = x - gx * inverse(charpoly_at(x, g_prime))
     raise ArithmeticError("Newton iteration failed to converge; broken invariant")
 
 

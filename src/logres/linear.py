@@ -9,11 +9,12 @@ connected block of a sparse matrix given by columns.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .univariate import UniPoly, as_fraction, uni_evaluate, uni_trim
+from .univariate import UniPoly, as_fraction, power, uni_evaluate, uni_trim
 
 MAX_CHARPOLY_DIM = 400
 
@@ -112,16 +113,7 @@ class RationalMatrix:
     def power(self, k: int) -> "RationalMatrix":
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative matrix powers are not supported here")
-        result = RationalMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return RationalMatrix.identity(self.rows) if k == 0 else power(self, k, operator.mul)
 
     def commutator(self, other: "RationalMatrix") -> "RationalMatrix":
         return self * other - other * self

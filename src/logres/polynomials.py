@@ -9,12 +9,13 @@ no floating point anywhere in this package.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .univariate import as_fraction, uni_add, uni_degree, uni_derivative, uni_gcd, uni_mul, uni_scale
+from .univariate import as_fraction, power, uni_add, uni_degree, uni_derivative, uni_gcd, uni_mul, uni_scale
 
 Monomial = Tuple[int, ...]
 
@@ -196,17 +197,7 @@ class WeightedPoly:
         return self * other
 
     def __pow__(self, exponent: int) -> "WeightedPoly":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = WeightedPoly.constant(1, self.weights)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return WeightedPoly.constant(1, self.weights) if exponent == 0 else power(self, exponent, operator.mul)
 
     # ----------------------------------------------------------------- calculus
 

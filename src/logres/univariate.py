@@ -3,7 +3,8 @@
 Coefficients are stored low degree first.  These helpers back the
 characteristic polynomial manipulations and the line-restriction
 squarefreeness check; they are not a public polynomial type.  ``as_fraction``
-is the one scalar coercion that the matrix and polynomial types share.
+is the one scalar coercion and ``power`` the one square-and-multiply that the
+matrix and polynomial types share.
 """
 
 from __future__ import annotations
@@ -21,6 +22,24 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
+
+
+def power(base, exponent: int, multiply):
+    """``base`` to a positive ``exponent`` by left-to-right binary powering.
+
+    ``multiply(a, b)`` is the caller's product; each type returns its own one
+    for exponent 0.  Exponent k takes floor(log2 k) squarings and
+    popcount(k) - 1 products by ``base``, the binary method's count (Knuth,
+    TAOCP Vol. 2, 4.6.3).
+    """
+    if exponent < 1:
+        raise ValueError(f"power needs a positive exponent here, got {exponent}")
+    result = base
+    for bit in bin(exponent)[3:]:
+        result = multiply(result, result)
+        if bit == "1":
+            result = multiply(result, base)
+    return result
 
 
 def uni_trim(p: Sequence[Fraction]) -> UniPoly:

@@ -72,6 +72,15 @@ def test_matrix_poly_map_algebra(cusp):
     assert a.evaluate([Fraction(3), Fraction(0)]) == RationalMatrix([[3, 9], [0, 3]])
 
 
+def test_matrix_poly_map_sizes_must_match(cusp):
+    small, large = zeros(cusp, 2), constant(diag(1, 2, 3), cusp)
+    for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a.matmul(b)):
+        with pytest.raises(ValueError, match="sizes do not match"):
+            combine(small, large)
+        with pytest.raises(ValueError, match="sizes do not match"):
+            combine(large, small)
+
+
 def _curved_connections():
     seki = catalog("sekiguchi_b5")
     yield LogConnection(seki, (constant(S01, seki), zeros(seki), zeros(seki)))

@@ -290,6 +290,26 @@ def test_cached_frame_analysis_matches_a_fresh_computation(name):
     assert d.pairings == tuple(map(tuple, correction_pairings(catalog(name))))
 
 
+def test_determinant_and_adjugate_share_one_minor_table(monkeypatch):
+    import logres.divisor as divisor_module
+
+    tables = []
+    original = divisor_module._minor_table
+
+    def counting(rows):
+        tables.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(divisor_module, "_minor_table", counting)
+    d = catalog("d4")
+    assert verify_saito(d).ok
+    assert "adjugate" not in vars(d)  # the Saito check reads only the determinant
+    assert d.adjugate == tuple(map(tuple, poly_adjugate(catalog("d4").coefficient_matrix())))
+    assert d.determinant == poly_determinant(catalog("d4").coefficient_matrix())
+    # one table for the divisor, one for each standalone call above
+    assert len(tables) == 3
+
+
 def test_populated_cache_keeps_equality_and_hash():
     d, other = catalog("d4"), catalog("d4")
     before = hash(d)
