@@ -2,7 +2,7 @@
 
 Exit codes: 0 for a pass, 1 for a negative verification finding (the tool ran
 fine, the math said no), 2 for malformed input or usage errors.  With
---strict, advisory inconclusive results are also treated as findings.
+``verify-divisor --strict``, an inconclusive reducedness check is a finding.
 """
 
 from __future__ import annotations
@@ -316,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, divisor=False, residue=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--strict", action="store_true", help="treat advisory inconclusives as findings")
         if divisor:
             p.add_argument("--catalog", metavar="NAME")
             p.add_argument("--divisor", metavar="FILE")
@@ -332,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-divisor", help="run the determinant and reducedness checks")
     add_common(p, divisor=True)
     p.add_argument("--trials", type=_positive_int, default=8)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--strict", action="store_true", help="treat an inconclusive reducedness check as a finding")
     p.set_defaults(handler=cmd_verify_divisor)
 
     p = sub.add_parser("frame-info", help="brackets, dual forms, and structure equations")

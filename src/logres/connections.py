@@ -90,20 +90,14 @@ class MatrixPolyMap:
 
     def matmul(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
         self._check_size(other)
-        m = self.size
         zero = WeightedPoly.zero(self.weights)
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = zero
-                for s in range(m):
-                    a = self.entries[i][s]
-                    b = other.entries[s][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        out = [[zero] * self.size for _ in self.entries]
+        for i, row in enumerate(self.entries):
+            for s, a in enumerate(row):
+                if a:
+                    for j, b in enumerate(other.entries[s]):
+                        if b:
+                            out[i][j] = out[i][j] + a * b
         return MatrixPolyMap(out)
 
     def commutator(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
@@ -120,9 +114,6 @@ class MatrixPolyMap:
 
     def evaluate(self, point: Sequence[Fraction]) -> RationalMatrix:
         return RationalMatrix([[p.evaluate(point) for p in row] for row in self.entries])
-
-    def graded_component(self, degree: int) -> "MatrixPolyMap":
-        return MatrixPolyMap([[p.graded_component(degree) for p in row] for row in self.entries])
 
     def degrees(self) -> Tuple[int, ...]:
         """Sorted E-degrees occurring in any entry."""

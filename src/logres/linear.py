@@ -148,10 +148,6 @@ def rref(matrix: RationalMatrix, rhs: Optional[Sequence[Fraction]] = None) -> Rr
     """
     rows, cols = matrix.rows, matrix.cols
     work = matrix.row_list()
-    if isinstance(rhs, RationalMatrix):
-        if rhs.cols != 1:
-            raise ValueError("only single-column right-hand sides are supported")
-        rhs = [row[0] for row in rhs.entries]
     vec = [as_fraction(v) for v in rhs] if rhs is not None else None
     if vec is not None and len(vec) != rows:
         raise ValueError("right-hand side length does not match row count")

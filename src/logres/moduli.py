@@ -11,6 +11,14 @@ integer weights, so the blocks are small.  It then emits the
 polynomial system cutting out the flat locus inside them, assembles the
 connection attached to a point, and cross-checks the emitted system against a
 direct curvature computation.
+
+Emitted values are polynomials in the coordinates with matrix-map
+coefficients over the divisor's own ring, stored as a dict from coordinate
+monomial (the sorted tuple of coordinate indices it multiplies) to
+``MatrixPolyMap``; each (entry, base monomial) coefficient becomes one
+equation.  The curvature formula is written out here rather than taken from
+``connections``, so that ``check_point``'s flatness cross-check stays an
+independent computation.
 """
 
 from __future__ import annotations
@@ -20,10 +28,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
-from .divisor import DivisorError, FreeDivisor, VectorFieldPoly
+from .divisor import DivisorError, FreeDivisor
 from .liealg import ResidueData, validate_residue
 from .linear import RationalMatrix, block_kernel, rref
 from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree
+from .univariate import power
 
 
 class MembershipError(ValueError):
@@ -309,9 +318,6 @@ class Equation:
     base_monomial: Monomial
     poly: WeightedPoly  # in the coordinate ring
 
-    def is_trivial(self) -> bool:
-        return self.poly.is_zero()
-
 
 @dataclass(frozen=True)
 class PolySystem:
@@ -356,6 +362,32 @@ def _coordinate_name(prefix: str, slot_number: int, element: MatrixPolyMap, vari
     return f"{prefix}{slot_number}#{index + 1}"
 
 
+# an emitted value: coordinate monomial (sorted coordinate indices) -> matrix map
+_Value = Dict[Tuple[int, ...], MatrixPolyMap]
+
+
+def _sub(a: _Value, b: _Value) -> _Value:
+    out = dict(a)
+    for key, mp in b.items():
+        out[key] = out[key] - mp if key in out else -mp
+    return {key: mp for key, mp in out.items() if not mp.is_zero()}
+
+
+def _matmul(a: _Value, b: _Value) -> _Value:
+    out: _Value = {}
+    for key_a, mp_a in a.items():
+        for key_b, mp_b in b.items():
+            product = mp_a.matmul(mp_b)
+            if not product.is_zero():
+                key = tuple(sorted(key_a + key_b))
+                out[key] = out[key] + product if key in out else product
+    return out
+
+
+def _commutator(a: _Value, b: _Value) -> _Value:
+    return _sub(_matmul(a, b), _matmul(b, a))
+
+
 @dataclass(frozen=True)
 class ModuliProblem:
     """Solution spaces plus the emitted polynomial system, bundled."""
@@ -388,9 +420,12 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         for i in range(d.toral_count)
     ]
 
+    # each space's general element, sum over its coordinates t of t * basis element
     coordinates: List[Coordinate] = []
+    general: List[_Value] = []
     for space in comp_spaces + corr_spaces:
         prefix = "B" if space.slot[0] == "component" else "N"
+        general.append({(len(coordinates) + b_idx,): element for b_idx, element in enumerate(space.basis)})
         for b_idx, element in enumerate(space.basis):
             name = _coordinate_name(prefix, space.slot[1] + 1, element, d.variables, b_idx)
             coordinates.append(
@@ -402,99 +437,62 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
                 )
             )
     ncoords = len(coordinates)
-    nbase = d.n
-    comb_weights = d.weights + (1,) * ncoords
-
-    def embed_poly(p: WeightedPoly) -> WeightedPoly:
-        return WeightedPoly(comb_weights, {mono + (0,) * ncoords: c for mono, c in p.terms.items()})
-
-    def embed_map(mp: MatrixPolyMap) -> MatrixPolyMap:
-        return MatrixPolyMap([[embed_poly(p) for p in row] for row in mp.entries])
-
-    def embed_field(field: VectorFieldPoly) -> VectorFieldPoly:
-        zero = WeightedPoly.zero(comb_weights)
-        coeffs = tuple(embed_poly(c) for c in field.coefficients) + (zero,) * ncoords
-        return VectorFieldPoly(coeffs)
-
-    def coord_var(index: int) -> WeightedPoly:
-        return WeightedPoly.variable(nbase + index, comb_weights)
-
-    coord_offset = 0
-    general: Dict[Tuple[str, int], MatrixPolyMap] = {}
-    for space in comp_spaces + corr_spaces:
-        total = MatrixPolyMap.zeros(m, comb_weights)
-        for b_idx, element in enumerate(space.basis):
-            total = total + embed_map(element).scale(coord_var(coord_offset + b_idx))
-        general[space.slot] = total
-        coord_offset += len(space.basis)
-
-    s_embedded = [embed_map(MatrixPolyMap.from_constant(s, d.weights)) for s in residue.s_list]
-    chi_embedded = [embed_map(MatrixPolyMap.from_constant(c, d.weights)) for c in (residue.chi or ())]
-    w_fields = [embed_field(d.frame[i].field) for i in d.w_indices]
+    comps, corrs = general[:len(comp_spaces)], general[len(comp_spaces):]
+    # what each frame slot k contributes through c_ij^k: S on toral, chi on semisimple, B on graded slots
+    frame_value: Dict[int, _Value] = {
+        k: {(): MatrixPolyMap.from_constant(value, d.weights)}
+        for k, value in zip(d.toral_indices + d.semisimple_indices, tuple(residue.s_list) + tuple(residue.chi or ()))
+    }
+    frame_value.update(zip(d.w_indices, comps))
 
     equations: List[Equation] = []
+    width = ncoords or 1  # a system without coordinates keeps one unused variable
 
-    def split_into_equations(tag: str, frame_slots: Tuple[int, ...], value: MatrixPolyMap):
-        for r in range(m):
-            for c in range(m):
-                buckets: Dict[Monomial, Dict[Monomial, Fraction]] = {}
-                for mono, coeff in value[r, c].terms.items():
-                    base, coord = mono[:nbase], mono[nbase:]
-                    buckets.setdefault(base, {})[coord] = coeff
-                base_weights = d.weights
-                order = sorted(
-                    buckets,
-                    key=lambda mo: (sum(w * e for w, e in zip(base_weights, mo)), mo),
-                )
-                for base in order:
-                    poly = WeightedPoly((1,) * ncoords if ncoords else (1,), {
-                        (mono if ncoords else (0,)): coeff for mono, coeff in buckets[base].items()
-                    })
-                    equations.append(
-                        Equation(tag=tag, frame_slots=frame_slots, entry=(r, c), base_monomial=base, poly=poly)
-                    )
+    def split_into_equations(tag: str, frame_slots: Tuple[int, ...], value: _Value):
+        buckets: Dict[Tuple[int, int], Dict[Monomial, Dict[Monomial, Fraction]]] = {}
+        for key, mp in value.items():
+            exponents = [0] * width
+            for index in key:
+                exponents[index] += 1
+            coord = tuple(exponents)
+            for r in range(m):
+                for c in range(m):
+                    for base, coeff in mp[r, c].terms.items():
+                        buckets.setdefault((r, c), {}).setdefault(base, {})[coord] = coeff
+        for entry, by_base in sorted(buckets.items()):
+            for base in sorted(by_base, key=lambda mo: (sum(w * e for w, e in zip(d.weights, mo)), mo)):
+                equations.append(Equation(tag=tag, frame_slots=frame_slots, entry=entry, base_monomial=base,
+                                          poly=WeightedPoly((1,) * width, by_base[base])))
 
     # curvature equations on pairs of graded slots
-    w_positions = list(range(len(d.w_indices)))
-    for a in w_positions:
-        for b in w_positions:
-            if a >= b:
-                continue
-            i, j = d.w_indices[a], d.w_indices[b]
-            coeffs = d.structure.coefficients(i, j)
-            value = general[("component", b)].apply_field(w_fields[a])
-            value = value - general[("component", a)].apply_field(w_fields[b])
-            for pos, k in enumerate(d.toral_indices):
-                if not coeffs[k].is_zero():
-                    value = value - s_embedded[pos].scale(embed_poly(coeffs[k]))
-            for pos, k in enumerate(d.semisimple_indices):
-                if not coeffs[k].is_zero():
-                    value = value - chi_embedded[pos].scale(embed_poly(coeffs[k]))
-            for pos, k in enumerate(d.w_indices):
-                if not coeffs[k].is_zero():
-                    value = value - general[("component", pos)].scale(embed_poly(coeffs[k]))
-            value = value - general[("component", a)].commutator(general[("component", b)])
+    for a, i in enumerate(d.w_indices):
+        for b in range(a + 1, len(d.w_indices)):
+            j = d.w_indices[b]
+            value = _sub({key: mp.apply_field(d.frame[i].field) for key, mp in comps[b].items()},
+                         {key: mp.apply_field(d.frame[j].field) for key, mp in comps[a].items()})
+            for k, coeff in enumerate(d.structure.coefficients(i, j)):
+                if not coeff.is_zero():
+                    value = _sub(value, {key: mp.scale(coeff) for key, mp in frame_value[k].items()})
+            value = _sub(value, _commutator(comps[a], comps[b]))
             split_into_equations("curvature", (i, j), value)
 
     # graded fields applied to corrections
-    for a in w_positions:
-        for l in range(d.toral_count):
-            value = general[("correction", l)].apply_field(w_fields[a])
-            value = value - general[("component", a)].commutator(general[("correction", l)])
-            split_into_equations("ZN", (d.w_indices[a], d.toral_indices[l]), value)
+    for a, i in enumerate(d.w_indices):
+        for l, correction in enumerate(corrs):
+            value = _sub({key: mp.apply_field(d.frame[i].field) for key, mp in correction.items()},
+                         _commutator(comps[a], correction))
+            split_into_equations("ZN", (i, d.toral_indices[l]), value)
 
     # corrections commute pairwise
     for l1 in range(d.toral_count):
         for l2 in range(l1 + 1, d.toral_count):
-            value = general[("correction", l1)].commutator(general[("correction", l2)])
+            value = _commutator(corrs[l1], corrs[l2])
             split_into_equations("NN-commute", (d.toral_indices[l1], d.toral_indices[l2]), value)
 
     # corrections are nilpotent, encoded entrywise
-    for l in range(d.toral_count):
-        value = general[("correction", l)].power(m)
-        split_into_equations("nilpotency", (d.toral_indices[l],), value)
+    for l, correction in enumerate(corrs):
+        split_into_equations("nilpotency", (d.toral_indices[l],), power(correction, m, _matmul))
 
-    equations = [eq for eq in equations if not eq.is_trivial()]
     summary = {
         "divisor": d.name,
         "matrix_size": m,

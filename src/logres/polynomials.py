@@ -221,10 +221,6 @@ class WeightedPoly:
             buckets.setdefault(self.monomial_degree(mono), {})[mono] = coeff
         return {d: WeightedPoly(self.weights, t) for d, t in sorted(buckets.items())}
 
-    def graded_component(self, degree: int) -> "WeightedPoly":
-        terms = {m: c for m, c in self.terms.items() if self.monomial_degree(m) == degree}
-        return WeightedPoly(self.weights, terms)
-
     # --------------------------------------------------------------- evaluation
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:

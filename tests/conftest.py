@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from logres import RationalMatrix, ResidueData, WeightedPoly, catalog
+from logres.linear import inverse
 
 
 def frac(num, den=1):
@@ -28,6 +29,14 @@ IDENT2 = RationalMatrix.identity(2)
 CHI_H = RationalMatrix([[-1, 0], [0, 1]])
 CHI_E = RationalMatrix([[0, 1], [0, 0]])
 CHI_F = RationalMatrix([[0, 0], [1, 0]])
+
+
+def conjugated(s: RationalMatrix, rng: random.Random) -> RationalMatrix:
+    """P s P^-1 with P unit upper bidiagonal and a seeded +-1 superdiagonal."""
+    m = s.rows
+    p = RationalMatrix([[1 if i == j else (rng.choice((1, -1)) if j == i + 1 else 0)
+                         for j in range(m)] for i in range(m)])
+    return p * s * inverse(p)
 
 
 def residue_for(divisor, s_matrix: RationalMatrix, chi_value="auto") -> ResidueData:

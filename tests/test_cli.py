@@ -257,3 +257,12 @@ def test_machine_output_is_byte_stable(capsys, residue_file):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["definitely-not-a-command"]) == 2
+
+
+def test_seed_and_strict_belong_to_verify_divisor_alone(capsys, residue_file):
+    assert run(capsys, "emit-moduli", "--catalog", "sekiguchi_b5", "--residue", residue_file,
+               "--seed", "1")[0] == 2
+    assert run(capsys, "catalog", "--strict")[0] == 2
+    code, out, _ = run(capsys, "verify-divisor", "--catalog", "cusp", "--seed", "1", "--strict")
+    assert code == 0
+    assert "seed 1" in out

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from logres import (
     is_flat,
 )
 
-from conftest import S01, diag
+from conftest import S01, diag, rand_fraction
 
 
 def constant(matrix, divisor):
@@ -79,6 +80,38 @@ def test_matrix_poly_map_sizes_must_match(cusp):
             combine(small, large)
         with pytest.raises(ValueError, match="sizes do not match"):
             combine(large, small)
+
+
+def _sparse_map(rng, m, weights):
+    """A seeded map with some whole rows and columns zero and about half the other entries zero."""
+    zero_rows, zero_cols = ({k for k in range(m) if rng.random() < 0.3} for _ in range(2))
+
+    def entry(r, c):
+        if r in zero_rows or c in zero_cols or rng.random() < 0.5:
+            return WeightedPoly.zero(weights)
+        return WeightedPoly(weights, {(rng.randint(0, 2), rng.randint(0, 1)): rand_fraction(rng)
+                                      for _ in range(rng.randint(1, 3))})
+    return MatrixPolyMap([[entry(r, c) for c in range(m)] for r in range(m)])
+
+
+def _dense_matmul(a, b):
+    """The plain triple loop over every (i, j, s)."""
+    m = a.size
+    out = [[WeightedPoly.zero(a.weights)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            for s in range(m):
+                out[i][j] = out[i][j] + a[i, s] * b[s, j]
+    return MatrixPolyMap(out)
+
+
+def test_row_sparse_matmul_equals_the_dense_triple_loop(cusp):
+    rng = random.Random(20261018)
+    for trial in range(60):
+        m = 1 + trial % 4
+        a, b = _sparse_map(rng, m, cusp.weights), _sparse_map(rng, m, cusp.weights)
+        assert a.matmul(b) == _dense_matmul(a, b)
+        assert a.matmul(zeros(cusp, m)).is_zero() and zeros(cusp, m).matmul(a).is_zero()
 
 
 def _curved_connections():
