@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 for a pass, 1 for a negative verification finding (the tool ran
-fine, the math said no), 2 for malformed input or usage errors.  With
-``verify-divisor --strict``, an inconclusive reducedness check is a finding.
+fine, the math said no), 2 for malformed input, usage errors or an internal
+error (a broken invariant or runaway recursion, reported as "error: internal:
+..."). With ``verify-divisor --strict``, an inconclusive reducedness check is
+a finding.
 """
 
 from __future__ import annotations
@@ -377,6 +379,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (SchemaError, DivisorError, ResidueError, MembershipError, WeightMismatchError,
             InexactDivisionError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return BROKEN
+    except (ArithmeticError, RecursionError) as exc:
+        sys.stderr.write(f"error: internal: {exc}\n")
         return BROKEN
 
 

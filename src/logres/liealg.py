@@ -23,26 +23,8 @@ from .linear import RationalMatrix, charpoly, charpoly_at, integer_eigenvalues, 
 from .univariate import uni_squarefree_part
 
 
-COMMUTATOR = "commutator"
-RIGHT_INVARIANT = "right-invariant"
-
-
 def commutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return a * b - b * a
-
-
-def lie_bracket(a: RationalMatrix, b: RationalMatrix, convention: str = COMMUTATOR) -> RationalMatrix:
-    """Matrix bracket under an explicit sign convention.
-
-    COMMUTATOR is ab - ba.  RIGHT_INVARIANT is its negative: identifying a
-    matrix group's Lie algebra with right-invariant fields flips the sign,
-    and constant values of frame-dual connection components bracket that way.
-    """
-    if convention == COMMUTATOR:
-        return commutator(a, b)
-    if convention == RIGHT_INVARIANT:
-        return commutator(b, a)
-    raise ValueError(f"unknown bracket convention {convention!r}")
 
 
 def ad_operator(a: RationalMatrix) -> RationalMatrix:
@@ -286,9 +268,9 @@ def validate_residue(residue: ResidueData, s_constants: Optional[dict] = None) -
 
     ``s_constants`` maps a semisimple slot pair (i, j), i < j, to the constant
     coefficient vector of the frame fields' bracket over the semisimple slots.
-    The chi values must realize the same constants under the RIGHT_INVARIANT
-    bracket, i.e. with the sign opposite to the plain commutator; this is the
-    compatibility that makes the constant connection with those values flat.
+    The chi values must realize the same constants under the bracket with the
+    sign opposite to the plain commutator; this is the compatibility that
+    makes the constant connection with those values flat.
     """
     m = residue.matrix_size
     # equal values pass or fail alike, so each distinct S is checked once,
@@ -322,7 +304,9 @@ def validate_residue(residue: ResidueData, s_constants: Optional[dict] = None) -
                     expected = RationalMatrix.zeros(m, m)
                     for k, coeff in enumerate(s_constants.get((i, j), [0] * count)):
                         expected = expected + coeff * residue.chi[k]
-                    actual = lie_bracket(residue.chi[i], residue.chi[j], convention=RIGHT_INVARIANT)
+                    # right-invariant fields bracket with the opposite sign, so the
+                    # constant values chi realize c_ij^k through [chi_j, chi_i]_c
+                    actual = commutator(residue.chi[j], residue.chi[i])
                     if not (actual - expected).is_zero():
                         return ResidueReport(False, f"chi does not respect the bracket of slots ({i + 1}, {j + 1})")
     return ResidueReport(True)

@@ -12,20 +12,19 @@ polynomial system cutting out the flat locus inside them, assembles the
 connection attached to a point, and cross-checks the emitted system against a
 direct curvature computation.
 
-Emitted values are polynomials in the coordinates with matrix-map
-coefficients over the divisor's own ring, stored as a dict from coordinate
-monomial (the sorted tuple of coordinate indices it multiplies) to
-``MatrixPolyMap``; each (entry, base monomial) coefficient becomes one
-equation.  The curvature formula is written out here rather than taken from
-``connections``, so that ``check_point``'s flatness cross-check stays an
-independent computation.
+Emitted values are flat dicts from (coordinate monomial, row, column, base
+monomial) to a rational coefficient; a coordinate monomial is the sorted
+tuple of the coordinate indices a term multiplies, and each (row, column,
+base monomial) group becomes one equation.  The curvature formula is written
+out here rather than taken from ``connections``, so that ``check_point``'s
+flatness cross-check stays an independent computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
 from .divisor import DivisorError, FreeDivisor
@@ -344,44 +343,42 @@ class PolySystem:
         return [eq.poly.evaluate(values) for eq in self.equations]
 
 
-def _coordinate_name(prefix: str, slot_number: int, element: MatrixPolyMap, variables: Sequence[str], index: int) -> str:
-    nonzero = [
-        (r, c, element[r, c])
-        for r in range(element.size)
-        for c in range(element.size)
-        if element[r, c]
-    ]
-    if len(nonzero) == 1 and len(nonzero[0][2].terms) == 1:
-        r, c, poly = nonzero[0]
-        ((mono, coeff),) = poly.terms.items()
-        if coeff == 1:
-            body = f"{prefix}{slot_number}[{r + 1},{c + 1}]"
-            if any(mono):
-                body += "*" + monomial_text(mono, variables)
-            return body
+def _coordinate_name(prefix: str, slot_number: int, terms: Sequence[tuple], variables: Sequence[str], index: int) -> str:
+    if len(terms) == 1 and terms[0][3] == 1:
+        r, c, mono, _ = terms[0]
+        body = f"{prefix}{slot_number}[{r + 1},{c + 1}]"
+        if any(mono):
+            body += "*" + monomial_text(mono, variables)
+        return body
     return f"{prefix}{slot_number}#{index + 1}"
 
 
-# an emitted value: coordinate monomial (sorted coordinate indices) -> matrix map
-_Value = Dict[Tuple[int, ...], MatrixPolyMap]
+# an emitted value: (coordinate monomial, row, column, base monomial) -> coefficient
+_Value = Dict[Tuple[Tuple[int, ...], int, int, Monomial], Fraction]
+
+
+def _collect(terms: Iterable[Tuple[tuple, Fraction]]) -> _Value:
+    """Sum the coefficients of equal keys and drop the zero ones."""
+    out: _Value = {}
+    for key, coeff in terms:
+        out[key] = out[key] + coeff if key in out else coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
 
 
 def _sub(a: _Value, b: _Value) -> _Value:
-    out = dict(a)
-    for key, mp in b.items():
-        out[key] = out[key] - mp if key in out else -mp
-    return {key: mp for key, mp in out.items() if not mp.is_zero()}
+    return _collect([*a.items(), *((key, -coeff) for key, coeff in b.items())])
 
 
 def _matmul(a: _Value, b: _Value) -> _Value:
-    out: _Value = {}
-    for key_a, mp_a in a.items():
-        for key_b, mp_b in b.items():
-            product = mp_a.matmul(mp_b)
-            if not product.is_zero():
-                key = tuple(sorted(key_a + key_b))
-                out[key] = out[key] + product if key in out else product
-    return out
+    """Multiply only the term pairs whose inner matrix index matches."""
+    rows: Dict[int, list] = {}
+    for (key, s, c, mono), coeff in b.items():
+        rows.setdefault(s, []).append((key, c, mono, coeff))
+    return _collect(
+        ((tuple(sorted(key_a + key_b)), r, c, tuple(x + y for x, y in zip(mono_a, mono_b))), coeff_a * coeff_b)
+        for (key_a, r, s, mono_a), coeff_a in a.items()
+        for key_b, c, mono_b, coeff_b in rows.get(s, ())
+    )
 
 
 def _commutator(a: _Value, b: _Value) -> _Value:
@@ -420,67 +417,70 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         for i in range(d.toral_count)
     ]
 
+    def degree(mono: Monomial) -> int:
+        return sum(w * e for w, e in zip(d.weights, mono))
+
     # each space's general element, sum over its coordinates t of t * basis element
     coordinates: List[Coordinate] = []
     general: List[_Value] = []
     for space in comp_spaces + corr_spaces:
         prefix = "B" if space.slot[0] == "component" else "N"
-        general.append({(len(coordinates) + b_idx,): element for b_idx, element in enumerate(space.basis)})
+        value: _Value = {}
         for b_idx, element in enumerate(space.basis):
-            name = _coordinate_name(prefix, space.slot[1] + 1, element, d.variables, b_idx)
-            coordinates.append(
-                Coordinate(
-                    name=name,
-                    slot=space.slot,
-                    basis_index=b_idx,
-                    degree=element.degrees()[0] if element.degrees() else 0,
-                )
-            )
+            terms = [(r, c, mono, coeff) for r, row in enumerate(element.entries)
+                     for c, entry in enumerate(row) for mono, coeff in entry.terms.items()]
+            value.update((((len(coordinates),), r, c, mono), coeff) for r, c, mono, coeff in terms)
+            name = _coordinate_name(prefix, space.slot[1] + 1, terms, d.variables, b_idx)
+            low = min((degree(mono) for _, _, mono, _ in terms), default=0)
+            coordinates.append(Coordinate(name=name, slot=space.slot, basis_index=b_idx, degree=low))
+        general.append(value)
     ncoords = len(coordinates)
     comps, corrs = general[:len(comp_spaces)], general[len(comp_spaces):]
     # what each frame slot k contributes through c_ij^k: S on toral, chi on semisimple, B on graded slots
     frame_value: Dict[int, _Value] = {
-        k: {(): MatrixPolyMap.from_constant(value, d.weights)}
+        k: {((), r, c, (0,) * d.n): value[r, c] for r in range(m) for c in range(m) if value[r, c]}
         for k, value in zip(d.toral_indices + d.semisimple_indices, tuple(residue.s_list) + tuple(residue.chi or ()))
     }
     frame_value.update(zip(d.w_indices, comps))
+
+    def apply(i: int, value: _Value) -> _Value:
+        """Frame field i applied to each base monomial of a value."""
+        return _collect(
+            ((key, r, c, image), coeff * image_coeff)
+            for (key, r, c, mono), coeff in value.items()
+            for image, image_coeff in d.frame[i].field.apply(WeightedPoly.monomial(mono, d.weights)).terms.items()
+        )
 
     equations: List[Equation] = []
     width = ncoords or 1  # a system without coordinates keeps one unused variable
 
     def split_into_equations(tag: str, frame_slots: Tuple[int, ...], value: _Value):
-        buckets: Dict[Tuple[int, int], Dict[Monomial, Dict[Monomial, Fraction]]] = {}
-        for key, mp in value.items():
+        groups: Dict[Tuple[int, int, Monomial], Dict[Monomial, Fraction]] = {}
+        for (key, r, c, base), coeff in value.items():
             exponents = [0] * width
             for index in key:
                 exponents[index] += 1
-            coord = tuple(exponents)
-            for r in range(m):
-                for c in range(m):
-                    for base, coeff in mp[r, c].terms.items():
-                        buckets.setdefault((r, c), {}).setdefault(base, {})[coord] = coeff
-        for entry, by_base in sorted(buckets.items()):
-            for base in sorted(by_base, key=lambda mo: (sum(w * e for w, e in zip(d.weights, mo)), mo)):
-                equations.append(Equation(tag=tag, frame_slots=frame_slots, entry=entry, base_monomial=base,
-                                          poly=WeightedPoly((1,) * width, by_base[base])))
+            groups.setdefault((r, c, base), {})[tuple(exponents)] = coeff
+        for r, c, base in sorted(groups, key=lambda g: (g[0], g[1], degree(g[2]), g[2])):
+            equations.append(Equation(tag=tag, frame_slots=frame_slots, entry=(r, c), base_monomial=base,
+                                      poly=WeightedPoly((1,) * width, groups[(r, c, base)])))
 
     # curvature equations on pairs of graded slots
     for a, i in enumerate(d.w_indices):
         for b in range(a + 1, len(d.w_indices)):
             j = d.w_indices[b]
-            value = _sub({key: mp.apply_field(d.frame[i].field) for key, mp in comps[b].items()},
-                         {key: mp.apply_field(d.frame[j].field) for key, mp in comps[a].items()})
+            value = _sub(apply(i, comps[b]), apply(j, comps[a]))
             for k, coeff in enumerate(d.structure.coefficients(i, j)):
-                if not coeff.is_zero():
-                    value = _sub(value, {key: mp.scale(coeff) for key, mp in frame_value[k].items()})
+                # c_ij^k times the identity matrix
+                scalar = {((), r, r, mono): c for mono, c in coeff.terms.items() for r in range(m)}
+                value = _sub(value, _matmul(frame_value[k], scalar))
             value = _sub(value, _commutator(comps[a], comps[b]))
             split_into_equations("curvature", (i, j), value)
 
     # graded fields applied to corrections
     for a, i in enumerate(d.w_indices):
         for l, correction in enumerate(corrs):
-            value = _sub({key: mp.apply_field(d.frame[i].field) for key, mp in correction.items()},
-                         _commutator(comps[a], correction))
+            value = _sub(apply(i, correction), _commutator(comps[a], correction))
             split_into_equations("ZN", (i, d.toral_indices[l]), value)
 
     # corrections commute pairwise

@@ -155,7 +155,7 @@ def divisor_from_json(data) -> FreeDivisor:
     from .divisor import VectorFieldPoly
 
     _object(data, ("variables", "weights", "f", "degree", "frame"), "divisor file")
-    variables = tuple(str(v) for v in _list(data["variables"], "variables"))
+    variables = tuple(_string(v, "each entry of variables") for v in _list(data["variables"], "variables"))
     weights = _integers(data["weights"], "weights")
     _require(len(variables) == len(weights), "variables and weights differ in length")
     f = poly_from_json(data["f"], weights)
@@ -165,12 +165,14 @@ def divisor_from_json(data) -> FreeDivisor:
                  "each frame element needs 'kind' and 'coefficients'")
         coefficients = tuple(poly_from_json(c, weights) for c in _list(raw["coefficients"], "coefficients"))
         grade = raw.get("grade")
+        distinguished = raw.get("distinguished", False)
+        _require(isinstance(distinguished, bool), f"distinguished must be true or false, got {distinguished!r}")
         frame.append(
             FrameElement(
-                kind=str(raw["kind"]),
+                kind=_string(raw["kind"], "kind"),
                 field=VectorFieldPoly(coefficients),
                 grade=None if grade is None else _integer(grade, "grade"),
-                distinguished=bool(raw.get("distinguished", False)),
+                distinguished=distinguished,
             )
         )
     toral_count = sum(1 for e in frame if e.kind == "toral")
@@ -180,7 +182,7 @@ def divisor_from_json(data) -> FreeDivisor:
         combination = [1]
     factors = data.get("factors")
     return FreeDivisor(
-        name=str(data.get("name", "divisor")),
+        name=_string(data.get("name", "divisor"), "name"),
         variables=variables,
         weights=weights,
         f=f,

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from logres import MatrixPolyMap, catalog, serialize
+from logres import cli
 from logres.cli import main
 from logres.connections import LogConnection
 
@@ -76,6 +77,9 @@ def test_verify_divisor_malformed_input(capsys, tmp_path):
     (("positive_combination",), 1),
     (("frame",), 5),
     (("frame", 1, "grade"), 1.5),
+    (("variables",), [{"a": 1}, None]),
+    (("name",), ["x"]),
+    (("frame", 0, "distinguished"), "false"),
 ])
 def test_verify_divisor_malformed_field(capsys, tmp_path, path, value):
     data = serialize.divisor_to_json(catalog("cusp"))
@@ -266,3 +270,14 @@ def test_seed_and_strict_belong_to_verify_divisor_alone(capsys, residue_file):
     code, out, _ = run(capsys, "verify-divisor", "--catalog", "cusp", "--seed", "1", "--strict")
     assert code == 0
     assert "seed 1" in out
+
+
+@pytest.mark.parametrize("error", [ArithmeticError("broken invariant"), RecursionError("too deep")])
+def test_internal_errors_keep_the_exit_code_contract(capsys, monkeypatch, residue_file, error):
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "moduli_system", broken)
+    code, _, err = run(capsys, "emit-moduli", "--catalog", "sekiguchi_b5", "--residue", residue_file)
+    assert code == 2
+    assert err.startswith("error: internal: ") and "Traceback" not in err

@@ -254,17 +254,6 @@ def test_jc_invariants_random(m):
     assert is_nilpotent(d.nilpotent)
 
 
-def test_lie_bracket_conventions():
-    from logres import COMMUTATOR, RIGHT_INVARIANT, lie_bracket
-
-    a = RationalMatrix([[1, 2], [0, 1]])
-    b = RationalMatrix([[0, 1], [1, 0]])
-    assert lie_bracket(a, b, COMMUTATOR) == commutator(a, b)
-    assert lie_bracket(a, b, RIGHT_INVARIANT) == commutator(b, a)
-    with pytest.raises(ValueError):
-        lie_bracket(a, b, "left-handed")
-
-
 GRADED_RESIDUES = {
     "diagonal": ResidueData(s_list=(diag(0, 1, 3), diag(0, 1, 3)), positive_combination=(1, 1)),
     "conjugated": ResidueData(

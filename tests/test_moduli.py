@@ -478,3 +478,13 @@ def test_coupled_channel_solver_wiring(g2_divisor):
         assert degree == 0
         assert not parts[0].is_zero()
         assert parts[1].is_zero()
+
+
+def test_emission_builds_no_matrix_maps(monkeypatch, seki):
+    def forbidden(*args):
+        raise AssertionError("emission called a MatrixPolyMap operation")
+
+    monkeypatch.setattr(MatrixPolyMap, "matmul", forbidden)
+    monkeypatch.setattr(MatrixPolyMap, "apply_field", forbidden)
+    system = moduli_system(seki, residue_for(seki, diag(0, 1, 2))).system
+    assert {eq.tag for eq in system.equations} == {"curvature", "ZN", "nilpotency"}

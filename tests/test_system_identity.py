@@ -1,11 +1,13 @@
-"""Byte identity of the emitted system JSON on 42 fixed inputs.
+"""Byte identity of the emitted system JSON on 48 fixed inputs.
 
 The inputs are the 13 criterion-3 problems, five normal crossings of toral
-rank 3 to 5 and three rank-3/4 diagonal residues, each as written and
-conjugated by a seeded unit upper-bidiagonal P (every residue value by the
-same P).  The sha256 of each canonical system JSON was frozen before the
-emission was rewritten in the divisor's own ring; any change to the
-equations, their order or their coordinates shows up here.
+rank 3 to 5, five rank-3/4 diagonal residues and `cusp` with the wide gap
+diag(0, 40), each as written and conjugated by a seeded unit
+upper-bidiagonal P (every residue value by the same P).  The sha256 of each
+canonical system JSON was frozen before the emission was rewritten in the
+divisor's own ring (the last six cases before it moved to flat rational
+coefficients); any change to the equations, their order or their
+coordinates shows up here.
 """
 
 import hashlib
@@ -30,6 +32,9 @@ INPUTS.update({
     "cusp/diag(0,1,2,3)": ("cusp", diag(0, 1, 2, 3), "auto"),
     "sekiguchi_b5/diag(0,1,2)": ("sekiguchi_b5", diag(0, 1, 2), "auto"),
     "borel2/diag(0,1,2)": ("borel2", diag(0, 1, 2), "auto"),
+    "sekiguchi_b5/diag(0,1,2,3)": ("sekiguchi_b5", diag(0, 1, 2, 3), "auto"),
+    "borel2/diag(0,1,2,3)": ("borel2", diag(0, 1, 2, 3), "auto"),
+    "cusp/diag(0,40)": ("cusp", diag(0, 40), "auto"),
 })
 
 FROZEN = {
@@ -75,6 +80,12 @@ FROZEN = {
     'sekiguchi_b5/diag(0,1,2)~conj': '52d14902c15f37f4b0ae1aab33eedf7dbb3a0e742694ebe750e5019613165ff5',
     'borel2/diag(0,1,2)': '5688f5bfc9e344e43d74880e656ddd8fe9ebb2fe46fec18e3ab948e0d6dcad1a',
     'borel2/diag(0,1,2)~conj': 'c87417aee0e7053062c39eb43e6f4228c36e8ab0b4f79d9caace999c77d3576d',
+    'sekiguchi_b5/diag(0,1,2,3)': 'e6587388c9f7a318c805c9cb43174e1c20463f61abdc35bea2e984fc7d63f53f',
+    'sekiguchi_b5/diag(0,1,2,3)~conj': 'f126491eb7e7e673ef052f49601ea6f645fae04a5ec76fc2210cf4df74062ecc',
+    'borel2/diag(0,1,2,3)': '80ad257d598e9bbdc8ba5574675a03b9b6c0dc5ba63ab6609bef24f7b1636e57',
+    'borel2/diag(0,1,2,3)~conj': 'f838ec1d2e2a98841c170dde1d68db8ab81a42059e301813575bb5b950d843a4',
+    'cusp/diag(0,40)': 'c958952ce493442392e3d4d9ca5f99fc0e57ea008dd66f69b2ed25a987c2b1e8',
+    'cusp/diag(0,40)~conj': 'e1cf60d701e74451cd85a0e9e385fb79dc990ec5ffcd143b5566e4258a5f509c',
 }
 
 
@@ -107,7 +118,7 @@ LABELS = [label + form for label in INPUTS for form in ("", "~conj")]
 
 
 def test_the_case_list_is_complete():
-    assert len(LABELS) == 42 and set(FROZEN) == set(LABELS)
+    assert len(LABELS) == 48 and set(FROZEN) == set(LABELS)
 
 
 @pytest.mark.parametrize("label", LABELS)
