@@ -10,6 +10,11 @@ equations are then exact polynomial computations.  A ``FreeDivisor`` runs
 each of them once, on first use, and keeps the result in a cached property
 (``determinant``, ``adjugate``, ``structure``, ``constants``, ``dual_forms``,
 ``pairings``); the module-level functions do the computing.
+
+``VectorFieldPoly.on_monomial`` is the one field-application kernel: it
+returns the terms of a field applied to a single monomial, read straight from
+the coefficients' terms.  ``VectorFieldPoly.apply`` sums it over a
+polynomial's terms, and the solve and emission in ``moduli`` call it directly.
 """
 
 from __future__ import annotations
@@ -17,12 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linear import RationalMatrix, inverse
 from .polynomials import (
     InexactDivisionError,
+    Monomial,
     WeightedPoly,
+    WeightMismatchError,
     exact_divide,
     squarefree_probable,
 )
@@ -55,12 +63,27 @@ class VectorFieldPoly:
     def weights(self) -> Tuple[int, ...]:
         return self.coefficients[0].weights
 
+    def on_monomial(self, mono: Monomial) -> Dict[Monomial, Fraction]:
+        """The terms of this field applied to z^mono, sum_j mono_j * c_j * z^(mono - e_j)."""
+        out: Dict[Monomial, Fraction] = {}
+        for j, coeff in enumerate(self.coefficients):
+            e = mono[j]
+            if not e:
+                continue
+            lowered = mono[:j] + (e - 1,) + mono[j + 1:]
+            for term, c in coeff.terms.items():
+                image = tuple(map(add, term, lowered))
+                out[image] = out[image] + e * c if image in out else e * c
+        return {image: c for image, c in out.items() if c}
+
     def apply(self, p: WeightedPoly) -> WeightedPoly:
-        total = WeightedPoly.zero(p.weights)
-        for i, c in enumerate(self.coefficients):
-            if c:
-                total = total + c * p.partial_derivative(i)
-        return total
+        if p.weights != self.weights:
+            raise WeightMismatchError(f"weight vectors differ: {self.weights} vs {p.weights}")
+        total: Dict[Monomial, Fraction] = {}
+        for mono, coeff in p.terms.items():
+            for image, c in self.on_monomial(mono).items():
+                total[image] = total[image] + coeff * c if image in total else coeff * c
+        return WeightedPoly(self.weights, total)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coefficients)

@@ -115,9 +115,6 @@ class RationalMatrix:
             raise ValueError("power of a non-square matrix")
         return RationalMatrix.identity(self.rows) if k == 0 else power(self, k, operator.mul)
 
-    def commutator(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self * other - other * self
-
     def row_list(self) -> List[List[Fraction]]:
         return [list(row) for row in self.entries]
 

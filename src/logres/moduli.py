@@ -7,10 +7,12 @@ This module computes exact bases of those solution spaces, one degree at a
 time: every candidate z^a * M gets its residual as a sparse column, and the
 columns are row-reduced block by block, where a block is a connected set of
 columns sharing equation rows.  The toral directions act on monomials with
-integer weights, so the blocks are small.  It then emits the
-polynomial system cutting out the flat locus inside them, assembles the
-connection attached to a point, and cross-checks the emitted system against a
-direct curvature computation.
+integer weights, so the blocks are small.  Frame fields act on monomials
+through ``VectorFieldPoly.on_monomial`` alone, in the solve and in emission,
+and the brackets of residue values with eigenmatrices multiply only nonzero
+entries.  It then emits the polynomial system cutting out the flat locus
+inside them, assembles the connection attached to a point, and cross-checks
+the emitted system against a direct curvature computation.
 
 Emitted values are flat dicts from (coordinate monomial, row, column, base
 monomial) to a rational coefficient; a coordinate monomial is the sorted
@@ -87,6 +89,27 @@ def _check_pair(d: FreeDivisor, residue: ResidueData) -> None:
         raise ResidueError(report.message)
 
 
+# the nonzero entries (row, column, value) of an m x m matrix, row-major
+_Entries = List[Tuple[int, int, Fraction]]
+
+
+def _entries(mat: RationalMatrix) -> _Entries:
+    return [(r, c, v) for r, row in enumerate(mat.entries) for c, v in enumerate(row) if v]
+
+
+def _bracket(a: _Entries, b: _Entries) -> _Entries:
+    """[A, B] = AB - BA, multiplying only the entry pairs whose inner index matches."""
+    out: Dict[Tuple[int, int], Fraction] = {}
+    for left, right, sign in ((a, b, 1), (b, a, -1)):
+        rows: Dict[int, list] = {}
+        for s, c, y in right:
+            rows.setdefault(s, []).append((c, y))
+        for r, s, x in left:
+            for c, y in rows.get(s, ()):
+                out[r, c] = out.get((r, c), 0) + sign * x * y
+    return sorted((r, c, v) for (r, c), v in out.items() if v)
+
+
 @dataclass(frozen=True)
 class _Channel:
     shift: int
@@ -111,16 +134,14 @@ def _solve_channels(d: FreeDivisor, residue: ResidueData,
     m = residue.matrix_size
     weights = d.weights
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
-    values = tuple(residue.s_list) + tuple(residue.chi or ())
     toral_count = d.toral_count
     width = len(channels)
 
-    def nonzero(mat: RationalMatrix) -> List[Tuple[int, int, Fraction]]:
-        return [(r, c, mat[r, c]) for r in range(m) for c in range(m) if mat[r, c]]
-
+    value_entries = [_entries(value) for value in tuple(residue.s_list) + tuple(residue.chi or ())]
     # per eigenvalue: (entries of M, entries of [C_k, M] per k) for each eigenmatrix M
     eigendata = {
-        lam: [(nonzero(mat), [nonzero(value.commutator(mat)) for value in values]) for mat in basis]
+        lam: [(entries, [_bracket(value, entries) for value in value_entries])
+              for entries in map(_entries, basis)]
         for lam, basis in residue.grading_eigenspaces.items()
     }
     # per (direction, monomial): the terms of V_k(z^a)
@@ -131,7 +152,7 @@ def _solve_channels(d: FreeDivisor, residue: ResidueData,
         for k, field in enumerate(fields):
             image = images.get((k, mono))
             if image is None:
-                image = images[(k, mono)] = field.apply(WeightedPoly.monomial(mono, weights)).terms
+                image = images[(k, mono)] = field.on_monomial(mono)
             own = k * width + c_idx
             for image_mono, coeff in image.items():
                 for r, c, v in entries:
@@ -152,17 +173,10 @@ def _solve_channels(d: FreeDivisor, residue: ResidueData,
                         column[key] = column.get(key, 0) - shift * v
         return {key: v for key, v in column.items() if v}
 
-    degrees = sorted(
-        {
-            lam + ch.shift
-            for ch in channels
-            for lam in eigendata
-            if lam + ch.shift >= 0 and monomials_of_degree(weights, lam + ch.shift)
-        }
-    )
+    monomials = {degree: monomials_of_degree(weights, degree)
+                 for degree in {lam + ch.shift for ch in channels for lam in eigendata}}
     out: List[Tuple[int, Tuple[MatrixPolyMap, ...]]] = []
-    for degree in degrees:
-        monos = monomials_of_degree(weights, degree)
+    for degree, monos in sorted(monomials.items()):
         candidates: List[Tuple[int, Monomial, list]] = []
         columns: List[Dict[tuple, Fraction]] = []
         for c_idx, ch in enumerate(channels):
@@ -438,7 +452,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     comps, corrs = general[:len(comp_spaces)], general[len(comp_spaces):]
     # what each frame slot k contributes through c_ij^k: S on toral, chi on semisimple, B on graded slots
     frame_value: Dict[int, _Value] = {
-        k: {((), r, c, (0,) * d.n): value[r, c] for r in range(m) for c in range(m) if value[r, c]}
+        k: {((), r, c, (0,) * d.n): v for r, c, v in _entries(value)}
         for k, value in zip(d.toral_indices + d.semisimple_indices, tuple(residue.s_list) + tuple(residue.chi or ()))
     }
     frame_value.update(zip(d.w_indices, comps))
@@ -448,7 +462,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         return _collect(
             ((key, r, c, image), coeff * image_coeff)
             for (key, r, c, mono), coeff in value.items()
-            for image, image_coeff in d.frame[i].field.apply(WeightedPoly.monomial(mono, d.weights)).terms.items()
+            for image, image_coeff in d.frame[i].field.on_monomial(mono).items()
         )
 
     equations: List[Equation] = []

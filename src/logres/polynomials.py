@@ -321,7 +321,11 @@ def monomials_of_degree(weights: Sequence[int], degree: int) -> List[Monomial]:
                 yield ()
             return
         w = weights[index]
-        for e in range(remaining // w + 1):
+        if index == len(weights) - 1:  # the last exponent is forced
+            choices = (remaining // w,) if remaining % w == 0 else ()
+        else:
+            choices = range(remaining // w + 1)
+        for e in choices:
             for tail in rec(index + 1, remaining - w * e):
                 yield (e,) + tail
 

@@ -1,4 +1,6 @@
+import random
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from logres import (
     FreeDivisor,
     VectorFieldPoly,
     WeightedPoly,
+    WeightMismatchError,
     bracket,
     catalog,
     dlog_f_expansion,
@@ -21,7 +24,7 @@ from logres import (
 )
 from logres.divisor import DivisorError, correction_pairings, poly_adjugate, poly_determinant
 
-from conftest import poly_of
+from conftest import poly_of, rand_fraction
 
 ALL_NAMES = ("cusp", "normal_crossing_1", "normal_crossing_2", "normal_crossing_3",
              "borel2", "g2", "d4", "sekiguchi_b5")
@@ -323,3 +326,43 @@ def test_factors_must_multiply_to_f(cusp):
     for factors in ((cusp.f * cusp.f,), (WeightedPoly.zero(cusp.weights),)):
         with pytest.raises(DivisorError, match="product of the factors"):
             replace(cusp, factors=factors)
+
+
+# ------------------------------------------- field application against its formula
+
+divisor_of = lru_cache(maxsize=None)(catalog)
+
+
+def derivative_formula(field: VectorFieldPoly, p: WeightedPoly) -> WeightedPoly:
+    """sum_i c_i * dp/dz_i, the definition of applying a field, term by term."""
+    total = WeightedPoly.zero(p.weights)
+    for i, c in enumerate(field.coefficients):
+        total = total + c * p.partial_derivative(i)
+    return total
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32))
+def test_field_application_matches_the_derivative_formula(name, seed):
+    d = divisor_of(name)
+    rng = random.Random(seed)
+    p = WeightedPoly(d.weights, {tuple(rng.randint(0, 3) for _ in d.weights): rand_fraction(rng)
+                                 for _ in range(rng.randint(0, 4))})
+    for element in d.frame:
+        field = element.field
+        assert field.apply(p) == derivative_formula(field, p)
+        for mono in p.terms:
+            image = field.on_monomial(mono)
+            assert all(image.values())
+            assert WeightedPoly(d.weights, image) == derivative_formula(field, WeightedPoly.monomial(mono, d.weights))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_field_application_rejects_another_ring(name):
+    d = divisor_of(name)
+    field = d.frame[0].field
+    other_weights = (d.weights[0] + 1,) + d.weights[1:]
+    for weights in (other_weights, d.weights + (1,)):
+        with pytest.raises(WeightMismatchError):
+            field.apply(WeightedPoly.variable(0, weights))

@@ -7,6 +7,7 @@ from logres import (
     MatrixPolyMap,
     ModuliPoint,
     RationalMatrix,
+    VectorFieldPoly,
     WeightedPoly,
     assemble_connection,
     catalog,
@@ -25,9 +26,9 @@ from logres import (
 from logres.divisor import correction_pairings
 from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
-from logres.moduli import MembershipError, ResidueError
+from logres.moduli import MembershipError, ResidueError, _bracket, _entries
 
-from conftest import CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, diag, rand_fraction, residue_for
+from conftest import CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, conjugated, diag, rand_fraction, residue_for
 
 
 def unit_map(divisor, r, c, poly=None, m=2):
@@ -488,3 +489,37 @@ def test_emission_builds_no_matrix_maps(monkeypatch, seki):
     monkeypatch.setattr(MatrixPolyMap, "apply_field", forbidden)
     system = moduli_system(seki, residue_for(seki, diag(0, 1, 2))).system
     assert {eq.tag for eq in system.equations} == {"curvature", "ZN", "nilpotency"}
+
+
+def test_sparse_bracket_matches_the_matrix_commutator():
+    rng = random.Random(8)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        a, b = (RationalMatrix([[rand_fraction(rng) if rng.random() < 0.5 else 0 for _ in range(m)]
+                                for _ in range(m)]) for _ in range(2))
+        assert _bracket(_entries(a), _entries(b)) == _entries(commutator(a, b))
+
+
+@pytest.mark.parametrize("name,s", [("cusp", diag(0, 1, 2, 3)), ("sekiguchi_b5", diag(0, 1, 2)),
+                                    ("borel2", diag(0, 1, 2))])
+def test_sparse_bracket_on_conjugated_residues(name, s):
+    residue = residue_for(catalog(name), conjugated(s, random.Random(3)))
+    value = residue.s_list[0]
+    for basis in residue.grading_eigenspaces.values():
+        for mat in basis:
+            assert _bracket(_entries(value), _entries(mat)) == _entries(commutator(value, mat))
+            assert _bracket(_entries(mat), _entries(value)) == _entries(commutator(mat, value))
+
+
+def test_moduli_system_applies_fields_without_polynomial_products(monkeypatch):
+    d = catalog("normal_crossing_4")
+    residue = residue_for(d, diag(0, 1, 2))
+    # the cached per-divisor and per-residue facts multiply polynomials: build them first
+    d.structure, d.constants, residue.grading_eigenspaces
+
+    def forbidden(*args):
+        raise AssertionError("moduli_system multiplied polynomials")
+
+    monkeypatch.setattr(WeightedPoly, "__mul__", forbidden)
+    monkeypatch.setattr(VectorFieldPoly, "apply", forbidden)
+    assert moduli_system(d, residue).system.equations

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,12 @@ def test_monomials_of_degree():
     assert monomials_of_degree(W32, 6) == [(0, 3), (2, 0)]
     assert monomials_of_degree(W32, 1) == []
     assert monomials_of_degree((1,), 4) == [(4,)]
+    assert monomials_of_degree((), 0) == [()] and monomials_of_degree((), 2) == []
+    for weights in ((1, 1), (2, 3), (3, 1, 2), (2, 2, 4)):
+        for degree in range(13):
+            brute = [mono for mono in itertools.product(range(degree + 1), repeat=len(weights))
+                     if sum(w * e for w, e in zip(weights, mono)) == degree]
+            assert monomials_of_degree(weights, degree) == brute
 
 
 def test_squarefree_cusp():
