@@ -23,6 +23,8 @@ from .divisor import (
 from .polynomials import WeightedPoly
 
 CATALOG_NAMES = ("cusp", "normal_crossing_2", "d4", "g2", "borel2", "sekiguchi_b5")
+# the largest k that ``normal_crossing_<k>`` names; building it grows about as k^4
+_NAMED_CROSSING_MAX = 16
 
 
 def _variables(weights) -> List[WeightedPoly]:
@@ -219,11 +221,14 @@ def d4() -> FreeDivisor:
 
 def catalog(name: str) -> FreeDivisor:
     """Look up a divisor by name; normal crossings take a suffix, e.g.
-    ``normal_crossing_3``."""
+    ``normal_crossing_3``, up to k = 16 (``normal_crossing(k)`` takes any k)."""
     key = name.strip().lower()
     match = re.fullmatch(r"normal_crossing[_(]?(\d+)\)?", key)
     if match:
-        return normal_crossing(int(match.group(1)))
+        k = int(match.group(1))
+        if k > _NAMED_CROSSING_MAX:
+            raise DivisorError(f"catalog name {name!r}: normal_crossing_<k> takes k <= {_NAMED_CROSSING_MAX}")
+        return normal_crossing(k)
     builders = {
         "cusp": cusp,
         "d4": d4,

@@ -58,7 +58,7 @@ def cmd_catalog(args) -> int:
         payload = serialize.divisor_to_json(d)
         _emit(args, payload, [serialize.pretty_dumps(payload).rstrip("\n")])
         return PASS
-    payload = {"catalog": list(CATALOG_NAMES), "note": "normal_crossing_<k> accepts any k >= 1"}
+    payload = {"catalog": list(CATALOG_NAMES), "note": "normal_crossing_<k> accepts 1 <= k <= 16"}
     _emit(args, payload, ["available divisors:"] + [f"  {n}" for n in CATALOG_NAMES])
     return PASS
 

@@ -8,18 +8,21 @@ time: every candidate z^a * M gets its residual as a sparse column, and the
 columns are row-reduced block by block, where a block is a connected set of
 columns sharing equation rows.  The toral directions act on monomials with
 integer weights, so the blocks are small.  Frame fields act on monomials
-through ``VectorFieldPoly.on_monomial`` alone, in the solve and in emission,
-and the brackets of residue values with eigenmatrices multiply only nonzero
-entries.  It then emits the polynomial system cutting out the flat locus
-inside them, assembles the connection attached to a point, and cross-checks
-the emitted system against a direct curvature computation.
+through ``VectorFieldPoly.on_monomial`` alone, and matrices are multiplied
+by one sparse product, ``_matmul``, in the solve (the brackets of residue
+values with eigenmatrices) and in emission alike.  It then emits the
+polynomial system cutting out the flat locus inside them, assembles the
+connection attached to a point, and cross-checks the emitted system against
+a direct curvature computation.
 
-Emitted values are flat dicts from (coordinate monomial, row, column, base
-monomial) to a rational coefficient; a coordinate monomial is the sorted
-tuple of the coordinate indices a term multiplies, and each (row, column,
-base monomial) group becomes one equation.  The curvature formula is written
-out here rather than taken from ``connections``, so that ``check_point``'s
-flatness cross-check stays an independent computation.
+Sparse matrix values are flat dicts from (coordinate monomial, row, column,
+base monomial) to a rational coefficient; a coordinate monomial is the
+sorted tuple of the coordinate indices a term multiplies, empty for a
+constant matrix, and each emitted (row, column, base monomial) group becomes
+one equation.  ``MatrixPolyMap``s enter that form through ``_terms`` alone.
+The curvature formula is written out here rather than taken from
+``connections``, so that ``check_point``'s flatness cross-check stays an
+independent computation.
 """
 
 from __future__ import annotations
@@ -89,25 +92,48 @@ def _check_pair(d: FreeDivisor, residue: ResidueData) -> None:
         raise ResidueError(report.message)
 
 
-# the nonzero entries (row, column, value) of an m x m matrix, row-major
-_Entries = List[Tuple[int, int, Fraction]]
+# a sparse matrix value: (coordinate monomial, row, column, base monomial) -> coefficient
+_Value = Dict[Tuple[Tuple[int, ...], int, int, Monomial], Fraction]
 
 
-def _entries(mat: RationalMatrix) -> _Entries:
-    return [(r, c, v) for r, row in enumerate(mat.entries) for c, v in enumerate(row) if v]
+def _constant(mat: RationalMatrix, n: int) -> _Value:
+    """A constant matrix: its nonzero entries at the zero monomial of n variables."""
+    zero = (0,) * n
+    return {((), r, c, zero): v for r, row in enumerate(mat.entries) for c, v in enumerate(row) if v}
 
 
-def _bracket(a: _Entries, b: _Entries) -> _Entries:
-    """[A, B] = AB - BA, multiplying only the entry pairs whose inner index matches."""
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for left, right, sign in ((a, b, 1), (b, a, -1)):
-        rows: Dict[int, list] = {}
-        for s, c, y in right:
-            rows.setdefault(s, []).append((c, y))
-        for r, s, x in left:
-            for c, y in rows.get(s, ()):
-                out[r, c] = out.get((r, c), 0) + sign * x * y
-    return sorted((r, c, v) for (r, c), v in out.items() if v)
+def _terms(mp: MatrixPolyMap) -> List[Tuple[int, int, Monomial, Fraction]]:
+    """The (row, column, monomial, coefficient) terms of a map, row-major."""
+    return [(r, c, mono, coeff) for r, row in enumerate(mp.entries)
+            for c, entry in enumerate(row) for mono, coeff in entry.terms.items()]
+
+
+def _collect(terms: Iterable[Tuple[tuple, Fraction]]) -> _Value:
+    """Sum the coefficients of equal keys and drop the zero ones."""
+    out: _Value = {}
+    for key, coeff in terms:
+        out[key] = out[key] + coeff if key in out else coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def _sub(a: _Value, b: _Value) -> _Value:
+    return _collect([*a.items(), *((key, -coeff) for key, coeff in b.items())])
+
+
+def _matmul(a: _Value, b: _Value) -> _Value:
+    """Multiply only the term pairs whose inner matrix index matches."""
+    rows: Dict[int, list] = {}
+    for (key, s, c, mono), coeff in b.items():
+        rows.setdefault(s, []).append((key, c, mono, coeff))
+    return _collect(
+        ((tuple(sorted(key_a + key_b)), r, c, tuple(x + y for x, y in zip(mono_a, mono_b))), coeff_a * coeff_b)
+        for (key_a, r, s, mono_a), coeff_a in a.items()
+        for key_b, c, mono_b, coeff_b in rows.get(s, ())
+    )
+
+
+def _commutator(a: _Value, b: _Value) -> _Value:
+    return _sub(_matmul(a, b), _matmul(b, a))
 
 
 @dataclass(frozen=True)
@@ -137,11 +163,15 @@ def _solve_channels(d: FreeDivisor, residue: ResidueData,
     toral_count = d.toral_count
     width = len(channels)
 
-    value_entries = [_entries(value) for value in tuple(residue.s_list) + tuple(residue.chi or ())]
-    # per eigenvalue: (entries of M, entries of [C_k, M] per k) for each eigenmatrix M
+    values = [_constant(value, d.n) for value in tuple(residue.s_list) + tuple(residue.chi or ())]
+
+    def triples(value: _Value) -> List[Tuple[int, int, Fraction]]:
+        return [(r, c, v) for (_, r, c, _), v in value.items()]
+
+    # per eigenvalue: ((row, column, value) of M, the same of [C_k, M] per k) for each eigenmatrix M
     eigendata = {
-        lam: [(entries, [_bracket(value, entries) for value in value_entries])
-              for entries in map(_entries, basis)]
+        lam: [(triples(eig), [triples(_commutator(value, eig)) for value in values])
+              for eig in (_constant(mat, d.n) for mat in basis)]
         for lam, basis in residue.grading_eigenspaces.items()
     }
     # per (direction, monomial): the terms of V_k(z^a)
@@ -229,6 +259,15 @@ def solve_component_spaces(d: FreeDivisor, residue: ResidueData) -> List[Solutio
     return _component_spaces(d, residue)
 
 
+def _space(slot: Tuple[str, int], matrix_size: int, items: Sequence[Tuple[int, MatrixPolyMap]]) -> SolutionSpace:
+    """The space whose basis is the maps of (degree, map) pairs, counted per degree."""
+    dims: Dict[int, int] = {}
+    for degree, _ in items:
+        dims[degree] = dims.get(degree, 0) + 1
+    return SolutionSpace(slot=slot, matrix_size=matrix_size, basis=tuple(mp for _, mp in items),
+                         dims_by_degree=dims)
+
+
 def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
     channels = _component_channels(d)
     if not channels:
@@ -243,37 +282,18 @@ def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpac
             )
         if support:
             per_slot[support[0]].append((degree, parts[support[0]]))
-    spaces = []
-    for b, items in enumerate(per_slot):
-        dims: Dict[int, int] = {}
-        for degree, _ in items:
-            dims[degree] = dims.get(degree, 0) + 1
-        spaces.append(
-            SolutionSpace(
-                slot=("component", b),
-                matrix_size=residue.matrix_size,
-                basis=tuple(mp for _, mp in items),
-                dims_by_degree=dims,
-            )
-        )
-    return spaces
+    return [_space(("component", b), residue.matrix_size, items) for b, items in enumerate(per_slot)]
 
 
-def _correction_space(d: FreeDivisor, residue: ResidueData) -> Tuple[Tuple[MatrixPolyMap, ...], Dict[int, int]]:
-    toral_count = d.toral_count
-    semis_count = len(d.semisimple_indices)
+def _correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
+    """One space per toral slot (a divisor has at least one), all with the basis of one solve."""
     channel = _Channel(
         shift=0,
-        toral_offsets=tuple(Fraction(0) for _ in range(toral_count)),
-        coupling=tuple((Fraction(0),) for _ in range(semis_count)),
+        toral_offsets=tuple(Fraction(0) for _ in range(d.toral_count)),
+        coupling=tuple((Fraction(0),) for _ in d.semisimple_indices),
     )
-    solutions = _solve_channels(d, residue, [channel])
-    dims: Dict[int, int] = {}
-    basis = []
-    for degree, parts in solutions:
-        dims[degree] = dims.get(degree, 0) + 1
-        basis.append(parts[0])
-    return tuple(basis), dims
+    items = [(degree, parts[0]) for degree, parts in _solve_channels(d, residue, [channel])]
+    return [_space(("correction", i), residue.matrix_size, items) for i in range(d.toral_count)]
 
 
 def solve_correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
@@ -283,11 +303,7 @@ def solve_correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[Soluti
     so the returned spaces share one basis computed once.
     """
     _check_pair(d, residue)
-    basis, dims = _correction_space(d, residue)
-    return [
-        SolutionSpace(slot=("correction", i), matrix_size=residue.matrix_size, basis=basis, dims_by_degree=dict(dims))
-        for i in range(d.toral_count)
-    ]
+    return _correction_spaces(d, residue)
 
 
 def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SymmetryAlgebra:
@@ -298,17 +314,18 @@ def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SymmetryAlgebra:
     transformations equal to the identity at the origin.
     """
     _check_pair(d, residue)
-    return _symmetry_algebra(d, residue)
+    return _symmetry_algebra(_correction_spaces(d, residue)[0])
 
 
-def _symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SymmetryAlgebra:
-    basis, dims = _correction_space(d, residue)
+def _symmetry_algebra(corrections: SolutionSpace) -> SymmetryAlgebra:
+    """The symmetries have the basis of a correction space."""
+    dims = corrections.dims_by_degree
     return SymmetryAlgebra(
-        dimension=len(basis),
+        dimension=corrections.dimension,
         constant_dimension=dims.get(0, 0),
         positive_dimension=sum(count for degree, count in dims.items() if degree > 0),
-        basis=basis,
-        dims_by_degree=dims,
+        basis=corrections.basis,
+        dims_by_degree=dict(dims),
     )
 
 
@@ -367,38 +384,6 @@ def _coordinate_name(prefix: str, slot_number: int, terms: Sequence[tuple], vari
     return f"{prefix}{slot_number}#{index + 1}"
 
 
-# an emitted value: (coordinate monomial, row, column, base monomial) -> coefficient
-_Value = Dict[Tuple[Tuple[int, ...], int, int, Monomial], Fraction]
-
-
-def _collect(terms: Iterable[Tuple[tuple, Fraction]]) -> _Value:
-    """Sum the coefficients of equal keys and drop the zero ones."""
-    out: _Value = {}
-    for key, coeff in terms:
-        out[key] = out[key] + coeff if key in out else coeff
-    return {key: coeff for key, coeff in out.items() if coeff}
-
-
-def _sub(a: _Value, b: _Value) -> _Value:
-    return _collect([*a.items(), *((key, -coeff) for key, coeff in b.items())])
-
-
-def _matmul(a: _Value, b: _Value) -> _Value:
-    """Multiply only the term pairs whose inner matrix index matches."""
-    rows: Dict[int, list] = {}
-    for (key, s, c, mono), coeff in b.items():
-        rows.setdefault(s, []).append((key, c, mono, coeff))
-    return _collect(
-        ((tuple(sorted(key_a + key_b)), r, c, tuple(x + y for x, y in zip(mono_a, mono_b))), coeff_a * coeff_b)
-        for (key_a, r, s, mono_a), coeff_a in a.items()
-        for key_b, c, mono_b, coeff_b in rows.get(s, ())
-    )
-
-
-def _commutator(a: _Value, b: _Value) -> _Value:
-    return _sub(_matmul(a, b), _matmul(b, a))
-
-
 @dataclass(frozen=True)
 class ModuliProblem:
     """Solution spaces plus the emitted polynomial system, bundled."""
@@ -424,12 +409,8 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     _check_pair(d, residue)
     m = residue.matrix_size
     comp_spaces = _component_spaces(d, residue)
-    symmetry = _symmetry_algebra(d, residue)
-    corr_spaces = [
-        SolutionSpace(slot=("correction", i), matrix_size=m, basis=symmetry.basis,
-                      dims_by_degree=dict(symmetry.dims_by_degree))
-        for i in range(d.toral_count)
-    ]
+    corr_spaces = _correction_spaces(d, residue)
+    symmetry = _symmetry_algebra(corr_spaces[0])
 
     def degree(mono: Monomial) -> int:
         return sum(w * e for w, e in zip(d.weights, mono))
@@ -441,8 +422,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         prefix = "B" if space.slot[0] == "component" else "N"
         value: _Value = {}
         for b_idx, element in enumerate(space.basis):
-            terms = [(r, c, mono, coeff) for r, row in enumerate(element.entries)
-                     for c, entry in enumerate(row) for mono, coeff in entry.terms.items()]
+            terms = _terms(element)
             value.update((((len(coordinates),), r, c, mono), coeff) for r, c, mono, coeff in terms)
             name = _coordinate_name(prefix, space.slot[1] + 1, terms, d.variables, b_idx)
             low = min((degree(mono) for _, _, mono, _ in terms), default=0)
@@ -452,7 +432,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     comps, corrs = general[:len(comp_spaces)], general[len(comp_spaces):]
     # what each frame slot k contributes through c_ij^k: S on toral, chi on semisimple, B on graded slots
     frame_value: Dict[int, _Value] = {
-        k: {((), r, c, (0,) * d.n): v for r, c, v in _entries(value)}
+        k: _constant(value, d.n)
         for k, value in zip(d.toral_indices + d.semisimple_indices, tuple(residue.s_list) + tuple(residue.chi or ()))
     }
     frame_value.update(zip(d.w_indices, comps))
@@ -568,25 +548,16 @@ def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fract
         if target.is_zero():
             return []
         raise MembershipError(f"nonzero value in an empty solution space {space.slot}")
-    keys: Dict[Tuple[int, int, Monomial], int] = {}
-    maps = list(space.basis) + [target]
-    for mp in maps:
-        for r in range(mp.size):
-            for c in range(mp.size):
-                for mono in mp[r, c].terms:
-                    keys.setdefault((r, c, mono), len(keys))
-    rows = [[Fraction(0)] * len(space.basis) for _ in range(len(keys))]
-    rhs = [Fraction(0)] * len(keys)
-    for b_idx, mp in enumerate(space.basis):
-        for r in range(mp.size):
-            for c in range(mp.size):
-                for mono, coeff in mp[r, c].terms.items():
-                    rows[keys[(r, c, mono)]][b_idx] = coeff
-    for r in range(target.size):
-        for c in range(target.size):
-            for mono, coeff in target[r, c].terms.items():
-                rhs[keys[(r, c, mono)]] = coeff
-    result = rref(RationalMatrix(rows), rhs)
+    # one row per (row, column, monomial) of any map; the target is the last column
+    width = len(space.basis)
+    rows: Dict[Tuple[int, int, Monomial], List[Fraction]] = {}
+    for col, mp in enumerate(space.basis + (target,)):
+        for r, c, mono, coeff in _terms(mp):
+            row = rows.get((r, c, mono))
+            if row is None:
+                row = rows[(r, c, mono)] = [Fraction(0)] * (width + 1)
+            row[col] = coeff
+    result = rref(RationalMatrix([row[:width] for row in rows.values()]), [row[width] for row in rows.values()])
     if result.inconsistent or result.solution is None:
         raise MembershipError(f"value does not lie in the span of solution space {space.slot}")
     if result.rank < len(space.basis):
@@ -693,11 +664,10 @@ def restrict_system(system: PolySystem, assignments: Dict[str, Fraction]) -> Pol
     keep_pos = {old: new for new, old in enumerate(keep)}
     new_coords = tuple(system.coordinates[i] for i in keep)
     nkeep = len(keep)
+    pinned = {i: assignments[name] for i, name in enumerate(names) if name in assignments}
     new_equations: List[Equation] = []
     for eq in system.equations:
-        substituted = eq.poly.substitute(
-            {i: assignments[names[i]] for i in range(len(names)) if names[i] in assignments}
-        )
+        substituted = eq.poly.substitute(pinned)
         terms = {}
         for mono, coeff in substituted.terms.items():
             new_mono = [0] * (nkeep if nkeep else 1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from logres import RationalMatrix, ResidueData, WeightedPoly, catalog
+from logres import FrameElement, FreeDivisor, RationalMatrix, ResidueData, VectorFieldPoly, WeightedPoly, catalog
 from logres.linear import inverse
 
 
@@ -39,24 +39,67 @@ def conjugated(s: RationalMatrix, rng: random.Random) -> RationalMatrix:
     return p * s * inverse(p)
 
 
-def residue_for(divisor, s_matrix: RationalMatrix, chi_value="auto") -> ResidueData:
-    """Residue with the same matrix on every toral slot.
+def residue_for(divisor, s_matrix, chi_value="auto") -> ResidueData:
+    """Residue with the same matrix on every toral slot, or with one matrix
+    per toral slot when ``s_matrix`` is a tuple.
 
     ``chi_value``: "auto" fills zero matrices for each semisimple slot, None
     passes no chi, a tuple is used as given.
     """
-    k = divisor.toral_count
+    s_list = s_matrix if isinstance(s_matrix, tuple) else (s_matrix,) * divisor.toral_count
     semis = len(divisor.semisimple_indices)
-    m = s_matrix.rows
+    m = s_list[0].rows
     if chi_value == "auto":
         chi = tuple(RationalMatrix.zeros(m, m) for _ in range(semis)) if semis else None
     else:
         chi = chi_value
     return ResidueData(
-        s_list=tuple(s_matrix for _ in range(k)),
+        s_list=s_list,
         positive_combination=tuple(divisor.positive_combination),
         chi=chi,
     )
+
+
+def product_divisor(first, second) -> FreeDivisor:
+    """f1 * f2 in the disjoint union of the two variable sets.
+
+    Each frame is embedded block-wise and keeps its kinds and grades; both
+    sets of toral slots stay toral, so the positive combinations and the
+    toral factors are concatenated.  Variables get a suffix 1 or 2.
+    """
+    weights = first.weights + second.weights
+    pads = ((0, second.n), (first.n, 0))
+
+    def embed(poly, pad):
+        before, after = pad
+        return WeightedPoly(weights, {(0,) * before + mono + (0,) * after: c for mono, c in poly.terms.items()})
+
+    def frame(d, pad):
+        zero = (WeightedPoly.zero(weights),)
+        return tuple(
+            FrameElement(e.kind, VectorFieldPoly(zero * pad[0] + tuple(embed(c, pad) for c in e.field.coefficients)
+                                                 + zero * pad[1]), grade=e.grade)
+            for e in d.frame
+        )
+
+    factors = tuple(embed(f, pad) for d, pad in zip((first, second), pads) for f in d.effective_factors())
+    return FreeDivisor(
+        name=f"{first.name}*{second.name}",
+        variables=tuple(v + "1" for v in first.variables) + tuple(v + "2" for v in second.variables),
+        weights=weights,
+        f=embed(first.f, pads[0]) * embed(second.f, pads[1]),
+        degree=first.degree + second.degree,
+        frame=frame(first, pads[0]) + frame(second, pads[1]),
+        positive_combination=tuple(first.positive_combination) + tuple(second.positive_combination),
+        factors=factors,
+    )
+
+
+def divisor_named(name: str) -> FreeDivisor:
+    """A catalog divisor, or the product of two of them written "first*second"."""
+    if "*" in name:
+        return product_divisor(*map(catalog, name.split("*")))
+    return catalog(name)
 
 
 @pytest.fixture(scope="session")

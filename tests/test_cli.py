@@ -40,6 +40,18 @@ def test_catalog_dump_roundtrips(capsys):
     assert divisor.name == "borel2"
 
 
+@pytest.mark.parametrize("argv", [("catalog", "--name", "normal_crossing_40"),
+                                  ("verify-divisor", "--catalog", "normal_crossing_40")])
+def test_named_normal_crossing_is_bounded(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "k <= 16" in err and "Traceback" not in err
+
+
+def test_named_normal_crossing_bound_is_inclusive(capsys):
+    assert run(capsys, "catalog", "--name", "normal_crossing_16", "--format", "json")[0] == 0
+
+
 def test_verify_divisor_pass(capsys):
     code, out, _ = run(capsys, "verify-divisor", "--catalog", "sekiguchi_b5", "--format", "json")
     assert code == 0

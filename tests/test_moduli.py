@@ -26,9 +26,10 @@ from logres import (
 from logres.divisor import correction_pairings
 from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
-from logres.moduli import MembershipError, ResidueError, _bracket, _entries
+from logres.moduli import MembershipError, ResidueError, _commutator, _constant
 
-from conftest import CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, conjugated, diag, rand_fraction, residue_for
+from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, conjugated, diag, divisor_named, rand_fraction,
+                      residue_for)
 
 
 def unit_map(divisor, r, c, poly=None, m=2):
@@ -344,6 +345,23 @@ def test_check_point_normal_crossing_candidate():
     assert report.flat and report.in_variety
 
 
+def test_check_point_on_a_product_with_semisimple_and_graded_slots():
+    # g2 brings three semisimple slots and sekiguchi_b5 two graded ones;
+    # check_point raises if the emitted system and the direct curvature disagree
+    d = divisor_named("g2*sekiguchi_b5")
+    residue = residue_for(d, (ZERO2, S01))
+    problem = moduli_system(d, residue)
+    assert len(d.semisimple_indices) == 3 and len(d.w_indices) == 2
+    for seed in range(4):
+        point = random_point(problem, random.Random(seed))
+        report = check_point(d, residue, point, problem)
+        assert report.violations and not report.flat
+    zero = ModuliPoint(components=(MatrixPolyMap.zeros(2, d.weights),) * 2,
+                       corrections=(MatrixPolyMap.zeros(2, d.weights),) * 2)
+    report = check_point(d, residue, zero, problem)
+    assert {problem.system.equations[i].tag for i in report.violations} == {"curvature"}
+
+
 def test_membership_coordinates_roundtrip(seki):
     residue = residue_for(seki, S01)
     problem = moduli_system(seki, residue)
@@ -497,18 +515,19 @@ def test_sparse_bracket_matches_the_matrix_commutator():
         m = rng.randint(1, 5)
         a, b = (RationalMatrix([[rand_fraction(rng) if rng.random() < 0.5 else 0 for _ in range(m)]
                                 for _ in range(m)]) for _ in range(2))
-        assert _bracket(_entries(a), _entries(b)) == _entries(commutator(a, b))
+        assert _commutator(_constant(a, 2), _constant(b, 2)) == _constant(commutator(a, b), 2)
 
 
 @pytest.mark.parametrize("name,s", [("cusp", diag(0, 1, 2, 3)), ("sekiguchi_b5", diag(0, 1, 2)),
                                     ("borel2", diag(0, 1, 2))])
 def test_sparse_bracket_on_conjugated_residues(name, s):
-    residue = residue_for(catalog(name), conjugated(s, random.Random(3)))
+    d = catalog(name)
+    residue = residue_for(d, conjugated(s, random.Random(3)))
     value = residue.s_list[0]
     for basis in residue.grading_eigenspaces.values():
         for mat in basis:
-            assert _bracket(_entries(value), _entries(mat)) == _entries(commutator(value, mat))
-            assert _bracket(_entries(mat), _entries(value)) == _entries(commutator(mat, value))
+            for a, b in ((value, mat), (mat, value)):
+                assert _commutator(_constant(a, d.n), _constant(b, d.n)) == _constant(commutator(a, b), d.n)
 
 
 def test_moduli_system_applies_fields_without_polynomial_products(monkeypatch):

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from logres import LogConnection, MatrixPolyMap, RationalMatrix, WeightedPoly, catalog, curvature, moduli_system
+from logres import LogConnection, MatrixPolyMap, RationalMatrix, WeightedPoly, curvature, moduli_system
 from logres.univariate import power
 
-from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, rand_fraction, residue_for
+from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, rand_fraction, residue_for
 
 SEED = 20260518
 WEIGHTS = (1, 2)
@@ -99,6 +99,9 @@ def oracle_cases():
         "sekiguchi_b5/S01": ("sekiguchi_b5", S01, "auto"),
         "g2/0+sl2": ("g2", ZERO2, (CHI_H, CHI_E, CHI_F)),
         "normal_crossing_3/S01~conj": ("normal_crossing_3", conjugated(S01, rng), "auto"),
+        # semisimple and graded slots in one divisor
+        "g2*sekiguchi_b5/(0,S01)": ("g2*sekiguchi_b5", (ZERO2, S01), "auto"),
+        "g2*sekiguchi_b5/(0,S01)~conj": ("g2*sekiguchi_b5", (ZERO2, conjugated(S01, rng)), "auto"),
     }
 
 
@@ -107,13 +110,13 @@ def oracle_problem(label):
     """One case's divisor, residue and problem, the emitted values at seeded
     coordinates, and the component and correction elements at those coordinates."""
     name, s, chi = oracle_cases()[label]
-    d = catalog(name)
+    d = divisor_named(name)
     residue = residue_for(d, s, chi)
     problem = moduli_system(d, residue)
     rng = random.Random(SEED)
     values = [rand_fraction(rng) for _ in problem.system.coordinates]
     spaces = {space.slot: space for space in problem.component_spaces + problem.correction_spaces}
-    element = {slot: MatrixPolyMap.zeros(s.rows, d.weights) for slot in spaces}
+    element = {slot: MatrixPolyMap.zeros(residue.matrix_size, d.weights) for slot in spaces}
     for value, coord in zip(values, problem.system.coordinates):
         element[coord.slot] = element[coord.slot] + spaces[coord.slot].basis[coord.basis_index].scale(value)
     comps = [element[space.slot] for space in problem.component_spaces]

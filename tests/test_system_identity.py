@@ -1,13 +1,16 @@
-"""Byte identity of the emitted system JSON on 48 fixed inputs.
+"""Byte identity of the emitted system JSON on 50 fixed inputs.
 
 The inputs are the 13 criterion-3 problems, five normal crossings of toral
-rank 3 to 5, five rank-3/4 diagonal residues and `cusp` with the wide gap
-diag(0, 40), each as written and conjugated by a seeded unit
-upper-bidiagonal P (every residue value by the same P).  The sha256 of each
-canonical system JSON was frozen before the emission was rewritten in the
-divisor's own ring (the last six cases before it moved to flat rational
-coefficients); any change to the equations, their order or their
-coordinates shows up here.
+rank 3 to 5, five rank-3/4 diagonal residues, `cusp` with the wide gap
+diag(0, 40) and the product `g2*sekiguchi_b5` (semisimple and graded slots
+together) with S = (0, diag(0, 1)), each as written and conjugated by a
+seeded unit upper-bidiagonal P (every residue value by the same P).  The
+sha256 of each canonical system JSON was frozen before the emission was
+rewritten in the divisor's own ring (cases added later were frozen before
+the next change to `moduli`: the six after `borel2/diag(0,1,2)` before it
+moved to flat rational coefficients, the product before the solve and the
+emission shared one sparse product); any change to the equations, their
+order or their coordinates shows up here.
 """
 
 import hashlib
@@ -15,9 +18,9 @@ import random
 
 import pytest
 
-from logres import ResidueData, catalog, moduli_system, serialize
+from logres import ResidueData, moduli_system, serialize
 
-from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, residue_for
+from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, residue_for
 
 INPUTS = {f"{name}/{tag}": (name, s, "auto")
           for name in ("cusp", "normal_crossing_2", "borel2", "g2", "d4", "sekiguchi_b5")
@@ -35,6 +38,7 @@ INPUTS.update({
     "sekiguchi_b5/diag(0,1,2,3)": ("sekiguchi_b5", diag(0, 1, 2, 3), "auto"),
     "borel2/diag(0,1,2,3)": ("borel2", diag(0, 1, 2, 3), "auto"),
     "cusp/diag(0,40)": ("cusp", diag(0, 40), "auto"),
+    "g2*sekiguchi_b5/(0,S01)": ("g2*sekiguchi_b5", (ZERO2, S01), "auto"),
 })
 
 FROZEN = {
@@ -86,13 +90,15 @@ FROZEN = {
     'borel2/diag(0,1,2,3)~conj': 'f838ec1d2e2a98841c170dde1d68db8ab81a42059e301813575bb5b950d843a4',
     'cusp/diag(0,40)': 'c958952ce493442392e3d4d9ca5f99fc0e57ea008dd66f69b2ed25a987c2b1e8',
     'cusp/diag(0,40)~conj': 'e1cf60d701e74451cd85a0e9e385fb79dc990ec5ffcd143b5566e4258a5f509c',
+    'g2*sekiguchi_b5/(0,S01)': '821d197b8c098825cfefea74f21e0a5d9614fb79de7129cca119491b8e14ad8b',
+    'g2*sekiguchi_b5/(0,S01)~conj': '9fd3f302caa308aca11e85aa9c3efba606867f9c7eb2077b9a0fdfcd2052ff8f',
 }
 
 
 def residue_of(label: str) -> ResidueData:
     """The residue of one case; a "~conj" label conjugates every value by one P."""
     name, s, chi = INPUTS[label.removesuffix("~conj")]
-    residue = residue_for(catalog(name), s, chi)
+    residue = residue_for(divisor_named(name), s, chi)
     if not label.endswith("~conj"):
         return residue
 
@@ -108,7 +114,7 @@ def residue_of(label: str) -> ResidueData:
 
 
 def system_sha256(label: str) -> str:
-    d = catalog(INPUTS[label.removesuffix("~conj")][0])
+    d = divisor_named(INPUTS[label.removesuffix("~conj")][0])
     system = moduli_system(d, residue_of(label)).system
     text = serialize.canonical_dumps(serialize.system_to_json(system, d.variables))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -118,7 +124,7 @@ LABELS = [label + form for label in INPUTS for form in ("", "~conj")]
 
 
 def test_the_case_list_is_complete():
-    assert len(LABELS) == 48 and set(FROZEN) == set(LABELS)
+    assert len(LABELS) == 50 and set(FROZEN) == set(LABELS)
 
 
 @pytest.mark.parametrize("label", LABELS)
