@@ -3,17 +3,19 @@
 Given a divisor and a semisimple residue, the linear compatibility equations
 for the connection components have graded polynomial solutions whose degrees
 are pinned by the integer eigenvalues of ad of the grading residue value.
-This module computes exact bases of those solution spaces, one degree at a
-time: every candidate z^a * M gets its residual as a sparse column, and the
-columns are row-reduced block by block, where a block is a connected set of
-columns sharing equation rows.  The toral directions act on monomials with
-integer weights, so the blocks are small.  Frame fields act on monomials
-through ``VectorFieldPoly.on_monomial`` alone, and matrices are multiplied
-by one sparse product, ``_matmul``, in the solve (the brackets of residue
-values with eigenmatrices) and in emission alike.  It then emits the
-polynomial system cutting out the flat locus inside them, assembles the
-connection attached to a point, and cross-checks the emitted system against
-a direct curvature computation.
+This module computes exact bases of those solution spaces, one graded slot
+and one degree at a time (a frame whose semisimple fields move one graded
+slot into another is rejected before any solve): every candidate z^a * M
+gets its residual as a sparse column, and the columns are row-reduced block
+by block, where a block is a connected set of columns sharing equation rows.
+The toral directions act on monomials with integer weights, so the blocks
+are small.  Frame fields act on monomials through
+``VectorFieldPoly.on_monomial`` alone, and matrices are multiplied by one
+sparse product, ``_matmul``, in the solve (the brackets of residue values
+with eigenmatrices) and in emission alike.  It then emits the polynomial
+system cutting out the flat locus inside them, assembles the connection
+attached to a point, and cross-checks the emitted system against a direct
+curvature computation.
 
 Sparse matrix values are flat dicts from (coordinate monomial, row, column,
 base monomial) to a rational coefficient; a coordinate monomial is the
@@ -136,124 +138,75 @@ def _commutator(a: _Value, b: _Value) -> _Value:
     return _sub(_matmul(a, b), _matmul(b, a))
 
 
-@dataclass(frozen=True)
-class _Channel:
-    shift: int
-    toral_offsets: Tuple[Fraction, ...]
-    # coupling[a][other_channel] = constant coefficient of the other channel
-    # in the semisimple direction a equation
-    coupling: Tuple[Tuple[Fraction, ...], ...]
+def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
+                offsets: Sequence[Fraction]) -> List[Tuple[int, MatrixPolyMap]]:
+    """The (degree, map) basis of one slot's solution space, in increasing degree.
 
-
-def _solve_channels(d: FreeDivisor, residue: ResidueData,
-                    channels: Sequence[_Channel]) -> List[Tuple[int, Tuple[MatrixPolyMap, ...]]]:
-    """Joint graded solve over all channels; returns (degree, tuple) basis vectors.
-
-    The candidates of a degree are z^a * M for each channel, monomial z^a and
-    M in ``residue.grading_eigenspaces``.  Equation k * len(channels) + e
-    is frame direction k (toral ones first, then semisimple ones) applied to
-    channel e.  A candidate's residual is written straight into a sparse column
-    keyed by (equation, row, column, monomial), from V_k(z^a) * M minus
-    z^a * (shift * M + [C_k, M]), with C_k the residue value of direction k;
-    ``block_kernel`` then row-reduces each connected block of columns.
+    Equation k is frame direction k (toral ones first, then semisimple ones),
+    with C_k its residue value.  The candidates of degree lam + shift are z^a * M
+    for each monomial z^a of that degree and M in the lam-eigenspace of
+    ``residue.grading_eigenspaces``.  A candidate's residual
+    V_k(z^a) * M - z^a * (offsets[k] * M + [C_k, M]) is written straight into a
+    sparse column keyed by (k, row, column, monomial); ``block_kernel`` then
+    row-reduces each connected block of columns.
     """
     m = residue.matrix_size
-    weights = d.weights
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
-    toral_count = d.toral_count
-    width = len(channels)
-
     values = [_constant(value, d.n) for value in tuple(residue.s_list) + tuple(residue.chi or ())]
 
     def triples(value: _Value) -> List[Tuple[int, int, Fraction]]:
         return [(r, c, v) for (_, r, c, _), v in value.items()]
 
-    # per eigenvalue: ((row, column, value) of M, the same of [C_k, M] per k) for each eigenmatrix M
-    eigendata = {
-        lam: [(triples(eig), [triples(_commutator(value, eig)) for value in values])
-              for eig in (_constant(mat, d.n) for mat in basis)]
-        for lam, basis in residue.grading_eigenspaces.items()
-    }
-    # per (direction, monomial): the terms of V_k(z^a)
-    images: Dict[Tuple[int, Monomial], Dict[Monomial, Fraction]] = {}
-
-    def residual(c_idx: int, mono: Monomial, entries, brackets) -> Dict[tuple, Fraction]:
-        column: Dict[tuple, Fraction] = {}
-        for k, field in enumerate(fields):
-            image = images.get((k, mono))
-            if image is None:
-                image = images[(k, mono)] = field.on_monomial(mono)
-            own = k * width + c_idx
-            for image_mono, coeff in image.items():
-                for r, c, v in entries:
-                    key = (own, r, c, image_mono)
-                    column[key] = column.get(key, 0) + coeff * v
-            for r, c, v in brackets[k]:
-                key = (own, r, c, mono)
-                column[key] = column.get(key, 0) - v
-            # equation (k, e) also subtracts a constant multiple of the candidate
-            for e, ch in enumerate(channels):
-                if k < toral_count:
-                    shift = ch.toral_offsets[k] if e == c_idx else 0
-                else:
-                    shift = ch.coupling[k - toral_count][c_idx]
-                if shift:
-                    for r, c, v in entries:
-                        key = (k * width + e, r, c, mono)
-                        column[key] = column.get(key, 0) - shift * v
-        return {key: v for key, v in column.items() if v}
-
-    monomials = {degree: monomials_of_degree(weights, degree)
-                 for degree in {lam + ch.shift for ch in channels for lam in eigendata}}
-    out: List[Tuple[int, Tuple[MatrixPolyMap, ...]]] = []
-    for degree, monos in sorted(monomials.items()):
-        candidates: List[Tuple[int, Monomial, list]] = []
+    out: List[Tuple[int, MatrixPolyMap]] = []
+    for lam, basis in sorted(residue.grading_eigenspaces.items()):
+        degree = lam + shift
+        monos = monomials_of_degree(d.weights, degree)
+        if not monos:
+            continue
+        # per eigenmatrix M: the (row, column, value) of M, and of offsets[k] * M + [C_k, M] per k
+        eigendata = [
+            (triples(eig), [triples(_collect([*_commutator(value, eig).items(),
+                                              *((key, offset * v) for key, v in eig.items())]))
+                            for value, offset in zip(values, offsets)])
+            for eig in (_constant(mat, d.n) for mat in basis)
+        ]
+        candidates: List[Tuple[Monomial, list]] = []
         columns: List[Dict[tuple, Fraction]] = []
-        for c_idx, ch in enumerate(channels):
-            lam = degree - ch.shift
-            if lam not in eigendata:
-                continue
-            for mono in monos:
-                for entries, brackets in eigendata[lam]:
-                    candidates.append((c_idx, mono, entries))
-                    columns.append(residual(c_idx, mono, entries, brackets))
+        for mono in monos:
+            images = [field.on_monomial(mono) for field in fields]
+            for entries, rhs in eigendata:
+                column: Dict[tuple, Fraction] = {}
+                for k, image in enumerate(images):
+                    for image_mono, coeff in image.items():
+                        for r, c, v in entries:
+                            key = (k, r, c, image_mono)
+                            column[key] = column.get(key, 0) + coeff * v
+                    for r, c, v in rhs[k]:
+                        key = (k, r, c, mono)
+                        column[key] = column.get(key, 0) - v
+                candidates.append((mono, entries))
+                columns.append({key: v for key, v in column.items() if v})
         for vec in block_kernel(columns):
-            parts: List[Dict[Tuple[int, int], Dict[Monomial, Fraction]]] = [{} for _ in channels]
-            for cand_pos, coeff in vec.items():
-                c_idx, mono, entries = candidates[cand_pos]
+            terms: Dict[Tuple[int, int], Dict[Monomial, Fraction]] = {}
+            for pos, coeff in vec.items():
+                mono, entries = candidates[pos]
                 for r, c, v in entries:
-                    terms = parts[c_idx].setdefault((r, c), {})
-                    terms[mono] = terms.get(mono, 0) + coeff * v
-            out.append((degree, tuple(
-                MatrixPolyMap([[WeightedPoly(weights, part.get((r, c))) for c in range(m)] for r in range(m)])
-                for part in parts
-            )))
+                    entry = terms.setdefault((r, c), {})
+                    entry[mono] = entry.get(mono, 0) + coeff * v
+            out.append((degree, MatrixPolyMap([[WeightedPoly(d.weights, terms.get((r, c))) for c in range(m)]
+                                               for r in range(m)])))
     return out
-
-
-def _component_channels(d: FreeDivisor) -> List[_Channel]:
-    w_count = len(d.w_indices)
-    toral_count = d.toral_count
-    semis_count = len(d.semisimple_indices)
-    channels = []
-    for b in range(w_count):
-        offsets = tuple(d.constants.toral_w[(i, b)] for i in range(toral_count))
-        # coupling[a][other] multiplies the other channel in the equation of
-        # semisimple direction a for this channel
-        coupling = tuple(
-            tuple(d.constants.semisimple_action[(a, b)][other] for other in range(w_count))
-            for a in range(semis_count)
-        )
-        channels.append(_Channel(shift=d.frame[d.w_indices[b]].grade, toral_offsets=offsets, coupling=coupling))
-    return channels
 
 
 def solve_component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
     """One solution space per graded (w-kind) frame slot.
 
-    Each basis element solves every toral direction equation
-    E_i(B) = n_i B + [S_i, B]_c and, when chi is present, the coupled
-    semisimple direction equations.
+    Each slot is solved alone.  Its basis elements solve every toral
+    direction equation E_i(B) = n_i B + [S_i, B]_c and, when chi is present,
+    every semisimple direction equation V_a(B) = c_a B + [chi_a, B]_c, with
+    c_a the constant of [V_a, Z] on the slot's own field Z.  A frame whose
+    semisimple fields move one graded slot into another has no per-slot
+    basis and raises DivisorError.
     """
     _check_pair(d, residue)
     return _component_spaces(d, residue)
@@ -269,30 +222,25 @@ def _space(slot: Tuple[str, int], matrix_size: int, items: Sequence[Tuple[int, M
 
 
 def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
-    channels = _component_channels(d)
-    if not channels:
+    """Each graded slot solved alone: its grade shifts the degrees, and its
+    offsets are its toral grading constants, then its semisimple action on itself."""
+    if not d.w_indices:
         return []
-    solutions = _solve_channels(d, residue, channels)
-    per_slot: List[List[Tuple[int, MatrixPolyMap]]] = [[] for _ in channels]
-    for degree, parts in solutions:
-        support = [c_idx for c_idx, part in enumerate(parts) if not part.is_zero()]
-        if len(support) > 1:
-            raise DivisorError(
-                "semisimple coupling mixes graded slots; per-slot bases are not defined for this divisor"
-            )
-        if support:
-            per_slot[support[0]].append((degree, parts[support[0]]))
-    return [_space(("component", b), residue.matrix_size, items) for b, items in enumerate(per_slot)]
+    toral_w, action = d.constants.toral_w, d.constants.semisimple_action
+    if any(v for (_, b), row in action.items() for other, v in enumerate(row) if other != b):
+        raise DivisorError("semisimple coupling mixes graded slots; per-slot bases are not defined for this divisor")
+    semis = range(len(d.semisimple_indices))
+    return [
+        _space(("component", b), residue.matrix_size, _solve_slot(
+            d, residue, d.frame[j].grade,
+            [toral_w[(t, b)] for t in range(d.toral_count)] + [action[(a, b)][b] for a in semis]))
+        for b, j in enumerate(d.w_indices)
+    ]
 
 
 def _correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
     """One space per toral slot (a divisor has at least one), all with the basis of one solve."""
-    channel = _Channel(
-        shift=0,
-        toral_offsets=tuple(Fraction(0) for _ in range(d.toral_count)),
-        coupling=tuple((Fraction(0),) for _ in d.semisimple_indices),
-    )
-    items = [(degree, parts[0]) for degree, parts in _solve_channels(d, residue, [channel])]
+    items = _solve_slot(d, residue, 0, [Fraction(0)] * (d.toral_count + len(d.semisimple_indices)))
     return [_space(("correction", i), residue.matrix_size, items) for i in range(d.toral_count)]
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from logres import (
     solve_correction_spaces,
     symmetry_algebra,
 )
-from logres.divisor import correction_pairings
+from logres.divisor import DivisorError, correction_pairings
 from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
 from logres.moduli import MembershipError, ResidueError, _commutator, _constant
@@ -475,28 +476,31 @@ def test_borel_solution_spaces(borel):
     assert report.flat and report.in_variety
 
 
-def test_coupled_channel_solver_wiring(g2_divisor):
-    # white box: two synthetic constant channels where the first semisimple
-    # direction couples channel 1 to channel 2 with coefficient 1; with zero
-    # residue the coupled equation forces the channel-2 value to vanish while
-    # channel 1 stays free
-    from logres.moduli import _Channel, _check_pair, _solve_channels
+def test_slot_solve_offsets(g2_divisor):
+    # white box: with zero residue every constant matrix solves the zero-offset
+    # equations, while offset 1 on the first semisimple direction forces M = 0
+    from logres.moduli import _check_pair, _solve_slot
 
     residue = residue_for(g2_divisor, ZERO2)
     _check_pair(g2_divisor, residue)
-    semis_count = len(g2_divisor.semisimple_indices)
-    zero_row = (Fraction(0), Fraction(0))
-    couple_first = ((Fraction(0), Fraction(1)),) + (zero_row,) * (semis_count - 1)
-    channels = [
-        _Channel(shift=0, toral_offsets=(Fraction(0),), coupling=couple_first),
-        _Channel(shift=0, toral_offsets=(Fraction(0),), coupling=(zero_row,) * semis_count),
-    ]
-    solutions = _solve_channels(g2_divisor, residue, channels)
-    assert len(solutions) == 4  # constants in gl_2 on channel 1 only
-    for degree, parts in solutions:
-        assert degree == 0
-        assert not parts[0].is_zero()
-        assert parts[1].is_zero()
+    directions = g2_divisor.toral_count + len(g2_divisor.semisimple_indices)
+    zeros = [Fraction(0)] * directions
+    solutions = _solve_slot(g2_divisor, residue, 0, zeros)
+    assert [degree for degree, _ in solutions] == [0] * 4  # the constants in gl_2
+    first_semisimple = [Fraction(0)] * directions
+    first_semisimple[g2_divisor.toral_count] = Fraction(1)
+    assert _solve_slot(g2_divisor, residue, 0, first_semisimple) == []
+
+
+def test_slot_moving_semisimple_field_is_rejected():
+    # a semisimple field that moves one graded slot into another leaves no
+    # per-slot normal form: rejected before any solve, whatever the residue
+    d = divisor_named("g2*sekiguchi_b5")
+    action = dict(d.constants.semisimple_action)
+    action[(0, 0)] = (Fraction(0), Fraction(1))
+    d.__dict__["constants"] = replace(d.constants, semisimple_action=action)
+    with pytest.raises(DivisorError, match="mixes graded slots"):
+        solve_component_spaces(d, residue_for(d, (ZERO2, S01)))
 
 
 def test_emission_builds_no_matrix_maps(monkeypatch, seki):
