@@ -208,21 +208,24 @@ def cmd_emit_moduli(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(serialize.pretty_dumps(payload))
-    names = problem.system.coordinate_names
-    human = [
-        f"divisor: {d.name}",
-        f"coordinates ({len(names)}): " + ", ".join(names),
-        f"equations ({len(problem.system.equations)}):",
-    ]
-    for eq in problem.system.equations:
-        slots = ",".join(f"V{k + 1}" for k in eq.frame_slots)
-        human.append(
-            f"  [{eq.tag}] ({slots}) entry ({eq.entry[0] + 1},{eq.entry[1] + 1}) "
-            f"monomial {monomial_text(eq.base_monomial, d.variables)}: "
-            f"{eq.poly.format(names)} = 0"
-        )
-    if args.output:
-        human.append(f"written to {args.output}")
+    human: List[str] = []
+    if args.format == "text":
+        # formatting every equation costs about as much as the emission; json never prints it
+        names = problem.system.coordinate_names
+        human = [
+            f"divisor: {d.name}",
+            f"coordinates ({len(names)}): " + ", ".join(names),
+            f"equations ({len(problem.system.equations)}):",
+        ]
+        for eq in problem.system.equations:
+            slots = ",".join(f"V{k + 1}" for k in eq.frame_slots)
+            human.append(
+                f"  [{eq.tag}] ({slots}) entry ({eq.entry[0] + 1},{eq.entry[1] + 1}) "
+                f"monomial {monomial_text(eq.base_monomial, d.variables)}: "
+                f"{eq.poly.format(names)} = 0"
+            )
+        if args.output:
+            human.append(f"written to {args.output}")
     _emit(args, payload, human)
     return PASS
 

@@ -20,25 +20,36 @@ curvature computation.
 Sparse matrix values are flat dicts from (coordinate monomial, row, column,
 base monomial) to a rational coefficient; a coordinate monomial is the
 sorted tuple of the coordinate indices a term multiplies, empty for a
-constant matrix, and each emitted (row, column, base monomial) group becomes
-one equation.  ``MatrixPolyMap``s enter that form through ``_terms`` alone.
-The curvature formula is written out here rather than taken from
-``connections``, so that ``check_point``'s flatness cross-check stays an
-independent computation.
+constant matrix.  A coefficient is held as an ``int`` when it is integral
+(``_scalar`` at every point where values enter: ``_constant``, ``_terms``,
+the structure-function scalars and the field images), so products of
+integers skip ``Fraction``'s gcd work, and Python's int/Fraction promotion
+keeps every other value exact on the same code path.  ``_matmul`` joins
+the terms of both sides on the inner matrix index, in blocks of equal
+(coordinate monomial, base monomial), and merges the keys of two blocks
+once per pair that meets.  Each emitted (row, column, base monomial) group
+becomes one ``Equation``, which keeps the coordinate monomials as its keys:
+nothing in emission, evaluation, restriction or the JSON output builds a
+polynomial over all the coordinates.  ``MatrixPolyMap``s enter the sparse
+form through ``_terms`` alone.  The curvature formula is written out here
+rather than taken from ``connections``, so that ``check_point``'s flatness
+cross-check stays an independent computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
 from .divisor import DivisorError, FreeDivisor
 from .liealg import ResidueData, validate_residue
 from .linear import RationalMatrix, block_kernel, rref
 from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree
-from .univariate import power
+from .univariate import as_fraction, power
 
 
 class MembershipError(ValueError):
@@ -94,23 +105,29 @@ def _check_pair(d: FreeDivisor, residue: ResidueData) -> None:
         raise ResidueError(report.message)
 
 
+_Scalar = Union[int, Fraction]
 # a sparse matrix value: (coordinate monomial, row, column, base monomial) -> coefficient
-_Value = Dict[Tuple[Tuple[int, ...], int, int, Monomial], Fraction]
+_Value = Dict[Tuple[Tuple[int, ...], int, int, Monomial], _Scalar]
+
+
+def _scalar(value: Fraction) -> _Scalar:
+    """An integral rational as an int; any other rational unchanged."""
+    return value.numerator if value.denominator == 1 else value
 
 
 def _constant(mat: RationalMatrix, n: int) -> _Value:
     """A constant matrix: its nonzero entries at the zero monomial of n variables."""
     zero = (0,) * n
-    return {((), r, c, zero): v for r, row in enumerate(mat.entries) for c, v in enumerate(row) if v}
+    return {((), r, c, zero): _scalar(v) for r, row in enumerate(mat.entries) for c, v in enumerate(row) if v}
 
 
-def _terms(mp: MatrixPolyMap) -> List[Tuple[int, int, Monomial, Fraction]]:
+def _terms(mp: MatrixPolyMap) -> List[Tuple[int, int, Monomial, _Scalar]]:
     """The (row, column, monomial, coefficient) terms of a map, row-major."""
-    return [(r, c, mono, coeff) for r, row in enumerate(mp.entries)
+    return [(r, c, mono, _scalar(coeff)) for r, row in enumerate(mp.entries)
             for c, entry in enumerate(row) for mono, coeff in entry.terms.items()]
 
 
-def _collect(terms: Iterable[Tuple[tuple, Fraction]]) -> _Value:
+def _collect(terms: Iterable[Tuple[tuple, _Scalar]]) -> _Value:
     """Sum the coefficients of equal keys and drop the zero ones."""
     out: _Value = {}
     for key, coeff in terms:
@@ -119,19 +136,50 @@ def _collect(terms: Iterable[Tuple[tuple, Fraction]]) -> _Value:
 
 
 def _sub(a: _Value, b: _Value) -> _Value:
-    return _collect([*a.items(), *((key, -coeff) for key, coeff in b.items())])
+    out = dict(a)
+    for key, coeff in b.items():
+        out[key] = out[key] - coeff if key in out else -coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
 
 
 def _matmul(a: _Value, b: _Value) -> _Value:
-    """Multiply only the term pairs whose inner matrix index matches."""
-    rows: Dict[int, list] = {}
-    for (key, s, c, mono), coeff in b.items():
-        rows.setdefault(s, []).append((key, c, mono, coeff))
-    return _collect(
-        ((tuple(sorted(key_a + key_b)), r, c, tuple(x + y for x, y in zip(mono_a, mono_b))), coeff_a * coeff_b)
-        for (key_a, r, s, mono_a), coeff_a in a.items()
-        for key_b, c, mono_b, coeff_b in rows.get(s, ())
-    )
+    """Multiply only the term pairs whose inner matrix index matches.
+
+    A block is the terms of one side with one (coordinate monomial, base
+    monomial).  Both sides are joined on the inner index s, block by block;
+    each pair of blocks that meets on some s gets its product's coordinate
+    monomial and base monomial once, and then only scalar products remain.
+    """
+    def blocks(value: _Value, inner: int, outer: int):
+        """The value's (coordinate monomial, base monomial) blocks, numbered,
+        and per inner index, per block number, the (outer index, coefficient) terms."""
+        numbers: Dict[tuple, int] = {}
+        by_inner: Dict[int, Dict[int, list]] = {}
+        for term, coeff in value.items():
+            number = numbers.setdefault((term[0], term[3]), len(numbers))
+            by_inner.setdefault(term[inner], {}).setdefault(number, []).append((term[outer], coeff))
+        return list(numbers), by_inner
+
+    names_a, left = blocks(a, 2, 1)
+    names_b, right = blocks(b, 1, 2)
+    # (block of a, block of b) -> their (row terms, column terms) on each shared s
+    pairs: Dict[Tuple[int, int], list] = {}
+    for s, blocks_a in left.items():
+        blocks_b = right.get(s)
+        if blocks_b:
+            for block_a, rows in blocks_a.items():
+                for block_b, cols in blocks_b.items():
+                    pairs.setdefault((block_a, block_b), []).append((rows, cols))
+    products: Dict[tuple, Dict[Tuple[int, int], _Scalar]] = {}
+    for (block_a, block_b), parts in pairs.items():
+        (key_a, mono_a), (key_b, mono_b) = names_a[block_a], names_b[block_b]
+        entries = products.setdefault((tuple(sorted(key_a + key_b)), tuple(map(add, mono_a, mono_b))), {})
+        for rows, cols in parts:
+            for r, coeff_a in rows:
+                for c, coeff_b in cols:
+                    entries[r, c] = entries.get((r, c), 0) + coeff_a * coeff_b
+    return {(key, r, c, mono): coeff for (key, mono), entries in products.items()
+            for (r, c), coeff in entries.items() if coeff}
 
 
 def _commutator(a: _Value, b: _Value) -> _Value:
@@ -290,11 +338,59 @@ class Coordinate:
 
 @dataclass(frozen=True)
 class Equation:
+    """One emitted equation, sparse in the coordinates.
+
+    ``terms`` maps a coordinate monomial, the sorted tuple of the coordinate
+    indices it multiplies (empty for the constant term), to its nonzero
+    coefficient; ``ncoords`` is the number of coordinates of the system.
+    """
+
     tag: str  # "curvature" | "ZN" | "NN-commute" | "nilpotency"
     frame_slots: Tuple[int, ...]
     entry: Tuple[int, int]
     base_monomial: Monomial
-    poly: WeightedPoly  # in the coordinate ring
+    terms: Dict[Tuple[int, ...], Fraction] = field(hash=False)  # equations stay hashable
+    ncoords: int
+
+    @cached_property
+    def poly(self) -> WeightedPoly:
+        """The equation as a dense polynomial over max(ncoords, 1) unit-weight
+        variables, built on first access."""
+        width = max(self.ncoords, 1)
+        return WeightedPoly((1,) * width,
+                            {tuple(exponent_vector(key, width)): coeff for key, coeff in self.terms.items()})
+
+    def sorted_terms(self) -> List[Tuple[Tuple[int, ...], Fraction]]:
+        """Terms in the graded-lexicographic order of their exponent vectors.
+
+        Of two sorted index tuples of one length, the smaller one has the
+        larger exponent vector: at the first place they differ it carries an
+        index the other lacks.  So the order is increasing length, then
+        decreasing tuple.
+        """
+        return sorted(sorted(self.terms.items(), reverse=True), key=lambda term: len(term[0]))
+
+    def evaluate(self, values: Sequence[Fraction]) -> Fraction:
+        """The value at a point given by one Fraction per coordinate."""
+        total = Fraction(0)
+        for key, coeff in self.terms.items():
+            for index in key:
+                coeff *= values[index]
+            total += coeff
+        return total
+
+
+def exponent_vector(key: Tuple[int, ...], width: int) -> List[int]:
+    """The exponent vector, over ``width`` variables, of a coordinate monomial."""
+    out = [0] * width
+    for index in key:
+        out[index] += 1
+    return out
+
+
+def coordinate_monomial(exponents: Sequence[int]) -> Tuple[int, ...]:
+    """The coordinate monomial of an exponent vector: the inverse of ``exponent_vector``."""
+    return tuple(index for index, e in enumerate(exponents) for _ in range(e))
 
 
 @dataclass(frozen=True)
@@ -319,7 +415,8 @@ class PolySystem:
     def evaluate(self, values: Sequence[Fraction]) -> List[Fraction]:
         if len(values) != len(self.coordinates):
             raise ValueError("coordinate value count mismatch")
-        return [eq.poly.evaluate(values) for eq in self.equations]
+        values = [as_fraction(v) for v in values]
+        return [eq.evaluate(values) for eq in self.equations]
 
 
 def _coordinate_name(prefix: str, slot_number: int, terms: Sequence[tuple], variables: Sequence[str], index: int) -> str:
@@ -352,7 +449,9 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     curvature matching on pairs of graded slots, compatibility of corrections
     with components (ZN), pairwise commutation of corrections (NN-commute),
     and entrywise nilpotency.  Ordering is deterministic for byte-stable
-    output.
+    output.  Coefficients are ints while they are integral, and every matrix
+    product is the block product ``_matmul``; each equation keeps its
+    coordinate monomials as sparse keys.
     """
     _check_pair(d, residue)
     m = residue.matrix_size
@@ -388,24 +487,20 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     def apply(i: int, value: _Value) -> _Value:
         """Frame field i applied to each base monomial of a value."""
         return _collect(
-            ((key, r, c, image), coeff * image_coeff)
+            ((key, r, c, image), coeff * _scalar(image_coeff))
             for (key, r, c, mono), coeff in value.items()
             for image, image_coeff in d.frame[i].field.on_monomial(mono).items()
         )
 
     equations: List[Equation] = []
-    width = ncoords or 1  # a system without coordinates keeps one unused variable
 
     def split_into_equations(tag: str, frame_slots: Tuple[int, ...], value: _Value):
-        groups: Dict[Tuple[int, int, Monomial], Dict[Monomial, Fraction]] = {}
+        groups: Dict[Tuple[int, int, Monomial], Dict[Tuple[int, ...], Fraction]] = {}
         for (key, r, c, base), coeff in value.items():
-            exponents = [0] * width
-            for index in key:
-                exponents[index] += 1
-            groups.setdefault((r, c, base), {})[tuple(exponents)] = coeff
+            groups.setdefault((r, c, base), {})[key] = Fraction(coeff)
         for r, c, base in sorted(groups, key=lambda g: (g[0], g[1], degree(g[2]), g[2])):
             equations.append(Equation(tag=tag, frame_slots=frame_slots, entry=(r, c), base_monomial=base,
-                                      poly=WeightedPoly((1,) * width, groups[(r, c, base)])))
+                                      terms=groups[(r, c, base)], ncoords=ncoords))
 
     # curvature equations on pairs of graded slots
     for a, i in enumerate(d.w_indices):
@@ -414,7 +509,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
             value = _sub(apply(i, comps[b]), apply(j, comps[a]))
             for k, coeff in enumerate(d.structure.coefficients(i, j)):
                 # c_ij^k times the identity matrix
-                scalar = {((), r, r, mono): c for mono, c in coeff.terms.items() for r in range(m)}
+                scalar = {((), r, r, mono): _scalar(c) for mono, c in coeff.terms.items() for r in range(m)}
                 value = _sub(value, _matmul(frame_value[k], scalar))
             value = _sub(value, _commutator(comps[a], comps[b]))
             split_into_equations("curvature", (i, j), value)
@@ -612,22 +707,20 @@ def restrict_system(system: PolySystem, assignments: Dict[str, Fraction]) -> Pol
     keep_pos = {old: new for new, old in enumerate(keep)}
     new_coords = tuple(system.coordinates[i] for i in keep)
     nkeep = len(keep)
-    pinned = {i: assignments[name] for i, name in enumerate(names) if name in assignments}
+    pinned = {i: as_fraction(assignments[name]) for i, name in enumerate(names) if name in assignments}
     new_equations: List[Equation] = []
     for eq in system.equations:
-        substituted = eq.poly.substitute(pinned)
-        terms = {}
-        for mono, coeff in substituted.terms.items():
-            new_mono = [0] * (nkeep if nkeep else 1)
-            for old, e in enumerate(mono):
-                if e:
-                    new_mono[keep_pos[old]] = e
-            terms[tuple(new_mono)] = coeff
-        poly = WeightedPoly((1,) * (nkeep if nkeep else 1), terms)
-        if not poly.is_zero():
-            new_equations.append(
-                Equation(eq.tag, eq.frame_slots, eq.entry, eq.base_monomial, poly)
-            )
+        # renumbering keeps each key sorted, since keep_pos is increasing
+        terms: Dict[Tuple[int, ...], Fraction] = {}
+        for key, coeff in eq.terms.items():
+            for index in key:
+                if index in pinned:
+                    coeff *= pinned[index]
+            new_key = tuple(keep_pos[index] for index in key if index in keep_pos)
+            terms[new_key] = terms.get(new_key, 0) + coeff
+        terms = {key: coeff for key, coeff in terms.items() if coeff}
+        if terms:
+            new_equations.append(Equation(eq.tag, eq.frame_slots, eq.entry, eq.base_monomial, terms, nkeep))
     summary = dict(system.summary)
     summary["coordinates"] = nkeep
     summary["equations"] = len(new_equations)
@@ -662,17 +755,16 @@ def linear_certificate(system: PolySystem) -> LinearCertificate:
     rhs: List[Fraction] = []
     higher: List[Equation] = []
     for eq in system.equations:
-        degree = eq.poly.total_degree()
-        if degree is None:
+        if not eq.terms:
             continue
-        if degree <= 1:
+        if max(map(len, eq.terms)) <= 1:
             row = [Fraction(0)] * ncoords
             constant = Fraction(0)
-            for mono, coeff in eq.poly.terms.items():
-                if not any(mono):
-                    constant = coeff
+            for key, coeff in eq.terms.items():
+                if key:
+                    row[key[0]] = coeff
                 else:
-                    row[mono.index(1)] = coeff
+                    constant = coeff
             linear_rows.append(row)
             rhs.append(-constant)
         else:
@@ -686,7 +778,7 @@ def linear_certificate(system: PolySystem) -> LinearCertificate:
         return LinearCertificate("undetermined", None, None)
     solution = result.solution
     for eq in higher:
-        value = eq.poly.evaluate(solution)
+        value = eq.evaluate(solution)
         if value != 0:
             witness = (
                 f"equation tagged {eq.tag} at entry {eq.entry} evaluates to {value} "

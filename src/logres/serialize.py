@@ -16,7 +16,7 @@ from .connections import LogConnection, MatrixPolyMap
 from .divisor import FrameElement, FreeDivisor
 from .liealg import ResidueData
 from .linear import RationalMatrix
-from .moduli import Coordinate, Equation, ModuliPoint, PolySystem
+from .moduli import Coordinate, Equation, ModuliPoint, PolySystem, coordinate_monomial, exponent_vector
 from .polynomials import WeightedPoly
 
 
@@ -269,6 +269,9 @@ def point_from_json(data, weights: Sequence[int]) -> ModuliPoint:
 # ------------------------------------------------------------------- systems
 
 def system_to_json(system: PolySystem, variables: Sequence[str]) -> dict:
+    """The system with each equation as a polynomial over max(#coordinates, 1)
+    variables, its exponent lists written straight from the sparse keys."""
+    width = max(len(system.coordinates), 1)
     return {
         "divisor": system.divisor_name,
         "matrix_size": system.matrix_size,
@@ -288,7 +291,8 @@ def system_to_json(system: PolySystem, variables: Sequence[str]) -> dict:
                 "frame_slots": list(eq.frame_slots),
                 "entry": [eq.entry[0] + 1, eq.entry[1] + 1],
                 "base_monomial": list(eq.base_monomial),
-                "poly": poly_to_json(eq.poly),
+                "poly": [{"exponents": exponent_vector(key, width), "coeff": fraction_to_json(coeff)}
+                         for key, coeff in eq.sorted_terms()],
             }
             for eq in system.equations
         ],
@@ -315,12 +319,14 @@ def system_from_json(data) -> PolySystem:
         _object(eq, ("tag", "frame_slots", "entry", "base_monomial", "poly"), "equation")
         entry = _integers(eq["entry"], "entry")
         _require(len(entry) == 2 and min(entry) >= 1, f"entry must be two indices from 1, got {entry!r}")
+        poly = poly_from_json(eq["poly"], coord_weights)
         equations.append(Equation(
             tag=_string(eq["tag"], "tag"),
             frame_slots=_integers(eq["frame_slots"], "frame_slots"),
             entry=(entry[0] - 1, entry[1] - 1),
             base_monomial=_integers(eq["base_monomial"], "base_monomial"),
-            poly=poly_from_json(eq["poly"], coord_weights),
+            terms={coordinate_monomial(mono): coeff for mono, coeff in poly.terms.items()},
+            ncoords=ncoords,
         ))
     summary = data.get("summary", {})
     _require(isinstance(summary, dict), f"summary must be a JSON object, got {summary!r}")

@@ -39,6 +39,14 @@ def conjugated(s: RationalMatrix, rng: random.Random) -> RationalMatrix:
     return p * s * inverse(p)
 
 
+def fraction_conjugated(s: RationalMatrix) -> RationalMatrix:
+    """P s P^-1 with P unit upper triangular: 1/2 on the superdiagonal, -2/3 above it."""
+    m = s.rows
+    p = RationalMatrix([[1 if i == j else (frac(1, 2) if j == i + 1 else (frac(-2, 3) if j > i + 1 else 0))
+                         for j in range(m)] for i in range(m)])
+    return p * s * inverse(p)
+
+
 def residue_for(divisor, s_matrix, chi_value="auto") -> ResidueData:
     """Residue with the same matrix on every toral slot, or with one matrix
     per toral slot when ``s_matrix`` is a tuple.

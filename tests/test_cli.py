@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,7 +8,7 @@ from logres import cli
 from logres.cli import main
 from logres.connections import LogConnection
 
-from conftest import S01, residue_for
+from conftest import S01, diag, fraction_conjugated, residue_for
 
 
 def run(capsys, *argv):
@@ -269,6 +270,23 @@ def test_machine_output_is_byte_stable(capsys, residue_file):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# sha256 of emit-moduli's stdout for cusp with fraction_conjugated(diag(0, 1, 2, 3)),
+# frozen before the text lines were built only for the text format
+EMIT_STDOUT = {
+    "json": "3c0a675500d160a8e40c24bd34e19749bc8ab294771c239e7fce95021c152123",
+    "text": "5cf8b6a5f8a9b633f13437206e3cac0173b20efb52ebf643402fe2678c9d7fd6",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EMIT_STDOUT))
+def test_emit_moduli_stdout_is_unchanged(capsys, tmp_path, fmt):
+    residue = residue_for(catalog("cusp"), fraction_conjugated(diag(0, 1, 2, 3)))
+    path = write_json(tmp_path / "residue.json", serialize.residue_to_json(residue))
+    code, out, _ = run(capsys, "emit-moduli", "--catalog", "cusp", "--residue", path, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EMIT_STDOUT[fmt]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -22,12 +22,13 @@ from logres import (
     restrict_system,
     solve_component_spaces,
     solve_correction_spaces,
+    serialize,
     symmetry_algebra,
 )
 from logres.divisor import DivisorError, correction_pairings
 from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
-from logres.moduli import MembershipError, ResidueError, _commutator, _constant
+from logres.moduli import LinearCertificate, MembershipError, ResidueError, _commutator, _constant, _matmul
 
 from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, conjugated, diag, divisor_named, rand_fraction,
                       residue_for)
@@ -402,6 +403,84 @@ def test_restriction_and_certificate(seki):
     assert certificate.status == "inconsistent"
 
 
+def dense_restrict(system, assignments):
+    """Restriction through each equation's dense polynomial: the oracle for
+    ``restrict_system``.  Returns (tag, slots, entry, base monomial, polynomial)."""
+    names = system.coordinate_names
+    keep = [i for i, name in enumerate(names) if name not in assignments]
+    keep_pos = {old: new for new, old in enumerate(keep)}
+    pinned = {i: assignments[name] for i, name in enumerate(names) if name in assignments}
+    width = max(len(keep), 1)
+    out = []
+    for eq in system.equations:
+        terms = {}
+        for mono, coeff in eq.poly.substitute(pinned).terms.items():
+            new = [0] * width
+            for old, e in enumerate(mono):
+                if e:
+                    new[keep_pos[old]] = e
+            terms[tuple(new)] = coeff
+        poly = WeightedPoly((1,) * width, terms)
+        if poly:
+            out.append((eq.tag, eq.frame_slots, eq.entry, eq.base_monomial, poly))
+    return out
+
+
+def dense_certificate(system):
+    """``linear_certificate`` computed on the dense polynomials."""
+    rows, rhs, higher = [], [], []
+    for eq in system.equations:
+        if eq.poly.total_degree() <= 1:
+            row = [Fraction(0)] * len(system.coordinates)
+            constant = Fraction(0)
+            for mono, coeff in eq.poly.terms.items():
+                if any(mono):
+                    row[mono.index(1)] = coeff
+                else:
+                    constant = coeff
+            rows.append(row)
+            rhs.append(-constant)
+        else:
+            higher.append(eq)
+    if not rows:
+        return LinearCertificate("undetermined", None, None)
+    result = rref(RationalMatrix(rows), rhs)
+    if result.inconsistent:
+        return LinearCertificate("inconsistent", None, "linear subsystem is already inconsistent")
+    if result.kernel:
+        return LinearCertificate("undetermined", None, None)
+    for eq in higher:
+        value = eq.poly.evaluate(result.solution)
+        if value:
+            witness = (f"equation tagged {eq.tag} at entry {eq.entry} evaluates to {value} "
+                       "at the unique solution of the linear part")
+            return LinearCertificate("inconsistent", tuple(result.solution), witness)
+    return LinearCertificate("consistent", tuple(result.solution), None)
+
+
+CRITERION3 = [(name, s, "auto") for name in ("cusp", "normal_crossing_2", "borel2", "g2", "d4", "sekiguchi_b5")
+              for s in (ZERO2, S01)] + [("g2", ZERO2, (CHI_H, CHI_E, CHI_F))]
+
+
+@pytest.mark.parametrize("case", range(len(CRITERION3)))
+def test_restriction_and_certificate_match_the_dense_computation(case):
+    name, s, chi = CRITERION3[case]
+    d = catalog(name)
+    system = moduli_system(d, residue_for(d, s, chi)).system
+    names = system.coordinate_names
+    rng = random.Random(f"restrict:{case}")
+    for share in (0.3, 0.6, 0.9):
+        assignments = {name: (rand_fraction(rng) if rng.random() < 0.5 else Fraction(0))
+                       for name in names if rng.random() < share}
+        if len(assignments) == len(names):
+            assignments.pop(names[0])
+        restricted = restrict_system(system, assignments)
+        assert [(eq.tag, eq.frame_slots, eq.entry, eq.base_monomial, eq.poly) for eq in restricted.equations] \
+            == dense_restrict(system, assignments)
+        if restricted.equations:
+            assert linear_certificate(restricted) == dense_certificate(restricted)
+
+
 def test_restrict_unknown_coordinate(cusp):
     problem = moduli_system(cusp, residue_for(cusp, S01))
     with pytest.raises(KeyError):
@@ -511,6 +590,79 @@ def test_emission_builds_no_matrix_maps(monkeypatch, seki):
     monkeypatch.setattr(MatrixPolyMap, "apply_field", forbidden)
     system = moduli_system(seki, residue_for(seki, diag(0, 1, 2))).system
     assert {eq.tag for eq in system.equations} == {"curvature", "ZN", "nilpotency"}
+
+
+def test_emission_builds_no_polynomial_over_the_coordinates(monkeypatch):
+    d = catalog("sekiguchi_b5")
+    residue = residue_for(d, conjugated(diag(0, 1, 2), random.Random(3)))
+    original = WeightedPoly.__init__
+
+    def guarded(self, weights, terms=None):
+        if len(weights) > d.n:
+            raise AssertionError(f"a polynomial over {len(weights)} variables was built")
+        original(self, weights, terms)
+
+    monkeypatch.setattr(WeightedPoly, "__init__", guarded)
+    system = moduli_system(d, residue).system
+    assert len(system.coordinates) > d.n
+    serialize.system_to_json(system, d.variables)
+    with pytest.raises(AssertionError):
+        system.equations[0].poly  # the dense view is exactly what the guard forbids
+
+
+def naive_matmul(a, b):
+    """The sparse product one term pair at a time: the oracle for ``_matmul``."""
+    out = {}
+    for (key_a, r, s, mono_a), coeff_a in a.items():
+        for (key_b, s_b, c, mono_b), coeff_b in b.items():
+            if s == s_b:
+                term = (tuple(sorted(key_a + key_b)), r, c, tuple(x + y for x, y in zip(mono_a, mono_b)))
+                out[term] = out.get(term, 0) + coeff_a * coeff_b
+    return {term: coeff for term, coeff in out.items() if coeff}
+
+
+def random_value(rng, m, integral):
+    """Several (coordinate monomial, base monomial) blocks of a few entries each."""
+    value = {}
+    for _ in range(rng.randint(1, 6)):
+        key = tuple(sorted(rng.randrange(4) for _ in range(rng.randint(0, 2))))
+        mono = (rng.randint(0, 2), rng.randint(0, 1))
+        for _ in range(rng.randint(1, 3)):
+            if integral or rng.random() < 0.5:
+                coeff = rng.choice((-2, -1, 1, 3))
+            else:
+                coeff = rand_fraction(rng) or Fraction(1, 2)
+            value[(key, rng.randrange(m), rng.randrange(m), mono)] = coeff
+    return value
+
+
+def test_block_matmul_matches_the_term_pair_product():
+    rng = random.Random(11)
+    disjoint = 0
+    for trial in range(300):
+        m = rng.randint(1, 4)
+        integral = trial % 3 == 0
+        a, b = random_value(rng, m, integral), random_value(rng, m, integral)
+        product = _matmul(a, b)
+        assert product == naive_matmul(a, b)
+        assert all(coeff for coeff in product.values())
+        if integral:
+            assert all(type(coeff) is int for coeff in product.values())
+        columns, rows = {}, {}
+        for key, _, s, mono in a:
+            columns.setdefault((key, mono), set()).add(s)
+        for key, s, _, mono in b:
+            rows.setdefault((key, mono), set()).add(s)
+        disjoint += sum(not cols & rws for cols in columns.values() for rws in rows.values())
+    assert disjoint > 0
+
+
+def test_block_matmul_sums_and_cancels_across_block_pairs():
+    # (0,) x (1,) and (1,) x (0,) land on one coordinate monomial and cancel
+    z = (0, 0)
+    a = {((0,), 0, 0, z): 1, ((1,), 0, 0, z): 1}
+    b = {((1,), 0, 0, z): 1, ((0,), 0, 0, z): Fraction(-1)}
+    assert _matmul(a, b) == {((0, 0), 0, 0, z): -1, ((1, 1), 0, 0, z): 1}
 
 
 def test_sparse_bracket_matches_the_matrix_commutator():

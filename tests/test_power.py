@@ -9,7 +9,8 @@ import pytest
 from logres import LogConnection, MatrixPolyMap, RationalMatrix, WeightedPoly, curvature, moduli_system
 from logres.univariate import power
 
-from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, rand_fraction, residue_for
+from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, fraction_conjugated,
+                      rand_fraction, residue_for)
 
 SEED = 20260518
 WEIGHTS = (1, 2)
@@ -102,6 +103,8 @@ def oracle_cases():
         # semisimple and graded slots in one divisor
         "g2*sekiguchi_b5/(0,S01)": ("g2*sekiguchi_b5", (ZERO2, S01), "auto"),
         "g2*sekiguchi_b5/(0,S01)~conj": ("g2*sekiguchi_b5", (ZERO2, conjugated(S01, rng)), "auto"),
+        # non-integral coefficients throughout the emitted equations
+        "cusp/diag(0,1,2,3)~frac": ("cusp", fraction_conjugated(diag(0, 1, 2, 3)), "auto"),
     }
 
 

@@ -1,26 +1,33 @@
-"""Byte identity of the emitted system JSON on 50 fixed inputs.
+"""Byte identity of the emitted system JSON on 53 fixed inputs.
 
 The inputs are the 13 criterion-3 problems, five normal crossings of toral
 rank 3 to 5, five rank-3/4 diagonal residues, `cusp` with the wide gap
 diag(0, 40) and the product `g2*sekiguchi_b5` (semisimple and graded slots
 together) with S = (0, diag(0, 1)), each as written and conjugated by a
-seeded unit upper-bidiagonal P (every residue value by the same P).  The
-sha256 of each canonical system JSON was frozen before the emission was
+seeded unit upper-bidiagonal P (every residue value by the same P).  Those
+emit integral coefficients only, so three rank-3/4 cases are also conjugated
+by a fixed unit upper-triangular P with entries 1/2 and -2/3 ("~frac"),
+whose systems carry non-integral coefficients.  The sha256 of each
+canonical system JSON was frozen before the emission was
 rewritten in the divisor's own ring (cases added later were frozen before
-the next change to `moduli`: the six after `borel2/diag(0,1,2)` before it
+the next change to `moduli`: the "~frac" cases before emission kept
+integral coefficients as ints, the six after `borel2/diag(0,1,2)` before it
 moved to flat rational coefficients, the product before the solve and the
 emission shared one sparse product); any change to the equations, their
 order or their coordinates shows up here.
 """
 
+import functools
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from logres import ResidueData, moduli_system, serialize
 
-from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, residue_for
+from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, fraction_conjugated,
+                      rand_fraction, residue_for)
 
 INPUTS = {f"{name}/{tag}": (name, s, "auto")
           for name in ("cusp", "normal_crossing_2", "borel2", "g2", "d4", "sekiguchi_b5")
@@ -92,19 +99,28 @@ FROZEN = {
     'cusp/diag(0,40)~conj': 'e1cf60d701e74451cd85a0e9e385fb79dc990ec5ffcd143b5566e4258a5f509c',
     'g2*sekiguchi_b5/(0,S01)': '821d197b8c098825cfefea74f21e0a5d9614fb79de7129cca119491b8e14ad8b',
     'g2*sekiguchi_b5/(0,S01)~conj': '9fd3f302caa308aca11e85aa9c3efba606867f9c7eb2077b9a0fdfcd2052ff8f',
+    'cusp/diag(0,1,2,3)~frac': '3c0a675500d160a8e40c24bd34e19749bc8ab294771c239e7fce95021c152123',
+    'borel2/diag(0,1,2)~frac': '3002aa88692a17f7b913330aabaed0018d604cc1696149ccad9ec3a887f3b102',
+    'sekiguchi_b5/diag(0,1,2)~frac': 'dcacab9911084d7a3256e950d9b9a53172e10f196ebf9ab31207890c8598b28b',
 }
 
 
-def residue_of(label: str) -> ResidueData:
-    """The residue of one case; a "~conj" label conjugates every value by one P."""
-    name, s, chi = INPUTS[label.removesuffix("~conj")]
-    residue = residue_for(divisor_named(name), s, chi)
-    if not label.endswith("~conj"):
-        return residue
+def base_label(label: str) -> str:
+    return label.removesuffix("~conj").removesuffix("~frac")
 
-    def conj(value):
-        # a fresh generator per value draws the same P for all of them
-        return conjugated(value, random.Random(f"identity:{label}"))
+
+def residue_of(label: str) -> ResidueData:
+    """The residue of one case; a "~conj" or "~frac" label conjugates every value by one P."""
+    name, s, chi = INPUTS[base_label(label)]
+    residue = residue_for(divisor_named(name), s, chi)
+    if label.endswith("~frac"):
+        conj = fraction_conjugated
+    elif label.endswith("~conj"):
+        def conj(value):
+            # a fresh generator per value draws the same P for all of them
+            return conjugated(value, random.Random(f"identity:{label}"))
+    else:
+        return residue
 
     return ResidueData(
         s_list=tuple(conj(v) for v in residue.s_list),
@@ -113,18 +129,50 @@ def residue_of(label: str) -> ResidueData:
     )
 
 
-def system_sha256(label: str) -> str:
-    d = divisor_named(INPUTS[label.removesuffix("~conj")][0])
+@functools.lru_cache(maxsize=None)
+def system_of(label: str):
+    """The divisor's variables, the emitted system and its JSON payload."""
+    d = divisor_named(INPUTS[base_label(label)][0])
     system = moduli_system(d, residue_of(label)).system
-    text = serialize.canonical_dumps(serialize.system_to_json(system, d.variables))
+    return d.variables, system, serialize.system_to_json(system, d.variables)
+
+
+def system_sha256(label: str) -> str:
+    text = serialize.canonical_dumps(system_of(label)[2])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-LABELS = [label + form for label in INPUTS for form in ("", "~conj")]
+FRACTIONAL = ["cusp/diag(0,1,2,3)~frac", "borel2/diag(0,1,2)~frac", "sekiguchi_b5/diag(0,1,2)~frac"]
+LABELS = [label + form for label in INPUTS for form in ("", "~conj")] + FRACTIONAL
 
 
 def test_the_case_list_is_complete():
-    assert len(LABELS) == 50 and set(FROZEN) == set(LABELS)
+    assert len(LABELS) == 53 and set(FROZEN) == set(LABELS)
+
+
+@pytest.mark.parametrize("label", FRACTIONAL)
+def test_fractional_cases_emit_non_integral_coefficients(label):
+    system = system_of(label)[1]
+    assert any(coeff.denominator != 1 for eq in system.equations for coeff in eq.terms.values())
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_sparse_equations_match_their_dense_view(label):
+    """The sparse terms, the dense ``poly`` view and the JSON all carry the
+    same polynomial; evaluation agrees at seeded points, and reading the JSON
+    back gives the same sparse terms."""
+    _, system, payload = system_of(label)
+    width = max(len(system.coordinates), 1)
+    for eq, data in zip(system.equations, payload["equations"]):
+        assert eq.poly.weights == (1,) * width
+        assert eq.poly.terms == {tuple(t["exponents"]): Fraction(t["coeff"]) for t in data["poly"]}
+        assert all(isinstance(coeff, Fraction) for coeff in eq.terms.values())
+    rng = random.Random(f"evaluate:{label}")
+    values = [rand_fraction(rng) for _ in system.coordinates]
+    assert system.evaluate(values) == [eq.poly.evaluate(values or [0]) for eq in system.equations]
+    back = serialize.system_from_json(payload)
+    assert [eq.terms for eq in back.equations] == [eq.terms for eq in system.equations]
+    assert back.equations == system.equations
 
 
 @pytest.mark.parametrize("label", LABELS)
