@@ -210,7 +210,7 @@ def cmd_emit_moduli(args) -> int:
             handle.write(serialize.pretty_dumps(payload))
     human: List[str] = []
     if args.format == "text":
-        # formatting every equation costs about as much as the emission; json never prints it
+        # json never prints these lines, so only text formats the equations
         names = problem.system.coordinate_names
         human = [
             f"divisor: {d.name}",
@@ -222,7 +222,7 @@ def cmd_emit_moduli(args) -> int:
             human.append(
                 f"  [{eq.tag}] ({slots}) entry ({eq.entry[0] + 1},{eq.entry[1] + 1}) "
                 f"monomial {monomial_text(eq.base_monomial, d.variables)}: "
-                f"{eq.poly.format(names)} = 0"
+                f"{eq.format(names)} = 0"
             )
         if args.output:
             human.append(f"written to {args.output}")

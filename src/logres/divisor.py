@@ -12,8 +12,9 @@ each of them once, on first use, and keeps the result in a cached property
 ``pairings``); the module-level functions do the computing.
 
 ``VectorFieldPoly.on_monomial`` is the one field-application kernel: it
-returns the terms of a field applied to a single monomial, read straight from
-the coefficients' terms.  ``VectorFieldPoly.apply`` sums it over a
+returns the terms of a field applied to a single monomial, read from the
+coefficients' terms, which each field converts once to hold integral
+coefficients as ints.  ``VectorFieldPoly.apply`` sums it over a
 polynomial's terms, and the solve and emission in ``moduli`` call it directly.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .linear import RationalMatrix, inverse
 from .polynomials import (
@@ -63,15 +64,27 @@ class VectorFieldPoly:
     def weights(self) -> Tuple[int, ...]:
         return self.coefficients[0].weights
 
-    def on_monomial(self, mono: Monomial) -> Dict[Monomial, Fraction]:
-        """The terms of this field applied to z^mono, sum_j mono_j * c_j * z^(mono - e_j)."""
-        out: Dict[Monomial, Fraction] = {}
-        for j, coeff in enumerate(self.coefficients):
+    @cached_property
+    def _integer_terms(self) -> Tuple[Tuple[Tuple[Monomial, Union[int, Fraction]], ...], ...]:
+        """Each coefficient's (monomial, coefficient) terms, an integral
+        coefficient as an int; derived once and, like a divisor's caches, no
+        part of equality or hashing."""
+        return tuple(tuple((mono, c.numerator if c.denominator == 1 else c) for mono, c in coeff.terms.items())
+                     for coeff in self.coefficients)
+
+    def on_monomial(self, mono: Monomial) -> Dict[Monomial, Union[int, Fraction]]:
+        """The terms of this field applied to z^mono, sum_j mono_j * c_j * z^(mono - e_j).
+
+        A coefficient is an int when it is integral, so products with other
+        ints skip ``Fraction``'s gcd work.
+        """
+        out: Dict[Monomial, Union[int, Fraction]] = {}
+        for j, terms in enumerate(self._integer_terms):
             e = mono[j]
             if not e:
                 continue
             lowered = mono[:j] + (e - 1,) + mono[j + 1:]
-            for term, c in coeff.terms.items():
+            for term, c in terms:
                 image = tuple(map(add, term, lowered))
                 out[image] = out[image] + e * c if image in out else e * c
         return {image: c for image, c in out.items() if c}

@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linear import RationalMatrix, charpoly, charpoly_at, integer_eigenvalues, inverse, rref
+from .linear import (RationalMatrix, charpoly, charpoly_at, clear_denominators, integer_eigenvalues, integer_poly_at,
+                     inverse, rref, scaled_charpoly)
 from .univariate import uni_squarefree_part
 
 
@@ -76,8 +77,15 @@ def charpoly_squarefree_part(a: RationalMatrix):
 
 
 def is_semisimple(a: RationalMatrix) -> bool:
-    """True iff the minimal polynomial is squarefree, i.e. a is diagonalizable."""
-    return charpoly_at(a, charpoly_squarefree_part(a)).is_zero()
+    """True iff the minimal polynomial is squarefree, i.e. a is diagonalizable.
+
+    Decided over ints on B = D * a, with D the lcm of a's denominators, which
+    is semisimple exactly when a is: the primitive integer multiple of the
+    squarefree part of B's characteristic polynomial must vanish at B.
+    """
+    _, b, coeffs = scaled_charpoly(a)
+    _, squarefree = clear_denominators(uni_squarefree_part(coeffs))
+    return not any(map(any, integer_poly_at(b, squarefree)))
 
 
 def is_nilpotent(a: RationalMatrix) -> bool:

@@ -1,9 +1,14 @@
 """Exact linear algebra over the rationals.
 
 RationalMatrix is a small immutable dense matrix of Fractions.  The row
-reduction here is the single exact solver behind every eigenspace, kernel and
-linear-system computation in the package; ``block_kernel`` applies it to each
-connected block of a sparse matrix given by columns.
+reduction here, ``rref``, is the single exact solver behind every eigenspace,
+kernel and linear-system computation in the package; ``block_kernel``
+applies it to each connected block of a sparse matrix given by columns.  It
+is fraction-free: each row is cleared of denominators once and eliminated
+over Python ints, and ``Fraction``s are built only at the end, as quotients
+by the pivot entries.  The characteristic polynomial is likewise computed
+over ints, on the matrix scaled by the lcm of its denominators
+(``scaled_charpoly``).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .univariate import UniPoly, as_fraction, power, uni_evaluate, uni_trim
 
@@ -135,6 +140,14 @@ class RrefResult:
     kernel: Tuple[Tuple[Fraction, ...], ...]
 
 
+def clear_denominators(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """The lcm D of the values' denominators, and the integers D * v in order."""
+    scale = math.lcm(*(v.denominator for v in values))
+    if scale == 1:
+        return 1, [v.numerator for v in values]
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def rref(matrix: RationalMatrix, rhs: Optional[Sequence[Fraction]] = None) -> RrefResult:
     """Reduced row echelon form with optional right-hand side.
 
@@ -142,55 +155,66 @@ def rref(matrix: RationalMatrix, rhs: Optional[Sequence[Fraction]] = None) -> Rr
     as inconsistent (a zero row equated to a nonzero value).  The kernel basis
     always spans the nullspace of ``matrix``; free columns are parameterized
     in increasing column order.
+
+    The elimination is fraction-free Gauss-Jordan over Python ints.  Each row
+    (with its ``rhs`` entry as a last column) is first scaled by the lcm of its
+    denominators, which leaves the reduced row echelon form unchanged.  A
+    pivot p in row r clears column c of row i by row_i <- p * row_i - f * row_r,
+    and the new row is divided by the gcd of its entries, so that entries stay
+    small.  Row i ends as a multiple of reduced row i, and the ``Fraction``s of
+    the result are the quotients by its pivot entry.
     """
     rows, cols = matrix.rows, matrix.cols
-    work = matrix.row_list()
-    vec = [as_fraction(v) for v in rhs] if rhs is not None else None
-    if vec is not None and len(vec) != rows:
-        raise ValueError("right-hand side length does not match row count")
+    if rhs is None:
+        work = [clear_denominators(row)[1] for row in matrix.entries]
+    else:
+        if len(rhs) != rows:
+            raise ValueError("right-hand side length does not match row count")
+        work = [clear_denominators(row + (as_fraction(v),))[1] for row, v in zip(matrix.entries, rhs)]
 
     pivots: List[int] = []
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        if vec is not None:
-            vec[r], vec[pivot_row] = vec[pivot_row], vec[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        if vec is not None:
-            vec[r] *= inv
+        row_r = work[r]
+        p = row_r[c]
         for i in range(rows):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-                if vec is not None:
-                    vec[i] -= factor * vec[r]
+            f = work[i][c]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(work[i], row_r)]
+                content = math.gcd(*row)
+                work[i] = [a // content for a in row] if content > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
 
     rank = len(pivots)
+    zero, one = Fraction(0), Fraction(1)
     inconsistent = False
     solution: Optional[Tuple[Fraction, ...]] = None
-    if vec is not None:
-        inconsistent = any(vec[i] != 0 for i in range(rank, rows))
+    if rhs is not None:
+        inconsistent = any(work[i][cols] for i in range(rank, rows))
         if not inconsistent:
-            sol = [Fraction(0)] * cols
+            sol = [zero] * cols
             for i, c in enumerate(pivots):
-                sol[c] = vec[i]
+                if work[i][cols]:
+                    sol[c] = Fraction(work[i][cols], work[i][c])
             solution = tuple(sol)
 
-    free_cols = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
     kernel: List[Tuple[Fraction, ...]] = []
-    for free in free_cols:
-        v = [Fraction(0)] * cols
-        v[free] = Fraction(1)
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = [zero] * cols
+        v[free] = one
         for i, c in enumerate(pivots):
-            v[c] = -work[i][free]
+            if work[i][free]:
+                v[c] = Fraction(-work[i][free], work[i][c])
         kernel.append(tuple(v))
 
     return RrefResult(
@@ -202,10 +226,10 @@ def rref(matrix: RationalMatrix, rhs: Optional[Sequence[Fraction]] = None) -> Rr
     )
 
 
-def block_kernel(columns: Sequence[Mapping[Hashable, Fraction]]) -> List[Dict[int, Fraction]]:
+def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> List[Dict[int, Fraction]]:
     """Kernel basis of the matrix whose column j has the entries ``columns[j]``.
 
-    Each column maps row keys to values.  Two columns are connected when they
+    Each column maps row keys to int or Fraction values.  Two columns are connected when they
     share a row key, and every connected block is row-reduced on its own by
     ``rref``.  The reduced form of a block-diagonal matrix is made of the
     reduced forms of its blocks, so the result is ``rref(dense).kernel``
@@ -241,7 +265,7 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Fraction]]) -> List[Dict[in
             # a column without entries is a zero column: its own block and free
             kernel.append((block[0], {block[0]: Fraction(1)}))
             continue
-        rows = [[Fraction(0)] * len(block) for _ in row_of]
+        rows = [[0] * len(block) for _ in row_of]
         for pos, j in enumerate(block):
             for key, value in columns[j].items():
                 rows[row_of[key]][pos] = value
@@ -296,27 +320,62 @@ def determinant(matrix: RationalMatrix) -> Fraction:
     return det
 
 
-def charpoly(matrix: RationalMatrix) -> UniPoly:
-    """Coefficients of det(t*I - A), low degree first, monic of degree n.
+def _int_matmul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
-    Computed by the Faddeev-LeVerrier recursion, entirely over Q.  Matrices
-    larger than MAX_CHARPOLY_DIM are rejected; this library targets desk-scale
-    exact computation, not bulk numerics.
+
+def scaled_charpoly(matrix: RationalMatrix) -> Tuple[int, List[List[int]], List[int]]:
+    """D, the integer matrix B = D * A, and the coefficients of det(t*I - B).
+
+    D is the lcm of the denominators of A's entries.  The coefficients are
+    integers, low degree first, monic of degree n, computed by the
+    Faddeev-LeVerrier recursion over ints: every trace it divides by k is a
+    multiple of k, and a remainder is a broken invariant.  Matrices larger
+    than MAX_CHARPOLY_DIM are rejected; this library targets desk-scale exact
+    computation, not bulk numerics.
     """
     if not matrix.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = matrix.rows
     if n > MAX_CHARPOLY_DIM:
         raise ValueError(f"matrix dimension {n} exceeds the supported bound {MAX_CHARPOLY_DIM}")
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = RationalMatrix.zeros(n, n)
-    c = Fraction(1)
+    scale, flat = clear_denominators(matrix.flatten())
+    b = [flat[i * n:(i + 1) * n] for i in range(n)]
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    c = 1
     for k in range(1, n + 1):
-        m = matrix * (m + c * RationalMatrix.identity(n))
-        c = -m.trace() / k
+        for i in range(n):
+            m[i][i] += c
+        m = _int_matmul(b, m)
+        c, remainder = divmod(-sum(m[i][i] for i in range(n)), k)
+        if remainder:
+            raise ArithmeticError("Faddeev-LeVerrier trace is not a multiple of k; broken invariant")
         coeffs[n - k] = c
-    return coeffs
+    return scale, b, coeffs
+
+
+def charpoly(matrix: RationalMatrix) -> UniPoly:
+    """Coefficients of det(t*I - A), low degree first, monic of degree n.
+
+    With D and B = D * A from ``scaled_charpoly``, the coefficient of t^k is
+    that of B divided by D^(n-k).
+    """
+    scale, _, coeffs = scaled_charpoly(matrix)
+    n = len(coeffs) - 1
+    return [Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs)]
+
+
+def integer_poly_at(b: List[List[int]], poly: Sequence[int]) -> List[List[int]]:
+    """Evaluate an integer polynomial, low degree first, at an integer square matrix (Horner)."""
+    n = len(b)
+    acc = [[0] * n for _ in range(n)]
+    for coeff in reversed(poly):
+        acc = _int_matmul(acc, b)
+        for i in range(n):
+            acc[i][i] += coeff
+    return acc
 
 
 def charpoly_at(matrix: RationalMatrix, poly: Sequence[Fraction]) -> RationalMatrix:
@@ -349,9 +408,7 @@ def integer_eigenvalues(matrix: RationalMatrix) -> List[int]:
         valuation += 1
     if valuation >= len(coeffs):
         raise ArithmeticError("characteristic polynomial vanished identically")
-    shifted = coeffs[valuation:]
-    denominator_lcm = math.lcm(*(c.denominator for c in shifted))
-    ints = [int(c * denominator_lcm) for c in shifted]
+    _, ints = clear_denominators(coeffs[valuation:])
     roots = set()
     if valuation > 0:
         roots.add(0)

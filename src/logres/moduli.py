@@ -21,10 +21,10 @@ Sparse matrix values are flat dicts from (coordinate monomial, row, column,
 base monomial) to a rational coefficient; a coordinate monomial is the
 sorted tuple of the coordinate indices a term multiplies, empty for a
 constant matrix.  A coefficient is held as an ``int`` when it is integral
-(``_scalar`` at every point where values enter: ``_constant``, ``_terms``,
-the structure-function scalars and the field images), so products of
-integers skip ``Fraction``'s gcd work, and Python's int/Fraction promotion
-keeps every other value exact on the same code path.  ``_matmul`` joins
+(``_scalar`` where values enter: ``_constant``, ``_terms`` and the
+structure-function scalars; ``on_monomial`` already gives field images that
+way), so products of integers skip ``Fraction``'s gcd work, and Python's
+int/Fraction promotion keeps every other value exact on the same code path.  ``_matmul`` joins
 the terms of both sides on the inner matrix index, in blocks of equal
 (coordinate monomial, base monomial), and merges the keys of two blocks
 once per pair that meets.  Each emitted (row, column, base monomial) group
@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -48,7 +49,7 @@ from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
 from .divisor import DivisorError, FreeDivisor
 from .liealg import ResidueData, validate_residue
 from .linear import RationalMatrix, block_kernel, rref
-from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree
+from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree, terms_text
 from .univariate import as_fraction, power
 
 
@@ -187,7 +188,7 @@ def _commutator(a: _Value, b: _Value) -> _Value:
 
 
 def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
-                offsets: Sequence[Fraction]) -> List[Tuple[int, MatrixPolyMap]]:
+                offsets: Sequence[_Scalar]) -> List[Tuple[int, MatrixPolyMap]]:
     """The (degree, map) basis of one slot's solution space, in increasing degree.
 
     Equation k is frame direction k (toral ones first, then semisimple ones),
@@ -288,7 +289,7 @@ def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpac
 
 def _correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
     """One space per toral slot (a divisor has at least one), all with the basis of one solve."""
-    items = _solve_slot(d, residue, 0, [Fraction(0)] * (d.toral_count + len(d.semisimple_indices)))
+    items = _solve_slot(d, residue, 0, [0] * (d.toral_count + len(d.semisimple_indices)))
     return [_space(("correction", i), residue.matrix_size, items) for i in range(d.toral_count)]
 
 
@@ -369,6 +370,14 @@ class Equation:
         decreasing tuple.
         """
         return sorted(sorted(self.terms.items(), reverse=True), key=lambda term: len(term[0]))
+
+    def format(self, names: Sequence[str]) -> str:
+        """The text of ``poly.format(names)``, read from the sparse terms."""
+        def text(key: Tuple[int, ...]) -> str:
+            runs = [(index, len(list(repeats))) for index, repeats in groupby(key)]
+            return monomial_text(tuple(e for _, e in runs), [names[index] for index, _ in runs])
+
+        return terms_text((text(key), coeff) for key, coeff in self.sorted_terms())
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         """The value at a point given by one Fraction per coordinate."""
@@ -487,7 +496,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     def apply(i: int, value: _Value) -> _Value:
         """Frame field i applied to each base monomial of a value."""
         return _collect(
-            ((key, r, c, image), coeff * _scalar(image_coeff))
+            ((key, r, c, image), coeff * image_coeff)
             for (key, r, c, mono), coeff in value.items()
             for image, image_coeff in d.frame[i].field.on_monomial(mono).items()
         )

@@ -13,7 +13,7 @@ import operator
 import random
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .univariate import as_fraction, power, uni_add, uni_degree, uni_derivative, uni_gcd, uni_mul, uni_scale
 
@@ -260,25 +260,8 @@ class WeightedPoly:
     # ------------------------------------------------------------------ display
 
     def format(self, names: Optional[Sequence[str]] = None) -> str:
-        if not self.terms:
-            return "0"
         names = list(names) if names is not None else [f"z{i}" for i in range(self.nvars)]
-        chunks: List[str] = []
-        for mono, coeff in self.sorted_terms():
-            body = monomial_text(mono, names)
-            if body == "1":
-                chunk = str(coeff)
-            elif coeff == 1:
-                chunk = body
-            elif coeff == -1:
-                chunk = f"-{body}"
-            else:
-                chunk = f"{coeff}*{body}"
-            chunks.append(chunk)
-        text = chunks[0]
-        for chunk in chunks[1:]:
-            text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
-        return text
+        return terms_text((monomial_text(mono, names), coeff) for mono, coeff in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"WeightedPoly({self.format()})"
@@ -307,6 +290,26 @@ def monomial_text(mono: Monomial, names: Sequence[str]) -> str:
     """Render z^a as "x^2*y"; the constant monomial reads "1"."""
     factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
     return "*".join(factors) if factors else "1"
+
+
+def terms_text(terms: Iterable[Tuple[str, Fraction]]) -> str:
+    """Join (monomial text, coefficient) pairs as "2*x^2 - y + 1/2"; no terms read "0"."""
+    chunks: List[str] = []
+    for body, coeff in terms:
+        if body == "1":
+            chunks.append(str(coeff))
+        elif coeff == 1:
+            chunks.append(body)
+        elif coeff == -1:
+            chunks.append(f"-{body}")
+        else:
+            chunks.append(f"{coeff}*{body}")
+    if not chunks:
+        return "0"
+    text = chunks[0]
+    for chunk in chunks[1:]:
+        text += f" - {chunk[1:]}" if chunk.startswith("-") else f" + {chunk}"
+    return text
 
 
 def monomials_of_degree(weights: Sequence[int], degree: int) -> List[Monomial]:

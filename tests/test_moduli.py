@@ -698,3 +698,51 @@ def test_moduli_system_applies_fields_without_polynomial_products(monkeypatch):
     monkeypatch.setattr(WeightedPoly, "__mul__", forbidden)
     monkeypatch.setattr(VectorFieldPoly, "apply", forbidden)
     assert moduli_system(d, residue).system.equations
+
+
+def key_blocks(columns):
+    """The number of connected blocks of columns with entries: the row keys
+    joined through the columns that share them."""
+    parent = {}
+
+    def root(key):
+        while parent[key] != key:
+            key = parent[key]
+        return key
+
+    for column in columns:
+        keys = list(column)
+        for key in keys:
+            parent.setdefault(key, key)
+        for key in keys[1:]:
+            parent[root(key)] = root(keys[0])
+    return len({root(key) for key in parent})
+
+
+def test_every_solve_block_is_reduced_through_the_rref_name(monkeypatch):
+    # a tracer sees the block reductions by rebinding logres.linear.rref, so
+    # block_kernel must look that name up once per block that has entries
+    import logres.linear
+    import logres.moduli
+
+    calls, shortfalls, nonempty = [], [], []
+    rref_at_import, block_kernel_at_import = logres.linear.rref, logres.linear.block_kernel
+
+    def counting_rref(*args):
+        calls.append(args[0].cols)
+        return rref_at_import(*args)
+
+    def counting_block_kernel(columns):
+        before = len(calls)
+        vectors = block_kernel_at_import(columns)
+        blocks = key_blocks(columns)
+        nonempty.append(blocks)
+        shortfalls.append(blocks - (len(calls) - before))
+        return vectors
+
+    monkeypatch.setattr(logres.linear, "rref", counting_rref)
+    monkeypatch.setattr(logres.moduli, "block_kernel", counting_block_kernel)
+    d = catalog("normal_crossing_4")
+    moduli_system(d, residue_for(d, diag(0, 2)))
+    assert sum(nonempty) > 0
+    assert max(shortfalls) <= 0
