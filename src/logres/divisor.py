@@ -3,19 +3,25 @@
 A divisor is the data of a reduced defining polynomial f, positive variable
 weights (fixing the Euler field E), and a frame of n polynomial vector fields
 tangent to the hypersurface, annotated as toral, semisimple, or graded
-("w" kind, the non-constant directions).  The determinant test of the frame
-coefficient matrix certifies that the frame is a basis of the logarithmic
-tangent sheaf; all structure functions, dual forms, and form structure
-equations are then exact polynomial computations.  A ``FreeDivisor`` runs
-each of them once, on first use, and keeps the result in a cached property
-(``determinant``, ``adjugate``, ``structure``, ``constants``, ``dual_forms``,
-``pairings``); the module-level functions do the computing.
+("w" kind, the non-constant directions).  Construction checks every grading:
+each frame field is E-homogeneous of its grade, 0 for toral and semisimple
+fields.  The structure functions c_ij^k with [V_i, V_j] = sum_k c_ij^k V_k
+are then homogeneous of known degrees and are found by one exact linear solve
+per bracket, so the moduli path computes no determinant or adjugate.  The
+determinant test of the frame coefficient matrix (``verify_saito``)
+certifies that the frame is a basis of the logarithmic tangent sheaf, and
+the adjugate gives the dual forms; both read one table of polynomial minors.
+A ``FreeDivisor`` runs each analysis once, on first use, and keeps the result
+in a cached property (``determinant``, ``adjugate``, ``structure``,
+``constants``, ``dual_forms``, ``pairings``); the module-level functions do
+the computing.
 
 ``VectorFieldPoly.on_monomial`` is the one field-application kernel: it
 returns the terms of a field applied to a single monomial, read from the
 coefficients' terms, which each field converts once to hold integral
 coefficients as ints.  ``VectorFieldPoly.apply`` sums it over a
-polynomial's terms, and the solve and emission in ``moduli`` call it directly.
+polynomial's terms, ``bracket`` over the terms of both fields' coefficients,
+and the solve and emission in ``moduli`` call it directly.
 """
 
 from __future__ import annotations
@@ -26,13 +32,14 @@ from functools import cached_property
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linear import RationalMatrix, inverse
+from .linear import IntegerRows, RationalMatrix, inverse, rref
 from .polynomials import (
     InexactDivisionError,
     Monomial,
     WeightedPoly,
     WeightMismatchError,
     exact_divide,
+    monomials_of_degree,
     squarefree_probable,
 )
 
@@ -112,10 +119,18 @@ class VectorFieldPoly:
 
 
 def bracket(v: VectorFieldPoly, w: VectorFieldPoly) -> VectorFieldPoly:
-    """Lie bracket of vector fields, [v, w]_j = v(w_j) - w(v_j)."""
+    """Lie bracket of vector fields, [v, w]_j = v(w_j) - w(v_j), summed term by term."""
     if v.weights != w.weights:
         raise DivisorError("vector fields live in different rings")
-    return VectorFieldPoly(tuple(v.apply(wc) - w.apply(vc) for vc, wc in zip(v.coefficients, w.coefficients)))
+    out = []
+    for vc, wc in zip(v._integer_terms, w._integer_terms):
+        total: Dict[Monomial, Union[int, Fraction]] = {}
+        for field, terms, sign in ((v, wc, 1), (w, vc, -1)):
+            for mono, c in terms:
+                for image, e in field.on_monomial(mono).items():
+                    total[image] = total.get(image, 0) + sign * c * e
+        out.append(WeightedPoly(v.weights, total))
+    return VectorFieldPoly(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -224,25 +239,31 @@ class FreeDivisor:
         raise DivisorError("per-toral-direction factors are required when the toral rank exceeds one")
 
     def _check_grading(self) -> None:
-        euler = self.euler_field()
-        e_of_f = euler.apply(self.f)
-        if e_of_f != self.f * self.degree:
+        """Check every Euler grading with one scan of terms each.
+
+        f must be E-homogeneous of the declared degree, which is E(f) =
+        degree * f.  Coefficient l of a frame field of grade g (0 for toral
+        and semisimple fields) must be E-homogeneous of degree g + w_l, which
+        is [E, V] = g * V; ``structure_functions`` solves in these degrees.
+        """
+        degree_of = self.f.monomial_degree
+        if any(degree_of(mono) != self.degree for mono in self.f.terms):
             raise DivisorError("f is not weighted homogeneous of the declared degree")
+        euler = self.euler_field()
         combo = None
         for coeff, idx in zip(self.positive_combination, self.toral_indices):
             scaled = self.frame[idx].field.scale(coeff)
             combo = scaled if combo is None else combo + scaled
         if combo is None or not (combo - euler).is_zero():
             raise DivisorError("positive combination of toral fields is not the Euler field")
-        for i in self.w_indices:
-            element = self.frame[i]
-            residual = bracket(euler, element.field) - element.field.scale(element.grade)
-            if not residual.is_zero():
-                raise DivisorError(f"frame element {i} does not have Euler grade {element.grade}")
-        for idx, i in enumerate(self.toral_indices):
-            if self.frame[i].distinguished:
-                if not (self.frame[i].field - euler).is_zero():
-                    raise DivisorError("the distinguished toral field must equal the Euler field")
+        for i, element in enumerate(self.frame):
+            grade = element.grade or 0
+            if any(degree_of(mono) != grade + w
+                   for coeff, w in zip(element.field.coefficients, self.weights) for mono in coeff.terms):
+                raise DivisorError(f"frame element {i} does not have Euler grade {grade}")
+        for i in self.toral_indices:
+            if self.frame[i].distinguished and not (self.frame[i].field - euler).is_zero():
+                raise DivisorError("the distinguished toral field must equal the Euler field")
 
     def _check_factors(self) -> None:
         if self.factors is None:
@@ -419,30 +440,67 @@ class StructureFunctions:
 
 
 def structure_functions(d: FreeDivisor) -> StructureFunctions:
-    """Expand every frame bracket back in the frame, by adjugate division.
+    """Expand every frame bracket back in the frame, one graded linear solve per pair.
 
-    The divisions are exact precisely because the frame is closed under
-    bracket; an inexact division signals invalid divisor data.
+    With m_k the Euler grade of frame field V_k (its ``grade``, 0 for toral
+    and semisimple fields), c_ij^k is E-homogeneous of degree m_i + m_j - m_k.
+    The unknowns of pair (i, j) are its coefficients on the monomials of that
+    degree, the column of z^a * V_k has one row per (coordinate, monomial),
+    and the right-hand side is [V_i, V_j].  The columns depend only on the
+    bracket degree m_i + m_j and are built once per degree.  An inconsistent
+    system means the frame is not closed under bracket; a rank below the
+    column count is a polynomial relation among the frame fields.
     """
-    det = d.determinant
-    adj = d.adjugate
+    grades = [e.grade or 0 for e in d.frame]
+    fields = [e.field for e in d.frame]
+    systems: Dict[int, tuple] = {}  # bracket degree -> _bracket_columns
     table: Dict[Tuple[int, int], Tuple[WeightedPoly, ...]] = {}
     for i in range(d.n):
         for j in range(i + 1, d.n):
-            lie = bracket(d.frame[i].field, d.frame[j].field)
-            coeffs = []
-            for k in range(d.n):
-                numerator = WeightedPoly.zero(d.weights)
-                for l in range(d.n):
-                    numerator = numerator + lie.coefficients[l] * adj[l][k]
-                try:
-                    coeffs.append(exact_divide(numerator, det))
-                except InexactDivisionError as exc:
-                    raise DivisorError(
-                        f"frame is not closed under bracket at pair ({i}, {j})"
-                    ) from exc
-            table[(i, j)] = tuple(coeffs)
+            degree = grades[i] + grades[j]
+            if degree not in systems:
+                systems[degree] = _bracket_columns(fields, grades, degree)
+            unknowns, row_of, base = systems[degree]
+            width = len(unknowns)
+            rows = [row + [0] for row in base]
+            for l, coeff in enumerate(bracket(fields[i], fields[j]).coefficients):
+                for mono, c in coeff.terms.items():
+                    index = row_of.get((l, mono))
+                    if index is None:
+                        rows.append([0] * width + [c])
+                    else:
+                        rows[index][width] = c
+            result = rref(IntegerRows.cleared(rows, width, augmented=True))
+            if result.rank < width:
+                raise DivisorError(f"frame fields are linearly dependent (found solving pair ({i}, {j}))")
+            if result.inconsistent:
+                raise DivisorError(f"frame is not closed under bracket at pair ({i}, {j})")
+            coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in range(d.n)]
+            for (k, mono), value in zip(unknowns, result.solution):
+                if value:
+                    coeffs[k][mono] = value
+            table[(i, j)] = tuple(WeightedPoly(d.weights, c) for c in coeffs)
     return StructureFunctions(table=table, size=d.n, weights=d.weights)
+
+
+def _bracket_columns(fields: Sequence[VectorFieldPoly], grades: Sequence[int], degree: int):
+    """The unknowns (k, a) of a bracket of Euler degree ``degree``, the row
+    index of each (coordinate, monomial) key, and the dense rows whose column
+    for (k, a) holds the terms of z^a * V_k."""
+    unknowns: List[Tuple[int, Monomial]] = []
+    row_of: Dict[Tuple[int, Monomial], int] = {}
+    entries: List[Tuple[int, int, Union[int, Fraction]]] = []
+    for k, field in enumerate(fields):
+        for a in monomials_of_degree(field.weights, degree - grades[k]):
+            for l, terms in enumerate(field._integer_terms):
+                for mono, c in terms:
+                    key = (l, tuple(map(add, a, mono)))
+                    entries.append((row_of.setdefault(key, len(row_of)), len(unknowns), c))
+            unknowns.append((k, a))
+    rows: List[List[Union[int, Fraction]]] = [[0] * len(unknowns) for _ in row_of]
+    for r, col, c in entries:
+        rows[r][col] = c
+    return unknowns, row_of, rows
 
 
 @dataclass(frozen=True)

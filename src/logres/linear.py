@@ -3,10 +3,13 @@
 RationalMatrix is a small immutable dense matrix of Fractions.  The row
 reduction here, ``rref``, is the single exact solver behind every eigenspace,
 kernel and linear-system computation in the package; ``block_kernel``
-applies it to each connected block of a sparse matrix given by columns.  It
-is fraction-free: each row is cleared of denominators once and eliminated
-over Python ints, and ``Fraction``s are built only at the end, as quotients
-by the pivot entries.  The characteristic polynomial is likewise computed
+applies it to each connected block of a sparse matrix given by columns, and
+the structure functions of a divisor are solved with it one bracket at a
+time.  It is fraction-free: each row is cleared of denominators once into
+``IntegerRows`` and eliminated over Python ints, and ``Fraction``s are built
+only at the end, as quotients by the pivot entries.  Callers that assemble
+their own rows of ints hand ``IntegerRows`` to ``rref`` and never build a
+``RationalMatrix``.  The characteristic polynomial is likewise computed
 over ints, on the matrix scaled by the lcm of its denominators
 (``scaled_charpoly``).
 """
@@ -140,7 +143,7 @@ class RrefResult:
     kernel: Tuple[Tuple[Fraction, ...], ...]
 
 
-def clear_denominators(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+def clear_denominators(values: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int]]:
     """The lcm D of the values' denominators, and the integers D * v in order."""
     scale = math.lcm(*(v.denominator for v in values))
     if scale == 1:
@@ -148,29 +151,63 @@ def clear_denominators(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def rref(matrix: RationalMatrix, rhs: Optional[Sequence[Fraction]] = None) -> RrefResult:
+class IntegerRows:
+    """Dense rows of Python ints, the form that ``rref`` eliminates on.
+
+    ``cols`` counts the coefficient columns; when ``augmented`` is set, each
+    row has one more entry, its right-hand side.  ``rows`` and ``cols`` read
+    as on a ``RationalMatrix``.  The rows are shared, not copied: ``rref``
+    replaces rows of its own list and never writes into one.
+    """
+
+    __slots__ = ("entries", "cols", "augmented")
+
+    def __init__(self, entries: List[List[int]], cols: int, augmented: bool = False):
+        self.entries = entries
+        self.cols = cols
+        self.augmented = augmented
+
+    @classmethod
+    def cleared(cls, rows: Sequence[Sequence[Union[int, Fraction]]], cols: int,
+                augmented: bool = False) -> "IntegerRows":
+        """Rows of ints and ``Fraction``s, each scaled by the lcm of its
+        denominators; that leaves the reduced row echelon form unchanged."""
+        return cls([clear_denominators(row)[1] for row in rows], cols, augmented)
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+
+def rref(matrix: Union[RationalMatrix, IntegerRows], rhs: Optional[Sequence[Fraction]] = None) -> RrefResult:
     """Reduced row echelon form with optional right-hand side.
 
-    When ``rhs`` is given, reports a particular solution or flags the system
-    as inconsistent (a zero row equated to a nonzero value).  The kernel basis
-    always spans the nullspace of ``matrix``; free columns are parameterized
-    in increasing column order.
+    When ``rhs`` is given, or ``matrix`` is augmented ``IntegerRows``, reports
+    a particular solution or flags the system as inconsistent (a zero row
+    equated to a nonzero value).  The kernel basis always spans the nullspace
+    of the coefficient columns; free columns are parameterized in increasing
+    column order.
 
-    The elimination is fraction-free Gauss-Jordan over Python ints.  Each row
-    (with its ``rhs`` entry as a last column) is first scaled by the lcm of its
-    denominators, which leaves the reduced row echelon form unchanged.  A
-    pivot p in row r clears column c of row i by row_i <- p * row_i - f * row_r,
-    and the new row is divided by the gcd of its entries, so that entries stay
-    small.  Row i ends as a multiple of reduced row i, and the ``Fraction``s of
-    the result are the quotients by its pivot entry.
+    The elimination is fraction-free Gauss-Jordan over Python ints.  A
+    ``RationalMatrix`` (with its ``rhs`` entry as a last column) is first
+    cleared row by row to ``IntegerRows``; callers whose rows are integral
+    pass ``IntegerRows`` directly.  A pivot p in row r clears column c of row
+    i by row_i <- p * row_i - f * row_r, and the new row is divided by the gcd
+    of its entries, so that entries stay small.  Row i ends as a multiple of
+    reduced row i, and the ``Fraction``s of the result are the quotients by
+    its pivot entry.
     """
-    rows, cols = matrix.rows, matrix.cols
-    if rhs is None:
-        work = [clear_denominators(row)[1] for row in matrix.entries]
-    else:
-        if len(rhs) != rows:
-            raise ValueError("right-hand side length does not match row count")
-        work = [clear_denominators(row + (as_fraction(v),))[1] for row, v in zip(matrix.entries, rhs)]
+    if isinstance(matrix, RationalMatrix):
+        if rhs is None:
+            matrix = IntegerRows.cleared(matrix.entries, matrix.cols)
+        else:
+            if len(rhs) != matrix.rows:
+                raise ValueError("right-hand side length does not match row count")
+            matrix = IntegerRows.cleared([row + (as_fraction(v),) for row, v in zip(matrix.entries, rhs)],
+                                         matrix.cols, augmented=True)
+    elif rhs is not None:
+        raise ValueError("integer rows carry their right-hand side as an augmented column")
+    work, rows, cols = list(matrix.entries), matrix.rows, matrix.cols
 
     pivots: List[int] = []
     r = 0
@@ -196,7 +233,7 @@ def rref(matrix: RationalMatrix, rhs: Optional[Sequence[Fraction]] = None) -> Rr
     zero, one = Fraction(0), Fraction(1)
     inconsistent = False
     solution: Optional[Tuple[Fraction, ...]] = None
-    if rhs is not None:
+    if matrix.augmented:
         inconsistent = any(work[i][cols] for i in range(rank, rows))
         if not inconsistent:
             sol = [zero] * cols
@@ -269,7 +306,7 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
         for pos, j in enumerate(block):
             for key, value in columns[j].items():
                 rows[row_of[key]][pos] = value
-        result = rref(RationalMatrix(rows))
+        result = rref(IntegerRows.cleared(rows, len(block)))
         pivots = set(result.pivots)
         free = [pos for pos in range(len(block)) if pos not in pivots]
         for pos, vec in zip(free, result.kernel):

@@ -146,6 +146,39 @@ def test_frame_info(capsys):
     assert payload["form_structure"]["1"]["2,3"] == [{"coeff": "-24/1", "exponents": [0, 0, 1]}]
 
 
+def _two_field_divisor(second_field):
+    """f = xy on weights (1, 1) with the toral Euler field and a second frame field."""
+    def poly(terms):
+        return [{"exponents": list(mono), "coeff": f"{c}/1"} for mono, c in terms.items()]
+
+    return {
+        "name": "two_fields", "variables": ["x", "y"], "weights": [1, 1], "degree": 2,
+        "f": poly({(1, 1): 1}),
+        "frame": [{"kind": "toral", "coefficients": [poly({(1, 0): 1}), poly({(0, 1): 1})]}, second_field],
+        "positive_combination": [1, 0] if second_field["kind"] == "toral" else [1],
+    }
+
+
+def test_frame_info_on_a_dependent_frame_is_a_plain_error(capsys, tmp_path):
+    # x d/dx + y d/dy and 2x d/dx + 2y d/dy: the frame determinant vanishes
+    doubled = {"kind": "toral", "coefficients": [[{"exponents": [1, 0], "coeff": "2/1"}],
+                                                  [{"exponents": [0, 1], "coeff": "2/1"}]]}
+    path = write_json(tmp_path / "dependent.json", _two_field_divisor(doubled))
+    code, out, err = run(capsys, "frame-info", "--divisor", path)
+    assert code == 2 and out == ""
+    assert err == "error: frame fields are linearly dependent (found solving pair (0, 1))\n"
+
+
+@pytest.mark.parametrize("kind", ["toral", "semisimple"])
+def test_non_homogeneous_constant_field_is_malformed_input(capsys, tmp_path, kind):
+    # x^2 d/dx is E-homogeneous of grade 1, not 0
+    field = {"kind": kind, "coefficients": [[{"exponents": [2, 0], "coeff": "1/1"}], []]}
+    path = write_json(tmp_path / "graded.json", _two_field_divisor(field))
+    code, _, err = run(capsys, "frame-info", "--divisor", path)
+    assert code == 2
+    assert err == "error: frame element 1 does not have Euler grade 0\n"
+
+
 def test_residue_space(capsys, residue_file):
     code, out, _ = run(capsys, "residue-space", "--catalog", "sekiguchi_b5",
                        "--residue", residue_file, "--format", "json")

@@ -10,21 +10,33 @@ from logres import (
     CATALOG_NAMES,
     FrameElement,
     FreeDivisor,
+    MatrixPolyMap,
+    ModuliPoint,
     VectorFieldPoly,
     WeightedPoly,
     WeightMismatchError,
     bracket,
     catalog,
+    check_point,
     dlog_f_expansion,
     dual_log_forms,
     form_structure_equations,
     frame_constants,
+    moduli_system,
+    serialize,
     structure_functions,
     verify_saito,
 )
-from logres.divisor import DivisorError, correction_pairings, poly_adjugate, poly_determinant
+from logres.divisor import (
+    DivisorError,
+    StructureFunctions,
+    correction_pairings,
+    poly_adjugate,
+    poly_determinant,
+)
+from logres.polynomials import InexactDivisionError, exact_divide
 
-from conftest import poly_of, rand_fraction
+from conftest import S01, divisor_named, poly_of, rand_fraction, residue_for
 
 ALL_NAMES = ("cusp", "normal_crossing_1", "normal_crossing_2", "normal_crossing_3",
              "borel2", "g2", "d4", "sekiguchi_b5")
@@ -109,6 +121,133 @@ def test_structure_functions_diagonal_of_a_single_field():
     sf = structure_functions(d)
     assert sf.table == {}
     assert sf.coefficients(0, 0) == (WeightedPoly.zero(d.weights),)
+
+
+def oracle_structure_functions(d: FreeDivisor) -> StructureFunctions:
+    """The structure functions by adjugate division: c_ij^k is the k-th entry
+    of [V_i, V_j] * adj(M) divided by det(M), for M the frame coefficient
+    matrix; the divisions are exact exactly when the frame is closed under
+    bracket."""
+    matrix = d.coefficient_matrix()
+    det = poly_determinant(matrix)
+    adj = poly_adjugate(matrix)
+    table = {}
+    for i in range(d.n):
+        for j in range(i + 1, d.n):
+            v, w = d.frame[i].field, d.frame[j].field
+            lie = [v.apply(wc) - w.apply(vc) for vc, wc in zip(v.coefficients, w.coefficients)]
+            coeffs = []
+            for k in range(d.n):
+                numerator = WeightedPoly.zero(d.weights)
+                for l in range(d.n):
+                    numerator = numerator + lie[l] * adj[l][k]
+                try:
+                    coeffs.append(exact_divide(numerator, det))
+                except InexactDivisionError as exc:
+                    raise DivisorError(f"frame is not closed under bracket at pair ({i}, {j})") from exc
+            table[(i, j)] = tuple(coeffs)
+    return StructureFunctions(table=table, size=d.n, weights=d.weights)
+
+
+ORACLE_NAMES = tuple(dict.fromkeys(CATALOG_NAMES + tuple(f"normal_crossing_{k}" for k in range(1, 7)) + (
+    "g2*sekiguchi_b5", "cusp*borel2", "d4*normal_crossing_2")))
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_structure_functions_match_adjugate_division(name):
+    d = divisor_named(name)
+    assert structure_functions(d) == oracle_structure_functions(divisor_named(name))
+
+
+@pytest.mark.parametrize("name", ("d4", "g2*sekiguchi_b5"))
+def test_moduli_path_builds_no_minor_table(monkeypatch, name):
+    import logres.divisor as divisor_module
+
+    def refuse(rows):
+        raise AssertionError("the moduli path built a polynomial minor table")
+
+    monkeypatch.setattr(divisor_module, "_minor_table", refuse)
+    d = divisor_named(name)
+    problem = moduli_system(d, residue_for(d, S01))
+    assert problem.system.equations
+    seki = catalog("sekiguchi_b5")
+    residue = residue_for(seki, S01)
+    zero = ModuliPoint(components=(MatrixPolyMap.zeros(2, seki.weights),) * 2,
+                       corrections=(MatrixPolyMap.zeros(2, seki.weights),))
+    assert not check_point(seki, residue, zero).flat
+    for divisor in (d, seki):
+        assert "determinant" not in vars(divisor) and "adjugate" not in vars(divisor)
+
+
+def test_frame_info_reads_the_dual_forms_from_the_adjugate(monkeypatch, capsys):
+    import json
+
+    import logres.divisor as divisor_module
+    from logres.cli import main
+
+    tables = []
+    original = divisor_module._minor_table
+
+    def counting(rows):
+        tables.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(divisor_module, "_minor_table", counting)
+    assert main(["frame-info", "--catalog", "d4", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(tables) == 1
+    adj = poly_adjugate(catalog("d4").coefficient_matrix())
+    expected = [[serialize.poly_to_json(adj[j][i]) for j in range(len(adj))] for i in range(len(adj))]
+    assert payload["dual_form_numerators"] == expected
+
+
+# ------------------------------------------------------------ frame validation
+
+def _frame_divisor(weights, f_terms, degree, fields, kinds, combination=(1,), distinguished=0):
+    """A divisor with toral and semisimple fields only, each given as one
+    {exponents: coefficient} dict per coordinate."""
+    frame = tuple(
+        FrameElement(kind, VectorFieldPoly(tuple(WeightedPoly(weights, terms) for terms in field)),
+                     distinguished=(index == distinguished))
+        for index, (field, kind) in enumerate(zip(fields, kinds))
+    )
+    return FreeDivisor(name="test", variables=tuple("xyzuvw"[:len(weights)]), weights=weights,
+                       f=WeightedPoly(weights, f_terms), degree=degree, frame=frame,
+                       positive_combination=combination)
+
+
+def test_non_closed_frame_is_reported():
+    # [y d/dx, z d/dy] = -z d/dx, which is not in the span of E, y d/dx, z d/dy
+    euler = ({(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})
+    d = _frame_divisor((1, 1, 1), {(0, 1, 2): 1}, 3,
+                       (euler, ({(0, 1, 0): 1}, {}, {}), ({}, {(0, 0, 1): 1}, {})),
+                       ("toral", "semisimple", "semisimple"))
+    with pytest.raises(DivisorError, match=r"not closed under bracket at pair \(1, 2\)"):
+        structure_functions(d)
+
+
+def test_linearly_dependent_frame_is_reported():
+    # E and 2E: the bracket solve finds the relation 2 * V1 - V2 = 0
+    d = _frame_divisor((1, 1), {(1, 1): 1}, 2,
+                       (({(1, 0): 1}, {(0, 1): 1}), ({(1, 0): 2}, {(0, 1): 2})),
+                       ("toral", "toral"), combination=(1, 0), distinguished=None)
+    with pytest.raises(DivisorError, match="linearly dependent"):
+        structure_functions(d)
+
+
+@pytest.mark.parametrize("kind", ("toral", "semisimple"))
+def test_non_homogeneous_constant_field_is_rejected_at_construction(kind):
+    # x^2 d/dx has Euler grade 1 on weights (1, 1), not the grade 0 of a toral or semisimple field
+    euler = ({(1, 0): 1}, {(0, 1): 1})
+    with pytest.raises(DivisorError, match="frame element 1 does not have Euler grade 0"):
+        _frame_divisor((1, 1), {(1, 1): 1}, 2, (euler, ({(2, 0): 1}, {})), ("toral", kind),
+                       combination=(1, 0) if kind == "toral" else (1,))
+
+
+def test_wrong_w_grade_keeps_its_message(cusp):
+    element = cusp.frame[1]
+    with pytest.raises(DivisorError, match=f"frame element 1 does not have Euler grade {element.grade + 1}"):
+        replace(cusp, frame=(cusp.frame[0], replace(element, grade=element.grade + 1)))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

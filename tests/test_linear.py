@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 
 from logres import RationalMatrix, charpoly, integer_eigenvalues, rref
 from logres.liealg import ad_operator, is_semisimple
-from logres.linear import MAX_CHARPOLY_DIM, RrefResult, block_kernel, charpoly_at, determinant, inverse, solve_linear
+from logres.linear import (
+    MAX_CHARPOLY_DIM,
+    IntegerRows,
+    RrefResult,
+    block_kernel,
+    charpoly_at,
+    determinant,
+    inverse,
+    solve_linear,
+)
 from logres.univariate import uni_squarefree_part
 
 from conftest import diag
@@ -300,6 +309,8 @@ def test_rref_matches_the_fraction_oracle_on_seeded_matrices():
         matrix, rhs = random_rref_case(rng)
         result = rref(matrix, rhs)
         assert_same_result(result, oracle_rref(matrix, rhs))
+        rows = matrix.row_list() if rhs is None else [row + [v] for row, v in zip(matrix.row_list(), rhs)]
+        assert_same_result(rref(IntegerRows.cleared(rows, matrix.cols, rhs is not None)), result)
         if rhs is not None:
             seen["inconsistent" if result.inconsistent else "consistent"] += 1
         seen["kernel"] += bool(result.kernel)
@@ -320,6 +331,15 @@ def test_rref_matches_the_fraction_oracle_on_the_hilbert_matrix():
     rhs = list(range(9))
     assert rref(tall, rhs).inconsistent
     assert_same_result(rref(tall, rhs), oracle_rref(tall, rhs))
+
+
+def test_rref_on_integer_rows_of_degenerate_shapes():
+    # no rows: every column is free, and an augmented system is solved by zero
+    assert rref(IntegerRows([], 2)).kernel == ((1, 0), (0, 1))
+    assert rref(IntegerRows([], 0, augmented=True)).solution == ()
+    assert rref(IntegerRows([[3]], 0, augmented=True)).inconsistent
+    with pytest.raises(ValueError, match="augmented"):
+        rref(IntegerRows([[1]], 1), [1])
 
 
 def test_block_kernel_matches_the_oracle_on_mixed_int_and_fraction_columns():
