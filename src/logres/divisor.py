@@ -477,8 +477,7 @@ def structure_functions(d: FreeDivisor) -> StructureFunctions:
                 raise DivisorError(f"frame is not closed under bracket at pair ({i}, {j})")
             coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in range(d.n)]
             for (k, mono), value in zip(unknowns, result.solution):
-                if value:
-                    coeffs[k][mono] = value
+                coeffs[k][mono] = value
             table[(i, j)] = tuple(WeightedPoly(d.weights, c) for c in coeffs)
     return StructureFunctions(table=table, size=d.n, weights=d.weights)
 

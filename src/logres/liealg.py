@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linear import (RationalMatrix, charpoly, charpoly_at, clear_denominators, integer_eigenvalues, integer_poly_at,
-                     inverse, rref, scaled_charpoly)
+from .linear import (RationalMatrix, charpoly, clear_denominators, determinant, integer_eigenvalues, inverse, poly_at,
+                     rref, scaled_charpoly)
 from .univariate import uni_squarefree_part
 
 
@@ -71,11 +71,6 @@ def centralizer_algebra(mats: Sequence[RationalMatrix], size: Optional[int] = No
     return len(basis), basis
 
 
-def charpoly_squarefree_part(a: RationalMatrix):
-    """The squarefree part of the characteristic polynomial of a."""
-    return uni_squarefree_part(charpoly(a))
-
-
 def is_semisimple(a: RationalMatrix) -> bool:
     """True iff the minimal polynomial is squarefree, i.e. a is diagonalizable.
 
@@ -85,7 +80,7 @@ def is_semisimple(a: RationalMatrix) -> bool:
     """
     _, b, coeffs = scaled_charpoly(a)
     _, squarefree = clear_denominators(uni_squarefree_part(coeffs))
-    return not any(map(any, integer_poly_at(b, squarefree)))
+    return not any(map(any, poly_at(b, squarefree)))
 
 
 def is_nilpotent(a: RationalMatrix) -> bool:
@@ -122,14 +117,14 @@ class JCDecomposition:
 
 
 def _additive_semisimple(a: RationalMatrix) -> RationalMatrix:
-    g = charpoly_squarefree_part(a)
+    g = uni_squarefree_part(charpoly(a))
     g_prime = [c * i for i, c in enumerate(g)][1:]
     x = a
     for _ in range(a.rows + 1):
-        gx = charpoly_at(x, g)
+        gx = RationalMatrix(poly_at(x.row_list(), g))
         if gx.is_zero():
             return x
-        x = x - gx * inverse(charpoly_at(x, g_prime))
+        x = x - gx * inverse(RationalMatrix(poly_at(x.row_list(), g_prime)))
     raise ArithmeticError("Newton iteration failed to converge; broken invariant")
 
 
@@ -150,8 +145,6 @@ def jordan_chevalley(a: RationalMatrix, mode: str = "additive") -> JCDecompositi
         decomposition = JCDecomposition(semisimple=s, other=n, mode=mode)
         _verify_additive(a, s, n)
         return decomposition
-    from .linear import determinant
-
     if determinant(a) == 0:
         raise ValueError("multiplicative decomposition needs an invertible matrix")
     u = inverse(s) * a

@@ -11,7 +11,8 @@ only at the end, as quotients by the pivot entries.  Callers that assemble
 their own rows of ints hand ``IntegerRows`` to ``rref`` and never build a
 ``RationalMatrix``.  The characteristic polynomial is likewise computed
 over ints, on the matrix scaled by the lcm of its denominators
-(``scaled_charpoly``).
+(``scaled_charpoly``); ``determinant`` is read off its constant coefficient,
+and ``poly_at`` is the one Horner evaluation of a polynomial at a matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .univariate import UniPoly, as_fraction, power, uni_evaluate, uni_trim
+from .univariate import UniPoly, as_fraction, power, uni_evaluate
 
 MAX_CHARPOLY_DIM = 400
 
@@ -315,12 +316,6 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
     return [vec for _, vec in kernel]
 
 
-def solve_linear(matrix: RationalMatrix, rhs: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
-    """A particular solution of matrix * x = rhs, or None if inconsistent."""
-    result = rref(matrix, rhs)
-    return None if result.inconsistent else result.solution
-
-
 def inverse(matrix: RationalMatrix) -> RationalMatrix:
     if not matrix.is_square():
         raise ValueError("only square matrices can be inverted")
@@ -335,29 +330,8 @@ def inverse(matrix: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(list(zip(*cols)))
 
 
-def determinant(matrix: RationalMatrix) -> Fraction:
-    if not matrix.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    work = matrix.row_list()
-    n = matrix.rows
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            det = -det
-        det *= work[c][c]
-        inv = 1 / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                factor = work[i][c] * inv
-                work[i] = [a - factor * b for a, b in zip(work[i], work[c])]
-    return det
-
-
-def _int_matmul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+def _matmul(a: List[List], b: List[List]) -> List[List]:
+    """The product of two matrices given by rows, of ints or ``Fraction``s."""
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
@@ -385,7 +359,7 @@ def scaled_charpoly(matrix: RationalMatrix) -> Tuple[int, List[List[int]], List[
     for k in range(1, n + 1):
         for i in range(n):
             m[i][i] += c
-        m = _int_matmul(b, m)
+        m = _matmul(b, m)
         c, remainder = divmod(-sum(m[i][i] for i in range(n)), k)
         if remainder:
             raise ArithmeticError("Faddeev-LeVerrier trace is not a multiple of k; broken invariant")
@@ -404,23 +378,23 @@ def charpoly(matrix: RationalMatrix) -> UniPoly:
     return [Fraction(c, scale ** (n - k)) for k, c in enumerate(coeffs)]
 
 
-def integer_poly_at(b: List[List[int]], poly: Sequence[int]) -> List[List[int]]:
-    """Evaluate an integer polynomial, low degree first, at an integer square matrix (Horner)."""
-    n = len(b)
+def determinant(matrix: RationalMatrix) -> Fraction:
+    """det(A) = (-1)^n times the constant coefficient of det(t*I - A)."""
+    if not matrix.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    constant = charpoly(matrix)[0]
+    return -constant if matrix.rows % 2 else constant
+
+
+def poly_at(rows: List[List[Union[int, Fraction]]], poly: Sequence[Union[int, Fraction]]) -> List[List]:
+    """Evaluate a polynomial, low degree first, at a square matrix given by
+    rows of ints or ``Fraction``s (Horner)."""
+    n = len(rows)
     acc = [[0] * n for _ in range(n)]
     for coeff in reversed(poly):
-        acc = _int_matmul(acc, b)
+        acc = _matmul(acc, rows)
         for i in range(n):
             acc[i][i] += coeff
-    return acc
-
-
-def charpoly_at(matrix: RationalMatrix, poly: Sequence[Fraction]) -> RationalMatrix:
-    """Evaluate a univariate polynomial at a square matrix (Horner)."""
-    n = matrix.rows
-    acc = RationalMatrix.zeros(n, n)
-    for coeff in reversed(uni_trim(poly)):
-        acc = acc * matrix + coeff * RationalMatrix.identity(n)
     return acc
 
 

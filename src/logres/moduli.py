@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
 from .divisor import DivisorError, FreeDivisor
 from .liealg import ResidueData, validate_residue
-from .linear import RationalMatrix, block_kernel, rref
+from .linear import IntegerRows, RationalMatrix, block_kernel, rref
 from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree, terms_text
 from .univariate import as_fraction, power
 
@@ -760,27 +760,23 @@ def linear_certificate(system: PolySystem) -> LinearCertificate:
     than guessed at.
     """
     ncoords = len(system.coordinates)
-    linear_rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
+    linear_rows: List[List[Union[int, Fraction]]] = []
     higher: List[Equation] = []
     for eq in system.equations:
         if not eq.terms:
             continue
         if max(map(len, eq.terms)) <= 1:
-            row = [Fraction(0)] * ncoords
-            constant = Fraction(0)
+            # coefficients of the coordinates, then the right-hand side
+            row = [0] * (ncoords + 1)
             for key, coeff in eq.terms.items():
                 if key:
                     row[key[0]] = coeff
                 else:
-                    constant = coeff
+                    row[ncoords] = -coeff
             linear_rows.append(row)
-            rhs.append(-constant)
         else:
             higher.append(eq)
-    if not linear_rows:
-        return LinearCertificate("undetermined", None, None)
-    result = rref(RationalMatrix(linear_rows), rhs)
+    result = rref(IntegerRows.cleared(linear_rows, ncoords, augmented=True))
     if result.inconsistent:
         return LinearCertificate("inconsistent", None, "linear subsystem is already inconsistent")
     if result.kernel:

@@ -5,6 +5,12 @@ variable.  The weighted degree of a monomial z^e is sum(w[i] * e[i]); we call
 it the E-degree because it is the eigenvalue of the Euler vector field
 sum(w[i] * z_i * d/dz_i) on that monomial.  All arithmetic is exact; there is
 no floating point anywhere in this package.
+
+The constructor is the one place that checks terms.  Weights and exponents
+must be ints (a non-integer raises ValueError; nothing is truncated),
+coefficients are coerced by ``as_fraction``, and a zero coefficient is
+dropped as it is inserted, so no stored term has coefficient zero.  The
+arithmetic hands the constructor raw sums and never cleans terms itself.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from itertools import repeat
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -38,20 +45,19 @@ class WeightedPoly:
     __slots__ = ("weights", "terms")
 
     def __init__(self, weights: Sequence[int], terms: Optional[Dict[Monomial, Fraction]] = None):
-        weights = tuple(int(w) for w in weights)
-        if any(w <= 0 for w in weights):
-            raise ValueError("all variable weights must be positive integers")
+        weights = tuple(weights)
+        if not all(map(isinstance, weights, repeat(int))) or min(weights, default=1) <= 0:
+            raise ValueError(f"variable weights must be positive integers, got {weights}")
         self.weights = weights
+        n = len(weights)
         clean: Dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
+            if len(mono) != n or not all(map(isinstance, mono, repeat(int))) or min(mono, default=0) < 0:
+                raise ValueError(f"bad monomial {mono} for {n} variables")
             coeff = as_fraction(coeff)
-            if coeff == 0:
-                continue
-            mono = tuple(int(e) for e in mono)
-            if len(mono) != len(weights) or any(e < 0 for e in mono):
-                raise ValueError(f"bad monomial {mono} for {len(weights)} variables")
-            clean[mono] = clean.get(mono, Fraction(0)) + coeff
-        self.terms = {m: c for m, c in clean.items() if c != 0}
+            if coeff:
+                clean[mono] = coeff
+        self.terms = clean
 
     # ---------------------------------------------------------------- builders
 
@@ -61,9 +67,7 @@ class WeightedPoly:
 
     @classmethod
     def constant(cls, value, weights: Sequence[int]) -> "WeightedPoly":
-        value = as_fraction(value)
-        n = len(weights)
-        return cls(weights, {(0,) * n: value} if value else {})
+        return cls(weights, {(0,) * len(weights): value})
 
     @classmethod
     def variable(cls, index: int, weights: Sequence[int]) -> "WeightedPoly":
@@ -148,17 +152,17 @@ class WeightedPoly:
     def __hash__(self):
         return hash((self.weights, tuple(self.sorted_terms())))
 
-    def __add__(self, other) -> "WeightedPoly":
+    def _same_ring(self, other) -> "WeightedPoly":
+        """``other`` as a polynomial of this ring; a scalar becomes a constant."""
         if not isinstance(other, WeightedPoly):
-            other = WeightedPoly.constant(other, self.weights)
+            return WeightedPoly.constant(other, self.weights)
         self._check_ring(other)
+        return other
+
+    def __add__(self, other) -> "WeightedPoly":
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            value = terms.get(mono, Fraction(0)) + coeff
-            if value:
-                terms[mono] = value
-            else:
-                terms.pop(mono, None)
+        for mono, coeff in self._same_ring(other).terms.items():
+            terms[mono] = terms[mono] + coeff if mono in terms else coeff
         return WeightedPoly(self.weights, terms)
 
     def __radd__(self, other) -> "WeightedPoly":
@@ -168,29 +172,24 @@ class WeightedPoly:
         return WeightedPoly(self.weights, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "WeightedPoly":
-        if not isinstance(other, WeightedPoly):
-            other = WeightedPoly.constant(other, self.weights)
-        return self + (-other)
+        terms = dict(self.terms)
+        for mono, coeff in self._same_ring(other).terms.items():
+            terms[mono] = terms[mono] - coeff if mono in terms else -coeff
+        return WeightedPoly(self.weights, terms)
 
     def __rsub__(self, other) -> "WeightedPoly":
-        return (-self) + other
+        return self._same_ring(other) - self
 
     def __mul__(self, other) -> "WeightedPoly":
         if not isinstance(other, WeightedPoly):
             scalar = as_fraction(other)
-            if scalar == 0:
-                return WeightedPoly.zero(self.weights)
             return WeightedPoly(self.weights, {m: c * scalar for m, c in self.terms.items()})
         self._check_ring(other)
         result: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                value = result.get(mono, Fraction(0)) + c1 * c2
-                if value:
-                    result[mono] = value
-                else:
-                    result.pop(mono, None)
+                mono = tuple(map(operator.add, m1, m2))
+                result[mono] = result[mono] + c1 * c2 if mono in result else c1 * c2
         return WeightedPoly(self.weights, result)
 
     def __rmul__(self, other) -> "WeightedPoly":
@@ -211,7 +210,7 @@ class WeightedPoly:
             if e == 0:
                 continue
             lowered = tuple(v - 1 if i == var else v for i, v in enumerate(mono))
-            terms[lowered] = terms.get(lowered, Fraction(0)) + coeff * e
+            terms[lowered] = coeff * e  # lowering var is injective on the terms it keeps
         return WeightedPoly(self.weights, terms)
 
     def graded_components(self) -> Dict[int, "WeightedPoly"]:
@@ -247,14 +246,8 @@ class WeightedPoly:
                 if mono[i]:
                     factor *= v ** mono[i]
                     reduced[i] = 0
-            if factor == 0:
-                continue
             key = tuple(reduced)
-            value = terms.get(key, Fraction(0)) + coeff * factor
-            if value:
-                terms[key] = value
-            else:
-                terms.pop(key, None)
+            terms[key] = terms[key] + coeff * factor if key in terms else coeff * factor
         return WeightedPoly(self.weights, terms)
 
     # ------------------------------------------------------------------ display
@@ -281,7 +274,7 @@ def exact_divide(num: WeightedPoly, den: WeightedPoly) -> WeightedPoly:
         if any(e < 0 for e in step):
             raise InexactDivisionError("division leaves a nonzero remainder")
         q = coeff / den_coeff
-        quotient[step] = quotient.get(step, Fraction(0)) + q
+        quotient[step] = q  # the leading monomial of rem falls at every step
         rem = rem - WeightedPoly.monomial(step, num.weights, q) * den
     return WeightedPoly(num.weights, quotient)
 

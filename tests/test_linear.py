@@ -12,10 +12,8 @@ from logres.linear import (
     IntegerRows,
     RrefResult,
     block_kernel,
-    charpoly_at,
     determinant,
     inverse,
-    solve_linear,
 )
 from logres.univariate import uni_squarefree_part
 
@@ -76,9 +74,11 @@ def test_integer_eigenvalues_skips_non_integers():
 
 def test_solve_linear():
     m = RationalMatrix([[1, 2], [3, 4]])
-    sol = solve_linear(m, [5, 6])
-    assert sol is not None
+    result = rref(m, [5, 6])
+    assert not result.inconsistent
+    sol = result.solution
     assert [sum(m[i, j] * sol[j] for j in range(2)) for i in range(2)] == [5, 6]
+    assert rref(RationalMatrix([[1, 2], [2, 4]]), [1, 3]).inconsistent
 
 
 entries = st.fractions(min_value=-5, max_value=5, max_denominator=3)
@@ -265,7 +265,12 @@ def oracle_charpoly(matrix):
 
 
 def oracle_is_semisimple(a):
-    return charpoly_at(a, uni_squarefree_part(oracle_charpoly(a))).is_zero()
+    """The squarefree part of the charpoly, evaluated at a by Horner over Fractions, is zero."""
+    n = a.rows
+    value = RationalMatrix.zeros(n, n)
+    for coeff in reversed(uni_squarefree_part(oracle_charpoly(a))):
+        value = value * a + coeff * RationalMatrix.identity(n)
+    return value.is_zero()
 
 
 def assert_same_result(result, expected):

@@ -403,6 +403,25 @@ def test_restriction_and_certificate(seki):
     assert certificate.status == "inconsistent"
 
 
+@pytest.mark.parametrize("value, constants", [(0, 1), (1, 21)])
+def test_certificate_with_every_coordinate_pinned(seki, value, constants):
+    system = moduli_system(seki, residue_for(seki, S01)).system
+    restricted = restrict_system(system, {name: Fraction(value) for name in system.coordinate_names})
+    assert restricted.coordinates == ()
+    assert len(restricted.equations) == constants
+    assert all(list(eq.terms) == [()] for eq in restricted.equations)
+    assert linear_certificate(restricted) == LinearCertificate(
+        "inconsistent", None, "linear subsystem is already inconsistent")
+
+
+def test_certificate_of_the_empty_system_is_consistent(seki):
+    # S = 0 is flat at the zero point, so pinning everything to 0 leaves nothing
+    system = moduli_system(seki, residue_for(seki, ZERO2)).system
+    restricted = restrict_system(system, {name: Fraction(0) for name in system.coordinate_names})
+    assert restricted.coordinates == () and restricted.equations == ()
+    assert linear_certificate(restricted) == LinearCertificate("consistent", (), None)
+
+
 def dense_restrict(system, assignments):
     """Restriction through each equation's dense polynomial: the oracle for
     ``restrict_system``.  Returns (tag, slots, entry, base monomial, polynomial)."""

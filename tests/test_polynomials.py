@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from logres import (
@@ -172,6 +172,85 @@ def test_exact_divide_roundtrip(a, b):
     if b.is_zero():
         return
     assert exact_divide(a * b, b) == a
+
+
+# --------------------------------------------------- the one cleaning pass
+
+@pytest.mark.parametrize("weights, terms", [
+    ((1, 1), {(1.5, 0): 1}),
+    ((1, 1), {("2", 0): 1}),
+    ((1.5, 2), None),
+    ((1, 1), {(Fraction(1), 0): 1}),
+    ((1, 1), {(1.5, 0): 1, (1, 0): 2}),  # not truncated to 1 and merged into 3*z0
+])
+def test_non_integer_exponents_and_weights_are_rejected(weights, terms):
+    with pytest.raises(ValueError):
+        WeightedPoly(weights, terms)
+
+
+def test_bool_exponents_and_weights_pass_as_ints():
+    assert WeightedPoly((1, True), {(True, 0): 3}) == p((1, 1), {(1, 0): 3})
+
+
+def test_difference_constructs_one_polynomial(monkeypatch):
+    a = p(W32, {(2, 0): 1, (0, 3): -1, (1, 1): 2})
+    b = p(W32, {(0, 3): -1, (0, 1): 5})
+    calls = []
+    init = WeightedPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedPoly, "__init__", counting)
+    difference = a - b
+    assert len(calls) == 1
+    assert difference.terms == {(2, 0): 1, (1, 1): 2, (0, 1): -5}
+
+
+W3 = (1, 2, 1)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two polynomials whose terms overlap, some with opposite coefficients."""
+    monos = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in W3))
+    p_terms = draw(st.dictionaries(monos, small_fraction, max_size=5))
+    q_terms = draw(st.dictionaries(monos, small_fraction, max_size=5))
+    for mono, coeff in p_terms.items():
+        if draw(st.booleans()):
+            q_terms[mono] = -coeff
+    return WeightedPoly(W3, p_terms), WeightedPoly(W3, q_terms)
+
+
+def reference_product(a, b):
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            mono = tuple(x + y for x, y in zip(m1, m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def assert_clean(poly):
+    for mono, coeff in poly.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert len(mono) == len(W3) and all(type(e) is int and e >= 0 for e in mono)
+
+
+@seed(14)
+@settings(max_examples=150, deadline=None)
+@given(cancelling_pairs())
+def test_arithmetic_results_hold_no_zero_coefficient(pair):
+    a, b = pair
+    for result in (a + b, a - b, b - a, a * b, a * 0, 2 - a, a + 1, a.partial_derivative(1),
+                   a.substitute({0: Fraction(0), 2: Fraction(-1, 2)})):
+        assert_clean(result)
+    assert (a - a).is_zero()
+    assert (a + b) - b == a
+    assert (a * b).terms == reference_product(a, b)
+    assert (a + b).terms == {m: c for m in set(a.terms) | set(b.terms)
+                             if (c := a.terms.get(m, 0) + b.terms.get(m, 0))}
 
 
 def test_squarefree_single_trial_is_inconclusive():
