@@ -187,7 +187,12 @@ def _commutator(a: _Value, b: _Value) -> _Value:
     return _sub(_matmul(a, b), _matmul(b, a))
 
 
-def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
+# per eigenvalue lam of the grading, per matrix M of its eigenspace: M, and
+# [C_k, M] for each frame direction k; filled as the slot solves reach lam
+_Brackets = Dict[int, List[Tuple[_Value, List[_Value]]]]
+
+
+def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift: int,
                 offsets: Sequence[_Scalar]) -> List[Tuple[int, MatrixPolyMap]]:
     """The (degree, map) basis of one slot's solution space, in increasing degree.
 
@@ -197,7 +202,10 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
     ``residue.grading_eigenspaces``.  A candidate's residual
     V_k(z^a) * M - z^a * (offsets[k] * M + [C_k, M]) is written straight into a
     sparse column keyed by (k, row, column, monomial); ``block_kernel`` then
-    row-reduces each connected block of columns.
+    drops the columns that a row held by no other column forces to zero and
+    row-reduces each connected block of the rest.  The commutators [C_k, M]
+    depend on the residue alone: they are read from ``brackets``, which the
+    slots of one call share, and computed there on first use.
     """
     m = residue.matrix_size
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
@@ -212,12 +220,14 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
         monos = monomials_of_degree(d.weights, degree)
         if not monos:
             continue
+        if lam not in brackets:
+            brackets[lam] = [(eig, [_commutator(value, eig) for value in values])
+                             for eig in (_constant(mat, d.n) for mat in basis)]
         # per eigenmatrix M: the (row, column, value) of M, and of offsets[k] * M + [C_k, M] per k
         eigendata = [
-            (triples(eig), [triples(_collect([*_commutator(value, eig).items(),
-                                              *((key, offset * v) for key, v in eig.items())]))
-                            for value, offset in zip(values, offsets)])
-            for eig in (_constant(mat, d.n) for mat in basis)
+            (triples(eig), [triples(_collect([*bracket.items(), *((key, offset * v) for key, v in eig.items())]))
+                            for bracket, offset in zip(commutators, offsets)])
+            for eig, commutators in brackets[lam]
         ]
         candidates: List[Tuple[Monomial, list]] = []
         columns: List[Dict[tuple, Fraction]] = []
@@ -258,7 +268,7 @@ def solve_component_spaces(d: FreeDivisor, residue: ResidueData) -> List[Solutio
     basis and raises DivisorError.
     """
     _check_pair(d, residue)
-    return _component_spaces(d, residue)
+    return _component_spaces(d, residue, {})
 
 
 def _space(slot: Tuple[str, int], matrix_size: int, items: Sequence[Tuple[int, MatrixPolyMap]]) -> SolutionSpace:
@@ -270,7 +280,7 @@ def _space(slot: Tuple[str, int], matrix_size: int, items: Sequence[Tuple[int, M
                          dims_by_degree=dims)
 
 
-def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
+def _component_spaces(d: FreeDivisor, residue: ResidueData, brackets: _Brackets) -> List[SolutionSpace]:
     """Each graded slot solved alone: its grade shifts the degrees, and its
     offsets are its toral grading constants, then its semisimple action on itself."""
     if not d.w_indices:
@@ -281,15 +291,15 @@ def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpac
     semis = range(len(d.semisimple_indices))
     return [
         _space(("component", b), residue.matrix_size, _solve_slot(
-            d, residue, d.frame[j].grade,
+            d, residue, brackets, d.frame[j].grade,
             [toral_w[(t, b)] for t in range(d.toral_count)] + [action[(a, b)][b] for a in semis]))
         for b, j in enumerate(d.w_indices)
     ]
 
 
-def _correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
+def _correction_spaces(d: FreeDivisor, residue: ResidueData, brackets: _Brackets) -> List[SolutionSpace]:
     """One space per toral slot (a divisor has at least one), all with the basis of one solve."""
-    items = _solve_slot(d, residue, 0, [0] * (d.toral_count + len(d.semisimple_indices)))
+    items = _solve_slot(d, residue, brackets, 0, [0] * (d.toral_count + len(d.semisimple_indices)))
     return [_space(("correction", i), residue.matrix_size, items) for i in range(d.toral_count)]
 
 
@@ -300,7 +310,7 @@ def solve_correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[Soluti
     so the returned spaces share one basis computed once.
     """
     _check_pair(d, residue)
-    return _correction_spaces(d, residue)
+    return _correction_spaces(d, residue, {})
 
 
 def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SymmetryAlgebra:
@@ -311,7 +321,7 @@ def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SymmetryAlgebra:
     transformations equal to the identity at the origin.
     """
     _check_pair(d, residue)
-    return _symmetry_algebra(_correction_spaces(d, residue)[0])
+    return _symmetry_algebra(_correction_spaces(d, residue, {})[0])
 
 
 def _symmetry_algebra(corrections: SolutionSpace) -> SymmetryAlgebra:
@@ -464,8 +474,9 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     """
     _check_pair(d, residue)
     m = residue.matrix_size
-    comp_spaces = _component_spaces(d, residue)
-    corr_spaces = _correction_spaces(d, residue)
+    brackets: _Brackets = {}
+    comp_spaces = _component_spaces(d, residue, brackets)
+    corr_spaces = _correction_spaces(d, residue, brackets)
     symmetry = _symmetry_algebra(corr_spaces[0])
 
     def degree(mono: Monomial) -> int:
@@ -602,14 +613,14 @@ def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fract
         raise MembershipError(f"nonzero value in an empty solution space {space.slot}")
     # one row per (row, column, monomial) of any map; the target is the last column
     width = len(space.basis)
-    rows: Dict[Tuple[int, int, Monomial], List[Fraction]] = {}
+    rows: Dict[Tuple[int, int, Monomial], List[_Scalar]] = {}
     for col, mp in enumerate(space.basis + (target,)):
         for r, c, mono, coeff in _terms(mp):
             row = rows.get((r, c, mono))
             if row is None:
-                row = rows[(r, c, mono)] = [Fraction(0)] * (width + 1)
+                row = rows[(r, c, mono)] = [0] * (width + 1)
             row[col] = coeff
-    result = rref(RationalMatrix([row[:width] for row in rows.values()]), [row[width] for row in rows.values()])
+    result = rref(IntegerRows.cleared(list(rows.values()), width, augmented=True))
     if result.inconsistent or result.solution is None:
         raise MembershipError(f"value does not lie in the span of solution space {space.slot}")
     if result.rank < len(space.basis):

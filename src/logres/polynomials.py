@@ -35,6 +35,14 @@ class InexactDivisionError(ArithmeticError):
     """Raised when a polynomial quotient would leave a nonzero remainder."""
 
 
+def _checked_weights(weights: Sequence[int]) -> Tuple[int, ...]:
+    """The weights as a tuple; ValueError unless each is a positive Python int."""
+    weights = tuple(weights)
+    if not all(map(isinstance, weights, repeat(int))) or min(weights, default=1) <= 0:
+        raise ValueError(f"variable weights must be positive integers, got {weights}")
+    return weights
+
+
 class WeightedPoly:
     """A sparse polynomial with rational coefficients and graded variables.
 
@@ -45,10 +53,7 @@ class WeightedPoly:
     __slots__ = ("weights", "terms")
 
     def __init__(self, weights: Sequence[int], terms: Optional[Dict[Monomial, Fraction]] = None):
-        weights = tuple(weights)
-        if not all(map(isinstance, weights, repeat(int))) or min(weights, default=1) <= 0:
-            raise ValueError(f"variable weights must be positive integers, got {weights}")
-        self.weights = weights
+        self.weights = weights = _checked_weights(weights)
         n = len(weights)
         clean: Dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
@@ -307,7 +312,7 @@ def terms_text(terms: Iterable[Tuple[str, Fraction]]) -> str:
 
 def monomials_of_degree(weights: Sequence[int], degree: int) -> List[Monomial]:
     """All exponent tuples of exact E-degree ``degree``, in lexicographic order."""
-    weights = tuple(int(w) for w in weights)
+    weights = _checked_weights(weights)
     if degree < 0:
         return []
 

@@ -174,13 +174,75 @@ def test_block_kernel_empty_row_set():
     assert_block_kernel_matches(columns)
 
 
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The column count of each block reduced through the ``logres.linear.rref`` name."""
+    import logres.linear
+
+    calls = []
+    rref_at_import = logres.linear.rref
+
+    def counting_rref(*args):
+        calls.append(args[0].cols)
+        return rref_at_import(*args)
+
+    monkeypatch.setattr(logres.linear, "rref", counting_rref)
+    return calls
+
+
+def test_block_kernel_presolve_cascade(rref_calls):
+    # a is held by column 0 alone, which drops it; then b is held by column 1
+    # alone, then c by column 2: every unknown is forced to zero, and nothing
+    # is left to reduce
+    columns = [col(a=1, b=1), col(b=1, c=1), col(c=1)]
+    assert block_kernel(columns) == [] and rref_calls == []
+    assert_block_kernel_matches(columns)
+
+
+def test_block_kernel_presolve_keeps_a_coupled_block_beside_pruned_columns(rref_calls):
+    # columns 1 and 3 each alone hold a row (d, then c once 1 is gone); the
+    # block {0, 2} on row a survives with the kernel vector (1, 1) at
+    # columns 0 and 2, and is the one block reduced; column 4 is a zero
+    # column and free
+    columns = [col(a=1), col(a=2, c=1, d=3), col(a=-1), col(c=5, e=1), col()]
+    assert block_kernel(columns) == [{0: 1, 2: 1}, {4: 1}] and rref_calls == [2]
+    assert_block_kernel_matches(columns)
+
+
+def test_block_kernel_presolve_counts_only_nonzero_entries():
+    # row a holds an explicit zero in column 0 and nothing else: that forces
+    # nothing, so column 0 stays in its block and the kernel is (-1, 1)
+    columns = [{"a": 0, "b": Fraction(1)}, {"b": Fraction(1)}]
+    assert block_kernel(columns) == [{0: -1, 1: 1}]
+    assert_block_kernel_matches(columns)
+
+
+def test_block_kernel_makes_no_reduction_on_the_torus_inputs(rref_calls):
+    # a structural count: on these normal crossings every solve column alone
+    # holds some row, possibly after a cascade, so no block reaches rref
+    from logres import catalog, moduli_system
+
+    from conftest import S01, residue_for
+
+    for name, s in [("normal_crossing_3", S01), ("normal_crossing_4", S01), ("normal_crossing_5", S01),
+                    ("normal_crossing_4", diag(0, 2)), ("normal_crossing_4", diag(0, 1, 2))]:
+        d = catalog(name)
+        problem = moduli_system(d, residue_for(d, s))
+        assert problem.system.coordinates  # the solves did keep vectors
+    assert rref_calls == []
+
+
 @st.composite
 def sparse_columns(draw):
-    """Columns whose row keys are (block, row); the blocks interleave freely."""
+    """Columns whose row keys are (block, row); the blocks interleave freely.
+    Link rows (-1, i) each go to few columns, so rows held by one column,
+    and cascades of them, are common."""
     ncols = draw(st.integers(1, 10))
     nblocks = draw(st.integers(1, 4))
     nrows = draw(st.integers(0, 3))
+    nlinks = draw(st.integers(0, 2 * ncols))
     values = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+    nonzero = st.sampled_from([1, -1, 2, Fraction(1, 2)])
     columns = []
     for _ in range(ncols):
         block = draw(st.integers(0, nblocks - 1))
@@ -188,6 +250,9 @@ def sparse_columns(draw):
         if draw(st.booleans()):
             # a cross-block entry couples two blocks
             entries[(draw(st.integers(0, nblocks - 1)), 0)] = Fraction(draw(values))
+        if nlinks:
+            for link in draw(st.lists(st.integers(0, nlinks - 1), max_size=2)):
+                entries[(-1, link)] = Fraction(draw(nonzero))
         columns.append({key: v for key, v in entries.items() if v})
     return columns
 

@@ -107,6 +107,17 @@ def test_monomials_of_degree():
             assert monomials_of_degree(weights, degree) == brute
 
 
+@pytest.mark.parametrize("weights", [(1.5, 2), (0, 1), (-1, 1)])
+def test_monomials_of_degree_rejects_weights_the_ring_rejects(weights):
+    # not truncated to (1, 2), no ZeroDivisionError, no silent empty list
+    with pytest.raises(ValueError, match="variable weights must be positive integers"):
+        monomials_of_degree(weights, 3)
+
+
+def test_monomials_of_degree_takes_a_bool_weight_as_the_ring_does():
+    assert monomials_of_degree((True, 2), 3) == monomials_of_degree((1, 2), 3) == [(1, 1), (3, 0)]
+
+
 def test_squarefree_cusp():
     f = p(W32, {(2, 0): 1, (0, 3): -1})
     assert squarefree_probable(f, trials=8, seed=0) == "probably-squarefree"
