@@ -47,13 +47,10 @@ def plane_curve(p: int, q: int, f: WeightedPoly, name: str = "plane_curve") -> F
         raise DivisorError("defining polynomial must carry weights (p, q)")
     x, y = _variables(weights)
     euler = _field(p * x, q * y)
-    e_f = euler.apply(f)
     degrees = {f.monomial_degree(m) for m in f.terms}
     if len(degrees) != 1:
         raise DivisorError("plane curve polynomial must be weighted homogeneous")
     n = degrees.pop()
-    if e_f != f * n:
-        raise DivisorError("Euler field does not scale f by its degree")
     grade = n - p - q
     if grade <= 0:
         raise DivisorError("need degree > p + q; use normal_crossing for the boundary case")

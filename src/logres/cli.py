@@ -2,9 +2,9 @@
 
 Exit codes: 0 for a pass, 1 for a negative verification finding (the tool ran
 fine, the math said no), 2 for malformed input, usage errors or an internal
-error (a broken invariant or runaway recursion, reported as "error: internal:
-..."). With ``verify-divisor --strict``, an inconclusive reducedness check is
-a finding.
+error (a broken invariant, runaway recursion or exhausted memory, reported as
+"error: internal: ..."). With ``verify-divisor --strict``, an inconclusive
+reducedness check is a finding.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _load_residue(args):
     return serialize.residue_from_json(serialize.load_json_file(args.residue))
 
 
-def _emit(args, machine: dict, human_lines: List[str]) -> None:
+def _emit(args, machine: Optional[dict], human_lines: List[str]) -> None:
     if args.format == "json":
         sys.stdout.write(serialize.canonical_dumps(machine))
     else:
@@ -204,7 +204,7 @@ def cmd_emit_moduli(args) -> int:
     d = _load_divisor(args)
     residue = _load_residue(args)
     problem = moduli_system(d, residue)
-    payload = serialize.system_to_json(problem.system, d.variables)
+    payload = serialize.system_to_json(problem.system, d.variables) if args.output or args.format == "json" else None
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(serialize.pretty_dumps(payload))
@@ -383,8 +383,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             InexactDivisionError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return BROKEN
-    except (ArithmeticError, RecursionError) as exc:
-        sys.stderr.write(f"error: internal: {exc}\n")
+    except (ArithmeticError, RecursionError, MemoryError) as exc:
+        sys.stderr.write(f"error: internal: {str(exc) or type(exc).__name__}\n")
         return BROKEN
 
 

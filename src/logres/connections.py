@@ -115,20 +115,8 @@ class MatrixPolyMap:
     def evaluate(self, point: Sequence[Fraction]) -> RationalMatrix:
         return RationalMatrix([[p.evaluate(point) for p in row] for row in self.entries])
 
-    def degrees(self) -> Tuple[int, ...]:
-        """Sorted E-degrees occurring in any entry."""
-        out = set()
-        for row in self.entries:
-            for p in row:
-                for mono in p.terms:
-                    out.add(p.monomial_degree(mono))
-        return tuple(sorted(out))
-
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
-
-    def constant_part(self) -> RationalMatrix:
-        return RationalMatrix([[p.constant_term() for p in row] for row in self.entries])
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(p.format() for p in row) for row in self.entries)

@@ -228,9 +228,6 @@ class FreeDivisor:
         """Row i holds the coefficients of frame element i."""
         return [list(e.field.coefficients) for e in self.frame]
 
-    def w_grades(self) -> Tuple[int, ...]:
-        return tuple(self.frame[i].grade for i in self.w_indices)
-
     def effective_factors(self) -> Tuple[WeightedPoly, ...]:
         if self.factors is not None:
             return self.factors
@@ -393,11 +390,6 @@ def _adjugate(minor, n: int) -> List[List[WeightedPoly]]:
 def poly_determinant(rows: Sequence[Sequence[WeightedPoly]]) -> WeightedPoly:
     """Determinant of a square polynomial matrix, by memoized Laplace expansion."""
     return _determinant(_minor_table(rows), len(rows))
-
-
-def poly_adjugate(rows: Sequence[Sequence[WeightedPoly]]) -> List[List[WeightedPoly]]:
-    """Adjugate matrix, from one minor table."""
-    return _adjugate(_minor_table(rows), len(rows))
 
 
 def verify_saito(d: FreeDivisor, trials: int = 8, seed: int = 0) -> SaitoResult:

@@ -51,11 +51,6 @@ class RationalMatrix:
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls([[Fraction(0)] * cols for _ in range(rows)])
 
-    @classmethod
-    def diagonal(cls, values: Sequence[Fraction]) -> "RationalMatrix":
-        n = len(values)
-        return cls([[as_fraction(values[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -94,10 +89,7 @@ class RationalMatrix:
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise ValueError("inner dimensions do not match")
-            cols = list(zip(*other.entries))
-            return RationalMatrix(
-                [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in self.entries]
-            )
+            return RationalMatrix(_matmul(self.entries, other.entries))
         scalar = as_fraction(other)
         return RationalMatrix([[a * scalar for a in row] for row in self.entries])
 

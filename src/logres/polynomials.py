@@ -113,17 +113,6 @@ class WeightedPoly:
             return None
         return max(sum(m) for m in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {self.monomial_degree(m) for m in self.terms}
-        return len(degrees) <= 1
-
-    def homogeneous_degree(self) -> int:
-        """E-degree of a homogeneous polynomial (zero counts as degree 0)."""
-        degrees = {self.monomial_degree(m) for m in self.terms}
-        if len(degrees) > 1:
-            raise ValueError("polynomial is not E-homogeneous")
-        return degrees.pop() if degrees else 0
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
@@ -218,13 +207,6 @@ class WeightedPoly:
             terms[lowered] = coeff * e  # lowering var is injective on the terms it keeps
         return WeightedPoly(self.weights, terms)
 
-    def graded_components(self) -> Dict[int, "WeightedPoly"]:
-        """Decomposition into E-homogeneous components, keyed by E-degree."""
-        buckets: Dict[int, Dict[Monomial, Fraction]] = {}
-        for mono, coeff in self.terms.items():
-            buckets.setdefault(self.monomial_degree(mono), {})[mono] = coeff
-        return {d: WeightedPoly(self.weights, t) for d, t in sorted(buckets.items())}
-
     # --------------------------------------------------------------- evaluation
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
@@ -239,21 +221,6 @@ class WeightedPoly:
                     term *= v ** e
             total += term
         return total
-
-    def substitute(self, assignments: Dict[int, Fraction]) -> "WeightedPoly":
-        """Set some variables to rational constants, keeping the same ring."""
-        values = {i: as_fraction(v) for i, v in assignments.items()}
-        terms: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            factor = Fraction(1)
-            reduced = list(mono)
-            for i, v in values.items():
-                if mono[i]:
-                    factor *= v ** mono[i]
-                    reduced[i] = 0
-            key = tuple(reduced)
-            terms[key] = terms[key] + coeff * factor if key in terms else coeff * factor
-        return WeightedPoly(self.weights, terms)
 
     # ------------------------------------------------------------------ display
 

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from logres import FrameElement, FreeDivisor, RationalMatrix, ResidueData, VectorFieldPoly, WeightedPoly, catalog
+from logres import (
+    FrameElement,
+    FreeDivisor,
+    MatrixPolyMap,
+    RationalMatrix,
+    ResidueData,
+    VectorFieldPoly,
+    WeightedPoly,
+    catalog,
+)
 from logres.linear import inverse
 
 
@@ -16,7 +25,13 @@ def rand_fraction(rng: random.Random, span: int = 6, den: int = 3) -> Fraction:
 
 
 def diag(*values) -> RationalMatrix:
-    return RationalMatrix.diagonal([Fraction(v) for v in values])
+    return RationalMatrix([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
+
+
+def e_degrees(value) -> set:
+    """The E-degrees of the terms of a WeightedPoly, or of every entry of a MatrixPolyMap."""
+    polys = [p for row in value.entries for p in row] if isinstance(value, MatrixPolyMap) else [value]
+    return {p.monomial_degree(mono) for p in polys for mono in p.terms}
 
 
 S01 = RationalMatrix([[0, 0], [0, 1]])

@@ -39,7 +39,7 @@ from logres.liealg import ad_operator
 from logres.linear import determinant, integer_eigenvalues
 from logres.cli import main as cli_main
 
-from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, rand_fraction, residue_for
+from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, e_degrees, rand_fraction, residue_for
 
 
 def announce(number, text):
@@ -446,7 +446,7 @@ def test_criterion_6_sign_pinning(capsys):
     assert space.dims_by_degree == {0: 2, 1: 1}
     s_const = MatrixPolyMap.from_constant(S01, a2.weights)
     for element in space.basis:
-        degree = element.degrees()[0]
+        (degree,) = e_degrees(element)
         lhs = s_const.commutator(element)
         assert (lhs - element.scale(Fraction(degree))).is_zero()
 

@@ -48,8 +48,9 @@ def test_catalog_kind_layout():
     assert [e.kind for e in catalog("g2").frame] == [TORAL] + [SEMISIMPLE] * 3
     assert [e.kind for e in catalog("d4").frame] == [TORAL] * 3 + [SEMISIMPLE] * 3
     assert [e.kind for e in catalog("sekiguchi_b5").frame] == [TORAL, WTYPE, WTYPE]
-    assert catalog("sekiguchi_b5").w_grades() == (1, 2)
-    assert catalog("borel2").w_grades() == (0,)
+    seki, borel = catalog("sekiguchi_b5"), catalog("borel2")
+    assert tuple(seki.frame[i].grade for i in seki.w_indices) == (1, 2)
+    assert tuple(borel.frame[i].grade for i in borel.w_indices) == (0,)
 
 
 def test_sekiguchi_data(seki):

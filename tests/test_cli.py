@@ -335,7 +335,7 @@ def test_seed_and_strict_belong_to_verify_divisor_alone(capsys, residue_file):
     assert "seed 1" in out
 
 
-@pytest.mark.parametrize("error", [ArithmeticError("broken invariant"), RecursionError("too deep")])
+@pytest.mark.parametrize("error", [ArithmeticError("broken invariant"), RecursionError("too deep"), MemoryError()])
 def test_internal_errors_keep_the_exit_code_contract(capsys, monkeypatch, residue_file, error):
     def broken(*args):
         raise error
@@ -343,4 +343,24 @@ def test_internal_errors_keep_the_exit_code_contract(capsys, monkeypatch, residu
     monkeypatch.setattr(cli, "moduli_system", broken)
     code, _, err = run(capsys, "emit-moduli", "--catalog", "sekiguchi_b5", "--residue", residue_file)
     assert code == 2
-    assert err.startswith("error: internal: ") and "Traceback" not in err
+    # str(MemoryError()) is empty, so such an error is reported by its class name
+    assert err == "error: internal: " + (str(error) or type(error).__name__) + "\n"
+
+
+def test_emit_moduli_builds_the_json_payload_only_for_a_writer(capsys, monkeypatch, tmp_path, residue_file):
+    calls = []
+    original = serialize.system_to_json
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(serialize, "system_to_json", counting)
+    base = ("emit-moduli", "--catalog", "sekiguchi_b5", "--residue", residue_file)
+    code, out, _ = run(capsys, *base)
+    assert code == 0 and out.startswith("divisor: sekiguchi_b5\n")
+    assert calls == []
+    assert run(capsys, *base, "--format", "json")[0] == 0
+    assert len(calls) == 1
+    assert run(capsys, *base, "--output", str(tmp_path / "system.json"))[0] == 0
+    assert len(calls) == 2

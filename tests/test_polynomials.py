@@ -61,21 +61,6 @@ def test_partial_derivative_three_variables():
     assert f.partial_derivative(2) == p(W123, {(0, 3, 0): 1, (0, 0, 2): 3})
 
 
-def test_graded_components_homogeneous_cases():
-    cusp_poly = p(W32, {(2, 0): 1, (0, 3): -1})
-    assert cusp_poly.graded_components() == {6: cusp_poly}
-    seki_poly = p(W123, {(1, 4, 0): 1, (0, 3, 1): 1, (0, 0, 3): 1})
-    assert seki_poly.graded_components() == {9: seki_poly}
-
-
-def test_graded_components_mixed():
-    f = p((1, 1), {(0, 0): 1, (1, 0): 1})  # 1 + x
-    parts = f.graded_components()
-    assert sorted(parts) == [0, 1]
-    assert parts[0] == WeightedPoly.constant(1, (1, 1))
-    assert parts[1] == WeightedPoly.variable(0, (1, 1))
-
-
 def test_exact_divide_cusp_determinant():
     f = p(W32, {(2, 0): 1, (0, 3): -1})
     assert exact_divide(6 * f, f) == WeightedPoly.constant(6, W32)
@@ -166,18 +151,6 @@ def test_ring_axioms(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys())
-def test_graded_decomposition_reconstructs(a):
-    parts = a.graded_components()
-    total = WeightedPoly.zero(a.weights)
-    for degree, part in parts.items():
-        assert part.is_homogeneous()
-        assert part.is_zero() or part.homogeneous_degree() == degree
-        total = total + part
-    assert total == a
-
-
-@settings(max_examples=60, deadline=None)
 @given(polys(), polys())
 def test_exact_divide_roundtrip(a, b):
     if b.is_zero():
@@ -254,8 +227,7 @@ def assert_clean(poly):
 @given(cancelling_pairs())
 def test_arithmetic_results_hold_no_zero_coefficient(pair):
     a, b = pair
-    for result in (a + b, a - b, b - a, a * b, a * 0, 2 - a, a + 1, a.partial_derivative(1),
-                   a.substitute({0: Fraction(0), 2: Fraction(-1, 2)})):
+    for result in (a + b, a - b, b - a, a * b, a * 0, 2 - a, a + 1, a.partial_derivative(1)):
         assert_clean(result)
     assert (a - a).is_zero()
     assert (a + b) - b == a
