@@ -24,7 +24,12 @@ from .univariate import power
 
 
 class MatrixPolyMap:
-    """A square matrix of weighted polynomials: a polynomial map into gl_m."""
+    """A square matrix of weighted polynomials: a polynomial map into gl_m.
+
+    The public constructors (``MatrixPolyMap(...)``, ``zeros`` and
+    ``from_constant``) check that the entries are square and in one ring.  The
+    arithmetic below builds its results through ``_of``, which trusts them.
+    """
 
     __slots__ = ("entries", "weights")
 
@@ -37,6 +42,15 @@ class MatrixPolyMap:
             raise ValueError("entries live in different polynomial rings")
         self.entries = data
         self.weights = weights
+
+    @classmethod
+    def _of(cls, entries: Sequence[Sequence[WeightedPoly]]) -> "MatrixPolyMap":
+        """A map of square rows already in one ring, as the arithmetic here and
+        the moduli solve build them: no checks."""
+        out = object.__new__(cls)
+        out.entries = tuple(map(tuple, entries))
+        out.weights = out.entries[0][0].weights
+        return out
 
     @classmethod
     def zeros(cls, m: int, weights: Sequence[int]) -> "MatrixPolyMap":
@@ -71,22 +85,22 @@ class MatrixPolyMap:
 
     def __add__(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
         self._check_size(other)
-        return MatrixPolyMap(
+        return MatrixPolyMap._of(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
         self._check_size(other)
-        return MatrixPolyMap(
+        return MatrixPolyMap._of(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
     def __neg__(self) -> "MatrixPolyMap":
-        return MatrixPolyMap([[-a for a in row] for row in self.entries])
+        return MatrixPolyMap._of([[-a for a in row] for row in self.entries])
 
     def scale(self, factor) -> "MatrixPolyMap":
         """Multiply every entry by a polynomial or rational factor."""
-        return MatrixPolyMap([[a * factor for a in row] for row in self.entries])
+        return MatrixPolyMap._of([[a * factor for a in row] for row in self.entries])
 
     def matmul(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
         self._check_size(other)
@@ -98,7 +112,7 @@ class MatrixPolyMap:
                     for j, b in enumerate(other.entries[s]):
                         if b:
                             out[i][j] = out[i][j] + a * b
-        return MatrixPolyMap(out)
+        return MatrixPolyMap._of(out)
 
     def commutator(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
         return self.matmul(other) - other.matmul(self)
@@ -110,7 +124,7 @@ class MatrixPolyMap:
 
     def apply_field(self, field: VectorFieldPoly) -> "MatrixPolyMap":
         """Apply a vector field entrywise."""
-        return MatrixPolyMap([[field.apply(p) for p in row] for row in self.entries])
+        return MatrixPolyMap._of([[field.apply(p) for p in row] for row in self.entries])
 
     def evaluate(self, point: Sequence[Fraction]) -> RationalMatrix:
         return RationalMatrix([[p.evaluate(point) for p in row] for row in self.entries])

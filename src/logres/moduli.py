@@ -5,11 +5,13 @@ for the connection components have graded polynomial solutions whose degrees
 are pinned by the integer eigenvalues of ad of the grading residue value.
 This module computes exact bases of those solution spaces, one graded slot
 and one degree at a time (a frame whose semisimple fields move one graded
-slot into another is rejected before any solve): every candidate z^a * M
-gets its residual as a sparse column, and the columns are row-reduced block
-by block, where a block is a connected set of columns sharing equation rows.
-The toral directions act on monomials with integer weights, so the blocks
-are small.  Frame fields act on monomials through
+slot into another is rejected before any solve).  The characters of the
+diagonal toral fields first sieve out the monomials z^a whose candidates
+are forced to zero, by one small rank test per eigenspace, distinct residue
+value and character value; every remaining candidate z^a * M gets its
+residual as a sparse column, and the columns are row-reduced block by
+block, where a block is a connected set of columns sharing equation rows.
+Frame fields act on monomials through
 ``VectorFieldPoly.on_monomial`` alone, and matrices are multiplied by one
 sparse product, ``_matmul``, in the solve (the brackets of residue values
 with eigenmatrices) and in emission alike.  It then emits the polynomial
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
@@ -205,24 +207,62 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
     drops the columns that a row held by no other column forces to zero and
     row-reduces each connected block of the rest.  The commutators [C_k, M]
     depend on the residue alone: they are read from ``brackets``, which the
-    slots of one call share, and computed there on first use.
+    slots of one call share, and computed there on first use, once per
+    distinct residue value.
+
+    Before any column is built, the toral characters sieve the monomials.  A
+    diagonal toral field V_k (``FreeDivisor.toral_characters``) has
+    V_k(z^a) = <chi_k, a> * z^a, so only the candidates z^a * M_i reach the
+    rows (k, ., ., a), and there they read z^a * (q * M - [S_k, M]) with
+    q = <chi_k, a> - offsets[k].  A kernel vector with coefficients x_i on
+    them thus makes M = sum_i x_i * M_i an element of the lam-eigenspace with
+    [S_k, M] = q * M.  When a rank test of the columns q * M_i - [S_k, M_i]
+    finds no such nonzero M (S_k commutes with the grading element, so ad S_k
+    keeps its eigenspaces), every candidate of monomial a is zero in every
+    kernel vector.  Such columns are pivots of any reduction, and dropping
+    them leaves ``rref(dense).kernel`` as it is: the argument of
+    ``block_kernel``'s presolve.  The test is cached per (lam, first slot with
+    an equal S_k, q).
     """
     m = residue.matrix_size
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
-    values = [_constant(value, d.n) for value in tuple(residue.s_list) + tuple(residue.chi or ())]
+    # each direction's residue value, and the first direction with an equal value
+    matrices = tuple(residue.s_list) + tuple(residue.chi or ())
+    first: Dict[RationalMatrix, int] = {}
+    same = [first.setdefault(value, k) for k, value in enumerate(matrices)]
+    characters = [(t, chi, _scalar(offsets[t])) for t, chi in d.toral_characters]
+    admits: Dict[Tuple[int, int, _Scalar], bool] = {}
 
     def triples(value: _Value) -> List[Tuple[int, int, Fraction]]:
         return [(r, c, v) for (_, r, c, _), v in value.items()]
+
+    def admitted(lam: int, k: int, q: _Scalar) -> bool:
+        """Whether some nonzero M of the lam-eigenspace has [C_k, M] = q * M."""
+        key = (lam, same[k], q)
+        if key not in admits:
+            pairs = brackets[lam]
+            rows: Dict[Tuple[int, int], List[_Scalar]] = {}
+            for i, (eig, commutators) in enumerate(pairs):
+                for r, c, v in triples(_sub({term: q * v for term, v in eig.items()}, commutators[k])):
+                    rows.setdefault((r, c), [0] * len(pairs))[i] = v
+            admits[key] = not rows or rref(IntegerRows.cleared(list(rows.values()), len(pairs))).rank < len(pairs)
+        return admits[key]
 
     out: List[Tuple[int, MatrixPolyMap]] = []
     for lam, basis in sorted(residue.grading_eigenspaces.items()):
         degree = lam + shift
         monos = monomials_of_degree(d.weights, degree)
+        if monos and lam not in brackets:
+            values = {k: _constant(matrices[k], d.n) for k in first.values()}
+            brackets[lam] = []
+            for eig in (_constant(mat, d.n) for mat in basis):
+                distinct = {k: _commutator(value, eig) for k, value in values.items()}
+                brackets[lam].append((eig, [distinct[k] for k in same]))
+        if characters:
+            monos = [mono for mono in monos
+                     if all(admitted(lam, t, sum(map(mul, chi, mono)) - offset) for t, chi, offset in characters)]
         if not monos:
             continue
-        if lam not in brackets:
-            brackets[lam] = [(eig, [_commutator(value, eig) for value in values])
-                             for eig in (_constant(mat, d.n) for mat in basis)]
         # per eigenmatrix M: the (row, column, value) of M, and of offsets[k] * M + [C_k, M] per k
         eigendata = [
             (triples(eig), [triples(_collect([*bracket.items(), *((key, offset * v) for key, v in eig.items())]))
@@ -252,8 +292,8 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
                 for r, c, v in entries:
                     entry = terms.setdefault((r, c), {})
                     entry[mono] = entry.get(mono, 0) + coeff * v
-            out.append((degree, MatrixPolyMap([[WeightedPoly(d.weights, terms.get((r, c))) for c in range(m)]
-                                               for r in range(m)])))
+            out.append((degree, MatrixPolyMap._of([[WeightedPoly(d.weights, terms.get((r, c))) for c in range(m)]
+                                                   for r in range(m)])))
     return out
 
 

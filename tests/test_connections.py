@@ -82,6 +82,38 @@ def test_matrix_poly_map_sizes_must_match(cusp):
             combine(large, small)
 
 
+def test_public_constructors_check_and_the_arithmetic_trusts(cusp, seki, monkeypatch):
+    from logres import serialize
+
+    x, y = (WeightedPoly.variable(i, cusp.weights) for i in range(2))
+    zero = WeightedPoly.zero(cusp.weights)
+    with pytest.raises(ValueError, match="square"):
+        MatrixPolyMap([[x, y]])
+    with pytest.raises(ValueError, match="different polynomial rings"):
+        MatrixPolyMap([[x, zero], [zero, WeightedPoly.zero(seki.weights)]])
+    for ragged in ([[[], []], [[]]], [[[]], [[]]]):
+        with pytest.raises(ValueError, match="square"):
+            serialize.matrix_map_from_json(ragged, cusp.weights)
+    a = MatrixPolyMap([[x, x * y], [zero, y]])
+    b = constant(diag(1, 2), cusp)
+    checked = [MatrixPolyMap(c.entries) for c in (a + b, a - b, -a, a.scale(x), a.matmul(b),
+                                                   a.apply_field(cusp.frame[1].field))]
+    inits = []
+    original = MatrixPolyMap.__init__
+
+    def counting_init(self, entries):
+        inits.append(1)
+        original(self, entries)
+
+    monkeypatch.setattr(MatrixPolyMap, "__init__", counting_init)
+    trusted = [a + b, a - b, -a, a.scale(x), a.matmul(b), a.apply_field(cusp.frame[1].field)]
+    assert not inits
+    assert trusted == checked and all(t.weights == cusp.weights for t in trusted)
+    # a factor from another ring still fails in the entries' own arithmetic
+    with pytest.raises(ValueError):
+        a.scale(WeightedPoly.variable(0, seki.weights))
+
+
 def _sparse_map(rng, m, weights):
     """A seeded map with some whole rows and columns zero and about half the other entries zero."""
     zero_rows, zero_cols = ({k for k in range(m) if rng.random() < 0.3} for _ in range(2))

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from logres import (
+    FrameElement,
+    FreeDivisor,
     MatrixPolyMap,
     ModuliPoint,
     RationalMatrix,
@@ -25,7 +27,7 @@ from logres import (
     serialize,
     symmetry_algebra,
 )
-from logres.divisor import DivisorError, correction_pairings
+from logres.divisor import TORAL, DivisorError, correction_pairings
 from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
 from logres.moduli import LinearCertificate, MembershipError, ResidueError, _commutator, _constant, _matmul
@@ -782,3 +784,57 @@ def test_every_solve_block_is_reduced_through_the_rref_name(monkeypatch):
         moduli_system(d, residue(d))
         assert expected and all(blocks == made for blocks, made in expected)
         assert (sum(made for _, made in expected) > 0) == reduces
+
+
+def test_the_character_sieve_leaves_three_correction_columns(monkeypatch):
+    # normal_crossing_5 with S01 on every slot: of the 128 candidates of the
+    # correction solve, the toral characters keep the 3 that can solve it
+    import logres.moduli
+
+    handed = []
+    block_kernel_at_import = logres.moduli.block_kernel
+
+    def counting_block_kernel(columns):
+        handed.append(len(columns))
+        return block_kernel_at_import(columns)
+
+    monkeypatch.setattr(logres.moduli, "block_kernel", counting_block_kernel)
+    d = catalog("normal_crossing_5")
+    solve_correction_spaces(d, residue_for(d, S01))
+    assert sum(handed) == 3
+
+
+def test_toral_characters_of_the_catalog():
+    assert catalog("normal_crossing_3").toral_characters == ((0, (1, 0, 0)), (1, (0, 1, 0)), (2, (0, 0, 1)))
+    assert catalog("borel2").toral_characters == ((0, (2, 1, 0)), (1, (0, 1, 2)))
+    assert [t for t, _ in catalog("d4").toral_characters] == [0, 1, 2]
+    # a lone toral field is the Euler field, whose value the grading fixes
+    for name in ("cusp", "sekiguchi_b5", "g2", "normal_crossing_1"):
+        assert catalog(name).toral_characters == ()
+
+
+def skewed_normal_crossing_2() -> FreeDivisor:
+    """normal_crossing_2 in the coordinates u = x + y, v = y: its toral fields
+    x d/dx and y d/dy read (u - v) d/du and v d/du + v d/dv."""
+    weights = (1, 1)
+    u, v = (WeightedPoly.variable(i, weights) for i in range(2))
+    zero = WeightedPoly.zero(weights)
+    return FreeDivisor(
+        name="normal_crossing_2_skewed",
+        variables=("u", "v"),
+        weights=weights,
+        f=(u - v) * v,
+        degree=2,
+        frame=(FrameElement(TORAL, VectorFieldPoly((u - v, zero))), FrameElement(TORAL, VectorFieldPoly((v, v)))),
+        positive_combination=(1, 1),
+        factors=(u - v, v),
+    )
+
+
+def test_a_frame_without_diagonal_toral_fields_solves_unsieved():
+    skewed, plain = skewed_normal_crossing_2(), catalog("normal_crossing_2")
+    assert skewed.toral_characters == ()
+    for s in (S01, diag(0, 2), (diag(0, 1), diag(0, 2))):
+        got, want = (solve_correction_spaces(d, residue_for(d, s)) for d in (skewed, plain))
+        assert [space.dims_by_degree for space in got] == [space.dims_by_degree for space in want]
+        assert max(got[0].dims_by_degree) > 0

@@ -15,6 +15,11 @@ integral coefficients as ints, the six after `borel2/diag(0,1,2)` before it
 moved to flat rational coefficients, the product before the solve and the
 emission shared one sparse product); any change to the equations, their
 order or their coordinates shows up here.
+
+The same bytes must come out with the toral-character sieve of
+``moduli._solve_slot`` turned off (every divisor given no characters), on
+every case here and on seeded residues with a distinct diagonal S per toral
+slot; the solve without the sieve is the oracle for the one with it.
 """
 
 import functools
@@ -24,7 +29,7 @@ from fractions import Fraction
 
 import pytest
 
-from logres import ResidueData, moduli_system, serialize
+from logres import FreeDivisor, ResidueData, moduli_system, serialize
 
 from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, fraction_conjugated,
                       rand_fraction, residue_for)
@@ -179,3 +184,54 @@ def test_sparse_equations_match_their_dense_view(label):
 @pytest.mark.parametrize("label", LABELS)
 def test_system_json_is_byte_identical(label):
     assert system_sha256(label) == FROZEN[label]
+
+
+# ------------------------------------------ the solve without the character sieve
+
+def sieve_off(monkeypatch):
+    """Give every divisor no toral characters, so that ``_solve_slot`` sieves no monomial."""
+    monkeypatch.setattr(FreeDivisor, "toral_characters", property(lambda d: ()))
+
+
+def emitted_json(d: FreeDivisor, residue: ResidueData) -> str:
+    return serialize.canonical_dumps(serialize.system_to_json(moduli_system(d, residue).system, d.variables))
+
+
+def test_the_identity_cases_reach_the_sieve():
+    assert {name for name, _, _ in INPUTS.values() if divisor_named(name).toral_characters} == {
+        "normal_crossing_2", "normal_crossing_3", "normal_crossing_4", "normal_crossing_5", "borel2", "d4",
+        "g2*sekiguchi_b5"}
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_system_json_is_byte_identical_without_the_sieve(label, monkeypatch):
+    sieve_off(monkeypatch)
+    d = divisor_named(INPUTS[base_label(label)][0])
+    assert hashlib.sha256(emitted_json(d, residue_of(label)).encode()).hexdigest() == FROZEN[label]
+
+
+def seeded_residues(name: str):
+    """Residues with a distinct seeded diagonal integer S on each toral slot,
+    m = 2 or 3, as written and conjugated by one seeded P."""
+    d = divisor_named(name)
+    for seed in range(6):
+        rng = random.Random(f"sieve:{name}:{seed}")
+        m = 2 + seed % 2
+        values = []
+        while len(values) < d.toral_count:
+            value = diag(*(rng.randint(0, 2) for _ in range(m)))
+            if value not in values:
+                values.append(value)
+        yield f"{seed}", residue_for(d, tuple(values))
+        p_seed = f"sieve-conj:{name}:{seed}"
+        yield f"{seed}~conj", residue_for(d, tuple(conjugated(v, random.Random(p_seed)) for v in values))
+
+
+@pytest.mark.parametrize("name", ["normal_crossing_2", "normal_crossing_3", "normal_crossing_4", "borel2", "d4"])
+def test_seeded_residues_emit_the_same_bytes_without_the_sieve(name, monkeypatch):
+    d = divisor_named(name)
+    assert d.toral_characters
+    cases = list(seeded_residues(name))
+    sieved = {label: emitted_json(d, residue) for label, residue in cases}
+    sieve_off(monkeypatch)
+    assert {label: emitted_json(d, residue) for label, residue in cases} == sieved
