@@ -294,16 +294,17 @@ class FreeDivisor:
         return matrix
 
     @cached_property
-    def toral_characters(self) -> Tuple[Tuple[int, Tuple[Union[int, Fraction], ...]], ...]:
-        """(toral position, chi) for each diagonal toral field sum_j chi_j * z_j d/dz_j.
+    def diagonal_characters(self) -> Tuple[Tuple[int, Tuple[Union[int, Fraction], ...]], ...]:
+        """(direction, chi) for each diagonal toral or semisimple field sum_j chi_j * z_j d/dz_j.
 
-        Such a field scales z^a by <chi, a>.  A toral field with any other term
-        is left out, and so is one whose chi is a multiple of the weights: the
+        Directions count the toral fields first, then the semisimple ones.
+        Such a field scales z^a by <chi, a>.  A field with any other term is
+        left out, and so is one whose chi is a multiple of the weights: the
         grading already fixes its value on each degree.  A coefficient of chi
         is an int when it is integral.
         """
         out = []
-        for t, idx in enumerate(self.toral_indices):
+        for k, idx in enumerate(self.toral_indices + self.semisimple_indices):
             chi = []
             for j, terms in enumerate(self.frame[idx].field._integer_terms):
                 if len(terms) > 1 or (terms and terms[0][0] != tuple(int(i == j) for i in range(self.n))):
@@ -311,7 +312,7 @@ class FreeDivisor:
                 chi.append(terms[0][1] if terms else 0)
             else:
                 if len({Fraction(c) / w for c, w in zip(chi, self.weights)}) > 1:
-                    out.append((t, tuple(chi)))
+                    out.append((k, tuple(chi)))
         return tuple(out)
 
     @cached_property

@@ -4,9 +4,8 @@ RationalMatrix is a small immutable dense matrix of Fractions.  The row
 reduction here, ``rref``, is the single exact solver behind every eigenspace,
 kernel and linear-system computation in the package; ``block_kernel``
 applies it to each connected block of a sparse matrix given by columns,
-after dropping the columns that a row with one nonzero entry forces to zero, and
-the structure functions of a divisor are solved with it one bracket at a
-time.  It is fraction-free: each row is cleared of denominators once into
+``inverse`` to [A | I] once, and the structure functions of a divisor are
+solved with it one bracket at a time.  It is fraction-free: each row is cleared of denominators once into
 ``IntegerRows`` and eliminated over Python ints, and ``Fraction``s are built
 only at the end, as quotients by the pivot entries.  Callers that assemble
 their own rows of ints hand ``IntegerRows`` to ``rref`` and never build a
@@ -260,48 +259,14 @@ def rref(matrix: Union[RationalMatrix, IntegerRows], rhs: Optional[Sequence[Frac
 def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> List[Dict[int, Fraction]]:
     """Kernel basis of the matrix whose column j has the entries ``columns[j]``.
 
-    Each column maps row keys to int or Fraction values.  A presolve first
-    drops forced-zero columns: while some row key has a nonzero entry in
-    exactly one live column, that column is dropped, and its other keys lose a
-    holder.  Two live columns are connected when they share a row key, and
-    every connected block is row-reduced on its own by ``rref``.  The result
-    is ``rref(dense).kernel`` exactly: the same vectors, in increasing order
-    of their free column.  Each vector is returned as its nonzero entries, in
+    Each column maps row keys to int or Fraction values.  Two columns are
+    connected when they share a row key, and every connected block is
+    row-reduced on its own by ``rref``.  The reduced form of a block-diagonal
+    matrix is made of the reduced forms of its blocks, so the result is
+    ``rref(dense).kernel`` exactly: the same vectors, in increasing order of
+    their free column.  Each vector is returned as its nonzero entries, in
     increasing column order.
-
-    Why the presolve changes nothing: if a key is held by no live column but
-    j, then x_j = 0 in every kernel vector, and column j is in the span of no
-    set of other live columns, so j is a pivot of every reduction that holds
-    it.  No other column's span test can use column j either, so dropping j
-    keeps every other column pivot or free as it was, and each free column's
-    kernel vector (1 at itself, 0 at the other free columns) keeps its
-    entries; by induction this holds for the whole cascade.  The reduced form
-    of a block-diagonal matrix is made of the reduced forms of its blocks.
     """
-    # per row key, how many live columns hold a nonzero entry there and the
-    # sum of their indices, which is the index of the holder once the count is 1
-    count: Dict[Hashable, int] = {}
-    total: Dict[Hashable, int] = {}
-    for j, column in enumerate(columns):
-        for key, value in column.items():
-            if value:
-                count[key] = count.get(key, 0) + 1
-                total[key] = total.get(key, 0) + j
-    live = [True] * len(columns)
-    singles = [key for key, n in count.items() if n == 1]
-    while singles:
-        key = singles.pop()
-        if count[key] != 1:
-            continue  # its holder was dropped through another key
-        j = total[key]
-        live[j] = False
-        for other, value in columns[j].items():
-            if value:
-                count[other] -= 1
-                total[other] -= j
-                if count[other] == 1:
-                    singles.append(other)
-
     parent = list(range(len(columns)))
 
     def root(j: int) -> int:
@@ -312,8 +277,6 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
 
     owner: Dict[Hashable, int] = {}
     for j, column in enumerate(columns):
-        if not live[j]:
-            continue
         for key in column:
             first = owner.setdefault(key, j)
             a, b = root(first), root(j)
@@ -321,8 +284,7 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
                 parent[max(a, b)] = min(a, b)
     blocks: Dict[int, List[int]] = {}
     for j in range(len(columns)):
-        if live[j]:
-            blocks.setdefault(root(j), []).append(j)
+        blocks.setdefault(root(j), []).append(j)
 
     kernel: List[Tuple[int, Dict[int, Fraction]]] = []
     for block in blocks.values():
@@ -348,17 +310,17 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:
+    """A^-1 by one reduction of [A | I]: its pivots are 0..n-1 exactly when A
+    is invertible, and column j of A^-1 is minus the first n entries of the
+    kernel vector of free column n + j."""
     if not matrix.is_square():
         raise ValueError("only square matrices can be inverted")
     n = matrix.rows
-    cols: List[List[Fraction]] = []
-    for j in range(n):
-        rhs = [Fraction(int(i == j)) for i in range(n)]
-        result = rref(matrix, rhs)
-        if result.rank < n or result.solution is None:
-            raise ValueError("matrix is singular")
-        cols.append(list(result.solution))
-    return RationalMatrix(list(zip(*cols)))
+    result = rref(IntegerRows.cleared([row + tuple(int(i == j) for j in range(n))
+                                       for i, row in enumerate(matrix.entries)], 2 * n))
+    if result.pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return RationalMatrix([[-vec[i] for vec in result.kernel] for i in range(n)])
 
 
 def _matmul(a: List[List], b: List[List]) -> List[List]:

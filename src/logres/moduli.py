@@ -6,12 +6,12 @@ are pinned by the integer eigenvalues of ad of the grading residue value.
 This module computes exact bases of those solution spaces, one graded slot
 and one degree at a time (a frame whose semisimple fields move one graded
 slot into another is rejected before any solve).  The characters of the
-diagonal toral fields first sieve out the monomials z^a whose candidates
-are forced to zero, by one small rank test per eigenspace, distinct residue
-value and character value; every remaining candidate z^a * M gets its
-residual as a sparse column, and the columns are row-reduced block by
-block, where a block is a connected set of columns sharing equation rows.
-Frame fields act on monomials through
+diagonal toral and semisimple fields first sieve out the monomials z^a
+whose candidates are forced to zero, by one small rank test per
+eigenspace, distinct residue value and character value; every remaining
+candidate z^a * M gets its residual as a sparse column, and the columns
+are row-reduced block by block, where a block is a connected set of
+columns sharing equation rows.  Frame fields act on monomials through
 ``VectorFieldPoly.on_monomial`` alone, and matrices are multiplied by one
 sparse product, ``_matmul``, in the solve (the brackets of residue values
 with eigenmatrices) and in emission alike.  It then emits the polynomial
@@ -203,26 +203,26 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
     for each monomial z^a of that degree and M in the lam-eigenspace of
     ``residue.grading_eigenspaces``.  A candidate's residual
     V_k(z^a) * M - z^a * (offsets[k] * M + [C_k, M]) is written straight into a
-    sparse column keyed by (k, row, column, monomial); ``block_kernel`` then
-    drops the columns that a row held by no other column forces to zero and
-    row-reduces each connected block of the rest.  The commutators [C_k, M]
+    sparse column keyed by (k, row, column, monomial), and ``block_kernel``
+    row-reduces each connected block of the columns.  The commutators [C_k, M]
     depend on the residue alone: they are read from ``brackets``, which the
     slots of one call share, and computed there on first use, once per
     distinct residue value.
 
-    Before any column is built, the toral characters sieve the monomials.  A
-    diagonal toral field V_k (``FreeDivisor.toral_characters``) has
-    V_k(z^a) = <chi_k, a> * z^a, so only the candidates z^a * M_i reach the
-    rows (k, ., ., a), and there they read z^a * (q * M - [S_k, M]) with
-    q = <chi_k, a> - offsets[k].  A kernel vector with coefficients x_i on
-    them thus makes M = sum_i x_i * M_i an element of the lam-eigenspace with
-    [S_k, M] = q * M.  When a rank test of the columns q * M_i - [S_k, M_i]
-    finds no such nonzero M (S_k commutes with the grading element, so ad S_k
-    keeps its eigenspaces), every candidate of monomial a is zero in every
-    kernel vector.  Such columns are pivots of any reduction, and dropping
-    them leaves ``rref(dense).kernel`` as it is: the argument of
-    ``block_kernel``'s presolve.  The test is cached per (lam, first slot with
-    an equal S_k, q).
+    Before any column is built, the characters of the diagonal frame fields
+    sieve the monomials.  A diagonal toral or semisimple field V_k
+    (``FreeDivisor.diagonal_characters``) has V_k(z^a) = <chi_k, a> * z^a, so
+    only the candidates z^a * M_i reach the rows (k, ., ., a), and there they
+    read z^a * (q * M_i - [C_k, M_i]) with q = <chi_k, a> - offsets[k].  A
+    kernel vector with coefficients x_i on them thus has
+    sum_i x_i * (q * M_i - [C_k, M_i]) = 0.  When a rank test finds these
+    columns independent, every candidate of monomial a is zero in every
+    kernel vector, and none of them is built.  This is the one place where
+    forced-zero candidates are dropped, and dropping them leaves
+    ``rref(dense).kernel`` as it is: a column that is zero in every kernel
+    vector is in the span of no set of other columns, so it is a pivot of
+    every reduction, and each other column stays pivot or free as it was.
+    The test is cached per (lam, first slot with an equal C_k, q).
     """
     m = residue.matrix_size
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
@@ -230,7 +230,7 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
     matrices = tuple(residue.s_list) + tuple(residue.chi or ())
     first: Dict[RationalMatrix, int] = {}
     same = [first.setdefault(value, k) for k, value in enumerate(matrices)]
-    characters = [(t, chi, _scalar(offsets[t])) for t, chi in d.toral_characters]
+    characters = [(k, chi, _scalar(offsets[k])) for k, chi in d.diagonal_characters]
     admits: Dict[Tuple[int, int, _Scalar], bool] = {}
 
     def triples(value: _Value) -> List[Tuple[int, int, Fraction]]:
@@ -260,7 +260,7 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
                 brackets[lam].append((eig, [distinct[k] for k in same]))
         if characters:
             monos = [mono for mono in monos
-                     if all(admitted(lam, t, sum(map(mul, chi, mono)) - offset) for t, chi, offset in characters)]
+                     if all(admitted(lam, k, sum(map(mul, chi, mono)) - offset) for k, chi, offset in characters)]
         if not monos:
             continue
         # per eigenmatrix M: the (row, column, value) of M, and of offsets[k] * M + [C_k, M] per k

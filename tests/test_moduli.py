@@ -738,27 +738,11 @@ def key_blocks(columns):
     return len({root(key) for key in parent})
 
 
-def surviving_columns(columns):
-    """The columns left by repeatedly dropping a column that alone holds a
-    nonzero entry in some row: the presolve written out the slow way."""
-    live = [j for j, column in enumerate(columns) if column]
-    while True:
-        holders = {}
-        for j in live:
-            for key, value in columns[j].items():
-                if value:
-                    holders.setdefault(key, []).append(j)
-        alone = next((js[0] for js in holders.values() if len(js) == 1), None)
-        if alone is None:
-            return [columns[j] for j in live]
-        live.remove(alone)
-
-
 def test_every_solve_block_is_reduced_through_the_rref_name(monkeypatch):
     # a tracer sees the block reductions by rebinding logres.linear.rref, so
-    # block_kernel must look that name up once per block of columns with
-    # entries that survive the presolve; g2 with the sl2 chi keeps such a
-    # block, while every column of normal_crossing_4 diag(0,2) is forced to zero
+    # block_kernel must look that name up once per connected block of columns
+    # with entries; g2 with the sl2 chi keeps such a block, while the sieve
+    # leaves normal_crossing_4 diag(0,2) no column with entries
     import logres.linear
     import logres.moduli
 
@@ -772,7 +756,7 @@ def test_every_solve_block_is_reduced_through_the_rref_name(monkeypatch):
     def counting_block_kernel(columns):
         before = len(calls)
         vectors = block_kernel_at_import(columns)
-        expected.append((key_blocks(surviving_columns(columns)), len(calls) - before))
+        expected.append((key_blocks(columns), len(calls) - before))
         return vectors
 
     monkeypatch.setattr(logres.linear, "rref", counting_rref)
@@ -804,13 +788,44 @@ def test_the_character_sieve_leaves_three_correction_columns(monkeypatch):
     assert sum(handed) == 3
 
 
+def test_the_h_character_keeps_d4_blocks_small(monkeypatch):
+    # d4 diag(0,1,2) with chi = 0, as written and conjugated: the toral and
+    # the h characters keep 10 of the 46 candidates, and the blocks reduced
+    # hold at most 84 and 504 cells (rows times columns)
+    import logres.linear
+    import logres.moduli
+
+    handed, cells = [], []
+    rref_at_import, block_kernel_at_import = logres.linear.rref, logres.moduli.block_kernel
+
+    def counting_rref(matrix):
+        cells.append(matrix.rows * matrix.cols)
+        return rref_at_import(matrix)
+
+    def counting_block_kernel(columns):
+        handed.append(len(columns))
+        return block_kernel_at_import(columns)
+
+    monkeypatch.setattr(logres.linear, "rref", counting_rref)
+    monkeypatch.setattr(logres.moduli, "block_kernel", counting_block_kernel)
+    d = catalog("d4")
+    for s, most in ((diag(0, 1, 2), 84), (conjugated(diag(0, 1, 2), random.Random(3)), 504)):
+        handed.clear()
+        cells.clear()
+        moduli_system(d, residue_for(d, s))
+        assert sum(handed) <= 10 and 0 < sum(cells) <= most
+
+
 def test_toral_characters_of_the_catalog():
-    assert catalog("normal_crossing_3").toral_characters == ((0, (1, 0, 0)), (1, (0, 1, 0)), (2, (0, 0, 1)))
-    assert catalog("borel2").toral_characters == ((0, (2, 1, 0)), (1, (0, 1, 2)))
-    assert [t for t, _ in catalog("d4").toral_characters] == [0, 1, 2]
+    assert catalog("normal_crossing_3").diagonal_characters == ((0, (1, 0, 0)), (1, (0, 1, 0)), (2, (0, 0, 1)))
+    assert catalog("borel2").diagonal_characters == ((0, (2, 1, 0)), (1, (0, 1, 2)))
+    # the semisimple h fields are diagonal too, numbered after the toral ones
+    assert [k for k, _ in catalog("d4").diagonal_characters] == [0, 1, 2, 3]
+    assert catalog("d4").diagonal_characters[3] == (3, (1, -1, 1, -1, 1, -1))
+    assert catalog("g2").diagonal_characters == ((1, (3, 1, -1, -3)),)
     # a lone toral field is the Euler field, whose value the grading fixes
-    for name in ("cusp", "sekiguchi_b5", "g2", "normal_crossing_1"):
-        assert catalog(name).toral_characters == ()
+    for name in ("cusp", "sekiguchi_b5", "normal_crossing_1"):
+        assert catalog(name).diagonal_characters == ()
 
 
 def skewed_normal_crossing_2() -> FreeDivisor:
@@ -833,7 +848,7 @@ def skewed_normal_crossing_2() -> FreeDivisor:
 
 def test_a_frame_without_diagonal_toral_fields_solves_unsieved():
     skewed, plain = skewed_normal_crossing_2(), catalog("normal_crossing_2")
-    assert skewed.toral_characters == ()
+    assert skewed.diagonal_characters == ()
     for s in (S01, diag(0, 2), (diag(0, 1), diag(0, 2))):
         got, want = (solve_correction_spaces(d, residue_for(d, s)) for d in (skewed, plain))
         assert [space.dims_by_degree for space in got] == [space.dims_by_degree for space in want]

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -105,7 +106,29 @@ def oracle_cases():
         "g2*sekiguchi_b5/(0,S01)~conj": ("g2*sekiguchi_b5", (ZERO2, conjugated(S01, rng)), "auto"),
         # non-integral coefficients throughout the emitted equations
         "cusp/diag(0,1,2,3)~frac": ("cusp", fraction_conjugated(diag(0, 1, 2, 3)), "auto"),
+        # a structure function c_56^1 on the semisimple h slot (``with_chi_term``)
+        "g2*sekiguchi_b5/0+sl2+c56": ("g2*sekiguchi_b5", (ZERO2, ZERO2), (CHI_H, CHI_E, CHI_F)),
     }
+
+
+def with_chi_term(d):
+    """The product g2*sekiguchi_b5 with x1 added to c_56^1.
+
+    Slot 1 is g2's semisimple h, and slots 5 and 6 are sekiguchi_b5's graded
+    fields of grades 1 and 2, so the coefficient has E-degree 3, as x1 does.
+    The curvature of the pair (5, 6) then carries c_56^1 * chi_1.  No catalog
+    or product divisor has a nonzero c_ij^k on a graded pair and a
+    semisimple k, so without this edit the chi term of the curvature
+    equations is zero on every input.  The frame constants read the true
+    structure functions, so they are built first.
+    """
+    d.constants
+    table = dict(d.structure.table)
+    coeffs = list(table[(5, 6)])
+    coeffs[1] = coeffs[1] + WeightedPoly.variable(0, d.weights)
+    table[(5, 6)] = tuple(coeffs)
+    vars(d)["structure"] = replace(d.structure, table=table)
+    return d
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,6 +137,8 @@ def oracle_problem(label):
     coordinates, and the component and correction elements at those coordinates."""
     name, s, chi = oracle_cases()[label]
     d = divisor_named(name)
+    if label.endswith("+c56"):
+        d = with_chi_term(d)
     residue = residue_for(d, s, chi)
     problem = moduli_system(d, residue)
     rng = random.Random(SEED)

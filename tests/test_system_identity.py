@@ -16,10 +16,11 @@ moved to flat rational coefficients, the product before the solve and the
 emission shared one sparse product); any change to the equations, their
 order or their coordinates shows up here.
 
-The same bytes must come out with the toral-character sieve of
+The same bytes must come out with the character sieve of
 ``moduli._solve_slot`` turned off (every divisor given no characters), on
-every case here and on seeded residues with a distinct diagonal S per toral
-slot; the solve without the sieve is the oracle for the one with it.
+every case here, on seeded residues with a distinct diagonal S per toral
+slot, and on seeded residues with a nonzero chi on the semisimple slots;
+the solve without the sieve is the oracle for the one with it.
 """
 
 import functools
@@ -29,7 +30,8 @@ from fractions import Fraction
 
 import pytest
 
-from logres import FreeDivisor, ResidueData, moduli_system, serialize
+from logres import FrameElement, FreeDivisor, RationalMatrix, ResidueData, catalog, moduli_system, serialize
+from logres.divisor import SEMISIMPLE, TORAL
 
 from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, fraction_conjugated,
                       rand_fraction, residue_for)
@@ -189,8 +191,8 @@ def test_system_json_is_byte_identical(label):
 # ------------------------------------------ the solve without the character sieve
 
 def sieve_off(monkeypatch):
-    """Give every divisor no toral characters, so that ``_solve_slot`` sieves no monomial."""
-    monkeypatch.setattr(FreeDivisor, "toral_characters", property(lambda d: ()))
+    """Give every divisor no characters, so that ``_solve_slot`` sieves no monomial."""
+    monkeypatch.setattr(FreeDivisor, "diagonal_characters", property(lambda d: ()))
 
 
 def emitted_json(d: FreeDivisor, residue: ResidueData) -> str:
@@ -198,8 +200,8 @@ def emitted_json(d: FreeDivisor, residue: ResidueData) -> str:
 
 
 def test_the_identity_cases_reach_the_sieve():
-    assert {name for name, _, _ in INPUTS.values() if divisor_named(name).toral_characters} == {
-        "normal_crossing_2", "normal_crossing_3", "normal_crossing_4", "normal_crossing_5", "borel2", "d4",
+    assert {name for name, _, _ in INPUTS.values() if divisor_named(name).diagonal_characters} == {
+        "normal_crossing_2", "normal_crossing_3", "normal_crossing_4", "normal_crossing_5", "borel2", "d4", "g2",
         "g2*sekiguchi_b5"}
 
 
@@ -210,12 +212,11 @@ def test_system_json_is_byte_identical_without_the_sieve(label, monkeypatch):
     assert hashlib.sha256(emitted_json(d, residue_of(label)).encode()).hexdigest() == FROZEN[label]
 
 
-def seeded_residues(name: str):
+def seeded_residues(d: FreeDivisor):
     """Residues with a distinct seeded diagonal integer S on each toral slot,
     m = 2 or 3, as written and conjugated by one seeded P."""
-    d = divisor_named(name)
     for seed in range(6):
-        rng = random.Random(f"sieve:{name}:{seed}")
+        rng = random.Random(f"sieve:{d.name}:{seed}")
         m = 2 + seed % 2
         values = []
         while len(values) < d.toral_count:
@@ -223,15 +224,68 @@ def seeded_residues(name: str):
             if value not in values:
                 values.append(value)
         yield f"{seed}", residue_for(d, tuple(values))
-        p_seed = f"sieve-conj:{name}:{seed}"
+        p_seed = f"sieve-conj:{d.name}:{seed}"
         yield f"{seed}~conj", residue_for(d, tuple(conjugated(v, random.Random(p_seed)) for v in values))
 
 
-@pytest.mark.parametrize("name", ["normal_crossing_2", "normal_crossing_3", "normal_crossing_4", "borel2", "d4"])
+def borel2_h() -> FreeDivisor:
+    """borel2 with its toral fields e1, e2 traded for the Euler field e1 + e2
+    and the semisimple field h = e1 - e2 = 2x d/dx - 2z d/dz.  h scales the
+    graded field v = x d/dy + 2y d/dz by 2, so v's slot solve has a nonzero
+    semisimple offset, which no catalog frame has."""
+    d = catalog("borel2")
+    e1, e2, v = d.frame
+    return FreeDivisor(name="borel2_h", variables=d.variables, weights=d.weights, f=d.f, degree=d.degree,
+                       frame=(FrameElement(TORAL, e1.field + e2.field, distinguished=True),
+                              FrameElement(SEMISIMPLE, e1.field - e2.field), v),
+                       positive_combination=(1,))
+
+
+# the sl2 chi that the frame's bracket accepts, in each divisor's semisimple slot order
+SL2_CHI = {"g2": (CHI_H, CHI_E, CHI_F), "d4": (CHI_H, CHI_F, CHI_E)}
+
+
+def padded(value: RationalMatrix, m: int) -> RationalMatrix:
+    """A 2 x 2 value in the top left corner of an m x m zero matrix."""
+    return RationalMatrix([[value[i, j] if i < 2 and j < 2 else 0 for j in range(m)] for i in range(m)])
+
+
+def seeded_chi_residues(d: FreeDivisor):
+    """Residues with a nonzero chi on the semisimple slots, m = 2 or 3, as
+    written and conjugated by one seeded P.
+
+    On g2 and d4, chi is the sl2 triple of ``SL2_CHI``, next to a zero block
+    when m = 3, and each toral slot gets a seeded S that commutes with it: a
+    scalar or 0 when m = 2, and diag(a, a, b) when m = 3.  The one semisimple
+    slot of ``borel2_h`` has no bracket to respect, so there chi and S are
+    seeded diagonal matrices.
+    """
+    for seed in range(6):
+        rng = random.Random(f"sieve-chi:{d.name}:{seed}")
+        m = 2 + seed % 2
+        if d.name in SL2_CHI:
+            chi = tuple(padded(value, m) for value in SL2_CHI[d.name])
+            s_list = []
+            for _ in range(d.toral_count):
+                a = rng.randint(0, 2)
+                s_list.append(diag(a, a) if m == 2 else diag(a, a, rng.randint(0, 2)))
+        else:
+            chi = (diag(*(rng.randint(-2, 2) for _ in range(m))),)
+            s_list = [diag(*(rng.randint(0, 2) for _ in range(m)))]
+        yield f"chi{seed}", residue_for(d, tuple(s_list), chi)
+        p_seed = f"sieve-chi-conj:{d.name}:{seed}"
+        yield f"chi{seed}~conj", residue_for(d, tuple(conjugated(v, random.Random(p_seed)) for v in s_list),
+                                             tuple(conjugated(v, random.Random(p_seed)) for v in chi))
+
+
+@pytest.mark.parametrize("name", ["normal_crossing_2", "normal_crossing_3", "normal_crossing_4", "borel2", "d4", "g2",
+                                  "borel2_h"])
 def test_seeded_residues_emit_the_same_bytes_without_the_sieve(name, monkeypatch):
-    d = divisor_named(name)
-    assert d.toral_characters
-    cases = list(seeded_residues(name))
+    d = borel2_h() if name == "borel2_h" else divisor_named(name)
+    assert d.diagonal_characters
+    cases = list(seeded_residues(d))
+    if d.semisimple_indices:
+        cases += seeded_chi_residues(d)
     sieved = {label: emitted_json(d, residue) for label, residue in cases}
     sieve_off(monkeypatch)
     assert {label: emitted_json(d, residue) for label, residue in cases} == sieved
