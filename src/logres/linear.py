@@ -13,6 +13,8 @@ their own rows of ints hand ``IntegerRows`` to ``rref`` and never build a
 over ints, on the matrix scaled by the lcm of its denominators
 (``scaled_charpoly``); ``determinant`` is read off its constant coefficient,
 and ``poly_at`` is the one Horner evaluation of a polynomial at a matrix.
+``integer_eigenvalues`` halves (-b, b], b = floor(largest absolute row sum) + 1
+(Gershgorin), down to the unit intervals that hold a root by Sturm's theorem.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .univariate import UniPoly, as_fraction, power, uni_evaluate
+from .univariate import UniPoly, as_fraction, power, uni_derivative, uni_divmod, uni_evaluate, uni_squarefree_part
 
 MAX_CHARPOLY_DIM = 400
 
@@ -102,11 +104,6 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.entries)))
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
@@ -391,34 +388,33 @@ def poly_at(rows: List[List[Union[int, Fraction]]], poly: Sequence[Union[int, Fr
     return acc
 
 
-def _integer_divisors(value: int) -> List[int]:
-    value = abs(value)
-    small, large = [], []
-    d = 1
-    while d * d <= value:
-        if value % d == 0:
-            small.append(d)
-            if d != value // d:
-                large.append(value // d)
-        d += 1
-    return small + large[::-1]
-
-
 def integer_eigenvalues(matrix: RationalMatrix) -> List[int]:
-    """All distinct integer roots of the characteristic polynomial, sorted."""
-    coeffs = charpoly(matrix)
-    valuation = 0
-    while valuation < len(coeffs) and coeffs[valuation] == 0:
-        valuation += 1
-    if valuation >= len(coeffs):
-        raise ArithmeticError("characteristic polynomial vanished identically")
-    _, ints = clear_denominators(coeffs[valuation:])
-    roots = set()
-    if valuation > 0:
-        roots.add(0)
-    constant = ints[0]
-    for d in _integer_divisors(constant):
-        for candidate in (d, -d):
-            if uni_evaluate([Fraction(v) for v in ints], Fraction(candidate)) == 0:
-                roots.add(candidate)
-    return sorted(roots)
+    """All distinct integer roots of the characteristic polynomial, sorted.
+
+    The Sturm chain of its squarefree part p is p, p' and the negated
+    remainders of Euclid's algorithm, each cleared to ints by a positive
+    scale.  With zeros dropped, the sign changes V along the chain count the
+    roots of p in (a, b] as V(a) - V(b), so a unit interval (lo, hi] that
+    holds a root holds the integer hi exactly when p(hi) = 0.
+    """
+    chain = [clear_denominators(uni_squarefree_part(charpoly(matrix)))[1]]
+    remainder = uni_derivative(chain[0])
+    while remainder:
+        chain.append(clear_denominators(remainder)[1])
+        remainder = [-c for c in uni_divmod(chain[-2], chain[-1])[1]]
+
+    def variations(x: int) -> int:
+        signs = [value > 0 for value in (uni_evaluate(poly, x) for poly in chain) if value]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def roots_in(lo: int, v_lo: int, hi: int, v_hi: int) -> List[int]:
+        if v_lo == v_hi:
+            return []
+        if hi - lo == 1:
+            return [hi] if uni_evaluate(chain[0], hi) == 0 else []
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        return roots_in(lo, v_lo, mid, v_mid) + roots_in(mid, v_mid, hi, v_hi)
+
+    bound = math.floor(max(sum(map(abs, row)) for row in matrix.entries)) + 1
+    return roots_in(-bound, variations(-bound), bound, variations(bound))

@@ -101,12 +101,6 @@ class WeightedPoly:
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
 
-    def degree(self) -> Optional[int]:
-        """Maximal E-degree of a term, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(self.monomial_degree(m) for m in self.terms)
-
     def total_degree(self) -> Optional[int]:
         """Ordinary (unweighted) total degree, or None for zero."""
         if not self.terms:

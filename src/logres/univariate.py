@@ -10,7 +10,7 @@ matrix and polynomial types share.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 UniPoly = List[Fraction]
 
@@ -130,8 +130,8 @@ def uni_squarefree_part(p: Sequence[Fraction]) -> UniPoly:
     return uni_monic(q)
 
 
-def uni_evaluate(p: Sequence[Fraction], value: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(uni_trim(p)):
+def uni_evaluate(p: Sequence[Union[int, Fraction]], value: Union[int, Fraction]) -> Union[int, Fraction]:
+    acc = 0
+    for c in reversed(p):
         acc = acc * value + c
     return acc

@@ -28,6 +28,15 @@ def diag(*values) -> RationalMatrix:
     return RationalMatrix([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
 
 
+def degree(poly: WeightedPoly):
+    """The largest E-degree of a term, or None for the zero polynomial."""
+    return max((poly.monomial_degree(mono) for mono in poly.terms), default=None)
+
+
+def trace(matrix: RationalMatrix) -> Fraction:
+    return sum((matrix[i, i] for i in range(matrix.rows)), Fraction(0))
+
+
 def e_degrees(value) -> set:
     """The E-degrees of the terms of a WeightedPoly, or of every entry of a MatrixPolyMap."""
     polys = [p for row in value.entries for p in row] if isinstance(value, MatrixPolyMap) else [value]

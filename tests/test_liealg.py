@@ -21,7 +21,7 @@ from logres import (
 )
 from logres.linear import integer_eigenvalues, rref
 
-from conftest import CHI_E, CHI_F, CHI_H, E12, E21, IDENT2, diag
+from conftest import CHI_E, CHI_F, CHI_H, E12, E21, IDENT2, diag, trace
 
 
 def test_jordan_block_additive():
@@ -241,7 +241,7 @@ def square_matrices(draw, size=(2, 3)):
 @settings(max_examples=50, deadline=None)
 @given(square_matrices())
 def test_ad_operator_is_traceless(m):
-    assert ad_operator(m).trace() == 0
+    assert trace(ad_operator(m)) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,6 +259,18 @@ GRADED_RESIDUES = {
     "conjugated": ResidueData(
         s_list=(RationalMatrix([[0, 1, 1], [0, 1, 2], [0, 0, 3]]),), positive_combination=(2,)),
     "chi": ResidueData(s_list=(IDENT2,), positive_combination=(1,), chi=(CHI_H, CHI_E, CHI_F)),
+    # block_diag(A, A + I) with A = [[0, 2], [1, 0]] has the eigenvalues +-sqrt(2)
+    # and 1 +- sqrt(2), none of them rational, and ad of it still has integer ones
+    "sqrt2_blocks": ResidueData(s_list=(RationalMatrix([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, 2], [0, 0, 1, 1]]),),
+                                positive_combination=(1,)),
+    "rotation": ResidueData(s_list=(RationalMatrix([[0, -1], [1, 0]]),), positive_combination=(1,)),
+}
+GRADED_DIMS = {
+    "diagonal": {-6: 1, -4: 1, -2: 1, 0: 3, 2: 1, 4: 1, 6: 1},
+    "conjugated": {-6: 1, -4: 1, -2: 1, 0: 3, 2: 1, 4: 1, 6: 1},
+    "chi": {0: 4},
+    "sqrt2_blocks": {-1: 2, 0: 4, 1: 2},
+    "rotation": {0: 2},
 }
 
 
@@ -270,6 +282,7 @@ def test_grading_eigenspaces_are_the_integer_eigenspaces_of_ad(name):
     spaces = r.grading_eigenspaces
     assert spaces is r.grading_eigenspaces
     assert list(spaces) == integer_eigenvalues(ad)
+    assert {lam: len(basis) for lam, basis in spaces.items()} == GRADED_DIMS[name]
     for lam, basis in spaces.items():
         assert all(commutator(g, mat) == lam * mat for mat in basis)
         assert len(basis) == len(rref(ad - lam * RationalMatrix.identity(ad.rows)).kernel)

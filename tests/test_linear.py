@@ -1,5 +1,11 @@
+import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +18,13 @@ from logres.linear import (
     IntegerRows,
     RrefResult,
     block_kernel,
+    clear_denominators,
     determinant,
     inverse,
 )
-from logres.univariate import uni_squarefree_part
+from logres.univariate import uni_evaluate, uni_squarefree_part
 
-from conftest import diag
+from conftest import conjugated, diag, fraction_conjugated, trace
 
 
 def test_rref_identity_solves_unit_vector():
@@ -339,7 +346,7 @@ def oracle_charpoly(matrix):
     c = Fraction(1)
     for k in range(1, n + 1):
         m = matrix * (m + c * RationalMatrix.identity(n))
-        c = -m.trace() / k
+        c = -trace(m) / k
         coeffs[n - k] = c
     return coeffs
 
@@ -474,3 +481,89 @@ def test_integer_charpoly_and_semisimplicity_match_the_fraction_oracle():
         assert verdict == oracle_is_semisimple(a)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# ----------------------------------- the trial-division oracle of the eigenvalues
+
+
+def oracle_integer_eigenvalues(matrix):
+    """Try +-d for every divisor d of the lowest nonzero coefficient of the
+    characteristic polynomial, cleared to ints, with 0 a root when a lower one
+    vanishes: the trial division that the Sturm bisection replaced, kept as
+    its oracle.  Its work grows with the square root of that coefficient."""
+    coeffs = charpoly(matrix)
+    valuation = next(k for k, c in enumerate(coeffs) if c)
+    _, ints = clear_denominators(coeffs[valuation:])
+    roots = {0} if valuation else set()
+    constant = abs(ints[0])
+    for d in range(1, math.isqrt(constant) + 1):
+        if constant % d == 0:
+            roots.update(c for c in (d, -d, constant // d, -constant // d) if uni_evaluate(ints, c) == 0)
+    return sorted(roots)
+
+
+NON_INTEGER_BLOCKS = (
+    RationalMatrix([[0, 2], [1, 0]]),  # +-sqrt(2)
+    RationalMatrix([[0, -1], [1, 0]]),  # +-i
+    RationalMatrix([[1, 1], [1, 0]]),  # (1 +- sqrt(5)) / 2
+    RationalMatrix([[Fraction(1, 2), 0], [1, Fraction(-3, 2)]]),  # 1/2 and -3/2
+)
+
+
+def block_diagonal(blocks):
+    n = sum(b.rows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + list(row) + [0] * (n - at - b.rows) for row in b.entries]
+        at += b.rows
+    return RationalMatrix(rows)
+
+
+def seeded_eigenvalue_case(rng, kind):
+    if kind == "int":
+        # sparse entries make a good share of these singular
+        n = rng.randint(1, 6)
+        return RationalMatrix([[rng.randint(-3, 3) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)])
+    if kind == "fraction":
+        n = rng.randint(1, 6)
+        return RationalMatrix([[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)])
+    if kind == "spectrum":
+        # a shifted block without integer eigenvalues beside integer ones,
+        # zero and repeated among them, in 1 x 1 and Jordan blocks
+        blocks = [rng.choice(NON_INTEGER_BLOCKS) + rng.randint(-3, 3) * RationalMatrix.identity(2)]
+        size = rng.randint(2, 6)
+        while sum(b.rows for b in blocks) < size:
+            a = rng.randint(-2, 2)
+            room = size - sum(b.rows for b in blocks)
+            blocks.append(RationalMatrix([[a, 1], [0, a]]) if room > 1 and rng.random() < 0.4 else diag(a))
+        rng.shuffle(blocks)
+        g = block_diagonal(blocks)
+        return conjugated(g, rng) if rng.random() < 0.5 else fraction_conjugated(g)
+    # ad of a conjugated diagonal: spreads up to 10^4 at m = 2, small ones at m = 3
+    d = diag(0, rng.randint(-10**4, 10**4)) if rng.random() < 0.5 else diag(*(rng.randint(-3, 3) for _ in range(3)))
+    return ad_operator(conjugated(d, rng))
+
+
+def test_integer_eigenvalues_match_the_trial_division_oracle_on_seeded_matrices():
+    rng = random.Random(19)
+    kinds = ("int", "fraction", "spectrum", "ad")
+    seen = Counter()
+    for index in range(320):
+        kind = kinds[index % len(kinds)]
+        matrix = seeded_eigenvalue_case(rng, kind)
+        roots = integer_eigenvalues(matrix)
+        assert roots == oracle_integer_eigenvalues(matrix), (kind, matrix)
+        seen["none"] += not roots
+        seen["zero"] += 0 in roots
+        seen["nonzero"] += any(roots)
+        seen["large"] += max(map(abs, roots), default=0) > 1000
+    assert all(seen[key] for key in ("none", "zero", "nonzero", "large")), seen
+
+
+def test_integer_eigenvalues_work_is_bounded_by_the_size_of_the_input():
+    # trial division would run up to the square root of 10^24
+    code = ("from logres import RationalMatrix, integer_eigenvalues; from logres.liealg import ad_operator; "
+            "print(integer_eigenvalues(ad_operator(RationalMatrix([[0, 0], [0, 10**12]]))))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+                          cwd=Path(__file__).resolve().parents[1], env={**os.environ, "PYTHONPATH": "src"})
+    assert done.stdout.strip() == "[-1000000000000, 0, 1000000000000]", done.stderr

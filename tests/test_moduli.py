@@ -552,6 +552,17 @@ def test_cusp_gl3_pipeline(cusp):
     assert report.flat and report.in_variety
 
 
+def test_cusp_with_a_grading_element_without_rational_eigenvalues(cusp):
+    # G = block_diag(A, A + I), A = [[0, 2], [1, 0]], has the eigenvalues
+    # +-sqrt(2) and 1 +- sqrt(2); ad G has the integer eigenvalues -1, 0, 1
+    g = RationalMatrix([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 1, 2], [0, 0, 1, 1]])
+    problem = moduli_system(cusp, residue_for(cusp, g))
+    assert [s.dims_by_degree for s in problem.component_spaces] == [{0: 2, 2: 2}]
+    assert [s.dims_by_degree for s in problem.correction_spaces] == [{0: 4}]
+    assert len(problem.system.coordinates) == 8
+    assert len(problem.system.equations) == 16
+
+
 def test_borel_solution_spaces(borel):
     # with S1 = S2 = diag(0,1): the component space is the line through
     # x E21 (E1-degree 2, E2-degree 0) and corrections are the diagonal
