@@ -9,19 +9,20 @@ normal-form sign fixtures in the test suite pin the choice.
 
 Jordan-Chevalley decomposition is computed by the Newton iteration on the
 squarefree part of the characteristic polynomial, which stays inside Q[A] and
-never needs eigenvalues.
+never needs eigenvalues; like ``is_semisimple``, it reads the integer one of
+B = D * A from ``scaled_charpoly``, D the lcm of A's denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linear import (RationalMatrix, charpoly, clear_denominators, determinant, integer_eigenvalues, inverse, poly_at,
-                     rref, scaled_charpoly)
-from .univariate import uni_squarefree_part
+from .linear import RationalMatrix, determinant, integer_eigenvalues, inverse, poly_at, rref, scaled_charpoly
+from .univariate import uni_derivative, uni_squarefree_part
 
 
 def commutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -75,12 +76,11 @@ def is_semisimple(a: RationalMatrix) -> bool:
     """True iff the minimal polynomial is squarefree, i.e. a is diagonalizable.
 
     Decided over ints on B = D * a, with D the lcm of a's denominators, which
-    is semisimple exactly when a is: the primitive integer multiple of the
-    squarefree part of B's characteristic polynomial must vanish at B.
+    is semisimple exactly when a is: the primitive squarefree part of B's
+    characteristic polynomial must vanish at B.
     """
     _, b, coeffs = scaled_charpoly(a)
-    _, squarefree = clear_denominators(uni_squarefree_part(coeffs))
-    return not any(map(any, poly_at(b, squarefree)))
+    return not any(map(any, poly_at(b, uni_squarefree_part(coeffs))))
 
 
 def is_nilpotent(a: RationalMatrix) -> bool:
@@ -117,13 +117,15 @@ class JCDecomposition:
 
 
 def _additive_semisimple(a: RationalMatrix) -> RationalMatrix:
-    g = uni_squarefree_part(charpoly(a))
-    g_prime = [c * i for i, c in enumerate(g)][1:]
-    x = a
+    # the decomposition is unique, so that of B = D * a is D times that of a
+    scale, b, coeffs = scaled_charpoly(a)
+    g = uni_squarefree_part(coeffs)
+    g_prime = uni_derivative(g)
+    x = RationalMatrix(b)
     for _ in range(a.rows + 1):
         gx = RationalMatrix(poly_at(x.row_list(), g))
         if gx.is_zero():
-            return x
+            return Fraction(1, scale) * x
         x = x - gx * inverse(RationalMatrix(poly_at(x.row_list(), g_prime)))
     raise ArithmeticError("Newton iteration failed to converge; broken invariant")
 
@@ -163,37 +165,28 @@ def _verify_multiplicative(a: RationalMatrix, s: RationalMatrix, u: RationalMatr
         raise ArithmeticError("multiplicative decomposition invariants failed; broken invariant")
 
 
+def _nilpotent_series(x: RationalMatrix, coefficient) -> RationalMatrix:
+    """Sum of coefficient(i) * x^i over i >= 1, up to the first zero power of the nilpotent x."""
+    total, power = RationalMatrix.zeros(x.rows, x.rows), x
+    for i in range(1, x.rows + 1):
+        if power.is_zero():
+            break
+        total, power = total + coefficient(i) * power, power * x
+    return total
+
+
 def log_unipotent(u: RationalMatrix) -> RationalMatrix:
     """Logarithm of a unipotent matrix via the terminating nilpotent series."""
     if not is_unipotent(u):
         raise ValueError("logarithm is only defined here for unipotent matrices")
-    m = u.rows
-    x = u - RationalMatrix.identity(m)
-    total = RationalMatrix.zeros(m, m)
-    power = RationalMatrix.identity(m)
-    for i in range(1, m + 1):
-        power = power * x
-        if power.is_zero():
-            break
-        total = total + Fraction((-1) ** (i + 1), i) * power
-    return total
+    return _nilpotent_series(u - RationalMatrix.identity(u.rows), lambda i: Fraction((-1) ** (i + 1), i))
 
 
 def exp_nilpotent(n: RationalMatrix) -> RationalMatrix:
     """Exponential of a nilpotent matrix via the terminating series."""
     if not is_nilpotent(n):
         raise ValueError("exponential is only exact here for nilpotent matrices")
-    m = n.rows
-    total = RationalMatrix.identity(m)
-    power = RationalMatrix.identity(m)
-    factorial = 1
-    for i in range(1, m + 1):
-        power = power * n
-        if power.is_zero():
-            break
-        factorial *= i
-        total = total + Fraction(1, factorial) * power
-    return total
+    return RationalMatrix.identity(n.rows) + _nilpotent_series(n, lambda i: Fraction(1, math.factorial(i)))
 
 
 @dataclass(frozen=True)

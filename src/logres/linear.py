@@ -5,14 +5,14 @@ reduction here, ``rref``, is the single exact solver behind every eigenspace,
 kernel and linear-system computation in the package; ``block_kernel``
 applies it to each connected block of a sparse matrix given by columns,
 ``inverse`` to [A | I] once, and the structure functions of a divisor are
-solved with it one bracket at a time.  It is fraction-free: each row is cleared of denominators once into
-``IntegerRows`` and eliminated over Python ints, and ``Fraction``s are built
-only at the end, as quotients by the pivot entries.  Callers that assemble
-their own rows of ints hand ``IntegerRows`` to ``rref`` and never build a
-``RationalMatrix``.  The characteristic polynomial is likewise computed
-over ints, on the matrix scaled by the lcm of its denominators
-(``scaled_charpoly``); ``determinant`` is read off its constant coefficient,
-and ``poly_at`` is the one Horner evaluation of a polynomial at a matrix.
+solved with it one bracket at a time.  It is fraction-free: each row is
+cleared of denominators once into ``IntegerRows`` (which callers with rows of
+ints build directly) and eliminated over Python ints, and ``Fraction``s are
+built only at the end, as quotients by the pivot entries.  The characteristic
+polynomial is likewise computed over ints, on B = D * A with D the lcm of A's
+denominators (``scaled_charpoly``); ``integer_eigenvalues``, ``is_semisimple``
+and the Jordan-Chevalley decomposition read it there, ``determinant`` reads
+its constant coefficient, and ``poly_at`` is the one Horner evaluation at a matrix.
 ``integer_eigenvalues`` halves (-b, b], b = floor(largest absolute row sum) + 1
 (Gershgorin), down to the unit intervals that hold a root by Sturm's theorem.
 """
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .univariate import UniPoly, as_fraction, power, uni_derivative, uni_divmod, uni_evaluate, uni_squarefree_part
+from .univariate import (as_fraction, clear_denominators, power, uni_derivative, uni_evaluate, uni_primitive,
+                         uni_pseudo_divmod, uni_squarefree_part)
 
 MAX_CHARPOLY_DIM = 400
 
@@ -131,14 +132,6 @@ class RrefResult:
     solution: Optional[Tuple[Fraction, ...]]
     inconsistent: bool
     kernel: Tuple[Tuple[Fraction, ...], ...]
-
-
-def clear_denominators(values: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int]]:
-    """The lcm D of the values' denominators, and the integers D * v in order."""
-    scale = math.lcm(*(v.denominator for v in values))
-    if scale == 1:
-        return 1, [v.numerator for v in values]
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 class IntegerRows:
@@ -357,7 +350,7 @@ def scaled_charpoly(matrix: RationalMatrix) -> Tuple[int, List[List[int]], List[
     return scale, b, coeffs
 
 
-def charpoly(matrix: RationalMatrix) -> UniPoly:
+def charpoly(matrix: RationalMatrix) -> List[Fraction]:
     """Coefficients of det(t*I - A), low degree first, monic of degree n.
 
     With D and B = D * A from ``scaled_charpoly``, the coefficient of t^k is
@@ -391,17 +384,19 @@ def poly_at(rows: List[List[Union[int, Fraction]]], poly: Sequence[Union[int, Fr
 def integer_eigenvalues(matrix: RationalMatrix) -> List[int]:
     """All distinct integer roots of the characteristic polynomial, sorted.
 
-    The Sturm chain of its squarefree part p is p, p' and the negated
-    remainders of Euclid's algorithm, each cleared to ints by a positive
-    scale.  With zeros dropped, the sign changes V along the chain count the
-    roots of p in (a, b] as V(a) - V(b), so a unit interval (lo, hi] that
-    holds a root holds the integer hi exactly when p(hi) = 0.
+    With c_k and D from ``scaled_charpoly``, sum c_k D^k t^k has A's roots.
+    The Sturm chain of its primitive squarefree part p is p, p' and the
+    negated pseudo-remainders of the primitive remainder sequence.  With zeros
+    dropped, the sign changes V along the chain count the roots of p in
+    (a, b] as V(a) - V(b), so a unit interval (lo, hi] that holds a root
+    holds the integer hi exactly when p(hi) = 0.
     """
-    chain = [clear_denominators(uni_squarefree_part(charpoly(matrix)))[1]]
+    scale, _, coeffs = scaled_charpoly(matrix)
+    chain = [uni_squarefree_part([c * scale ** k for k, c in enumerate(coeffs)])]
     remainder = uni_derivative(chain[0])
     while remainder:
-        chain.append(clear_denominators(remainder)[1])
-        remainder = [-c for c in uni_divmod(chain[-2], chain[-1])[1]]
+        chain.append(uni_primitive(remainder))
+        remainder = [-c for c in uni_pseudo_divmod(chain[-2], chain[-1])[1]]
 
     def variations(x: int) -> int:
         signs = [value > 0 for value in (uni_evaluate(poly, x) for poly in chain) if value]

@@ -22,7 +22,7 @@ from itertools import repeat
 from math import comb
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .univariate import as_fraction, power, uni_add, uni_degree, uni_derivative, uni_gcd, uni_mul, uni_scale
+from .univariate import as_fraction, clear_denominators, power, uni_add, uni_degree, uni_derivative, uni_gcd, uni_mul
 
 Monomial = Tuple[int, ...]
 
@@ -310,8 +310,8 @@ def squarefree_probable(f: WeightedPoly, trials: int = 8, seed: int = 0) -> str:
 
     A repeated factor of f survives restriction to every line, so a nontrivial
     gcd(f|L, f|L') on every full-degree line is evidence of a square factor.
-    Restrictions that drop below the total degree of f are discarded and
-    retried; the verdict is advisory, not a proof.
+    Restrictions that drop below the total degree of f are retried, the others
+    cleared to ints for the gcd; the verdict is advisory, not a proof.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no squarefreeness verdict")
@@ -328,8 +328,8 @@ def squarefree_probable(f: WeightedPoly, trials: int = 8, seed: int = 0) -> str:
         restricted = _restrict_to_line(f, base, direction)
         if uni_degree(restricted) != full_degree:
             continue
-        g = uni_gcd(restricted, uni_derivative(restricted))
-        verdicts.append(uni_degree(g) > 0)
+        _, restricted = clear_denominators(restricted)
+        verdicts.append(uni_degree(uni_gcd(restricted, uni_derivative(restricted))) > 0)
     if not verdicts:
         return INCONCLUSIVE
     # a genuine square factor survives restriction to every line, so the
@@ -354,9 +354,9 @@ def _restrict_to_line(f: WeightedPoly, base: Sequence[Fraction], direction: Sequ
         return cache[key]
 
     for mono, coeff in f.sorted_terms():
-        term = [Fraction(1)]
+        term = [coeff]
         for i, e in enumerate(mono):
             if e:
                 term = uni_mul(term, line_power(i, e))
-        total = uni_add(total, uni_scale(term, coeff))
+        total = uni_add(total, term)
     return total

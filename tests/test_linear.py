@@ -214,7 +214,7 @@ def rref_calls(monkeypatch):
     return calls
 
 
-def test_block_kernel_presolve_cascade():
+def test_block_kernel_chain_of_single_row_holders_has_no_kernel():
     # a is held by column 0 alone, so x_0 = 0; then b is held by column 1
     # alone, then c by column 2: every unknown is forced to zero
     columns = [col(a=1, b=1), col(b=1, c=1), col(c=1)]
@@ -222,7 +222,7 @@ def test_block_kernel_presolve_cascade():
     assert_block_kernel_matches(columns)
 
 
-def test_block_kernel_presolve_keeps_a_coupled_block_beside_pruned_columns():
+def test_block_kernel_coupled_block_beside_columns_forced_to_zero():
     # columns 1 and 3 each alone hold a row (d, then c once 1 is zero); the
     # columns 0 and 2 on row a have the kernel vector (1, 1), and column 4 is
     # a zero column and free
@@ -240,8 +240,9 @@ def test_block_kernel_counts_only_nonzero_entries():
 
 
 def test_block_kernel_makes_no_reduction_on_the_torus_inputs(rref_calls):
-    # a structural count: on these normal crossings every solve column alone
-    # holds some row, possibly after a cascade, so no block reaches rref
+    # a structural count: on these normal crossings the character sieve of
+    # the slot solve keeps only candidates whose residual column is empty, and
+    # block_kernel makes each empty column a free block of its own without rref
     from logres import catalog, moduli_system
 
     from conftest import S01, residue_for
@@ -352,10 +353,11 @@ def oracle_charpoly(matrix):
 
 
 def oracle_is_semisimple(a):
-    """The squarefree part of the charpoly, evaluated at a by Horner over Fractions, is zero."""
+    """The squarefree part of the charpoly, cleared to ints, evaluated at a by
+    Horner over Fractions, is zero."""
     n = a.rows
     value = RationalMatrix.zeros(n, n)
-    for coeff in reversed(uni_squarefree_part(oracle_charpoly(a))):
+    for coeff in reversed(uni_squarefree_part(clear_denominators(oracle_charpoly(a))[1])):
         value = value * a + coeff * RationalMatrix.identity(n)
     return value.is_zero()
 

@@ -1,0 +1,78 @@
+"""Static checks on the library source: no unused import, no orphaned private name.
+
+Both rules read the modules with the stdlib ``ast`` only.  A name counts as
+used when it is loaded, is the attribute of an expression, is imported by
+another module, or appears in a string annotation.
+"""
+
+import ast
+import re
+from functools import lru_cache
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "logres"
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def referenced(node):
+    """Every name that ``node`` loads, reads as an attribute or imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and IDENTIFIER.fullmatch(sub.value):
+            names.add(sub.value)  # a forward reference such as -> "RationalMatrix"
+    return names
+
+
+@lru_cache(maxsize=None)
+def statements():
+    """(module name, statement, names it references) for every module-level statement."""
+    return [(path.stem, node, referenced(node))
+            for path in sorted(SRC.glob("*.py")) for node in ast.parse(path.read_text(), str(path)).body]
+
+
+def imported_names(node):
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+def defined_names(node):
+    """The private names that a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        targets = [node.name]
+    elif isinstance(node, ast.Assign):
+        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        targets = [node.target.id]
+    else:
+        targets = []
+    return [name for name in targets if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_import_is_used_in_its_module():
+    imports, used = {}, {}
+    for module, node, names in statements():
+        if module == "__init__":
+            continue  # re-exports
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.setdefault(module, []).extend(imported_names(node))
+        else:
+            used.setdefault(module, set()).update(names)
+    unused = [f"{module}: {name}" for module, names in imports.items() for name in names
+              if name not in used.get(module, ())]
+    assert unused == []
+
+
+def test_every_private_name_is_referenced_outside_its_definition():
+    table = statements()
+    orphans = [private for i, (_, node, _) in enumerate(table) for private in defined_names(node)
+               if not any(private in names for j, (_, _, names) in enumerate(table) if j != i)]
+    assert orphans == []

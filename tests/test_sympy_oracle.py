@@ -12,7 +12,7 @@ import pytest
 from logres import RationalMatrix, catalog, charpoly, rref
 from logres.divisor import poly_determinant
 from logres.linear import determinant
-from logres.univariate import uni_gcd, uni_mul
+from logres.univariate import clear_denominators, uni_gcd, uni_mul
 
 from conftest import rand_fraction
 
@@ -83,4 +83,6 @@ def test_uni_gcd_matches_sympy_monic_gcd():
         common = rand_uni(rng.randint(0, 2))
         a, b = uni_mul(common, rand_uni(rng.randint(0, 3))), uni_mul(common, rand_uni(rng.randint(0, 3)))
         expected = sympy.Poly(list(map(to_sympy, reversed(a))), t).gcd(sympy.Poly(list(map(to_sympy, reversed(b))), t))
-        assert uni_gcd(a, b) == [from_sympy(c) for c in expected.monic().all_coeffs()[::-1]]
+        gcd = uni_gcd(clear_denominators(a)[1], clear_denominators(b)[1])
+        assert all(type(c) is int for c in gcd)
+        assert [Fraction(c, gcd[-1]) for c in gcd] == [from_sympy(c) for c in expected.monic().all_coeffs()[::-1]]
