@@ -46,7 +46,7 @@ class MatrixPolyMap:
     @classmethod
     def _of(cls, entries: Sequence[Sequence[WeightedPoly]]) -> "MatrixPolyMap":
         """A map of square rows already in one ring, as the arithmetic here and
-        the moduli solve build them: no checks."""
+        ``SolutionSpace.basis`` build them: no checks."""
         out = object.__new__(cls)
         out.entries = tuple(map(tuple, entries))
         out.weights = out.entries[0][0].weights

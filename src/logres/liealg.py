@@ -121,12 +121,12 @@ def _additive_semisimple(a: RationalMatrix) -> RationalMatrix:
     scale, b, coeffs = scaled_charpoly(a)
     g = uni_squarefree_part(coeffs)
     g_prime = uni_derivative(g)
-    x = RationalMatrix(b)
+    x = b  # rows of ints until a Newton step is needed
     for _ in range(a.rows + 1):
-        gx = RationalMatrix(poly_at(x.row_list(), g))
-        if gx.is_zero():
-            return Fraction(1, scale) * x
-        x = x - gx * inverse(RationalMatrix(poly_at(x.row_list(), g_prime)))
+        gx = poly_at(x, g)
+        if not any(map(any, gx)):
+            return Fraction(1, scale) * RationalMatrix(x)
+        x = (RationalMatrix(x) - RationalMatrix(gx) * inverse(RationalMatrix(poly_at(x, g_prime)))).row_list()
     raise ArithmeticError("Newton iteration failed to converge; broken invariant")
 
 

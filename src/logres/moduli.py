@@ -23,23 +23,26 @@ Sparse matrix values are flat dicts from (coordinate monomial, row, column,
 base monomial) to a rational coefficient; a coordinate monomial is the
 sorted tuple of the coordinate indices a term multiplies, empty for a
 constant matrix.  A coefficient is held as an ``int`` when it is integral
-(``_scalar`` where values enter: ``_constant``, ``_terms`` and the
-structure-function scalars; ``on_monomial`` already gives field images that
-way), so products of integers skip ``Fraction``'s gcd work, and Python's
-int/Fraction promotion keeps every other value exact on the same code path.  ``_matmul`` joins
+(``_scalar`` where values enter: ``_constant``, ``_terms``, the solve and
+the structure-function scalars; ``on_monomial`` already gives field images
+that way), so products of integers skip ``Fraction``'s gcd work, and Python's
+int/Fraction promotion keeps every other value exact on one code path.  ``_matmul`` joins
 the terms of both sides on the inner matrix index, in blocks of equal
 (coordinate monomial, base monomial), and merges the keys of two blocks
 once per pair that meets.  Each emitted (row, column, base monomial) group
 becomes one ``Equation``, which keeps the coordinate monomials as its keys:
 nothing in emission, evaluation, restriction or the JSON output builds a
-polynomial over all the coordinates.  ``MatrixPolyMap``s enter the sparse
-form through ``_terms`` alone.  The curvature formula is written out here
-rather than taken from ``connections``, so that ``check_point``'s flatness
-cross-check stays an independent computation.
+polynomial over all the coordinates.  A ``SolutionSpace`` keeps its basis
+as the solve's sparse terms and builds ``MatrixPolyMap``s only on request;
+a point's maps enter the sparse form through ``_terms`` alone.  The
+curvature formula is written out here rather than taken from
+``connections``, so that ``check_point``'s flatness cross-check stays
+an independent computation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -67,30 +70,42 @@ class ResidueError(ValueError):
 class SolutionSpace:
     """Exact graded basis of one linear solution space.
 
-    ``slot`` is ("component", w-position) or ("correction", toral-position);
-    basis elements are E-homogeneous matrix polynomial maps and
-    ``dims_by_degree`` counts them per E-degree.
+    ``slot`` is ("component", w-position) or ("correction", toral-position).
+    ``elements`` holds one (E-degree, terms) pair per basis element, in
+    increasing degree, with the row-major terms ``_solve_slot`` gives;
+    ``basis`` is their ``MatrixPolyMap``s over ``weights``, built on first access.
     """
 
     slot: Tuple[str, int]
     matrix_size: int
-    basis: Tuple[MatrixPolyMap, ...]
-    dims_by_degree: Dict[int, int]
+    weights: Tuple[int, ...]
+    elements: Tuple[Tuple[int, Tuple[_Term, ...]], ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.elements)
 
+    @cached_property
+    def dims_by_degree(self) -> Dict[int, int]:
+        return dict(Counter(degree for degree, _ in self.elements))
 
-@dataclass(frozen=True)
-class SymmetryAlgebra:
-    """Infinitesimal gauge symmetries of the trivial residue connection."""
+    @property
+    def constant_dimension(self) -> int:
+        return self.dims_by_degree.get(0, 0)
 
-    dimension: int
-    constant_dimension: int
-    positive_dimension: int
-    basis: Tuple[MatrixPolyMap, ...]
-    dims_by_degree: Dict[int, int]
+    @property
+    def positive_dimension(self) -> int:
+        return sum(count for degree, count in self.dims_by_degree.items() if degree > 0)
+
+    @cached_property
+    def basis(self) -> Tuple[MatrixPolyMap, ...]:
+        maps = []
+        for _, terms in self.elements:
+            entries: List[List[dict]] = [[{} for _ in range(self.matrix_size)] for _ in range(self.matrix_size)]
+            for r, c, mono, coeff in terms:
+                entries[r][c][mono] = coeff
+            maps.append(MatrixPolyMap._of([[WeightedPoly(self.weights, entry) for entry in row] for row in entries]))
+        return tuple(maps)
 
 
 def _check_pair(d: FreeDivisor, residue: ResidueData) -> None:
@@ -111,6 +126,7 @@ def _check_pair(d: FreeDivisor, residue: ResidueData) -> None:
 _Scalar = Union[int, Fraction]
 # a sparse matrix value: (coordinate monomial, row, column, base monomial) -> coefficient
 _Value = Dict[Tuple[Tuple[int, ...], int, int, Monomial], _Scalar]
+_Term = Tuple[int, int, Monomial, _Scalar]
 
 
 def _scalar(value: Fraction) -> _Scalar:
@@ -124,7 +140,7 @@ def _constant(mat: RationalMatrix, n: int) -> _Value:
     return {((), r, c, zero): _scalar(v) for r, row in enumerate(mat.entries) for c, v in enumerate(row) if v}
 
 
-def _terms(mp: MatrixPolyMap) -> List[Tuple[int, int, Monomial, _Scalar]]:
+def _terms(mp: MatrixPolyMap) -> List[_Term]:
     """The (row, column, monomial, coefficient) terms of a map, row-major."""
     return [(r, c, mono, _scalar(coeff)) for r, row in enumerate(mp.entries)
             for c, entry in enumerate(row) for mono, coeff in entry.terms.items()]
@@ -195,8 +211,8 @@ _Brackets = Dict[int, List[Tuple[_Value, List[_Value]]]]
 
 
 def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift: int,
-                offsets: Sequence[_Scalar]) -> List[Tuple[int, MatrixPolyMap]]:
-    """The (degree, map) basis of one slot's solution space, in increasing degree.
+                offsets: Sequence[_Scalar]) -> List[Tuple[int, Tuple[_Term, ...]]]:
+    """The (degree, terms) basis of one slot's solution space, in increasing degree.
 
     Equation k is frame direction k (toral ones first, then semisimple ones),
     with C_k its residue value.  The candidates of degree lam + shift are z^a * M
@@ -224,7 +240,6 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
     every reduction, and each other column stays pivot or free as it was.
     The test is cached per (lam, first slot with an equal C_k, q).
     """
-    m = residue.matrix_size
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
     # each direction's residue value, and the first direction with an equal value
     matrices = tuple(residue.s_list) + tuple(residue.chi or ())
@@ -248,7 +263,7 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
             admits[key] = not rows or rref(IntegerRows.cleared(list(rows.values()), len(pairs))).rank < len(pairs)
         return admits[key]
 
-    out: List[Tuple[int, MatrixPolyMap]] = []
+    out: List[Tuple[int, Tuple[_Term, ...]]] = []
     for lam, basis in sorted(residue.grading_eigenspaces.items()):
         degree = lam + shift
         monos = monomials_of_degree(d.weights, degree)
@@ -286,14 +301,14 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
                 candidates.append((mono, entries))
                 columns.append({key: v for key, v in column.items() if v})
         for vec in block_kernel(columns):
-            terms: Dict[Tuple[int, int], Dict[Monomial, Fraction]] = {}
+            sums: Dict[Tuple[int, int, Monomial], _Scalar] = {}
             for pos, coeff in vec.items():
                 mono, entries = candidates[pos]
                 for r, c, v in entries:
-                    entry = terms.setdefault((r, c), {})
-                    entry[mono] = entry.get(mono, 0) + coeff * v
-            out.append((degree, MatrixPolyMap._of([[WeightedPoly(d.weights, terms.get((r, c))) for c in range(m)]
-                                                   for r in range(m)])))
+                    sums[r, c, mono] = sums.get((r, c, mono), 0) + coeff * v
+            # row-major; a stable sort keeps each entry's monomials in insertion order
+            out.append((degree, tuple((r, c, mono, _scalar(v)) for (r, c, mono), v
+                                      in sorted(sums.items(), key=lambda item: item[0][:2]) if v)))
     return out
 
 
@@ -311,15 +326,6 @@ def solve_component_spaces(d: FreeDivisor, residue: ResidueData) -> List[Solutio
     return _component_spaces(d, residue, {})
 
 
-def _space(slot: Tuple[str, int], matrix_size: int, items: Sequence[Tuple[int, MatrixPolyMap]]) -> SolutionSpace:
-    """The space whose basis is the maps of (degree, map) pairs, counted per degree."""
-    dims: Dict[int, int] = {}
-    for degree, _ in items:
-        dims[degree] = dims.get(degree, 0) + 1
-    return SolutionSpace(slot=slot, matrix_size=matrix_size, basis=tuple(mp for _, mp in items),
-                         dims_by_degree=dims)
-
-
 def _component_spaces(d: FreeDivisor, residue: ResidueData, brackets: _Brackets) -> List[SolutionSpace]:
     """Each graded slot solved alone: its grade shifts the degrees, and its
     offsets are its toral grading constants, then its semisimple action on itself."""
@@ -330,50 +336,39 @@ def _component_spaces(d: FreeDivisor, residue: ResidueData, brackets: _Brackets)
         raise DivisorError("semisimple coupling mixes graded slots; per-slot bases are not defined for this divisor")
     semis = range(len(d.semisimple_indices))
     return [
-        _space(("component", b), residue.matrix_size, _solve_slot(
+        SolutionSpace(("component", b), residue.matrix_size, d.weights, tuple(_solve_slot(
             d, residue, brackets, d.frame[j].grade,
-            [toral_w[(t, b)] for t in range(d.toral_count)] + [action[(a, b)][b] for a in semis]))
+            [toral_w[(t, b)] for t in range(d.toral_count)] + [action[(a, b)][b] for a in semis])))
         for b, j in enumerate(d.w_indices)
     ]
 
 
 def _correction_spaces(d: FreeDivisor, residue: ResidueData, brackets: _Brackets) -> List[SolutionSpace]:
     """One space per toral slot (a divisor has at least one), all with the basis of one solve."""
-    items = _solve_slot(d, residue, brackets, 0, [0] * (d.toral_count + len(d.semisimple_indices)))
-    return [_space(("correction", i), residue.matrix_size, items) for i in range(d.toral_count)]
+    elements = tuple(_solve_slot(d, residue, brackets, 0, [0] * (d.toral_count + len(d.semisimple_indices))))
+    return [SolutionSpace(("correction", i), residue.matrix_size, d.weights, elements) for i in range(d.toral_count)]
 
 
 def solve_correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
     """One copy per toral slot of the space solving E_i(N) = [S_i, N]_c.
 
     The corrections for every toral slot satisfy the same linear equations,
-    so the returned spaces share one basis computed once.
+    so the returned spaces share one ``elements`` tuple computed once.
     """
     _check_pair(d, residue)
     return _correction_spaces(d, residue, {})
 
 
-def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SymmetryAlgebra:
-    """Graded Lie algebra of infinitesimal symmetries fixing the residue.
+def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SolutionSpace:
+    """Graded Lie algebra of infinitesimal symmetries fixing the residue: the
+    first correction space, whose basis elements are the symmetries.
 
     The degree-zero part is the centralizer of the residue values inside
     gl_m; the strictly positive part exponentiates to polynomial gauge
     transformations equal to the identity at the origin.
     """
     _check_pair(d, residue)
-    return _symmetry_algebra(_correction_spaces(d, residue, {})[0])
-
-
-def _symmetry_algebra(corrections: SolutionSpace) -> SymmetryAlgebra:
-    """The symmetries have the basis of a correction space."""
-    dims = corrections.dims_by_degree
-    return SymmetryAlgebra(
-        dimension=corrections.dimension,
-        constant_dimension=dims.get(0, 0),
-        positive_dimension=sum(count for degree, count in dims.items() if degree > 0),
-        basis=corrections.basis,
-        dims_by_degree=dict(dims),
-    )
+    return _correction_spaces(d, residue, {})[0]
 
 
 # ----------------------------------------------------------------- the system
@@ -496,7 +491,7 @@ class ModuliProblem:
     residue: ResidueData
     component_spaces: Tuple[SolutionSpace, ...]
     correction_spaces: Tuple[SolutionSpace, ...]
-    symmetry: SymmetryAlgebra
+    symmetry: SolutionSpace  # the first correction space
     system: PolySystem
 
 
@@ -517,7 +512,6 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     brackets: _Brackets = {}
     comp_spaces = _component_spaces(d, residue, brackets)
     corr_spaces = _correction_spaces(d, residue, brackets)
-    symmetry = _symmetry_algebra(corr_spaces[0])
 
     def degree(mono: Monomial) -> int:
         return sum(w * e for w, e in zip(d.weights, mono))
@@ -528,12 +522,10 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     for space in comp_spaces + corr_spaces:
         prefix = "B" if space.slot[0] == "component" else "N"
         value: _Value = {}
-        for b_idx, element in enumerate(space.basis):
-            terms = _terms(element)
+        for b_idx, (e_degree, terms) in enumerate(space.elements):
             value.update((((len(coordinates),), r, c, mono), coeff) for r, c, mono, coeff in terms)
             name = _coordinate_name(prefix, space.slot[1] + 1, terms, d.variables, b_idx)
-            low = min((degree(mono) for _, _, mono, _ in terms), default=0)
-            coordinates.append(Coordinate(name=name, slot=space.slot, basis_index=b_idx, degree=low))
+            coordinates.append(Coordinate(name=name, slot=space.slot, basis_index=b_idx, degree=e_degree))
         general.append(value)
     ncoords = len(coordinates)
     comps, corrs = general[:len(comp_spaces)], general[len(comp_spaces):]
@@ -595,9 +587,9 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         "matrix_size": m,
         "dim_components_per_slot": [space.dimension for space in comp_spaces],
         "dim_components": sum(space.dimension for space in comp_spaces),
-        "dim_corrections_per_slot": symmetry.dimension,
-        "dim_symmetry_constant": symmetry.constant_dimension,
-        "dim_symmetry_positive": symmetry.positive_dimension,
+        "dim_corrections_per_slot": corr_spaces[0].dimension,
+        "dim_symmetry_constant": corr_spaces[0].constant_dimension,
+        "dim_symmetry_positive": corr_spaces[0].positive_dimension,
         "coordinates": ncoords,
         "equations": len(equations),
     }
@@ -613,7 +605,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         residue=residue,
         component_spaces=tuple(comp_spaces),
         correction_spaces=tuple(corr_spaces),
-        symmetry=symmetry,
+        symmetry=corr_spaces[0],
         system=system,
     )
 
@@ -647,15 +639,15 @@ def coordinates_of(point: ModuliPoint, problem: ModuliProblem) -> Tuple[Fraction
 def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fraction]:
     if target.size != space.matrix_size:
         raise MembershipError("matrix size mismatch")
-    if not space.basis:
+    if not space.elements:
         if target.is_zero():
             return []
         raise MembershipError(f"nonzero value in an empty solution space {space.slot}")
-    # one row per (row, column, monomial) of any map; the target is the last column
-    width = len(space.basis)
+    # one row per (row, column, monomial) of any element; the target is the last column
+    width = space.dimension
     rows: Dict[Tuple[int, int, Monomial], List[_Scalar]] = {}
-    for col, mp in enumerate(space.basis + (target,)):
-        for r, c, mono, coeff in _terms(mp):
+    for col, terms in enumerate([terms for _, terms in space.elements] + [_terms(target)]):
+        for r, c, mono, coeff in terms:
             row = rows.get((r, c, mono))
             if row is None:
                 row = rows[(r, c, mono)] = [0] * (width + 1)
@@ -663,7 +655,7 @@ def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fract
     result = rref(IntegerRows.cleared(list(rows.values()), width, augmented=True))
     if result.inconsistent or result.solution is None:
         raise MembershipError(f"value does not lie in the span of solution space {space.slot}")
-    if result.rank < len(space.basis):
+    if result.rank < width:
         # basis elements are independent by construction; a rank drop here is a bug
         raise ArithmeticError("solution space basis is not independent; broken invariant")
     return list(result.solution)

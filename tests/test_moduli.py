@@ -622,6 +622,36 @@ def test_emission_builds_no_matrix_maps(monkeypatch, seki):
     assert {eq.tag for eq in system.equations} == {"curvature", "ZN", "nilpotency"}
 
 
+@pytest.mark.parametrize("name, s, chi", [
+    ("cusp", diag(0, 1, 2, 3), "auto"),
+    ("sekiguchi_b5", conjugated(diag(0, 1, 2), random.Random(3)), "auto"),
+    ("borel2", diag(0, 1, 2), "auto"),
+    ("d4", S01, "auto"),
+    ("g2", ZERO2, (CHI_H, CHI_E, CHI_F)),
+], ids=["cusp/diag(0,1,2,3)", "sekiguchi_b5/diag(0,1,2)~conj", "borel2/diag(0,1,2)", "d4/S01", "g2/0+sl2"])
+def test_a_warm_moduli_system_builds_no_polynomial_or_matrix_map(monkeypatch, name, s, chi):
+    """Once the divisor's and the residue's caches are filled, the solve and
+    the emission work on sparse terms alone: no ``WeightedPoly`` and no
+    ``MatrixPolyMap`` is constructed, by the checking constructor or by ``_of``."""
+    d = catalog(name)
+    residue = residue_for(d, s, chi)
+    moduli_system(d, residue)
+    built = []
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            built.append(original.__qualname__)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(WeightedPoly, "__init__", counted(WeightedPoly.__init__))
+    monkeypatch.setattr(MatrixPolyMap, "__init__", counted(MatrixPolyMap.__init__))
+    monkeypatch.setattr(MatrixPolyMap, "_of", classmethod(counted(MatrixPolyMap._of.__func__)))
+    problem = moduli_system(d, residue)
+    assert problem.system.coordinates
+    assert built == []
+
+
 def test_emission_builds_no_polynomial_over_the_coordinates(monkeypatch):
     d = catalog("sekiguchi_b5")
     residue = residue_for(d, conjugated(diag(0, 1, 2), random.Random(3)))

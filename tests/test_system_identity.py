@@ -26,12 +26,16 @@ the solve without the sieve is the oracle for the one with it.
 import functools
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from logres import FrameElement, FreeDivisor, RationalMatrix, ResidueData, catalog, moduli_system, serialize
+from logres import (FrameElement, FreeDivisor, RationalMatrix, ResidueData, catalog, moduli_system, serialize,
+                    symmetry_algebra)
 from logres.divisor import SEMISIMPLE, TORAL
+from logres.moduli import _terms
 
 from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, fraction_conjugated,
                       rand_fraction, residue_for)
@@ -137,11 +141,16 @@ def residue_of(label: str) -> ResidueData:
 
 
 @functools.lru_cache(maxsize=None)
+def problem_of(label: str):
+    return moduli_system(divisor_named(INPUTS[base_label(label)][0]), residue_of(label))
+
+
+@functools.lru_cache(maxsize=None)
 def system_of(label: str):
     """The divisor's variables, the emitted system and its JSON payload."""
-    d = divisor_named(INPUTS[base_label(label)][0])
-    system = moduli_system(d, residue_of(label)).system
-    return d.variables, system, serialize.system_to_json(system, d.variables)
+    problem = problem_of(label)
+    variables = problem.divisor.variables
+    return variables, problem.system, serialize.system_to_json(problem.system, variables)
 
 
 def system_sha256(label: str) -> str:
@@ -186,6 +195,28 @@ def test_sparse_equations_match_their_dense_view(label):
 @pytest.mark.parametrize("label", LABELS)
 def test_system_json_is_byte_identical(label):
     assert system_sha256(label) == FROZEN[label]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_solution_spaces_keep_their_basis_as_terms(label):
+    """Each space's lazy ``basis`` flattens back to its stored terms, whose
+    integral coefficients are ints and whose monomials all have the stored
+    E-degree; ``dims_by_degree`` counts the stored degrees in increasing
+    order, the coordinates carry them, and the symmetry algebra is the first
+    correction space, equal to a fresh ``symmetry_algebra``."""
+    problem = problem_of(label)
+    spaces = problem.component_spaces + problem.correction_spaces
+    for space in spaces:
+        assert [_terms(mp) for mp in space.basis] == [list(terms) for _, terms in space.elements]
+        for degree, terms in space.elements:
+            assert {sum(map(mul, space.weights, mono)) for _, _, mono, _ in terms} == {degree}
+            assert all(isinstance(coeff, int) or coeff.denominator != 1 for *_, coeff in terms)
+        assert space.dims_by_degree == Counter(degree for degree, _ in space.elements)
+        assert list(space.dims_by_degree) == sorted(space.dims_by_degree)
+    assert [c.degree for c in problem.system.coordinates] == [
+        degree for space in spaces for degree, _ in space.elements]
+    assert problem.symmetry is problem.correction_spaces[0]
+    assert problem.symmetry == symmetry_algebra(problem.divisor, problem.residue)
 
 
 # ------------------------------------------ the solve without the character sieve
