@@ -6,15 +6,15 @@ tangent to the hypersurface, annotated as toral, semisimple, or graded
 ("w" kind, the non-constant directions).  Construction checks every grading:
 each frame field is E-homogeneous of its grade, 0 for toral and semisimple
 fields.  The structure functions c_ij^k with [V_i, V_j] = sum_k c_ij^k V_k
-are then homogeneous of known degrees and are found by one exact linear solve
-per bracket, so the moduli path computes no determinant or adjugate.  The
-determinant test of the frame coefficient matrix (``verify_saito``)
-certifies that the frame is a basis of the logarithmic tangent sheaf, and
-the adjugate gives the dual forms; both read one table of polynomial minors.
-A ``FreeDivisor`` runs each analysis once, on first use, and keeps the result
-in a cached property (``determinant``, ``adjugate``, ``structure``,
-``constants``, ``dual_forms``, ``pairings``); the module-level functions do
-the computing.
+are then homogeneous of known degrees and are read off one sparse kernel
+per bracket (``block_kernel``), so the moduli path computes no determinant
+or adjugate.  The determinant test of the frame coefficient matrix
+(``verify_saito``) certifies that the frame is a basis of the logarithmic
+tangent sheaf, and the adjugate gives the dual forms; both read one table of
+polynomial minors.  A ``FreeDivisor`` runs each analysis once, on first use,
+and keeps the result in a cached property (``determinant``, ``adjugate``,
+``structure``, ``constants``, ``dual_forms``, ``pairings``); the
+module-level functions do the computing.
 
 ``VectorFieldPoly.on_monomial`` is the one field-application kernel: it
 returns the terms of a field applied to a single monomial, read from the
@@ -32,7 +32,7 @@ from functools import cached_property
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .linear import IntegerRows, RationalMatrix, inverse, rref
+from .linear import RationalMatrix, block_kernel, inverse
 from .polynomials import (
     InexactDivisionError,
     Monomial,
@@ -452,66 +452,46 @@ class StructureFunctions:
 
 
 def structure_functions(d: FreeDivisor) -> StructureFunctions:
-    """Expand every frame bracket back in the frame, one graded linear solve per pair.
+    """Expand every frame bracket back in the frame, one graded kernel per pair.
 
     With m_k the Euler grade of frame field V_k (its ``grade``, 0 for toral
     and semisimple fields), c_ij^k is E-homogeneous of degree m_i + m_j - m_k.
     The unknowns of pair (i, j) are its coefficients on the monomials of that
-    degree, the column of z^a * V_k has one row per (coordinate, monomial),
-    and the right-hand side is [V_i, V_j].  The columns depend only on the
-    bracket degree m_i + m_j and are built once per degree.  An inconsistent
-    system means the frame is not closed under bracket; a rank below the
-    column count is a polynomial relation among the frame fields.
+    degree: the column of z^a * V_k holds its terms keyed by (coordinate,
+    monomial), and the columns depend only on the bracket degree m_i + m_j,
+    so they are built once per degree.  ``block_kernel`` reads them with
+    -[V_i, V_j] as the last, target column.  A kernel vector ends at its free
+    column, so one that ends before the target is a polynomial relation among
+    the frame fields; failing that, a vector ending at the target holds the
+    unique c_ij^k, and without one the frame is not closed under bracket.
     """
     grades = [e.grade or 0 for e in d.frame]
     fields = [e.field for e in d.frame]
-    systems: Dict[int, tuple] = {}  # bracket degree -> _bracket_columns
+    systems: Dict[int, tuple] = {}  # bracket degree -> the unknowns (k, a) and the columns of z^a * V_k
     table: Dict[Tuple[int, int], Tuple[WeightedPoly, ...]] = {}
     for i in range(d.n):
         for j in range(i + 1, d.n):
             degree = grades[i] + grades[j]
             if degree not in systems:
-                systems[degree] = _bracket_columns(fields, grades, degree)
-            unknowns, row_of, base = systems[degree]
-            width = len(unknowns)
-            rows = [row + [0] for row in base]
-            for l, coeff in enumerate(bracket(fields[i], fields[j]).coefficients):
-                for mono, c in coeff.terms.items():
-                    index = row_of.get((l, mono))
-                    if index is None:
-                        rows.append([0] * width + [c])
-                    else:
-                        rows[index][width] = c
-            result = rref(IntegerRows.cleared(rows, width, augmented=True))
-            if result.rank < width:
+                unknowns = [(k, a) for k, field in enumerate(fields)
+                            for a in monomials_of_degree(d.weights, degree - grades[k])]
+                columns = [{(l, tuple(map(add, a, mono))): c for l, terms in enumerate(fields[k]._integer_terms)
+                            for mono, c in terms} for k, a in unknowns]
+                systems[degree] = unknowns, columns
+            unknowns, columns = systems[degree]
+            target = {(l, mono): -c for l, coeff in enumerate(bracket(fields[i], fields[j]).coefficients)
+                      for mono, c in coeff.terms.items()}
+            kernel = block_kernel(columns + [target])
+            if kernel and max(kernel[0]) < len(unknowns):
                 raise DivisorError(f"frame fields are linearly dependent (found solving pair ({i}, {j}))")
-            if result.inconsistent:
+            if not kernel:
                 raise DivisorError(f"frame is not closed under bracket at pair ({i}, {j})")
             coeffs: List[Dict[Monomial, Fraction]] = [{} for _ in range(d.n)]
-            for (k, mono), value in zip(unknowns, result.solution):
+            for pos, value in list(kernel[0].items())[:-1]:  # the last entry is the target's 1
+                k, mono = unknowns[pos]
                 coeffs[k][mono] = value
             table[(i, j)] = tuple(WeightedPoly(d.weights, c) for c in coeffs)
     return StructureFunctions(table=table, size=d.n, weights=d.weights)
-
-
-def _bracket_columns(fields: Sequence[VectorFieldPoly], grades: Sequence[int], degree: int):
-    """The unknowns (k, a) of a bracket of Euler degree ``degree``, the row
-    index of each (coordinate, monomial) key, and the dense rows whose column
-    for (k, a) holds the terms of z^a * V_k."""
-    unknowns: List[Tuple[int, Monomial]] = []
-    row_of: Dict[Tuple[int, Monomial], int] = {}
-    entries: List[Tuple[int, int, Union[int, Fraction]]] = []
-    for k, field in enumerate(fields):
-        for a in monomials_of_degree(field.weights, degree - grades[k]):
-            for l, terms in enumerate(field._integer_terms):
-                for mono, c in terms:
-                    key = (l, tuple(map(add, a, mono)))
-                    entries.append((row_of.setdefault(key, len(row_of)), len(unknowns), c))
-            unknowns.append((k, a))
-    rows: List[List[Union[int, Fraction]]] = [[0] * len(unknowns) for _ in row_of]
-    for r, col, c in entries:
-        rows[r][col] = c
-    return unknowns, row_of, rows
 
 
 @dataclass(frozen=True)

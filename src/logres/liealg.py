@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linear import RationalMatrix, determinant, integer_eigenvalues, inverse, poly_at, rref, scaled_charpoly
+from .linear import (IntegerRows, RationalMatrix, determinant, integer_eigenvalues, inverse, poly_at, rref,
+                     scaled_charpoly)
 from .univariate import uni_derivative, uni_squarefree_part
 
 
@@ -33,27 +34,21 @@ def ad_operator(a: RationalMatrix) -> RationalMatrix:
     """Matrix of X -> [a, X]_c on matrix units, ordered row-major.
 
     Unit E_{rc} corresponds to flat index r * m + c, so column j of the
-    result is the flattened commutator [a, E_j]_c.
+    result is the flattened commutator [a, E_j]_c: entry (r*m + c, s*m + t)
+    is a[r, s] * [c = t] - [r = s] * a[t, c], the Kronecker form
+    a (x) I - I (x) a^T.
     """
     if not a.is_square():
         raise ValueError("ad of a non-square matrix")
     m = a.rows
-    size = m * m
-    cols: List[List[Fraction]] = []
-    for s in range(m):
-        for c in range(m):
-            col = [Fraction(0)] * size
-            for r in range(m):
-                col[r * m + c] += a[r, s]
-            for c2 in range(m):
-                col[s * m + c2] -= a[c, c2]
-            cols.append(col)
-    return RationalMatrix(list(zip(*cols)))
+    return RationalMatrix([[a[r, s] * (c == t) - (r == s) * a[t, c] for s in range(m) for t in range(m)]
+                           for r in range(m) for c in range(m)])
 
 
-def _kernel_matrices(operator: RationalMatrix, m: int) -> List[RationalMatrix]:
-    """Kernel basis of an operator on row-major flattened m x m matrices, as matrices."""
-    return [RationalMatrix([vec[i * m:(i + 1) * m] for i in range(m)]) for vec in rref(operator).kernel]
+def _kernel_matrices(rows: Sequence[Sequence[Fraction]], m: int) -> List[RationalMatrix]:
+    """Kernel basis of the rows of an operator on row-major flattened m x m matrices, as matrices."""
+    kernel = rref(IntegerRows.cleared(rows, m * m)).kernel
+    return [RationalMatrix([vec[i * m:(i + 1) * m] for i in range(m)]) for vec in kernel]
 
 
 def centralizer_algebra(mats: Sequence[RationalMatrix], size: Optional[int] = None) -> Tuple[int, List[RationalMatrix]]:
@@ -68,7 +63,7 @@ def centralizer_algebra(mats: Sequence[RationalMatrix], size: Optional[int] = No
         m = size
     # the empty family constrains nothing: one zero row has all of gl_m as kernel
     stacked = [row for mat in mats for row in ad_operator(mat).entries] or [[0] * (m * m)]
-    basis = _kernel_matrices(RationalMatrix(stacked), m)
+    basis = _kernel_matrices(stacked, m)
     return len(basis), basis
 
 
@@ -244,9 +239,9 @@ class ResidueData:
         order, mapped to an eigenmatrix basis; computed once and shared, so
         read-only, and like a divisor's cache no part of equality or hashing."""
         ad = ad_operator(self.grading_element())
-        identity = RationalMatrix.identity(ad.rows)
         return {
-            lam: tuple(_kernel_matrices(ad - lam * identity, self.matrix_size))
+            lam: tuple(_kernel_matrices([row[:i] + (row[i] - lam,) + row[i + 1:] for i, row in enumerate(ad.entries)],
+                                        self.matrix_size))
             for lam in integer_eigenvalues(ad)
         }
 

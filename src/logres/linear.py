@@ -3,9 +3,9 @@
 RationalMatrix is a small immutable dense matrix of Fractions.  The row
 reduction here, ``rref``, is the single exact solver behind every eigenspace,
 kernel and linear-system computation in the package; ``block_kernel``
-applies it to each connected block of a sparse matrix given by columns,
-``inverse`` to [A | I] once, and the structure functions of a divisor are
-solved with it one bracket at a time.  It is fraction-free: each row is
+applies it to each connected block of a sparse matrix given by columns (the
+moduli solve and the structure functions of a divisor, one bracket at a
+time, hand it their columns), and ``inverse`` to [A | I] once.  It is fraction-free: each row is
 cleared of denominators once into ``IntegerRows`` (which callers with rows of
 ints build directly) and eliminated over Python ints, and ``Fraction``s are
 built only at the end, as quotients by the pivot entries.  The characteristic

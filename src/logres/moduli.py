@@ -8,16 +8,17 @@ and one degree at a time (a frame whose semisimple fields move one graded
 slot into another is rejected before any solve).  The characters of the
 diagonal toral and semisimple fields first sieve out the monomials z^a
 whose candidates are forced to zero, by one small rank test per
-eigenspace, distinct residue value and character value; every remaining
-candidate z^a * M gets its residual as a sparse column, and the columns
-are row-reduced block by block, where a block is a connected set of
-columns sharing equation rows.  Frame fields act on monomials through
-``VectorFieldPoly.on_monomial`` alone, and matrices are multiplied by one
-sparse product, ``_matmul``, in the solve (the brackets of residue values
-with eigenmatrices) and in emission alike.  It then emits the polynomial
-system cutting out the flat locus inside them, assembles the connection
-attached to a point, and cross-checks the emitted system against a direct
-curvature computation.
+eigenspace, distinct residue value and character value, made while the
+monomials are enumerated, so that a rejected prefix is never extended;
+every remaining candidate z^a * M gets its residual as a sparse column,
+and the columns are row-reduced block by block, where a block is a
+connected set of columns sharing equation rows.  Frame fields act on
+monomials through ``VectorFieldPoly.on_monomial`` alone, and matrices are
+multiplied by one sparse product, ``_matmul``, in the solve (the brackets
+of residue values with eigenmatrices) and in emission alike.  It then
+emits the polynomial system cutting out the flat locus inside them,
+assembles the connection attached to a point, and cross-checks the emitted
+system against a direct curvature computation.
 
 Sparse matrix values are flat dicts from (coordinate monomial, row, column,
 base monomial) to a rational coefficient; a coordinate monomial is the
@@ -45,7 +46,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -225,27 +226,32 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
     slots of one call share, and computed there on first use, once per
     distinct residue value.
 
-    Before any column is built, the characters of the diagonal frame fields
-    sieve the monomials.  A diagonal toral or semisimple field V_k
-    (``FreeDivisor.diagonal_characters``) has V_k(z^a) = <chi_k, a> * z^a, so
-    only the candidates z^a * M_i reach the rows (k, ., ., a), and there they
-    read z^a * (q * M_i - [C_k, M_i]) with q = <chi_k, a> - offsets[k].  A
-    kernel vector with coefficients x_i on them thus has
-    sum_i x_i * (q * M_i - [C_k, M_i]) = 0.  When a rank test finds these
-    columns independent, every candidate of monomial a is zero in every
-    kernel vector, and none of them is built.  This is the one place where
-    forced-zero candidates are dropped, and dropping them leaves
+    The characters of the diagonal frame fields sieve the monomials while
+    ``monomials_of_degree`` enumerates them.  A diagonal toral or semisimple
+    field V_k (``FreeDivisor.diagonal_characters``) has
+    V_k(z^a) = <chi_k, a> * z^a, so only the candidates z^a * M_i reach the
+    rows (k, ., ., a), and there they read z^a * (q * M_i - [C_k, M_i]) with
+    q = <chi_k, a> - offsets[k].  A kernel vector with coefficients x_i on
+    them thus has sum_i x_i * (q * M_i - [C_k, M_i]) = 0.  When a rank test
+    finds these columns independent, every candidate of monomial a is zero
+    in every kernel vector, and none of them is built.  This is the one place
+    where forced-zero candidates are dropped, and dropping them leaves
     ``rref(dense).kernel`` as it is: a column that is zero in every kernel
     vector is in the span of no set of other columns, so it is a pivot of
     every reduction, and each other column stays pivot or free as it was.
-    The test is cached per (lam, first slot with an equal C_k, q).
+    The value <chi_k, a> is final once the exponents up to chi_k's last
+    nonzero entry are chosen, so the test runs there, and a prefix that
+    fails it is not extended.  It is cached per (lam, first slot with an
+    equal C_k, q).
     """
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
     # each direction's residue value, and the first direction with an equal value
     matrices = tuple(residue.s_list) + tuple(residue.chi or ())
     first: Dict[RationalMatrix, int] = {}
     same = [first.setdefault(value, k) for k, value in enumerate(matrices)]
-    characters = [(k, chi, _scalar(offsets[k])) for k, chi in d.diagonal_characters]
+    # each character with the prefix length that reaches its last nonzero entry
+    characters = [(k, chi, _scalar(offsets[k]), max(i for i, c in enumerate(chi) if c) + 1)
+                  for k, chi in d.diagonal_characters]
     admits: Dict[Tuple[int, int, _Scalar], bool] = {}
 
     def triples(value: _Value) -> List[Tuple[int, int, Fraction]]:
@@ -263,19 +269,21 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
             admits[key] = not rows or rref(IntegerRows.cleared(list(rows.values()), len(pairs))).rank < len(pairs)
         return admits[key]
 
+    def admissible(lam: int, prefix: Monomial) -> bool:
+        """Whether every character final at this prefix admits its value there."""
+        return all(admitted(lam, k, sum(map(mul, chi, prefix)) - offset)
+                   for k, chi, offset, end in characters if end == len(prefix))
+
     out: List[Tuple[int, Tuple[_Term, ...]]] = []
     for lam, basis in sorted(residue.grading_eigenspaces.items()):
         degree = lam + shift
-        monos = monomials_of_degree(d.weights, degree)
-        if monos and lam not in brackets:
+        if degree >= 0 and lam not in brackets:
             values = {k: _constant(matrices[k], d.n) for k in first.values()}
             brackets[lam] = []
             for eig in (_constant(mat, d.n) for mat in basis):
                 distinct = {k: _commutator(value, eig) for k, value in values.items()}
                 brackets[lam].append((eig, [distinct[k] for k in same]))
-        if characters:
-            monos = [mono for mono in monos
-                     if all(admitted(lam, k, sum(map(mul, chi, mono)) - offset) for k, chi, offset in characters)]
+        monos = monomials_of_degree(d.weights, degree, partial(admissible, lam))
         if not monos:
             continue
         # per eigenmatrix M: the (row, column, value) of M, and of offsets[k] * M + [C_k, M] per k

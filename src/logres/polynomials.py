@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from itertools import repeat
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .univariate import as_fraction, clear_denominators, power, uni_add, uni_degree, uni_derivative, uni_gcd, uni_mul
 
@@ -271,16 +271,19 @@ def terms_text(terms: Iterable[Tuple[str, Fraction]]) -> str:
     return text
 
 
-def monomials_of_degree(weights: Sequence[int], degree: int) -> List[Monomial]:
-    """All exponent tuples of exact E-degree ``degree``, in lexicographic order."""
+def monomials_of_degree(weights: Sequence[int], degree: int,
+                        keep: Callable[[Monomial], bool] = lambda prefix: True) -> List[Monomial]:
+    """All exponent tuples of exact E-degree ``degree``, in lexicographic order;
+    ``keep`` is asked about each prefix as it grows, and one it rejects is not extended."""
     weights = _checked_weights(weights)
     if degree < 0:
         return []
 
-    def rec(index: int, remaining: int) -> Iterator[Tuple[int, ...]]:
+    def rec(prefix: Monomial, remaining: int) -> Iterator[Monomial]:
+        index = len(prefix)
         if index == len(weights):
             if remaining == 0:
-                yield ()
+                yield prefix
             return
         w = weights[index]
         if index == len(weights) - 1:  # the last exponent is forced
@@ -288,10 +291,10 @@ def monomials_of_degree(weights: Sequence[int], degree: int) -> List[Monomial]:
         else:
             choices = range(remaining // w + 1)
         for e in choices:
-            for tail in rec(index + 1, remaining - w * e):
-                yield (e,) + tail
+            if keep(head := prefix + (e,)):
+                yield from rec(head, remaining - w * e)
 
-    return list(rec(0, degree))
+    return list(rec((), degree))
 
 
 # ------------------------------------------------------------- squarefreeness

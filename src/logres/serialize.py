@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence
 
 from .catalog import catalog
 from .connections import LogConnection, MatrixPolyMap
-from .divisor import FrameElement, FreeDivisor
+from .divisor import FrameElement, FreeDivisor, VectorFieldPoly
 from .liealg import ResidueData
 from .linear import RationalMatrix
 from .moduli import Coordinate, Equation, ModuliPoint, PolySystem, coordinate_monomial, exponent_vector
@@ -152,8 +152,6 @@ def divisor_to_json(d: FreeDivisor) -> dict:
 
 
 def divisor_from_json(data) -> FreeDivisor:
-    from .divisor import VectorFieldPoly
-
     _object(data, ("variables", "weights", "f", "degree", "frame"), "divisor file")
     variables = tuple(_string(v, "each entry of variables") for v in _list(data["variables"], "variables"))
     weights = _integers(data["weights"], "weights")

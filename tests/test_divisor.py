@@ -237,6 +237,18 @@ def test_linearly_dependent_frame_is_reported():
         structure_functions(d)
 
 
+def test_a_dependent_frame_that_is_not_closed_reports_the_dependence():
+    # y d/dx, z d/dy, E and 2E: the first pair's bracket -z d/dx lies outside
+    # the span of the frame, and the frame holds the relation 2 * V2 - V3 = 0
+    euler = ({(1, 0, 0, 0): 1}, {(0, 1, 0, 0): 1}, {(0, 0, 1, 0): 1}, {(0, 0, 0, 1): 1})
+    doubled = tuple({mono: 2 for mono in terms} for terms in euler)
+    d = _frame_divisor((1, 1, 1, 1), {(1, 1, 1, 1): 1}, 4,
+                       (({(0, 1, 0, 0): 1}, {}, {}, {}), ({}, {(0, 0, 1, 0): 1}, {}, {}), euler, doubled),
+                       ("semisimple", "semisimple", "toral", "toral"), combination=(1, 0), distinguished=None)
+    with pytest.raises(DivisorError, match=r"linearly dependent \(found solving pair \(0, 1\)\)"):
+        structure_functions(d)
+
+
 @pytest.mark.parametrize("kind", ("toral", "semisimple"))
 def test_non_homogeneous_constant_field_is_rejected_at_construction(kind):
     # x^2 d/dx has Euler grade 1 on weights (1, 1), not the grade 0 of a toral or semisimple field

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -832,7 +836,8 @@ def test_the_character_sieve_leaves_three_correction_columns(monkeypatch):
 def test_the_h_character_keeps_d4_blocks_small(monkeypatch):
     # d4 diag(0,1,2) with chi = 0, as written and conjugated: the toral and
     # the h characters keep 10 of the 46 candidates, and the blocks reduced
-    # hold at most 84 and 504 cells (rows times columns)
+    # hold at most 84 and 504 cells (rows times columns); the frame analysis
+    # reduces through rref too, so it runs before the count
     import logres.linear
     import logres.moduli
 
@@ -850,11 +855,26 @@ def test_the_h_character_keeps_d4_blocks_small(monkeypatch):
     monkeypatch.setattr(logres.linear, "rref", counting_rref)
     monkeypatch.setattr(logres.moduli, "block_kernel", counting_block_kernel)
     d = catalog("d4")
+    d.constants
     for s, most in ((diag(0, 1, 2), 84), (conjugated(diag(0, 1, 2), random.Random(3)), 504)):
         handed.clear()
         cells.clear()
         moduli_system(d, residue_for(d, s))
         assert sum(handed) <= 10 and 0 < sum(cells) <= most
+
+
+def test_the_admissible_monomial_work_is_bounded_on_a_large_torus():
+    # normal_crossing_16 with diag(0, 2) on every toral slot: the grading
+    # element diag(0, 32) gives ad the eigenvalue 32, and the 16 variables
+    # have about 7.5 * 10^11 monomials of degree 32
+    code = ("from logres import RationalMatrix, ResidueData, catalog, moduli_system; "
+            "d = catalog('normal_crossing_16'); s = RationalMatrix([[0, 0], [0, 2]]); "
+            "residue = ResidueData(s_list=(s,) * 16, positive_combination=d.positive_combination); "
+            "system = moduli_system(d, residue).system; print(len(system.coordinates), len(system.equations))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+                          cwd=Path(__file__).resolve().parents[1], env={**os.environ, "PYTHONPATH": "src"})
+    k = 16
+    assert done.stdout.split() == [str(3 * k), str(k * (k + 1) // 2 + 2 * k)], done.stderr
 
 
 def test_toral_characters_of_the_catalog():

@@ -1,5 +1,7 @@
 import itertools
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, seed, settings
@@ -9,6 +11,7 @@ from logres import (
     InexactDivisionError,
     WeightedPoly,
     WeightMismatchError,
+    catalog,
     exact_divide,
     monomials_of_degree,
     squarefree_probable,
@@ -92,6 +95,48 @@ def test_monomials_of_degree():
             brute = [mono for mono in itertools.product(range(degree + 1), repeat=len(weights))
                      if sum(w * e for w, e in zip(weights, mono)) == degree]
             assert monomials_of_degree(weights, degree) == brute
+
+
+def test_monomials_of_degree_extends_only_the_prefixes_keep_accepts():
+    """Pruning by characters, as the moduli solve does: <chi, a> is final at
+    chi's last nonzero entry, and there it must lie in an admitted set.  The
+    pruned enumeration is the full one filtered by every character, in the
+    same order, on random characters with negative entries and on d4's, whose
+    h is (1, -1, 1, -1, 1, -1)."""
+    rng = random.Random("monomials-keep")
+    d4 = catalog("d4")
+    cases = [(d4.weights, [chi for _, chi in d4.diagonal_characters])] * 40
+    for _ in range(160):
+        n = rng.randint(1, 4)
+        chis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        cases.append((tuple(rng.randint(1, 3) for _ in range(n)), [chi for chi in chis if any(chi)]))
+    pruned_some = 0
+    for weights, chis in cases:
+        degree = rng.randint(0, 8)
+        characters = [(chi, max(i for i, c in enumerate(chi) if c) + 1,
+                       set(rng.sample(range(-6, 7), rng.randint(1, 5)))) for chi in chis]
+
+        def keep(prefix):
+            return all(sum(map(mul, chi, prefix)) in allowed for chi, end, allowed in characters if end == len(prefix))
+
+        full = monomials_of_degree(weights, degree)
+        kept = [mono for mono in full if all(sum(map(mul, chi, mono)) in allowed for chi, _, allowed in characters)]
+        assert monomials_of_degree(weights, degree, keep) == kept
+        pruned_some += len(kept) < len(full)
+    assert pruned_some > 50
+
+
+def test_monomials_of_degree_asks_keep_only_about_the_prefixes_it_extends():
+    # a prefix keep rejects is not extended, so none of its extensions is asked about
+    asked = []
+
+    def keep(prefix):
+        asked.append(prefix)
+        return prefix[0] != 1
+
+    assert monomials_of_degree((1, 1, 1), 2, keep) == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (2, 0, 0)]
+    assert not any(prefix[0] == 1 and len(prefix) > 1 for prefix in asked)
+    assert monomials_of_degree((1, 1, 1), 2) == monomials_of_degree((1, 1, 1), 2, lambda prefix: True)
 
 
 @pytest.mark.parametrize("weights", [(1.5, 2), (0, 1), (-1, 1)])
