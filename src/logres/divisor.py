@@ -12,9 +12,11 @@ or adjugate.  The determinant test of the frame coefficient matrix
 (``verify_saito``) certifies that the frame is a basis of the logarithmic
 tangent sheaf, and the adjugate gives the dual forms; both read one table of
 polynomial minors.  A ``FreeDivisor`` runs each analysis once, on first use,
-and keeps the result in a cached property (``determinant``, ``adjugate``,
-``structure``, ``constants``, ``dual_forms``, ``pairings``); the
-module-level functions do the computing.
+and keeps the result in a cached property (the frame kinds' positions
+``toral_indices``, ``semisimple_indices``, ``w_indices`` and
+``toral_count``, then ``determinant``, ``adjugate``, ``structure``,
+``constants``, ``dual_forms``, ``pairings``); the module-level functions do
+the computing.  The caches are not fields: equality and hashing ignore them.
 
 ``VectorFieldPoly.on_monomial`` is the one field-application kernel: it
 returns the terms of a field applied to a single monomial, read from the
@@ -202,19 +204,19 @@ class FreeDivisor:
     def n(self) -> int:
         return len(self.variables)
 
-    @property
+    @cached_property
     def toral_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.frame) if e.kind == TORAL)
 
-    @property
+    @cached_property
     def semisimple_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.frame) if e.kind == SEMISIMPLE)
 
-    @property
+    @cached_property
     def w_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.frame) if e.kind == WTYPE)
 
-    @property
+    @cached_property
     def toral_count(self) -> int:
         return len(self.toral_indices)
 

@@ -3,9 +3,9 @@
 RationalMatrix is a small immutable dense matrix of Fractions.  The row
 reduction here, ``rref``, is the single exact solver behind every eigenspace,
 kernel and linear-system computation in the package; ``block_kernel``
-applies it to each connected block of a sparse matrix given by columns (the
-moduli solve and the structure functions of a divisor, one bracket at a
-time, hand it their columns), and ``inverse`` to [A | I] once.  It is fraction-free: each row is
+applies it to each connected block of two or more columns of a sparse
+matrix given by columns (the moduli solve and the structure functions of a
+divisor, one bracket at a time, hand it their columns), and ``inverse`` to [A | I] once.  It is fraction-free: each row is
 cleared of denominators once into ``IntegerRows`` (which callers with rows of
 ints build directly) and eliminated over Python ints, and ``Fraction``s are
 built only at the end, as quotients by the pivot entries.  The characteristic
@@ -250,8 +250,10 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
     """Kernel basis of the matrix whose column j has the entries ``columns[j]``.
 
     Each column maps row keys to int or Fraction values.  Two columns are
-    connected when they share a row key, and every connected block is
-    row-reduced on its own by ``rref``.  The reduced form of a block-diagonal
+    connected when they share a row key, and every connected block of two or
+    more columns is row-reduced on its own by ``rref``; a lone column is a
+    pivot when it holds a nonzero value and free otherwise, so it needs no
+    reduction.  The reduced form of a block-diagonal
     matrix is made of the reduced forms of its blocks, so the result is
     ``rref(dense).kernel`` exactly: the same vectors, in increasing order of
     their free column.  Each vector is returned as its nonzero entries, in
@@ -278,14 +280,15 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
 
     kernel: List[Tuple[int, Dict[int, Fraction]]] = []
     for block in blocks.values():
+        if len(block) == 1:
+            # a lone column is a pivot when it holds a nonzero value, else free
+            if not any(columns[block[0]].values()):
+                kernel.append((block[0], {block[0]: Fraction(1)}))
+            continue
         row_of: Dict[Hashable, int] = {}
         for j in block:
             for key in columns[j]:
                 row_of.setdefault(key, len(row_of))
-        if not row_of:
-            # a column without entries is a zero column: its own block and free
-            kernel.append((block[0], {block[0]: Fraction(1)}))
-            continue
         rows = [[0] * len(block) for _ in row_of]
         for pos, j in enumerate(block):
             for key, value in columns[j].items():

@@ -16,9 +16,10 @@ connected set of columns sharing equation rows.  Frame fields act on
 monomials through ``VectorFieldPoly.on_monomial`` alone, and matrices are
 multiplied by one sparse product, ``_matmul``, in the solve (the brackets
 of residue values with eigenmatrices) and in emission alike.  It then
-emits the polynomial system cutting out the flat locus inside them,
-assembles the connection attached to a point, and cross-checks the emitted
-system against a direct curvature computation.
+emits the polynomial system cutting out the flat locus inside them (each
+value on the corrections once, on the first of them, shifted to every toral
+slot), assembles the connection attached to a point, and cross-checks the
+emitted system against a direct curvature computation.
 
 Sparse matrix values are flat dicts from (coordinate monomial, row, column,
 base monomial) to a rational coefficient; a coordinate monomial is the
@@ -352,7 +353,8 @@ def _component_spaces(d: FreeDivisor, residue: ResidueData, brackets: _Brackets)
 
 
 def _correction_spaces(d: FreeDivisor, residue: ResidueData, brackets: _Brackets) -> List[SolutionSpace]:
-    """One space per toral slot (a divisor has at least one), all with the basis of one solve."""
+    """One space per toral slot (a divisor has at least one), all with the basis of one solve;
+    ``moduli_system`` computes each value on the first of them and shifts it to the others."""
     elements = tuple(_solve_slot(d, residue, brackets, 0, [0] * (d.toral_count + len(d.semisimple_indices))))
     return [SolutionSpace(("correction", i), residue.matrix_size, d.weights, elements) for i in range(d.toral_count)]
 
@@ -514,6 +516,14 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     output.  Coefficients are ints while they are integral, and every matrix
     product is the block product ``_matmul``; each equation keeps its
     coordinate monomials as sparse keys.
+
+    The correction spaces share one basis, so toral slot l's correction is
+    the first one with its coordinates moved up by l * dim.  ZN (per graded
+    slot) and nilpotency are computed on the first correction, NN-commute on
+    the first two, and each value is split into its sorted groups once and
+    renumbered for every slot or pair of slots.  The renumbering is
+    increasing, so the equations, their order and their terms are those of a
+    computation on each slot's own correction.
     """
     _check_pair(d, residue)
     m = residue.matrix_size
@@ -553,42 +563,54 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         )
 
     equations: List[Equation] = []
+    dim = corr_spaces[0].dimension
+    first = ncoords - d.toral_count * dim
 
-    def split_into_equations(tag: str, frame_slots: Tuple[int, ...], value: _Value):
+    def emit(tag: str, value: _Value, slots: Iterable[Tuple[Tuple[int, ...], int, int]]):
+        """Split the value into its sorted (row, column, base monomial) groups once, and for each
+        (frame slots, l1, l2) emit one equation per group, with the coordinates of corrs[0] moved
+        to corrs[l1] and those of corrs[1] to corrs[l2]; the move is increasing, so keys stay sorted."""
         groups: Dict[Tuple[int, int, Monomial], Dict[Tuple[int, ...], Fraction]] = {}
         for (key, r, c, base), coeff in value.items():
             groups.setdefault((r, c, base), {})[key] = Fraction(coeff)
-        for r, c, base in sorted(groups, key=lambda g: (g[0], g[1], degree(g[2]), g[2])):
-            equations.append(Equation(tag=tag, frame_slots=frame_slots, entry=(r, c), base_monomial=base,
-                                      terms=groups[(r, c, base)], ncoords=ncoords))
+        order = sorted(groups, key=lambda g: (g[0], g[1], degree(g[2]), g[2]))
+        for frame_slots, l1, l2 in slots:
+            moved = [*range(first), *range(first + l1 * dim, first + (l1 + 1) * dim),
+                     *range(first + l2 * dim, first + (l2 + 1) * dim)]
+            for r, c, base in order:
+                terms = groups[r, c, base]
+                if (l1, l2) != (0, 1):
+                    terms = {tuple([moved[i] for i in key]): coeff for key, coeff in terms.items()}
+                equations.append(Equation(tag=tag, frame_slots=frame_slots, entry=(r, c), base_monomial=base,
+                                          terms=terms, ncoords=ncoords))
+
+    def curvature(a: int, i: int, b: int, j: int) -> _Value:
+        """The curvature value on the graded slots a < b, of frame slots i and j."""
+        value = _sub(apply(i, comps[b]), apply(j, comps[a]))
+        for k, coeff in enumerate(d.structure.coefficients(i, j)):
+            # c_ij^k times the identity matrix
+            scalar = {((), r, r, mono): _scalar(c) for mono, c in coeff.terms.items() for r in range(m)}
+            value = _sub(value, _matmul(frame_value[k], scalar))
+        return _sub(value, _commutator(comps[a], comps[b]))
 
     # curvature equations on pairs of graded slots
-    for a, i in enumerate(d.w_indices):
-        for b in range(a + 1, len(d.w_indices)):
-            j = d.w_indices[b]
-            value = _sub(apply(i, comps[b]), apply(j, comps[a]))
-            for k, coeff in enumerate(d.structure.coefficients(i, j)):
-                # c_ij^k times the identity matrix
-                scalar = {((), r, r, mono): _scalar(c) for mono, c in coeff.terms.items() for r in range(m)}
-                value = _sub(value, _matmul(frame_value[k], scalar))
-            value = _sub(value, _commutator(comps[a], comps[b]))
-            split_into_equations("curvature", (i, j), value)
+    graded = list(enumerate(d.w_indices))
+    for a, i in graded:
+        for b, j in graded[a + 1:]:
+            emit("curvature", curvature(a, i, b, j), [((i, j), 0, 1)])
 
+    toral = list(enumerate(d.toral_indices))
     # graded fields applied to corrections
-    for a, i in enumerate(d.w_indices):
-        for l, correction in enumerate(corrs):
-            value = _sub(apply(i, correction), _commutator(comps[a], correction))
-            split_into_equations("ZN", (i, d.toral_indices[l]), value)
+    for a, i in graded:
+        emit("ZN", _sub(apply(i, corrs[0]), _commutator(comps[a], corrs[0])), [((i, t), l, 1) for l, t in toral])
 
     # corrections commute pairwise
-    for l1 in range(d.toral_count):
-        for l2 in range(l1 + 1, d.toral_count):
-            value = _commutator(corrs[l1], corrs[l2])
-            split_into_equations("NN-commute", (d.toral_indices[l1], d.toral_indices[l2]), value)
+    if len(toral) > 1:
+        emit("NN-commute", _commutator(corrs[0], corrs[1]),
+             [((t1, t2), l1, l2) for l1, t1 in toral for l2, t2 in toral if l1 < l2])
 
     # corrections are nilpotent, encoded entrywise
-    for l, correction in enumerate(corrs):
-        split_into_equations("nilpotency", (d.toral_indices[l],), power(correction, m, _matmul))
+    emit("nilpotency", power(corrs[0], m, _matmul), [((t,), l, 1) for l, t in toral])
 
     summary = {
         "divisor": d.name,

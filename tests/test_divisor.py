@@ -29,6 +29,9 @@ from logres import (
 )
 import logres.divisor as divisor_module
 from logres.divisor import (
+    SEMISIMPLE,
+    TORAL,
+    WTYPE,
     DivisorError,
     StructureFunctions,
     correction_pairings,
@@ -469,6 +472,19 @@ def test_populated_cache_keeps_equality_and_hash():
     d.structure, d.constants, d.dual_forms
     assert d == other
     assert hash(d) == before == hash(other)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_frame_kind_positions_are_cached_and_match_the_frame(name):
+    d = catalog(name)
+    kinds = [element.kind for element in d.frame]
+    assert d.toral_indices == tuple(i for i, kind in enumerate(kinds) if kind == TORAL)
+    assert d.semisimple_indices == tuple(i for i, kind in enumerate(kinds) if kind == SEMISIMPLE)
+    assert d.w_indices == tuple(i for i, kind in enumerate(kinds) if kind == WTYPE)
+    assert d.toral_count == len(d.toral_indices) >= 1
+    for attr in ("toral_indices", "semisimple_indices", "w_indices", "toral_count"):
+        assert attr in vars(d) and getattr(d, attr) is vars(d)[attr]
+    assert d == catalog(name) and hash(d) == hash(catalog(name))
 
 
 def test_factors_must_multiply_to_f(cusp):

@@ -239,6 +239,16 @@ def test_block_kernel_counts_only_nonzero_entries():
     assert_block_kernel_matches(columns)
 
 
+def test_block_kernel_reduces_no_lone_column(rref_calls):
+    # columns 0, 1, 2 and 4 are blocks of one column each: 0 and 4 hold a
+    # nonzero value and are pivots, 1 and 2 hold only zeros and are free, like
+    # the empty column 5; only the block of columns 3 and 6 is reduced
+    columns = [col(a=1), {"b": 0}, {"c": 0, "d": Fraction(0)}, col(e=1, f=2), col(g=-3, h=1), col(), col(e=2, f=4)]
+    assert block_kernel(columns) == [{1: 1}, {2: 1}, {5: 1}, {3: -2, 6: 1}]
+    assert rref_calls == [2]
+    assert_block_kernel_matches(columns)
+
+
 def test_block_kernel_makes_no_reduction_on_the_torus_inputs(rref_calls):
     # a structural count: on these normal crossings the character sieve of
     # the slot solve keeps only candidates whose residual column is empty, and
@@ -259,7 +269,7 @@ def test_block_kernel_makes_no_reduction_on_the_torus_inputs(rref_calls):
 def sparse_columns(draw):
     """Columns whose row keys are (block, row); the blocks interleave freely.
     Link rows (-1, i) each go to few columns, so rows held by one column,
-    and cascades of them, are common."""
+    and cascades of them, are common.  Lone columns are put in among them."""
     ncols = draw(st.integers(1, 10))
     nblocks = draw(st.integers(1, 4))
     nrows = draw(st.integers(0, 3))
@@ -277,6 +287,11 @@ def sparse_columns(draw):
             for link in draw(st.lists(st.integers(0, nlinks - 1), max_size=2)):
                 entries[(-1, link)] = Fraction(draw(nonzero))
         columns.append({key: v for key, v in entries.items() if v})
+    # lone columns, each a one-column block on row keys (-2 - lone, r) of its
+    # own; their explicit zeros are kept, so some hold no nonzero value at all
+    for lone in range(draw(st.integers(0, 3))):
+        entries = {(-2 - lone, r): Fraction(draw(values)) for r in range(draw(st.integers(1, 2)))}
+        columns.insert(draw(st.integers(0, len(columns))), entries)
     return columns
 
 
