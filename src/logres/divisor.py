@@ -44,6 +44,7 @@ from .polynomials import (
     monomials_of_degree,
     squarefree_probable,
 )
+from .univariate import as_scalar
 
 TORAL = "toral"
 SEMISIMPLE = "semisimple"
@@ -78,7 +79,7 @@ class VectorFieldPoly:
         """Each coefficient's (monomial, coefficient) terms, an integral
         coefficient as an int; derived once and, like a divisor's caches, no
         part of equality or hashing."""
-        return tuple(tuple((mono, c.numerator if c.denominator == 1 else c) for mono, c in coeff.terms.items())
+        return tuple(tuple((mono, as_scalar(c)) for mono, c in coeff.terms.items())
                      for coeff in self.coefficients)
 
     def on_monomial(self, mono: Monomial) -> Dict[Monomial, Union[int, Fraction]]:

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linear import (IntegerRows, RationalMatrix, determinant, integer_eigenvalues, inverse, poly_at, rref,
                      scaled_charpoly)
-from .univariate import uni_derivative, uni_squarefree_part
+from .univariate import as_scalar, uni_derivative, uni_squarefree_part
 
 
 def commutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -205,6 +205,7 @@ class ResidueData:
     ``s_list`` holds one matrix per toral slot, ``positive_combination`` the
     integer combination of toral slots whose frame field is the grading Euler
     field, and ``chi`` (optional) one matrix per semisimple frame slot.
+    Its cached facts are shared, read-only, and outside equality and hashing.
     """
 
     s_list: Tuple[RationalMatrix, ...]
@@ -225,6 +226,10 @@ class ResidueData:
     def matrix_size(self) -> int:
         return self.s_list[0].rows
 
+    @property
+    def values(self) -> Tuple[RationalMatrix, ...]:
+        return tuple(self.s_list) + tuple(self.chi or ())
+
     def grading_element(self) -> RationalMatrix:
         """The residue value on the distinguished positive generator."""
         m = self.matrix_size
@@ -236,14 +241,56 @@ class ResidueData:
     @cached_property
     def grading_eigenspaces(self) -> Dict[int, Tuple[RationalMatrix, ...]]:
         """Each integer eigenvalue of ad of the grading element, in increasing
-        order, mapped to an eigenmatrix basis; computed once and shared, so
-        read-only, and like a divisor's cache no part of equality or hashing."""
+        order, mapped to an eigenmatrix basis."""
         ad = ad_operator(self.grading_element())
         return {
             lam: tuple(_kernel_matrices([row[:i] + (row[i] - lam,) + row[i + 1:] for i, row in enumerate(ad.entries)],
                                         self.matrix_size))
             for lam in integer_eigenvalues(ad)
         }
+
+    @cached_property
+    def value_classes(self) -> Tuple[int, ...]:
+        """For each residue value, S first, then chi, the position of the first value equal to it."""
+        first: Dict[RationalMatrix, int] = {}
+        return tuple(first.setdefault(value, k) for k, value in enumerate(self.values))
+
+    @cached_property
+    def grading_brackets(self) -> Dict[int, Tuple[Tuple[tuple, Tuple[tuple, ...]], ...]]:
+        """Per eigenvalue of ``grading_eigenspaces``, per eigenmatrix M: the row-major entries of M
+        and, for each of ``values`` C_k, of [C_k, M]_c, integral ones as ints; each bracket is
+        computed once per distinct value and shared by the equal ones."""
+        values, classes = self.values, self.value_classes
+        out: Dict[int, tuple] = {}
+        for lam, basis in self.grading_eigenspaces.items():
+            out[lam] = ()
+            for mat in basis:
+                brackets = {k: tuple(map(as_scalar, commutator(values[k], mat).flatten())) for k in set(classes)}
+                out[lam] += ((tuple(map(as_scalar, mat.flatten())), tuple(brackets[k] for k in classes)),)
+        return out
+
+    @cached_property
+    def validity(self) -> ResidueReport:
+        """The verdict of ``validate_residue`` short of the chi constants."""
+        m = self.matrix_size
+        distinct = [(s, i) for i, s in enumerate(self.s_list) if self.value_classes[i] == i]
+        for s, i in distinct:
+            if not s.is_square() or s.rows != m:
+                return ResidueReport(False, f"S_{i + 1} is not square of size {m}")
+            if not is_semisimple(s):
+                return ResidueReport(False, f"S_{i + 1} is not semisimple")
+        for pos, (s, i) in enumerate(distinct):
+            for t, j in distinct[pos + 1:]:
+                if not commutator(s, t).is_zero():
+                    return ResidueReport(False, f"S_{i + 1} and S_{j + 1} do not commute")
+        for idx, y in enumerate(self.chi or ()):
+            if not y.is_square() or y.rows != m:
+                return ResidueReport(False, f"chi_{idx + 1} is not square of size {m}")
+        for s, i in distinct:
+            for j, y in enumerate(self.chi or ()):
+                if not commutator(s, y).is_zero():
+                    return ResidueReport(False, f"S_{i + 1} does not centralize chi_{j + 1}")
+        return ResidueReport(True)
 
 
 @dataclass(frozen=True)
@@ -261,41 +308,16 @@ def validate_residue(residue: ResidueData, s_constants: Optional[dict] = None) -
     sign opposite to the plain commutator; this is the compatibility that
     makes the constant connection with those values flat.
     """
-    m = residue.matrix_size
-    # equal values pass or fail alike, so each distinct S is checked once,
-    # under the first slot that carries it
-    first = {}
-    for idx, s in enumerate(residue.s_list):
-        if s in first:
-            continue
-        if not s.is_square() or s.rows != m:
-            return ResidueReport(False, f"S_{idx + 1} is not square of size {m}")
-        if not is_semisimple(s):
-            return ResidueReport(False, f"S_{idx + 1} is not semisimple")
-        first[s] = idx
-    distinct = list(first.items())
-    for pos, (s, i) in enumerate(distinct):
-        for t, j in distinct[pos + 1:]:
-            if not commutator(s, t).is_zero():
-                return ResidueReport(False, f"S_{i + 1} and S_{j + 1} do not commute")
-    if residue.chi is not None:
-        for idx, y in enumerate(residue.chi):
-            if not y.is_square() or y.rows != m:
-                return ResidueReport(False, f"chi_{idx + 1} is not square of size {m}")
-        for s, i in distinct:
-            for j, y in enumerate(residue.chi):
-                if not commutator(s, y).is_zero():
-                    return ResidueReport(False, f"S_{i + 1} does not centralize chi_{j + 1}")
-        if s_constants is not None:
-            count = len(residue.chi)
-            for i in range(count):
-                for j in range(i + 1, count):
-                    expected = RationalMatrix.zeros(m, m)
-                    for k, coeff in enumerate(s_constants.get((i, j), [0] * count)):
-                        expected = expected + coeff * residue.chi[k]
-                    # right-invariant fields bracket with the opposite sign, so the
-                    # constant values chi realize c_ij^k through [chi_j, chi_i]_c
-                    actual = commutator(residue.chi[j], residue.chi[i])
-                    if not (actual - expected).is_zero():
-                        return ResidueReport(False, f"chi does not respect the bracket of slots ({i + 1}, {j + 1})")
-    return ResidueReport(True)
+    report = residue.validity
+    if not report.ok or residue.chi is None or s_constants is None:
+        return report
+    m, count = residue.matrix_size, len(residue.chi)
+    for i in range(count):
+        for j in range(i + 1, count):
+            coefficients = s_constants.get((i, j), [0] * count)
+            expected = sum((coeff * y for coeff, y in zip(coefficients, residue.chi)), RationalMatrix.zeros(m, m))
+            # right-invariant fields bracket with the opposite sign, so the
+            # constant values chi realize c_ij^k through [chi_j, chi_i]_c
+            if not (commutator(residue.chi[j], residue.chi[i]) - expected).is_zero():
+                return ResidueReport(False, f"chi does not respect the bracket of slots ({i + 1}, {j + 1})")
+    return report

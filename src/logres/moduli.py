@@ -13,33 +13,33 @@ monomials are enumerated, so that a rejected prefix is never extended;
 every remaining candidate z^a * M gets its residual as a sparse column,
 and the columns are row-reduced block by block, where a block is a
 connected set of columns sharing equation rows.  Frame fields act on
-monomials through ``VectorFieldPoly.on_monomial`` alone, and matrices are
-multiplied by one sparse product, ``_matmul``, in the solve (the brackets
-of residue values with eigenmatrices) and in emission alike.  It then
-emits the polynomial system cutting out the flat locus inside them (each
-value on the corrections once, on the first of them, shifted to every toral
-slot), assembles the connection attached to a point, and cross-checks the
-emitted system against a direct curvature computation.
+monomials through ``VectorFieldPoly.on_monomial`` alone, and the solve reads
+the eigenmatrices and their brackets with the residue values from
+``ResidueData.grading_brackets``.  It then emits the polynomial system
+cutting out the flat locus inside them (each value on the corrections once,
+on the first of them, shifted to every toral slot, by the one sparse matrix
+product ``_matmul``), assembles the connection attached to a point, and
+cross-checks the emitted system against a direct curvature computation.
 
 Sparse matrix values are flat dicts from (coordinate monomial, row, column,
 base monomial) to a rational coefficient; a coordinate monomial is the
 sorted tuple of the coordinate indices a term multiplies, empty for a
 constant matrix.  A coefficient is held as an ``int`` when it is integral
-(``_scalar`` where values enter: ``_constant``, ``_terms``, the solve and
-the structure-function scalars; ``on_monomial`` already gives field images
-that way), so products of integers skip ``Fraction``'s gcd work, and Python's
-int/Fraction promotion keeps every other value exact on one code path.  ``_matmul`` joins
-the terms of both sides on the inner matrix index, in blocks of equal
-(coordinate monomial, base monomial), and merges the keys of two blocks
-once per pair that meets.  Each emitted (row, column, base monomial) group
-becomes one ``Equation``, which keeps the coordinate monomials as its keys:
-nothing in emission, evaluation, restriction or the JSON output builds a
-polynomial over all the coordinates.  A ``SolutionSpace`` keeps its basis
-as the solve's sparse terms and builds ``MatrixPolyMap``s only on request;
-a point's maps enter the sparse form through ``_terms`` alone.  The
-curvature formula is written out here rather than taken from
-``connections``, so that ``check_point``'s flatness cross-check stays
-an independent computation.
+(``as_scalar`` where values enter: ``_constant``, ``_terms``, the solve and
+the structure-function scalars; ``on_monomial`` and ``grading_brackets``
+already give them that way), so products of integers skip ``Fraction``'s gcd
+work, and Python's int/Fraction promotion keeps every other value exact on
+one code path.  ``_matmul`` joins the terms of both sides on the inner matrix
+index, in blocks of equal (coordinate monomial, base monomial), and merges
+the keys of two blocks once per pair that meets.  Each emitted (row, column,
+base monomial) group becomes one ``Equation``, which keeps the coordinate
+monomials as its keys: nothing in emission, evaluation, restriction or the
+JSON output builds a polynomial over all the coordinates.  A
+``SolutionSpace`` keeps its basis as the solve's sparse terms and builds
+``MatrixPolyMap``s only on request; a point's maps enter the sparse form
+through ``_terms`` alone.  The curvature formula is written out here rather
+than taken from ``connections``, so that ``check_point``'s flatness
+cross-check stays an independent computation.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .divisor import DivisorError, FreeDivisor
 from .liealg import ResidueData, validate_residue
 from .linear import IntegerRows, RationalMatrix, block_kernel, rref
 from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree, terms_text
-from .univariate import as_fraction, power
+from .univariate import as_fraction, as_scalar, power
 
 
 class MembershipError(ValueError):
@@ -131,20 +131,15 @@ _Value = Dict[Tuple[Tuple[int, ...], int, int, Monomial], _Scalar]
 _Term = Tuple[int, int, Monomial, _Scalar]
 
 
-def _scalar(value: Fraction) -> _Scalar:
-    """An integral rational as an int; any other rational unchanged."""
-    return value.numerator if value.denominator == 1 else value
-
-
 def _constant(mat: RationalMatrix, n: int) -> _Value:
     """A constant matrix: its nonzero entries at the zero monomial of n variables."""
     zero = (0,) * n
-    return {((), r, c, zero): _scalar(v) for r, row in enumerate(mat.entries) for c, v in enumerate(row) if v}
+    return {((), r, c, zero): as_scalar(v) for r, row in enumerate(mat.entries) for c, v in enumerate(row) if v}
 
 
 def _terms(mp: MatrixPolyMap) -> List[_Term]:
     """The (row, column, monomial, coefficient) terms of a map, row-major."""
-    return [(r, c, mono, _scalar(coeff)) for r, row in enumerate(mp.entries)
+    return [(r, c, mono, as_scalar(coeff)) for r, row in enumerate(mp.entries)
             for c, entry in enumerate(row) for mono, coeff in entry.terms.items()]
 
 
@@ -207,12 +202,7 @@ def _commutator(a: _Value, b: _Value) -> _Value:
     return _sub(_matmul(a, b), _matmul(b, a))
 
 
-# per eigenvalue lam of the grading, per matrix M of its eigenspace: M, and
-# [C_k, M] for each frame direction k; filled as the slot solves reach lam
-_Brackets = Dict[int, List[Tuple[_Value, List[_Value]]]]
-
-
-def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift: int,
+def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
                 offsets: Sequence[_Scalar]) -> List[Tuple[int, Tuple[_Term, ...]]]:
     """The (degree, terms) basis of one slot's solution space, in increasing degree.
 
@@ -222,10 +212,9 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
     ``residue.grading_eigenspaces``.  A candidate's residual
     V_k(z^a) * M - z^a * (offsets[k] * M + [C_k, M]) is written straight into a
     sparse column keyed by (k, row, column, monomial), and ``block_kernel``
-    row-reduces each connected block of the columns.  The commutators [C_k, M]
-    depend on the residue alone: they are read from ``brackets``, which the
-    slots of one call share, and computed there on first use, once per
-    distinct residue value.
+    row-reduces each connected block of the columns.  M and the commutators
+    [C_k, M] depend on the residue alone: their entries are read from
+    ``residue.grading_brackets``, computed once per residue and distinct value.
 
     The characters of the diagonal frame fields sieve the monomials while
     ``monomials_of_degree`` enumerates them.  A diagonal toral or semisimple
@@ -246,28 +235,24 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
     equal C_k, q).
     """
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
-    # each direction's residue value, and the first direction with an equal value
-    matrices = tuple(residue.s_list) + tuple(residue.chi or ())
-    first: Dict[RationalMatrix, int] = {}
-    same = [first.setdefault(value, k) for k, value in enumerate(matrices)]
+    m, same, offsets = residue.matrix_size, residue.value_classes, [as_scalar(offset) for offset in offsets]
     # each character with the prefix length that reaches its last nonzero entry
-    characters = [(k, chi, _scalar(offsets[k]), max(i for i, c in enumerate(chi) if c) + 1)
+    characters = [(k, chi, offsets[k], max(i for i, c in enumerate(chi) if c) + 1)
                   for k, chi in d.diagonal_characters]
     admits: Dict[Tuple[int, int, _Scalar], bool] = {}
 
-    def triples(value: _Value) -> List[Tuple[int, int, Fraction]]:
-        return [(r, c, v) for (_, r, c, _), v in value.items()]
+    def triples(entries: Iterable[_Scalar]) -> List[Tuple[int, int, _Scalar]]:
+        return [(i // m, i % m, v) for i, v in enumerate(entries) if v]
 
     def admitted(lam: int, k: int, q: _Scalar) -> bool:
         """Whether some nonzero M of the lam-eigenspace has [C_k, M] = q * M."""
         key = (lam, same[k], q)
         if key not in admits:
-            pairs = brackets[lam]
-            rows: Dict[Tuple[int, int], List[_Scalar]] = {}
-            for i, (eig, commutators) in enumerate(pairs):
-                for r, c, v in triples(_sub({term: q * v for term, v in eig.items()}, commutators[k])):
-                    rows.setdefault((r, c), [0] * len(pairs))[i] = v
-            admits[key] = not rows or rref(IntegerRows.cleared(list(rows.values()), len(pairs))).rank < len(pairs)
+            pairs = residue.grading_brackets[lam]
+            # one row per matrix entry, one column per M: q * M - [C_k, M]; all-zero rows dropped
+            rows = [row for row in zip(*([q * v - b for v, b in zip(eig, brackets[k])] for eig, brackets in pairs))
+                    if any(row)]
+            admits[key] = not rows or rref(IntegerRows.cleared(rows, len(pairs))).rank < len(pairs)
         return admits[key]
 
     def admissible(lam: int, prefix: Monomial) -> bool:
@@ -276,23 +261,15 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
                    for k, chi, offset, end in characters if end == len(prefix))
 
     out: List[Tuple[int, Tuple[_Term, ...]]] = []
-    for lam, basis in sorted(residue.grading_eigenspaces.items()):
+    for lam, pairs in residue.grading_brackets.items():
         degree = lam + shift
-        if degree >= 0 and lam not in brackets:
-            values = {k: _constant(matrices[k], d.n) for k in first.values()}
-            brackets[lam] = []
-            for eig in (_constant(mat, d.n) for mat in basis):
-                distinct = {k: _commutator(value, eig) for k, value in values.items()}
-                brackets[lam].append((eig, [distinct[k] for k in same]))
         monos = monomials_of_degree(d.weights, degree, partial(admissible, lam))
         if not monos:
             continue
         # per eigenmatrix M: the (row, column, value) of M, and of offsets[k] * M + [C_k, M] per k
-        eigendata = [
-            (triples(eig), [triples(_collect([*bracket.items(), *((key, offset * v) for key, v in eig.items())]))
-                            for bracket, offset in zip(commutators, offsets)])
-            for eig, commutators in brackets[lam]
-        ]
+        eigendata = [(triples(eig), [triples([offset * v + b for v, b in zip(eig, bracket)])
+                                     for bracket, offset in zip(brackets, offsets)])
+                     for eig, brackets in pairs]
         candidates: List[Tuple[Monomial, list]] = []
         columns: List[Dict[tuple, Fraction]] = []
         for mono in monos:
@@ -316,7 +293,7 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, brackets: _Brackets, shift
                 for r, c, v in entries:
                     sums[r, c, mono] = sums.get((r, c, mono), 0) + coeff * v
             # row-major; a stable sort keeps each entry's monomials in insertion order
-            out.append((degree, tuple((r, c, mono, _scalar(v)) for (r, c, mono), v
+            out.append((degree, tuple((r, c, mono, as_scalar(v)) for (r, c, mono), v
                                       in sorted(sums.items(), key=lambda item: item[0][:2]) if v)))
     return out
 
@@ -332,10 +309,10 @@ def solve_component_spaces(d: FreeDivisor, residue: ResidueData) -> List[Solutio
     basis and raises DivisorError.
     """
     _check_pair(d, residue)
-    return _component_spaces(d, residue, {})
+    return _component_spaces(d, residue)
 
 
-def _component_spaces(d: FreeDivisor, residue: ResidueData, brackets: _Brackets) -> List[SolutionSpace]:
+def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
     """Each graded slot solved alone: its grade shifts the degrees, and its
     offsets are its toral grading constants, then its semisimple action on itself."""
     if not d.w_indices:
@@ -346,16 +323,16 @@ def _component_spaces(d: FreeDivisor, residue: ResidueData, brackets: _Brackets)
     semis = range(len(d.semisimple_indices))
     return [
         SolutionSpace(("component", b), residue.matrix_size, d.weights, tuple(_solve_slot(
-            d, residue, brackets, d.frame[j].grade,
+            d, residue, d.frame[j].grade,
             [toral_w[(t, b)] for t in range(d.toral_count)] + [action[(a, b)][b] for a in semis])))
         for b, j in enumerate(d.w_indices)
     ]
 
 
-def _correction_spaces(d: FreeDivisor, residue: ResidueData, brackets: _Brackets) -> List[SolutionSpace]:
+def _correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
     """One space per toral slot (a divisor has at least one), all with the basis of one solve;
     ``moduli_system`` computes each value on the first of them and shifts it to the others."""
-    elements = tuple(_solve_slot(d, residue, brackets, 0, [0] * (d.toral_count + len(d.semisimple_indices))))
+    elements = tuple(_solve_slot(d, residue, 0, [0] * (d.toral_count + len(d.semisimple_indices))))
     return [SolutionSpace(("correction", i), residue.matrix_size, d.weights, elements) for i in range(d.toral_count)]
 
 
@@ -366,7 +343,7 @@ def solve_correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[Soluti
     so the returned spaces share one ``elements`` tuple computed once.
     """
     _check_pair(d, residue)
-    return _correction_spaces(d, residue, {})
+    return _correction_spaces(d, residue)
 
 
 def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SolutionSpace:
@@ -377,8 +354,7 @@ def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SolutionSpace:
     gl_m; the strictly positive part exponentiates to polynomial gauge
     transformations equal to the identity at the origin.
     """
-    _check_pair(d, residue)
-    return _correction_spaces(d, residue, {})[0]
+    return solve_correction_spaces(d, residue)[0]
 
 
 # ----------------------------------------------------------------- the system
@@ -527,9 +503,8 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     """
     _check_pair(d, residue)
     m = residue.matrix_size
-    brackets: _Brackets = {}
-    comp_spaces = _component_spaces(d, residue, brackets)
-    corr_spaces = _correction_spaces(d, residue, brackets)
+    comp_spaces = _component_spaces(d, residue)
+    corr_spaces = _correction_spaces(d, residue)
 
     def degree(mono: Monomial) -> int:
         return sum(w * e for w, e in zip(d.weights, mono))
@@ -548,10 +523,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     ncoords = len(coordinates)
     comps, corrs = general[:len(comp_spaces)], general[len(comp_spaces):]
     # what each frame slot k contributes through c_ij^k: S on toral, chi on semisimple, B on graded slots
-    frame_value: Dict[int, _Value] = {
-        k: _constant(value, d.n)
-        for k, value in zip(d.toral_indices + d.semisimple_indices, tuple(residue.s_list) + tuple(residue.chi or ()))
-    }
+    frame_value = {k: _constant(v, d.n) for k, v in zip(d.toral_indices + d.semisimple_indices, residue.values)}
     frame_value.update(zip(d.w_indices, comps))
 
     def apply(i: int, value: _Value) -> _Value:
@@ -589,7 +561,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         value = _sub(apply(i, comps[b]), apply(j, comps[a]))
         for k, coeff in enumerate(d.structure.coefficients(i, j)):
             # c_ij^k times the identity matrix
-            scalar = {((), r, r, mono): _scalar(c) for mono, c in coeff.terms.items() for r in range(m)}
+            scalar = {((), r, r, mono): as_scalar(c) for mono, c in coeff.terms.items() for r in range(m)}
             value = _sub(value, _matmul(frame_value[k], scalar))
         return _sub(value, _commutator(comps[a], comps[b]))
 

@@ -5,8 +5,8 @@ characteristic polynomials and the line-restriction squarefreeness check.
 One pseudo-division by a positive multiplier and ``uni_primitive`` give the
 primitive remainder sequence of the gcd; ``uni_add`` and ``uni_mul`` also
 build the ``Fraction`` line restrictions, which ``clear_denominators`` turns
-into ints.  ``as_fraction`` is the one scalar coercion and ``power`` the one
-square-and-multiply that the matrix and polynomial types share.
+into ints.  ``as_fraction`` and ``as_scalar`` are the scalar coercions and
+``power`` the one square-and-multiply that the matrix and polynomial types share.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
+
+
+def as_scalar(value: Union[int, Fraction]) -> Union[int, Fraction]:
+    """An integral rational as an int; any other rational unchanged."""
+    return value.numerator if value.denominator == 1 else value
 
 
 def clear_denominators(values: Sequence[Union[int, Fraction]]) -> Tuple[int, List[int]]:

@@ -97,10 +97,10 @@ def test_shifted_corrections_match_the_per_slot_emission(name):
 
 
 def test_the_emission_products_do_not_grow_with_the_toral_rank(monkeypatch):
-    # S01 on every slot of normal_crossing_k: the solve makes 3 commutators
-    # (6 products), NN-commute one commutator (2) and nilpotency one square
-    # (1), whatever k is; an emission per slot or pair of slots makes 15, 31
-    # and 70
+    # S01 on every slot of normal_crossing_k: the solve multiplies no
+    # matrices (it reads the residue's cached brackets), NN-commute makes one
+    # commutator (2 products) and nilpotency one square (1), whatever k is;
+    # an emission per slot or pair of slots makes 15, 31 and 70 products
     calls = []
 
     def counting_matmul(a, b):
@@ -114,4 +114,4 @@ def test_the_emission_products_do_not_grow_with_the_toral_rank(monkeypatch):
         calls.clear()
         assert moduli_system(d, residue_for(d, S01)).system.equations
         counts.append(len(calls))
-    assert counts == [9, 9, 9]
+    assert counts == [3, 3, 3]

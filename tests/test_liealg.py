@@ -287,12 +287,24 @@ def test_grading_eigenspaces_are_the_integer_eigenspaces_of_ad(name):
         assert all(commutator(g, mat) == lam * mat for mat in basis)
         assert len(basis) == len(rref(ad - lam * RationalMatrix.identity(ad.rows)).kernel)
         assert rref(RationalMatrix([mat.flatten() for mat in basis])).rank == len(basis)
+    # the bracket oracle: each stored entry list is the flattened RationalMatrix
+    # product, and the positions of equal values share one stored bracket
+    values, classes, brackets = r.values, r.value_classes, r.grading_brackets
+    assert brackets is r.grading_brackets and list(brackets) == list(spaces)
+    assert classes == tuple(values.index(value) for value in values)
+    for lam, basis in spaces.items():
+        assert len(brackets[lam]) == len(basis)
+        for mat, (entries, stored) in zip(basis, brackets[lam]):
+            assert list(entries) == mat.flatten()
+            assert [list(bracket) for bracket in stored] == [commutator(value, mat).flatten() for value in values]
+            assert all(stored[k] is stored[first] for k, first in enumerate(classes))
 
 
 def test_populated_grading_cache_keeps_equality_and_hash():
     r = ResidueData(s_list=(diag(0, 1, 3),), positive_combination=(1,))
     other = ResidueData(s_list=(diag(0, 1, 3),), positive_combination=(1,))
     before = hash(r)
-    r.grading_eigenspaces
+    r.grading_eigenspaces, r.value_classes, r.grading_brackets, r.validity
+    assert {"grading_eigenspaces", "value_classes", "grading_brackets", "validity"} <= set(vars(r))
     assert r == other
     assert hash(r) == before == hash(other)

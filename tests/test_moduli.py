@@ -599,11 +599,11 @@ def test_slot_solve_offsets(g2_divisor):
     _check_pair(g2_divisor, residue)
     directions = g2_divisor.toral_count + len(g2_divisor.semisimple_indices)
     zeros = [Fraction(0)] * directions
-    solutions = _solve_slot(g2_divisor, residue, {}, 0, zeros)
+    solutions = _solve_slot(g2_divisor, residue, 0, zeros)
     assert [degree for degree, _ in solutions] == [0] * 4  # the constants in gl_2
     first_semisimple = [Fraction(0)] * directions
     first_semisimple[g2_divisor.toral_count] = Fraction(1)
-    assert _solve_slot(g2_divisor, residue, {}, 0, first_semisimple) == []
+    assert _solve_slot(g2_divisor, residue, 0, first_semisimple) == []
 
 
 def test_slot_moving_semisimple_field_is_rejected():
@@ -749,6 +749,60 @@ def test_sparse_bracket_on_conjugated_residues(name, s):
         for mat in basis:
             for a, b in ((value, mat), (mat, value)):
                 assert _commutator(_constant(a, d.n), _constant(b, d.n)) == _constant(commutator(a, b), d.n)
+
+
+@pytest.mark.parametrize("name, s", [("normal_crossing_4", diag(0, 1, 2)),
+                                     ("cusp", conjugated(diag(0, 1, 2, 3), random.Random(3)))],
+                         ids=["normal_crossing_4/diag(0,1,2)", "cusp/diag(0,1,2,3)~conj"])
+def test_residue_brackets_hold_integral_entries_as_ints(name, s):
+    # the solve multiplies these entries into its columns, and stays on ints
+    # only while they are ints
+    residue = residue_for(catalog(name), s)
+    entries = [v for pairs in residue.grading_brackets.values() for eig, brackets in pairs
+               for v in eig + sum(brackets, ())]
+    assert any(entries)
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in entries)
+
+
+@pytest.mark.parametrize("name, s, calls", [
+    ("normal_crossing_3", S01, 3), ("normal_crossing_4", S01, 4), ("normal_crossing_5", S01, 5),
+    ("normal_crossing_4", diag(0, 2), 8), ("normal_crossing_4", diag(0, 1, 2), 12)])
+def test_the_sieve_rank_tests_per_call(monkeypatch, name, s, calls):
+    # one rank test per (eigenvalue, distinct value, character value) that the
+    # enumeration reaches, and none for a system whose rows are all zero: such
+    # a system admits every eigenmatrix, and reducing it would add calls
+    import logres.moduli
+
+    counted, rref_before = [], logres.moduli.rref
+    monkeypatch.setattr(logres.moduli, "rref", lambda *args: counted.append(1) or rref_before(*args))
+    d = catalog(name)
+    residue = residue_for(d, s)
+    for _ in range(2):
+        counted.clear()
+        moduli_system(d, residue)
+        assert len(counted) == calls
+
+
+def test_a_residue_is_validated_and_bracketed_once(monkeypatch, cusp):
+    # chi-free, so validation reads nothing of the divisor: after the first
+    # call, every solve reads the residue's cached verdict and brackets
+    from logres import liealg
+
+    calls = []
+
+    def counting(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("is_semisimple", "commutator"):
+        monkeypatch.setattr(liealg, name, counting(name, getattr(liealg, name)))
+    residue = residue_for(cusp, conjugated(diag(0, 1, 2), random.Random(5)))
+    assert residue.chi is None
+    moduli_system(cusp, residue)
+    assert set(calls) == {"is_semisimple", "commutator"}
+    calls.clear()
+    for solve in (moduli_system, solve_component_spaces, solve_correction_spaces, symmetry_algebra):
+        solve(cusp, residue)
+    assert calls == []
 
 
 def test_moduli_system_applies_fields_without_polynomial_products(monkeypatch):

@@ -1,8 +1,9 @@
-"""Static checks on the library source: no unused import, no orphaned private name.
+"""Static checks on the library source: no unused import, no orphaned private
+name, one integral-rational normaliser.
 
-Both rules read the modules with the stdlib ``ast`` only.  A name counts as
-used when it is loaded, is the attribute of an expression, is imported by
-another module, or appears in a string annotation.
+The import and private-name rules read the modules with the stdlib ``ast``
+only.  A name counts as used when it is loaded, is the attribute of an
+expression, is imported by another module, or appears in a string annotation.
 """
 
 import ast
@@ -76,3 +77,11 @@ def test_every_private_name_is_referenced_outside_its_definition():
     orphans = [private for i, (_, node, _) in enumerate(table) for private in defined_names(node)
                if not any(private in names for j, (_, _, names) in enumerate(table) if j != i)]
     assert orphans == []
+
+
+def test_only_univariate_spells_the_integral_test():
+    # ``univariate.as_scalar`` is the one int-or-Fraction normaliser; every
+    # other module calls it rather than testing ``.denominator == 1`` itself
+    spelled = [path.stem for path in sorted(SRC.glob("*.py"))
+               if path.stem != "univariate" and ".denominator == 1" in path.read_text()]
+    assert spelled == []
