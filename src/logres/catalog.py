@@ -220,7 +220,7 @@ def catalog(name: str) -> FreeDivisor:
     """Look up a divisor by name; normal crossings take a suffix, e.g.
     ``normal_crossing_3``, up to k = 16 (``normal_crossing(k)`` takes any k)."""
     key = name.strip().lower()
-    match = re.fullmatch(r"normal_crossing[_(]?(\d+)\)?", key)
+    match = re.fullmatch(r"normal_crossing_([1-9]\d*)", key)
     if match:
         k = int(match.group(1))
         if k > _NAMED_CROSSING_MAX:

@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .linear import (IntegerRows, RationalMatrix, determinant, integer_eigenvalues, inverse, poly_at, rref,
                      scaled_charpoly)
-from .univariate import as_scalar, uni_derivative, uni_squarefree_part
+from .univariate import as_scalar, clear_denominators, uni_derivative, uni_squarefree_part
 
 
 def commutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -267,6 +267,24 @@ class ResidueData:
             for mat in basis:
                 brackets = {k: tuple(map(as_scalar, commutator(values[k], mat).flatten())) for k in set(classes)}
                 out[lam] += ((tuple(map(as_scalar, mat.flatten())), tuple(brackets[k] for k in classes)),)
+        return out
+
+    @cached_property
+    def bracket_spectra(self) -> Dict[int, Dict[int, FrozenSet[Fraction]]]:
+        """Per eigenvalue of ``grading_eigenspaces``, per value class (a position ``value_classes``
+        names), the rational eigenvalues of ad C_k on that eigenspace.  Each eigenmatrix is an ``rref``
+        kernel vector: 1 at its last nonzero entry, where every other one is 0, so row i of the
+        restriction R of ad C_k holds the brackets' entries at that entry of eigenmatrix i.  With D the
+        lcm of R's denominators, D * R has a monic integer characteristic polynomial, whose rational
+        roots are integers."""
+        out: Dict[int, Dict[int, FrozenSet[Fraction]]] = {}
+        for lam, pairs in self.grading_brackets.items():
+            ends = [max(i for i, v in enumerate(eig) if v) for eig, _ in pairs]
+            out[lam] = {}
+            for k in set(self.value_classes):
+                restriction = RationalMatrix([[brackets[k][end] for _, brackets in pairs] for end in ends])
+                scale = clear_denominators(restriction.flatten())[0]
+                out[lam][k] = frozenset(Fraction(e, scale) for e in integer_eigenvalues(scale * restriction))
         return out
 
     @cached_property

@@ -162,34 +162,25 @@ class IntegerRows:
         return len(self.entries)
 
 
-def rref(matrix: Union[RationalMatrix, IntegerRows], rhs: Optional[Sequence[Fraction]] = None) -> RrefResult:
-    """Reduced row echelon form with optional right-hand side.
+def rref(matrix: Union[RationalMatrix, IntegerRows]) -> RrefResult:
+    """Reduced row echelon form.
 
-    When ``rhs`` is given, or ``matrix`` is augmented ``IntegerRows``, reports
-    a particular solution or flags the system as inconsistent (a zero row
-    equated to a nonzero value).  The kernel basis always spans the nullspace
-    of the coefficient columns; free columns are parameterized in increasing
-    column order.
+    When ``matrix`` is augmented ``IntegerRows``, reports a particular
+    solution or flags the system as inconsistent (a zero row equated to a
+    nonzero value).  The kernel basis always spans the nullspace of the
+    coefficient columns; free columns are parameterized in increasing column
+    order.
 
     The elimination is fraction-free Gauss-Jordan over Python ints.  A
-    ``RationalMatrix`` (with its ``rhs`` entry as a last column) is first
-    cleared row by row to ``IntegerRows``; callers whose rows are integral
-    pass ``IntegerRows`` directly.  A pivot p in row r clears column c of row
-    i by row_i <- p * row_i - f * row_r, and the new row is divided by the gcd
-    of its entries, so that entries stay small.  Row i ends as a multiple of
-    reduced row i, and the ``Fraction``s of the result are the quotients by
-    its pivot entry.
+    ``RationalMatrix`` is first cleared row by row to ``IntegerRows``;
+    callers whose rows are integral pass ``IntegerRows`` directly.  A pivot p
+    in row r clears column c of row i by row_i <- p * row_i - f * row_r, and
+    the new row is divided by the gcd of its entries, so that entries stay
+    small.  Row i ends as a multiple of reduced row i, and the ``Fraction``s
+    of the result are the quotients by its pivot entry.
     """
     if isinstance(matrix, RationalMatrix):
-        if rhs is None:
-            matrix = IntegerRows.cleared(matrix.entries, matrix.cols)
-        else:
-            if len(rhs) != matrix.rows:
-                raise ValueError("right-hand side length does not match row count")
-            matrix = IntegerRows.cleared([row + (as_fraction(v),) for row, v in zip(matrix.entries, rhs)],
-                                         matrix.cols, augmented=True)
-    elif rhs is not None:
-        raise ValueError("integer rows carry their right-hand side as an augmented column")
+        matrix = IntegerRows.cleared(matrix.entries, matrix.cols)
     work, rows, cols = list(matrix.entries), matrix.rows, matrix.cols
 
     pivots: List[int] = []

@@ -7,9 +7,9 @@ This module computes exact bases of those solution spaces, one graded slot
 and one degree at a time (a frame whose semisimple fields move one graded
 slot into another is rejected before any solve).  The characters of the
 diagonal toral and semisimple fields first sieve out the monomials z^a
-whose candidates are forced to zero, by one small rank test per
-eigenspace, distinct residue value and character value, made while the
-monomials are enumerated, so that a rejected prefix is never extended;
+whose candidates are forced to zero, by looking each character value up in
+the residue's ``bracket_spectra`` while the monomials are enumerated, so
+that a rejected prefix is never extended;
 every remaining candidate z^a * M gets its residual as a sparse column,
 and the columns are row-reduced block by block, where a block is a
 connected set of columns sharing equation rows.  Frame fields act on
@@ -222,42 +222,31 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
     V_k(z^a) = <chi_k, a> * z^a, so only the candidates z^a * M_i reach the
     rows (k, ., ., a), and there they read z^a * (q * M_i - [C_k, M_i]) with
     q = <chi_k, a> - offsets[k].  A kernel vector with coefficients x_i on
-    them thus has sum_i x_i * (q * M_i - [C_k, M_i]) = 0.  When a rank test
-    finds these columns independent, every candidate of monomial a is zero
-    in every kernel vector, and none of them is built.  This is the one place
-    where forced-zero candidates are dropped, and dropping them leaves
-    ``rref(dense).kernel`` as it is: a column that is zero in every kernel
-    vector is in the span of no set of other columns, so it is a pivot of
-    every reduction, and each other column stays pivot or free as it was.
+    them thus has sum_i x_i * (q * M_i - [C_k, M_i]) = 0, so unless q is an
+    eigenvalue of ad C_k on the lam-eigenspace (``residue.bracket_spectra``),
+    every candidate of monomial a is zero in every kernel vector, and none of
+    them is built.  This is the one place where forced-zero candidates are
+    dropped, and dropping them leaves ``rref(dense).kernel`` as it is: a
+    column that is zero in every kernel vector is in the span of no set of
+    other columns, so it is a pivot of every reduction, and each other column
+    stays pivot or free as it was.
     The value <chi_k, a> is final once the exponents up to chi_k's last
-    nonzero entry are chosen, so the test runs there, and a prefix that
-    fails it is not extended.  It is cached per (lam, first slot with an
-    equal C_k, q).
+    nonzero entry are chosen, so the lookup runs there, and a prefix that
+    fails it is not extended.
     """
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
     m, same, offsets = residue.matrix_size, residue.value_classes, [as_scalar(offset) for offset in offsets]
     # each character with the prefix length that reaches its last nonzero entry
     characters = [(k, chi, offsets[k], max(i for i, c in enumerate(chi) if c) + 1)
                   for k, chi in d.diagonal_characters]
-    admits: Dict[Tuple[int, int, _Scalar], bool] = {}
+    spectra = residue.bracket_spectra if characters else {}
 
     def triples(entries: Iterable[_Scalar]) -> List[Tuple[int, int, _Scalar]]:
         return [(i // m, i % m, v) for i, v in enumerate(entries) if v]
 
-    def admitted(lam: int, k: int, q: _Scalar) -> bool:
-        """Whether some nonzero M of the lam-eigenspace has [C_k, M] = q * M."""
-        key = (lam, same[k], q)
-        if key not in admits:
-            pairs = residue.grading_brackets[lam]
-            # one row per matrix entry, one column per M: q * M - [C_k, M]; all-zero rows dropped
-            rows = [row for row in zip(*([q * v - b for v, b in zip(eig, brackets[k])] for eig, brackets in pairs))
-                    if any(row)]
-            admits[key] = not rows or rref(IntegerRows.cleared(rows, len(pairs))).rank < len(pairs)
-        return admits[key]
-
     def admissible(lam: int, prefix: Monomial) -> bool:
-        """Whether every character final at this prefix admits its value there."""
-        return all(admitted(lam, k, sum(map(mul, chi, prefix)) - offset)
+        """Whether every character final at this prefix takes an eigenvalue of its ad C_k there."""
+        return all(sum(map(mul, chi, prefix)) - offset in spectra[lam][same[k]]
                    for k, chi, offset, end in characters if end == len(prefix))
 
     out: List[Tuple[int, Tuple[_Term, ...]]] = []
@@ -558,11 +547,12 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
 
     def curvature(a: int, i: int, b: int, j: int) -> _Value:
         """The curvature value on the graded slots a < b, of frame slots i and j."""
-        value = _sub(apply(i, comps[b]), apply(j, comps[a]))
-        for k, coeff in enumerate(d.structure.coefficients(i, j)):
-            # c_ij^k times the identity matrix
-            scalar = {((), r, r, mono): as_scalar(c) for mono, c in coeff.terms.items() for r in range(m)}
-            value = _sub(value, _matmul(frame_value[k], scalar))
+        # sum over k of c_ij^k times frame slot k's value
+        structure = _collect(((key, r, c, tuple(map(add, mono, base))), coeff * as_scalar(scalar))
+                             for k, poly in enumerate(d.structure.coefficients(i, j))
+                             for base, scalar in poly.terms.items()
+                             for (key, r, c, mono), coeff in frame_value[k].items())
+        value = _sub(_sub(apply(i, comps[b]), apply(j, comps[a])), structure)
         return _sub(value, _commutator(comps[a], comps[b]))
 
     # curvature equations on pairs of graded slots

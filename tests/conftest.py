@@ -13,7 +13,13 @@ from logres import (
     WeightedPoly,
     catalog,
 )
-from logres.linear import inverse
+from logres.linear import IntegerRows, inverse, rref
+
+
+def solve_system(matrix: RationalMatrix, rhs):
+    """``rref`` of the augmented rows [matrix | rhs]: a solution of matrix * x = rhs, or an inconsistency."""
+    return rref(IntegerRows.cleared([row + (Fraction(v),) for row, v in zip(matrix.entries, rhs)], matrix.cols,
+                                    augmented=True))
 
 
 def frac(num, den=1):

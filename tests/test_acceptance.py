@@ -39,7 +39,7 @@ from logres.liealg import ad_operator
 from logres.linear import determinant, integer_eigenvalues
 from logres.cli import main as cli_main
 
-from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, e_degrees, rand_fraction, residue_for
+from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, e_degrees, rand_fraction, residue_for, solve_system
 
 
 def announce(number, text):
@@ -168,7 +168,7 @@ def test_criterion_2_overdetermined_restriction(capsys):
             rhs.append(-constant)
     rows.append([Fraction(0)] * 4)
     rhs.append(residual)
-    assert rref(RationalMatrix(rows), rhs).inconsistent
+    assert solve_system(RationalMatrix(rows), rhs).inconsistent
 
     announce(2, "restricted system is exactly the expected five equations and "
                 "row reduction certifies it has no solutions")

@@ -53,6 +53,14 @@ def test_named_normal_crossing_bound_is_inclusive(capsys):
     assert run(capsys, "catalog", "--name", "normal_crossing_16", "--format", "json")[0] == 0
 
 
+@pytest.mark.parametrize("name", ["normal_crossing3", "normal_crossing(3", "normal_crossing_3)", "normal_crossing_03",
+                                  "normal_crossing(3)", "normal_crossing_", "normal_crossing_0"])
+def test_only_normal_crossing_underscore_k_names_a_normal_crossing(capsys, name):
+    code, out, err = run(capsys, "catalog", "--name", name)
+    assert code == 2 and not out
+    assert "error: unknown catalog divisor" in err and "Traceback" not in err
+
+
 def test_verify_divisor_pass(capsys):
     code, out, _ = run(capsys, "verify-divisor", "--catalog", "sekiguchi_b5", "--format", "json")
     assert code == 0

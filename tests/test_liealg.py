@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,9 @@ from logres import (
     monodromy_split,
     validate_residue,
 )
-from logres.linear import integer_eigenvalues, rref
+from logres.linear import IntegerRows, integer_eigenvalues, rref
 
-from conftest import CHI_E, CHI_F, CHI_H, E12, E21, IDENT2, diag, trace
+from conftest import CHI_E, CHI_F, CHI_H, E12, E21, IDENT2, conjugated, diag, rand_fraction, trace
 
 
 def test_jordan_block_additive():
@@ -304,7 +305,68 @@ def test_populated_grading_cache_keeps_equality_and_hash():
     r = ResidueData(s_list=(diag(0, 1, 3),), positive_combination=(1,))
     other = ResidueData(s_list=(diag(0, 1, 3),), positive_combination=(1,))
     before = hash(r)
-    r.grading_eigenspaces, r.value_classes, r.grading_brackets, r.validity
-    assert {"grading_eigenspaces", "value_classes", "grading_brackets", "validity"} <= set(vars(r))
+    r.grading_eigenspaces, r.value_classes, r.grading_brackets, r.bracket_spectra, r.validity
+    assert {"grading_eigenspaces", "value_classes", "grading_brackets", "bracket_spectra", "validity"} <= set(vars(r))
     assert r == other
     assert hash(r) == before == hash(other)
+
+
+def _conjugated_pair(first, second, seed):
+    """Two diagonal values conjugated by one seeded P, so that they still commute."""
+    return conjugated(first, random.Random(seed)), conjugated(second, random.Random(seed))
+
+
+SPECTRUM_RESIDUES = {
+    **GRADED_RESIDUES,
+    "diagonal~conj": ResidueData(s_list=_conjugated_pair(diag(0, 1, 3), diag(2, 0, 0), 4), positive_combination=(1, 0)),
+    "four~conj": ResidueData(s_list=_conjugated_pair(diag(0, 1, 2, 3), diag(1, 1, 0, 0), 9), positive_combination=(1, 1)),
+    # ad diag(0, 1/2) takes -1/2 on E12 and 1/2 on E21, the -1- and 1-eigenspaces of the grading element diag(0, 1)
+    "half": ResidueData(s_list=(diag(0, Fraction(1, 2)),), positive_combination=(2,)),
+    "half_and_whole": ResidueData(s_list=(diag(0, 1), diag(0, Fraction(1, 3))), positive_combination=(1, 0)),
+    # chi commutes with S, and ad chi is nilpotent, not diagonalizable, on the 0-eigenspace gl2 + gl1
+    "nilpotent_chi": ResidueData(s_list=(diag(0, 0, 1),), positive_combination=(1,),
+                                 chi=(RationalMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),)),
+}
+
+
+def rank_test_admits(residue, lam, k, q):
+    """The oracle: whether some nonzero M of the lam-eigenspace has [C_k, M]_c = q * M, decided
+    by one rank test on the columns q * M - [C_k, M] (all-zero rows dropped)."""
+    pairs = residue.grading_brackets[lam]
+    rows = [row for row in zip(*([q * v - b for v, b in zip(eig, brackets[k])] for eig, brackets in pairs))
+            if any(row)]
+    return not rows or rref(IntegerRows.cleared(rows, len(pairs))).rank < len(pairs)
+
+
+@pytest.mark.parametrize("name", SPECTRUM_RESIDUES)
+def test_eigenmatrices_are_one_at_their_last_nonzero_entry_and_alone_there(name):
+    # the invariant bracket_spectra reads the restriction of ad C_k by
+    for pairs in SPECTRUM_RESIDUES[name].grading_brackets.values():
+        for i, (eig, _) in enumerate(pairs):
+            end = max(p for p, v in enumerate(eig) if v)
+            assert eig[end] == 1
+            assert all(other[end] == 0 for j, (other, _) in enumerate(pairs) if j != i)
+
+
+@pytest.mark.parametrize("name", SPECTRUM_RESIDUES)
+def test_bracket_spectra_agree_with_the_rank_test(name):
+    r = SPECTRUM_RESIDUES[name]
+    spectra = r.bracket_spectra
+    assert spectra is r.bracket_spectra and list(spectra) == list(r.grading_eigenspaces)
+    rng = random.Random(name)
+    probes = {Fraction(n, den) for n in range(-7, 8) for den in (1, 2, 3)}
+    probes |= {rand_fraction(rng, span=12, den=6) for _ in range(30)}
+    for lam, by_class in spectra.items():
+        assert set(by_class) == set(r.value_classes)
+        for k in r.value_classes:
+            assert all(rank_test_admits(r, lam, k, q) for q in by_class[k])
+            for q in probes:
+                assert (q in by_class[k]) == rank_test_admits(r, lam, k, q)
+
+
+def test_bracket_spectra_hold_the_non_integer_values():
+    assert SPECTRUM_RESIDUES["half"].bracket_spectra == {
+        -1: {0: {Fraction(-1, 2)}}, 0: {0: {0}}, 1: {0: {Fraction(1, 2)}}}
+    assert SPECTRUM_RESIDUES["half_and_whole"].bracket_spectra == {
+        -1: {0: {-1}, 1: {Fraction(-1, 3)}}, 0: {0: {0}, 1: {0}}, 1: {0: {1}, 1: {Fraction(1, 3)}}}
+    assert SPECTRUM_RESIDUES["nilpotent_chi"].bracket_spectra[0] == {0: {0}, 1: {0}}

@@ -38,7 +38,7 @@ from logres.linear import integer_eigenvalues, rref
 from logres.moduli import LinearCertificate, MembershipError, ResidueError, _commutator, _constant, _matmul
 
 from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, conjugated, diag, divisor_named, e_degrees,
-                      rand_fraction, residue_for)
+                      rand_fraction, residue_for, solve_system)
 
 
 def unit_map(divisor, r, c, poly=None, m=2):
@@ -468,7 +468,7 @@ def dense_certificate(system):
             higher.append(eq)
     if not rows:
         return LinearCertificate("undetermined", None, None)
-    result = rref(RationalMatrix(rows), rhs)
+    result = solve_system(RationalMatrix(rows), rhs)
     if result.inconsistent:
         return LinearCertificate("inconsistent", None, "linear subsystem is already inconsistent")
     if result.kernel:
@@ -764,23 +764,37 @@ def test_residue_brackets_hold_integral_entries_as_ints(name, s):
     assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in entries)
 
 
-@pytest.mark.parametrize("name, s, calls", [
-    ("normal_crossing_3", S01, 3), ("normal_crossing_4", S01, 4), ("normal_crossing_5", S01, 5),
-    ("normal_crossing_4", diag(0, 2), 8), ("normal_crossing_4", diag(0, 1, 2), 12)])
-def test_the_sieve_rank_tests_per_call(monkeypatch, name, s, calls):
-    # one rank test per (eigenvalue, distinct value, character value) that the
-    # enumeration reaches, and none for a system whose rows are all zero: such
-    # a system admits every eigenmatrix, and reducing it would add calls
+@pytest.mark.parametrize("name, s", [
+    ("normal_crossing_3", S01), ("normal_crossing_4", S01), ("normal_crossing_5", S01),
+    ("normal_crossing_4", diag(0, 2)), ("normal_crossing_4", diag(0, 1, 2))])
+def test_the_sieve_reads_spectra_built_once_per_residue(monkeypatch, name, s):
+    # the sieve looks each character value up in residue.bracket_spectra: no
+    # call makes a rank test, and a warm call searches no eigenvalue
     import logres.moduli
+    from logres import liealg
 
-    counted, rref_before = [], logres.moduli.rref
-    monkeypatch.setattr(logres.moduli, "rref", lambda *args: counted.append(1) or rref_before(*args))
+    calls = []
+
+    def counting(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    monkeypatch.setattr(logres.moduli, "rref", counting("rref", logres.moduli.rref))
+    monkeypatch.setattr(liealg, "integer_eigenvalues", counting("integer_eigenvalues", liealg.integer_eigenvalues))
     d = catalog(name)
+    assert d.diagonal_characters
     residue = residue_for(d, s)
-    for _ in range(2):
-        counted.clear()
-        moduli_system(d, residue)
-        assert len(counted) == calls
+    moduli_system(d, residue)
+    assert "rref" not in calls and "integer_eigenvalues" in calls and "bracket_spectra" in vars(residue)
+    calls.clear()
+    moduli_system(d, residue)
+    assert calls == []
+
+
+def test_a_divisor_without_characters_builds_no_spectra(cusp):
+    assert not cusp.diagonal_characters
+    residue = residue_for(cusp, diag(0, 1, 2))
+    moduli_system(cusp, residue)
+    assert "grading_brackets" in vars(residue) and "bracket_spectra" not in vars(residue)
 
 
 def test_a_residue_is_validated_and_bracketed_once(monkeypatch, cusp):
