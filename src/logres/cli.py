@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import serialize
-from .catalog import CATALOG_NAMES, catalog
+from .catalog import _NAMED_CROSSING_MAX, CATALOG_NAMES, catalog
 from .connections import is_flat
 from .divisor import (
     DivisorError,
@@ -58,7 +58,7 @@ def cmd_catalog(args) -> int:
         payload = serialize.divisor_to_json(d)
         _emit(args, payload, [serialize.pretty_dumps(payload).rstrip("\n")])
         return PASS
-    payload = {"catalog": list(CATALOG_NAMES), "note": "normal_crossing_<k> accepts 1 <= k <= 16"}
+    payload = {"catalog": list(CATALOG_NAMES), "note": f"normal_crossing_<k> accepts 1 <= k <= {_NAMED_CROSSING_MAX}"}
     _emit(args, payload, ["available divisors:"] + [f"  {n}" for n in CATALOG_NAMES])
     return PASS
 

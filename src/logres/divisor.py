@@ -420,8 +420,9 @@ def poly_determinant(rows: Sequence[Sequence[WeightedPoly]]) -> WeightedPoly:
 def verify_saito(d: FreeDivisor, trials: int = 8, seed: int = 0) -> SaitoResult:
     """Check that det(frame matrix) is a nonzero rational multiple of f.
 
-    Also runs the Monte Carlo reducedness check on f; the returned constant c
-    satisfies det = c * f exactly.
+    Also runs the Monte Carlo reducedness check on f that Saito's criterion
+    needs (a witness line proves it; only ``trials`` lines with a repeated
+    root fail it); the returned constant c satisfies det = c * f exactly.
     """
     det = d.determinant
     if det.is_zero():

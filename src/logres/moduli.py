@@ -33,9 +33,10 @@ one code path.  ``_matmul`` joins the terms of both sides on the inner matrix
 index, in blocks of equal (coordinate monomial, base monomial), and merges
 the keys of two blocks once per pair that meets.  Each emitted (row, column,
 base monomial) group becomes one ``Equation``, which keeps the coordinate
-monomials as its keys: nothing in emission, evaluation, restriction or the
-JSON output builds a polynomial over all the coordinates.  A
-``SolutionSpace`` keeps its basis as the solve's sparse terms and builds
+monomials as its keys and its coefficients ``as_scalar`` (a product of
+``Fraction``s stays one when integral): nothing in emission, evaluation,
+restriction or the JSON output builds a polynomial over all the coordinates.
+A ``SolutionSpace`` keeps its basis as the solve's sparse terms and builds
 ``MatrixPolyMap``s only on request; a point's maps enter the sparse form
 through ``_terms`` alone.  The curvature formula is written out here rather
 than taken from ``connections``, so that ``check_point``'s flatness
@@ -363,14 +364,15 @@ class Equation:
 
     ``terms`` maps a coordinate monomial, the sorted tuple of the coordinate
     indices it multiplies (empty for the constant term), to its nonzero
-    coefficient; ``ncoords`` is the number of coordinates of the system.
+    coefficient, an ``int`` when it is integral and a ``Fraction`` otherwise;
+    ``ncoords`` is the number of coordinates of the system.
     """
 
     tag: str  # "curvature" | "ZN" | "NN-commute" | "nilpotency"
     frame_slots: Tuple[int, ...]
     entry: Tuple[int, int]
     base_monomial: Monomial
-    terms: Dict[Tuple[int, ...], Fraction] = field(hash=False)  # equations stay hashable
+    terms: Dict[Tuple[int, ...], _Scalar] = field(hash=False)  # equations stay hashable
     ncoords: int
 
     @cached_property
@@ -381,7 +383,7 @@ class Equation:
         return WeightedPoly((1,) * width,
                             {tuple(exponent_vector(key, width)): coeff for key, coeff in self.terms.items()})
 
-    def sorted_terms(self) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> List[Tuple[Tuple[int, ...], _Scalar]]:
         """Terms in the graded-lexicographic order of their exponent vectors.
 
         Of two sorted index tuples of one length, the smaller one has the
@@ -531,9 +533,9 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         """Split the value into its sorted (row, column, base monomial) groups once, and for each
         (frame slots, l1, l2) emit one equation per group, with the coordinates of corrs[0] moved
         to corrs[l1] and those of corrs[1] to corrs[l2]; the move is increasing, so keys stay sorted."""
-        groups: Dict[Tuple[int, int, Monomial], Dict[Tuple[int, ...], Fraction]] = {}
+        groups: Dict[Tuple[int, int, Monomial], Dict[Tuple[int, ...], _Scalar]] = {}
         for (key, r, c, base), coeff in value.items():
-            groups.setdefault((r, c, base), {})[key] = Fraction(coeff)
+            groups.setdefault((r, c, base), {})[key] = as_scalar(coeff)
         order = sorted(groups, key=lambda g: (g[0], g[1], degree(g[2]), g[2]))
         for frame_slots, l1, l2 in slots:
             moved = [*range(first), *range(first + l1 * dim, first + (l1 + 1) * dim),
@@ -755,14 +757,14 @@ def restrict_system(system: PolySystem, assignments: Dict[str, Fraction]) -> Pol
     new_equations: List[Equation] = []
     for eq in system.equations:
         # renumbering keeps each key sorted, since keep_pos is increasing
-        terms: Dict[Tuple[int, ...], Fraction] = {}
+        terms: Dict[Tuple[int, ...], _Scalar] = {}
         for key, coeff in eq.terms.items():
             for index in key:
                 if index in pinned:
                     coeff *= pinned[index]
             new_key = tuple(keep_pos[index] for index in key if index in keep_pos)
             terms[new_key] = terms.get(new_key, 0) + coeff
-        terms = {key: coeff for key, coeff in terms.items() if coeff}
+        terms = {key: as_scalar(coeff) for key, coeff in terms.items() if coeff}
         if terms:
             new_equations.append(Equation(eq.tag, eq.frame_slots, eq.entry, eq.base_monomial, terms, nkeep))
     summary = dict(system.summary)

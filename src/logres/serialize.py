@@ -13,11 +13,12 @@ from typing import Dict, List, Sequence
 
 from .catalog import catalog
 from .connections import LogConnection, MatrixPolyMap
-from .divisor import FrameElement, FreeDivisor, VectorFieldPoly
+from .divisor import TORAL, FrameElement, FreeDivisor, VectorFieldPoly
 from .liealg import ResidueData
 from .linear import RationalMatrix
 from .moduli import Coordinate, Equation, ModuliPoint, PolySystem, coordinate_monomial, exponent_vector
 from .polynomials import WeightedPoly
+from .univariate import as_scalar
 
 
 class SchemaError(ValueError):
@@ -173,7 +174,7 @@ def divisor_from_json(data) -> FreeDivisor:
                 distinguished=distinguished,
             )
         )
-    toral_count = sum(1 for e in frame if e.kind == "toral")
+    toral_count = sum(1 for e in frame if e.kind == TORAL)
     combination = data.get("positive_combination")
     if combination is None:
         _require(toral_count == 1, "positive_combination is required when there are several toral slots")
@@ -323,7 +324,7 @@ def system_from_json(data) -> PolySystem:
             frame_slots=_integers(eq["frame_slots"], "frame_slots"),
             entry=(entry[0] - 1, entry[1] - 1),
             base_monomial=_integers(eq["base_monomial"], "base_monomial"),
-            terms={coordinate_monomial(mono): coeff for mono, coeff in poly.terms.items()},
+            terms={coordinate_monomial(mono): as_scalar(coeff) for mono, coeff in poly.terms.items()},
             ncoords=ncoords,
         ))
     summary = data.get("summary", {})

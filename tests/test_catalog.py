@@ -5,11 +5,15 @@ from fractions import Fraction
 import pytest
 
 from logres import (
+    CATALOG_NAMES,
     WeightedPoly,
     bracket,
     catalog,
     dual_log_forms,
+    normal_crossing,
     plane_curve,
+    polynomials,
+    squarefree_probable,
     verify_saito,
 )
 from logres.divisor import DivisorError, SEMISIMPLE, TORAL, WTYPE
@@ -247,3 +251,32 @@ def test_plane_curve_generic_example():
 def test_unknown_catalog_name():
     with pytest.raises(DivisorError):
         catalog("nope")
+
+
+# ------------------------------------------------------------------ reducedness
+
+
+def test_normal_crossings_are_reduced_at_every_seed():
+    # the roots of a product of many linear factors must not collide on
+    # every sampled line: the reducedness verdict is right at each seed
+    cases = [(k, range(100)) for k in range(2, 17)] + [(k, range(20)) for k in (24, 32)]
+    wrong = [(k, s) for k, seeds in cases for f in [normal_crossing(k).f] for s in seeds
+             if squarefree_probable(f, seed=s) != "probably-squarefree"]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("normal_crossing_16",))
+def test_every_catalog_polynomial_is_decided_by_one_line(monkeypatch, name):
+    # the first full-degree squarefree line is the witness; at seed 0 it is
+    # the first line drawn (normal_crossing_7 and _10 meet a true root
+    # collision there and take a second)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return restrict(*args)
+
+    restrict = polynomials._restrict_to_line
+    monkeypatch.setattr(polynomials, "_restrict_to_line", counted)
+    assert squarefree_probable(catalog(name).f, seed=0) == "probably-squarefree"
+    assert len(calls) == 1

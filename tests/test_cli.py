@@ -372,3 +372,36 @@ def test_emit_moduli_builds_the_json_payload_only_for_a_writer(capsys, monkeypat
     assert len(calls) == 1
     assert run(capsys, *base, "--output", str(tmp_path / "system.json"))[0] == 0
     assert len(calls) == 2
+
+
+def test_verify_divisor_normal_crossing_16_is_reduced(capsys):
+    code, out, _ = run(capsys, "verify-divisor", "--catalog", "normal_crossing_16")
+    assert code == 0
+    assert "reducedness (monte carlo, seed 0): probably-squarefree" in out
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["frame"][1].update(kind="rotation"), "unknown frame element kind 'rotation'"),
+    (lambda d: d["frame"][1].pop("grade"), "w-kind frame elements need a grade"),
+    (lambda d: d["frame"][0].update(grade=0), "only w-kind frame elements carry a grade"),
+    (lambda d: d["frame"][1].update(distinguished=True), "only toral elements can be distinguished"),
+    (lambda d: d["frame"][1].update(coefficients=[]), "a vector field needs at least one coefficient"),
+    (lambda d: d["frame"][1]["coefficients"].pop(), "coefficient count must equal the variable count"),
+    (lambda d: d.update(weights=[3, 0]), "variable weights must be positive integers, got (3, 0)"),
+    (lambda d: d["variables"].pop(), "variables and weights differ in length"),
+    (lambda d: d.update(f=[]), "the defining polynomial must be nonzero"),
+    (lambda d: d["frame"].pop(), "expected 2 frame elements, got 1"),
+    (lambda d: d.update(degree=5), "f is not weighted homogeneous of the declared degree"),
+    (lambda d: d.update(factors=[d["f"], [{"coeff": "1/1", "exponents": [0, 0]}]]),
+     "need one defining factor per toral direction"),
+    (lambda d: d.update(positive_combination=[2]), "positive combination of toral fields is not the Euler field"),
+    (lambda d: d.update(positive_combination=[]), "positive combination length must match the toral count"),
+])
+def test_verify_divisor_rejects_a_broken_divisor_file(capsys, tmp_path, mutate, message):
+    code, out, _ = run(capsys, "catalog", "--name", "cusp", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    mutate(data)
+    code, out, err = run(capsys, "verify-divisor", "--divisor", write_json(tmp_path / "mutated.json", data))
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"

@@ -501,6 +501,8 @@ def test_restriction_and_certificate_match_the_dense_computation(case):
         restricted = restrict_system(system, assignments)
         assert [(eq.tag, eq.frame_slots, eq.entry, eq.base_monomial, eq.poly) for eq in restricted.equations] \
             == dense_restrict(system, assignments)
+        assert all(type(coeff) is (int if coeff.denominator == 1 else Fraction)
+                   for eq in restricted.equations for coeff in eq.terms.values())
         if restricted.equations:
             assert linear_certificate(restricted) == dense_certificate(restricted)
 

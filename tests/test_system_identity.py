@@ -182,19 +182,21 @@ def test_fractional_cases_emit_non_integral_coefficients(label):
 def test_sparse_equations_match_their_dense_view(label):
     """The sparse terms, the dense ``poly`` view and the JSON all carry the
     same polynomial, with the same text; evaluation agrees at seeded points,
-    and reading the JSON back gives the same sparse terms."""
+    and reading the JSON back gives the same sparse terms, ints where integral."""
     _, system, payload = system_of(label)
     width = max(len(system.coordinates), 1)
     for eq, data in zip(system.equations, payload["equations"]):
         assert eq.poly.weights == (1,) * width
         assert eq.poly.terms == {tuple(t["exponents"]): Fraction(t["coeff"]) for t in data["poly"]}
-        assert all(isinstance(coeff, Fraction) for coeff in eq.terms.values())
         assert eq.format(system.coordinate_names) == eq.poly.format(system.coordinate_names)
     rng = random.Random(f"evaluate:{label}")
     values = [rand_fraction(rng) for _ in system.coordinates]
     assert system.evaluate(values) == [eq.poly.evaluate(values or [0]) for eq in system.equations]
     back = serialize.system_from_json(payload)
     assert [eq.terms for eq in back.equations] == [eq.terms for eq in system.equations]
+    # as in the solve, a value is an int when it is integral and a Fraction otherwise
+    for eq in system.equations + back.equations:
+        assert all(type(coeff) is (int if coeff.denominator == 1 else Fraction) for coeff in eq.terms.values())
     assert back.equations == system.equations
 
 

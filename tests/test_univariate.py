@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from logres import RationalMatrix, WeightedPoly, exp_nilpotent, log_unipotent, squarefree_probable
 from logres.linear import inverse
-from logres.polynomials import _restrict_to_line, random_fraction
+from logres.polynomials import _restrict_to_line
 from logres.univariate import (clear_denominators, uni_gcd, uni_mul, uni_primitive, uni_pseudo_divmod,
                                uni_squarefree_part)
 
@@ -187,27 +187,26 @@ def oracle_restrict_to_line(f, base, direction):
 
 
 def oracle_squarefree_probable(f, trials=8, seed=0):
-    """The reducedness loop with the Euclidean gcd over Fraction."""
+    """The reducedness loop on the same integer lines, with the Euclidean gcd
+    over Fraction: the first full-degree squarefree line decides."""
     full_degree = f.total_degree()
     if full_degree == 0:
         return "probably-squarefree"
     rng = random.Random(seed)
-    verdicts = []
-    attempts = 0
-    while len(verdicts) < trials and attempts < 12 * trials:
+    span = 2 * full_degree ** 2
+    repeated = attempts = 0
+    while repeated < trials and attempts < 12 * trials:
         attempts += 1
-        base = [random_fraction(rng) for _ in range(f.nvars)]
-        direction = [random_fraction(rng) for _ in range(f.nvars)]
+        base = [rng.randint(-span, span) for _ in range(f.nvars)]
+        direction = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(f.nvars)]
         restricted = oracle_restrict_to_line(f, base, direction)
         assert _restrict_to_line(f, base, direction) == restricted
         if len(restricted) - 1 != full_degree:
             continue
-        verdicts.append(len(oracle_gcd(restricted, oracle_derivative(restricted))) > 1)
-    if not verdicts:
-        return "inconclusive"
-    if all(verdicts):
-        return "not-squarefree" if len(verdicts) > 1 else "inconclusive"
-    return "probably-squarefree"
+        if len(oracle_gcd(restricted, oracle_derivative(restricted))) == 1:
+            return "probably-squarefree"
+        repeated += 1
+    return "not-squarefree" if 1 < repeated == trials else "inconclusive"
 
 
 def test_squarefree_probable_matches_the_fraction_loop():
