@@ -104,7 +104,7 @@ class MatrixPolyMap:
 
     def matmul(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
         self._check_size(other)
-        zero = WeightedPoly.zero(self.weights)
+        zero = WeightedPoly._of(self.weights, {})
         out = [[zero] * self.size for _ in self.entries]
         for i, row in enumerate(self.entries):
             for s, a in enumerate(row):

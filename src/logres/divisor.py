@@ -22,7 +22,8 @@ the computing.  The caches are not fields: equality and hashing ignore them.
 returns the terms of a field applied to a single monomial, read from the
 coefficients' terms, which each field converts once to hold integral
 coefficients as ints.  ``VectorFieldPoly.apply`` sums it over a
-polynomial's terms, ``bracket`` over the terms of both fields' coefficients,
+polynomial's terms (its ``Fraction`` sums, built through ``WeightedPoly._of``,
+are not checked again), ``bracket`` over the terms of both fields' coefficients,
 and the solve and emission in ``moduli`` call it directly.
 """
 
@@ -106,7 +107,7 @@ class VectorFieldPoly:
         for mono, coeff in p.terms.items():
             for image, c in self.on_monomial(mono).items():
                 total[image] = total[image] + coeff * c if image in total else coeff * c
-        return WeightedPoly(self.weights, total)
+        return WeightedPoly._of(self.weights, total)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coefficients)

@@ -36,6 +36,9 @@ base monomial) group becomes one ``Equation``, which keeps the coordinate
 monomials as its keys and its coefficients ``as_scalar`` (a product of
 ``Fraction``s stays one when integral): nothing in emission, evaluation,
 restriction or the JSON output builds a polynomial over all the coordinates.
+Evaluation (``_values``, behind ``PolySystem.evaluate``, ``Equation.evaluate``
+and ``linear_certificate``) clears the point's denominators once and sums
+each equation on integers, building one ``Fraction`` per equation.
 A ``SolutionSpace`` keeps its basis as the solve's sparse terms and builds
 ``MatrixPolyMap``s only on request; a point's maps enter the sparse form
 through ``_terms`` alone.  The curvature formula is written out here rather
@@ -50,15 +53,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import groupby
+from math import prod
 from operator import add, mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
 from .divisor import DivisorError, FreeDivisor
 from .liealg import ResidueData, validate_residue
 from .linear import IntegerRows, RationalMatrix, block_kernel, rref
 from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree, terms_text
-from .univariate import as_fraction, as_scalar, power
+from .univariate import as_fraction, as_scalar, clear_denominators, power
 
 
 class MembershipError(ValueError):
@@ -401,14 +405,25 @@ class Equation:
 
         return terms_text((text(key), coeff) for key, coeff in self.sorted_terms())
 
-    def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        """The value at a point given by one Fraction per coordinate."""
-        total = Fraction(0)
-        for key, coeff in self.terms.items():
-            for index in key:
-                coeff *= values[index]
-            total += coeff
-        return total
+    def evaluate(self, values: Sequence[_Scalar]) -> Fraction:
+        """The value at a point given by one rational per coordinate."""
+        return next(_values((self,), values))
+
+
+def _values(equations: Iterable[Equation], values: Sequence[_Scalar]) -> Iterator[Fraction]:
+    """Each equation's value at the point, on integers.
+
+    The point's denominators are cleared once: with D their lcm and
+    a_i = D * v_i, an equation whose longest key has length top is
+    sum c * prod(a_i) * D^(top - len(key)) over D^top, one ``Fraction`` each.
+    """
+    scale, numerators = clear_denominators([as_fraction(v) for v in values])
+    for eq in equations:
+        top = max(map(len, eq.terms), default=0)
+        total = 0
+        for key, coeff in eq.terms.items():
+            total += coeff * prod(map(numerators.__getitem__, key)) * scale ** (top - len(key))
+        yield Fraction(total, scale ** top)
 
 
 def exponent_vector(key: Tuple[int, ...], width: int) -> List[int]:
@@ -443,11 +458,10 @@ class PolySystem:
     def coordinate_names(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self.coordinates)
 
-    def evaluate(self, values: Sequence[Fraction]) -> List[Fraction]:
+    def evaluate(self, values: Sequence[_Scalar]) -> List[Fraction]:
         if len(values) != len(self.coordinates):
             raise ValueError("coordinate value count mismatch")
-        values = [as_fraction(v) for v in values]
-        return [eq.evaluate(values) for eq in self.equations]
+        return list(_values(self.equations, values))
 
 
 def _coordinate_name(prefix: str, slot_number: int, terms: Sequence[tuple], variables: Sequence[str], index: int) -> str:
@@ -655,6 +669,16 @@ def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fract
     return list(result.solution)
 
 
+def _problem_for(d: FreeDivisor, residue: ResidueData, problem: Optional[ModuliProblem]) -> ModuliProblem:
+    """The given problem, ValueError unless it was built for this divisor and residue; else a new one."""
+    if problem is None:
+        return moduli_system(d, residue)
+    same_divisor = problem.divisor is d or problem.divisor == d
+    if not same_divisor or not (problem.residue is residue or problem.residue == residue):
+        raise ValueError("the problem was built for another divisor or residue")
+    return problem
+
+
 def assemble_connection(d: FreeDivisor, residue: ResidueData, point: ModuliPoint,
                         problem: Optional[ModuliProblem] = None) -> LogConnection:
     """Build the connection attached to a normal-form point.
@@ -664,8 +688,7 @@ def assemble_connection(d: FreeDivisor, residue: ResidueData, point: ModuliPoint
     the grading characters with the graded field times the corrections.
     Membership of the point in the solution spaces is enforced.
     """
-    problem = problem or moduli_system(d, residue)
-    coordinates_of(point, problem)  # membership check
+    coordinates_of(point, _problem_for(d, residue, problem))  # membership check
     return _assemble(d, residue, point)
 
 
@@ -714,7 +737,7 @@ def check_point(d: FreeDivisor, residue: ResidueData, point: ModuliPoint,
     NN-commute equations; disagreement means one of the two independent
     implementations is wrong, so it raises instead of returning.
     """
-    problem = problem or moduli_system(d, residue)
+    problem = _problem_for(d, residue, problem)
     values = coordinates_of(point, problem)
     results = problem.system.evaluate(values)
     violations = tuple(i for i, v in enumerate(results) if v != 0)
@@ -819,8 +842,7 @@ def linear_certificate(system: PolySystem) -> LinearCertificate:
     if result.kernel:
         return LinearCertificate("undetermined", None, None)
     solution = result.solution
-    for eq in higher:
-        value = eq.evaluate(solution)
+    for eq, value in zip(higher, _values(higher, solution)):
         if value != 0:
             witness = (
                 f"equation tagged {eq.tag} at entry {eq.entry} evaluates to {value} "

@@ -6,11 +6,15 @@ it the E-degree because it is the eigenvalue of the Euler vector field
 sum(w[i] * z_i * d/dz_i) on that monomial.  All arithmetic is exact; there is
 no floating point anywhere in this package.
 
-The constructor is the one place that checks terms.  Weights and exponents
-must be ints (a non-integer raises ValueError; nothing is truncated),
+The public constructor checks terms at the boundary, where they come from
+outside (user code, ``serialize``, the catalog).  Weights and exponents must
+be ints (a non-integer raises ValueError; nothing is truncated),
 coefficients are coerced by ``as_fraction``, and a zero coefficient is
 dropped as it is inserted, so no stored term has coefficient zero.  The
-arithmetic hands the constructor raw sums and never cleans terms itself.
+arithmetic trusts its checked operands: it builds its results through
+``WeightedPoly._of``, which only drops the zero sums.  A sum or difference
+with a zero operand returns the other operand unchanged (or its negation):
+values are immutable, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -63,6 +67,15 @@ class WeightedPoly:
             if coeff:
                 clean[mono] = coeff
         self.terms = clean
+
+    @classmethod
+    def _of(cls, weights: Tuple[int, ...], terms: Dict[Monomial, Fraction]) -> "WeightedPoly":
+        """A polynomial of weights already checked, from the arithmetic's own
+        ``Fraction`` sums: the zero ones are dropped, nothing is checked."""
+        out = object.__new__(cls)
+        out.weights = weights
+        out.terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+        return out
 
     # ---------------------------------------------------------------- builders
 
@@ -143,27 +156,37 @@ class WeightedPoly:
     def _same_ring(self, other) -> "WeightedPoly":
         """``other`` as a polynomial of this ring; a scalar becomes a constant."""
         if not isinstance(other, WeightedPoly):
-            return WeightedPoly.constant(other, self.weights)
+            return WeightedPoly._of(self.weights, {(0,) * len(self.weights): as_fraction(other)})
         self._check_ring(other)
         return other
 
     def __add__(self, other) -> "WeightedPoly":
+        other = self._same_ring(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
-        for mono, coeff in self._same_ring(other).terms.items():
+        for mono, coeff in other.terms.items():
             terms[mono] = terms[mono] + coeff if mono in terms else coeff
-        return WeightedPoly(self.weights, terms)
+        return WeightedPoly._of(self.weights, terms)
 
     def __radd__(self, other) -> "WeightedPoly":
         return self + other
 
     def __neg__(self) -> "WeightedPoly":
-        return WeightedPoly(self.weights, {m: -c for m, c in self.terms.items()})
+        return WeightedPoly._of(self.weights, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "WeightedPoly":
+        other = self._same_ring(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
         terms = dict(self.terms)
-        for mono, coeff in self._same_ring(other).terms.items():
+        for mono, coeff in other.terms.items():
             terms[mono] = terms[mono] - coeff if mono in terms else -coeff
-        return WeightedPoly(self.weights, terms)
+        return WeightedPoly._of(self.weights, terms)
 
     def __rsub__(self, other) -> "WeightedPoly":
         return self._same_ring(other) - self
@@ -171,20 +194,22 @@ class WeightedPoly:
     def __mul__(self, other) -> "WeightedPoly":
         if not isinstance(other, WeightedPoly):
             scalar = as_fraction(other)
-            return WeightedPoly(self.weights, {m: c * scalar for m, c in self.terms.items()})
+            return WeightedPoly._of(self.weights, {m: c * scalar for m, c in self.terms.items()})
         self._check_ring(other)
         result: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(map(operator.add, m1, m2))
                 result[mono] = result[mono] + c1 * c2 if mono in result else c1 * c2
-        return WeightedPoly(self.weights, result)
+        return WeightedPoly._of(self.weights, result)
 
     def __rmul__(self, other) -> "WeightedPoly":
         return self * other
 
     def __pow__(self, exponent: int) -> "WeightedPoly":
-        return WeightedPoly.constant(1, self.weights) if exponent == 0 else power(self, exponent, operator.mul)
+        if exponent == 0:
+            return WeightedPoly._of(self.weights, {(0,) * len(self.weights): Fraction(1)})
+        return power(self, exponent, operator.mul)
 
     # ----------------------------------------------------------------- calculus
 
@@ -199,7 +224,7 @@ class WeightedPoly:
                 continue
             lowered = tuple(v - 1 if i == var else v for i, v in enumerate(mono))
             terms[lowered] = coeff * e  # lowering var is injective on the terms it keeps
-        return WeightedPoly(self.weights, terms)
+        return WeightedPoly._of(self.weights, terms)
 
     # --------------------------------------------------------------- evaluation
 
@@ -241,8 +266,8 @@ def exact_divide(num: WeightedPoly, den: WeightedPoly) -> WeightedPoly:
             raise InexactDivisionError("division leaves a nonzero remainder")
         q = coeff / den_coeff
         quotient[step] = q  # the leading monomial of rem falls at every step
-        rem = rem - WeightedPoly.monomial(step, num.weights, q) * den
-    return WeightedPoly(num.weights, quotient)
+        rem = rem - WeightedPoly._of(num.weights, {step: q}) * den
+    return WeightedPoly._of(num.weights, quotient)
 
 
 def monomial_text(mono: Monomial, names: Sequence[str]) -> str:

@@ -338,6 +338,25 @@ def test_check_point_computes_coordinates_once(monkeypatch, cusp):
         check_point(cusp, residue, outside, problem)
 
 
+def test_a_problem_built_for_another_residue_or_divisor_is_refused(cusp):
+    # constant E12 is a correction for S = 0, not for S = diag(0, 1): trusting the S = 0 problem
+    # would call it "in variety, flat" under S = diag(0, 1), whose spaces reject it
+    residue = residue_for(cusp, S01)
+    other = moduli_system(cusp, residue_for(cusp, diag(0, 0)))
+    point = ModuliPoint(components=(MatrixPolyMap.zeros(2, cusp.weights),), corrections=(unit_map(cusp, 0, 1),))
+    for call in (check_point, assemble_connection):
+        with pytest.raises(ValueError, match="another divisor or residue"):
+            call(cusp, residue, point, other)
+        with pytest.raises(MembershipError):
+            call(cusp, residue, point)
+    cusp_s0 = other.residue
+    with pytest.raises(ValueError, match="another divisor or residue"):
+        check_point(catalog("borel2"), cusp_s0, point, other)
+    # an equal divisor and residue, built apart, are the same problem
+    zero = ModuliPoint(components=point.components, corrections=point.components)
+    assert check_point(catalog("cusp"), residue_for(cusp, diag(0, 0)), zero, other).flat
+
+
 def test_check_point_normal_crossing_candidate():
     # correction z1 z2 E21 with S = diag(0,1) on both slots passes the bracket
     # grading [S_j, N]_c = l_j N and commutation, and the point is flat
@@ -789,6 +808,29 @@ def test_the_sieve_reads_spectra_built_once_per_residue(monkeypatch, name, s):
     assert "rref" not in calls and "integer_eigenvalues" in calls and "bracket_spectra" in vars(residue)
     calls.clear()
     moduli_system(d, residue)
+    assert calls == []
+
+
+def test_only_the_spectra_the_sieve_reads_are_built(g2_divisor):
+    # g2 with chi = sl2 has four value classes; its one diagonal character, the h direction,
+    # reads the spectrum of ad h alone
+    residue = residue_for(g2_divisor, ZERO2, (CHI_H, CHI_E, CHI_F))
+    assert len(set(residue.value_classes)) == 4
+    moduli_system(g2_divisor, residue)
+    built = {(lam, k): spectrum for lam, by_class in residue.bracket_spectra.items()
+             for k, spectrum in by_class.items()}
+    assert built == {(0, 1): {-2, 0, 2}}
+    assert [k for k, _ in g2_divisor.diagonal_characters] == [1] and residue.values[1] == CHI_H
+
+
+def test_a_one_dimensional_restriction_is_read_off_its_entry(monkeypatch):
+    # diag(0, 1) has the one-dimensional eigenspaces E21 (lam = -1) and E12 (lam = 1)
+    from logres import liealg
+    residue = ResidueData(s_list=(S01,), positive_combination=(1,))
+    assert list(residue.grading_brackets) == [-1, 0, 1]
+    calls = []
+    monkeypatch.setattr(liealg, "integer_eigenvalues", lambda *args: calls.append(args) or [])
+    assert residue.bracket_spectra[-1][0] == {-1} and residue.bracket_spectra[1][0] == {1}
     assert calls == []
 
 

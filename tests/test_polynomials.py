@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from logres import (
     InexactDivisionError,
+    VectorFieldPoly,
     WeightedPoly,
     WeightMismatchError,
     catalog,
@@ -213,6 +214,8 @@ def test_exact_divide_roundtrip(a, b):
     ((1.5, 2), None),
     ((1, 1), {(Fraction(1), 0): 1}),
     ((1, 1), {(1.5, 0): 1, (1, 0): 2}),  # not truncated to 1 and merged into 3*z0
+    ((1, 1), {(1,): 1}),
+    ((1, 1), {(1, -1): 1}),
 ])
 def test_non_integer_exponents_and_weights_are_rejected(weights, terms):
     with pytest.raises(ValueError):
@@ -224,18 +227,20 @@ def test_bool_exponents_and_weights_pass_as_ints():
 
 
 def test_difference_constructs_one_polynomial(monkeypatch):
+    # the arithmetic builds its results through _of, and builds one per result
     a = p(W32, {(2, 0): 1, (0, 3): -1, (1, 1): 2})
     b = p(W32, {(0, 3): -1, (0, 1): 5})
     calls = []
-    init = WeightedPoly.__init__
+    init, of = WeightedPoly.__init__, WeightedPoly._of
 
-    def counting(self, *args, **kwargs):
-        calls.append(args)
+    def counting_init(self, *args, **kwargs):
+        calls.append("__init__")
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(WeightedPoly, "__init__", counting)
+    monkeypatch.setattr(WeightedPoly, "__init__", counting_init)
+    monkeypatch.setattr(WeightedPoly, "_of", classmethod(lambda cls, *args: calls.append("_of") or of(*args)))
     difference = a - b
-    assert len(calls) == 1
+    assert calls == ["_of"]
     assert difference.terms == {(2, 0): 1, (1, 1): 2, (0, 1): -5}
 
 
@@ -281,6 +286,52 @@ def test_arithmetic_results_hold_no_zero_coefficient(pair):
     assert (a * b).terms == reference_product(a, b)
     assert (a + b).terms == {m: c for m in set(a.terms) | set(b.terms)
                              if (c := a.terms.get(m, 0) + b.terms.get(m, 0))}
+
+
+def random_poly(rng, nterms, cancel=None):
+    """A polynomial over W3 with ``nterms`` drawn terms and denominators 1, 2, 3 and 7; with
+    ``cancel``, about half of its terms are first set to the negated terms of that one."""
+    terms = {mono: -coeff for mono, coeff in (cancel.terms.items() if cancel else ()) if rng.random() < 0.5}
+    for _ in range(nterms):
+        mono = tuple(rng.randint(0, 2) for _ in W3)
+        terms[mono] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 2, 3, 7)))
+    return WeightedPoly(W3, terms)
+
+
+def trusted_results(a, b, zero, field):
+    """Every arithmetic path on checked operands; b is nonzero."""
+    return [a + b, a - b, b - a, -a, a + zero, zero + a, a - zero, zero - a, a - a, a + 1, 2 - a,
+            a * Fraction(-3, 7), a * 2, a * 0, 3 * a, a * b, a ** 0, a ** 1, a ** 3,
+            *(a.partial_derivative(i) for i in range(len(W3))),
+            exact_divide(a * b, b), exact_divide(b, b), field.apply(a), field.apply(zero)]
+
+
+@pytest.mark.parametrize("seed_", range(12))
+def test_arithmetic_trusts_its_own_results(monkeypatch, seed_):
+    rng = random.Random(seed_)
+    a = random_poly(rng, rng.randint(0, 5))
+    b = random_poly(rng, rng.randint(1, 5), cancel=a)
+    zero = WeightedPoly.zero(W3)
+    field = VectorFieldPoly(tuple(random_poly(rng, 3) for _ in W3))
+    results = trusted_results(a, b, zero, field)
+    for result in results:
+        # what the checked constructor makes of the same terms, with no zero and no non-Fraction
+        assert result == WeightedPoly(result.weights, result.terms)
+        assert all(type(coeff) is Fraction and coeff != 0 for coeff in result.terms.values())
+    # a zero operand returns the other operand itself
+    assert a + zero is a and a - zero is a and zero + b is b
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("arithmetic revalidated its own result")
+
+    monkeypatch.setattr(WeightedPoly, "__init__", refuse)
+    assert trusted_results(a, b, zero, field) == results
+
+
+@pytest.mark.parametrize("coeff", [1.5, "2"])
+def test_the_constructor_rejects_a_coefficient_that_is_not_rational(coeff):
+    with pytest.raises(TypeError):
+        WeightedPoly(W3, {(1, 0, 0): coeff})
 
 
 def test_squarefree_single_trial_is_inconclusive():

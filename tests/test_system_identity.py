@@ -35,8 +35,8 @@ from operator import mul
 
 import pytest
 
-from logres import (FrameElement, FreeDivisor, RationalMatrix, ResidueData, catalog, moduli_system, serialize,
-                    symmetry_algebra)
+from logres import (FrameElement, FreeDivisor, RationalMatrix, ResidueData, catalog, moduli_system, restrict_system,
+                    serialize, symmetry_algebra)
 from logres.divisor import SEMISIMPLE, TORAL
 from logres.moduli import _terms
 
@@ -190,8 +190,24 @@ def test_sparse_equations_match_their_dense_view(label):
         assert eq.poly.terms == {tuple(t["exponents"]): Fraction(t["coeff"]) for t in data["poly"]}
         assert eq.format(system.coordinate_names) == eq.poly.format(system.coordinate_names)
     rng = random.Random(f"evaluate:{label}")
-    values = [rand_fraction(rng) for _ in system.coordinates]
-    assert system.evaluate(values) == [eq.poly.evaluate(values or [0]) for eq in system.equations]
+
+    def seeded_point(dens):
+        """About a quarter zeros, the rest of either sign over the given denominators; integral values as ints."""
+        point = [0 if rng.random() < 0.25 else Fraction(rng.randint(-9, 9), rng.choice(dens))
+                 for _ in system.coordinates]
+        return [value.numerator if value.denominator == 1 else value for value in point]
+
+    points = [[rand_fraction(rng) for _ in system.coordinates], seeded_point((1,)),
+              seeded_point((1, 3, 7, 2 ** 31 - 1)), seeded_point((2 ** 31 - 1,))]
+    for values in points:
+        expected = [eq.poly.evaluate(values or [0]) for eq in system.equations]
+        assert system.evaluate(values) == expected == [eq.evaluate(values) for eq in system.equations]
+        assert all(type(value) is Fraction for value in system.evaluate(values))
+    # pinning every coordinate leaves a system with no coordinates, whose constants are those values
+    pinned = restrict_system(system, dict(zip(system.coordinate_names, values)))
+    assert pinned.coordinates == ()
+    assert pinned.evaluate([]) == [value for value in expected if value] == [
+        eq.poly.evaluate([0]) for eq in pinned.equations]
     back = serialize.system_from_json(payload)
     assert [eq.terms for eq in back.equations] == [eq.terms for eq in system.equations]
     # as in the solve, a value is an int when it is integral and a Fraction otherwise
