@@ -198,32 +198,6 @@ def monodromy_split(m: RationalMatrix) -> MonodromySplit:
     return MonodromySplit(semisimple=decomposition.semisimple, unipotent=u, log_unipotent=log_unipotent(u))
 
 
-class _ClassSpectra(dict):
-    """One eigenspace's spectra of ad C_k, keyed by value class, each computed on its first read.
-
-    Each eigenmatrix is an ``rref`` kernel vector: 1 at its last nonzero entry, where every other
-    one is 0, so row i of the restriction R of ad C_k holds the brackets' entries at that entry of
-    eigenmatrix i.  A 1x1 R is its own eigenvalue.  Otherwise, with D the lcm of R's denominators,
-    D * R has a monic integer characteristic polynomial, whose rational roots are integers.
-    """
-
-    def __init__(self, pairs: Tuple[Tuple[tuple, Tuple[tuple, ...]], ...]):
-        super().__init__()
-        self.pairs = pairs
-        self.ends = [max(i for i, v in enumerate(eig) if v) for eig, _ in pairs]
-
-    def __missing__(self, k: int) -> FrozenSet[Fraction]:
-        rows = [[brackets[k][end] for _, brackets in self.pairs] for end in self.ends]
-        if len(rows) == 1:
-            spectrum = frozenset({Fraction(rows[0][0])})
-        else:
-            restriction = RationalMatrix(rows)
-            scale = clear_denominators(restriction.flatten())[0]
-            spectrum = frozenset(Fraction(e, scale) for e in integer_eigenvalues(scale * restriction))
-        self[k] = spectrum
-        return spectrum
-
-
 @dataclass(frozen=True)
 class ResidueData:
     """Commuting semisimple residue values for the toral frame directions.
@@ -298,9 +272,20 @@ class ResidueData:
     @cached_property
     def bracket_spectra(self) -> Dict[int, Dict[int, FrozenSet[Fraction]]]:
         """Per eigenvalue of ``grading_eigenspaces``, per value class (a position ``value_classes``
-        names), the rational eigenvalues of ad C_k on that eigenspace; each is computed on its
-        first read, so a dict holds the classes read so far."""
-        return {lam: _ClassSpectra(pairs) for lam, pairs in self.grading_brackets.items()}
+        names), the rational eigenvalues of ad C_k on that eigenspace.  Each eigenmatrix is an ``rref``
+        kernel vector: 1 at its last nonzero entry, where every other one is 0, so row i of the
+        restriction R of ad C_k holds the brackets' entries at that entry of eigenmatrix i.  With D the
+        lcm of R's denominators, D * R has a monic integer characteristic polynomial, whose rational
+        roots are integers."""
+        out: Dict[int, Dict[int, FrozenSet[Fraction]]] = {}
+        for lam, pairs in self.grading_brackets.items():
+            ends = [max(i for i, v in enumerate(eig) if v) for eig, _ in pairs]
+            out[lam] = {}
+            for k in set(self.value_classes):
+                restriction = RationalMatrix([[brackets[k][end] for _, brackets in pairs] for end in ends])
+                scale = clear_denominators(restriction.flatten())[0]
+                out[lam][k] = frozenset(Fraction(e, scale) for e in integer_eigenvalues(scale * restriction))
+        return out
 
     @cached_property
     def validity(self) -> ResidueReport:

@@ -12,9 +12,7 @@ be ints (a non-integer raises ValueError; nothing is truncated),
 coefficients are coerced by ``as_fraction``, and a zero coefficient is
 dropped as it is inserted, so no stored term has coefficient zero.  The
 arithmetic trusts its checked operands: it builds its results through
-``WeightedPoly._of``, which only drops the zero sums.  A sum or difference
-with a zero operand returns the other operand unchanged (or its negation):
-values are immutable, so sharing them is safe.
+``WeightedPoly._of``, which only drops the zero sums.
 """
 
 from __future__ import annotations
@@ -76,6 +74,10 @@ class WeightedPoly:
         out.weights = weights
         out.terms = {mono: coeff for mono, coeff in terms.items() if coeff}
         return out
+
+    def _constant(self, value: Fraction) -> "WeightedPoly":
+        """The constant ``value`` of this ring, unchecked."""
+        return WeightedPoly._of(self.weights, {(0,) * len(self.weights): value})
 
     # ---------------------------------------------------------------- builders
 
@@ -156,18 +158,13 @@ class WeightedPoly:
     def _same_ring(self, other) -> "WeightedPoly":
         """``other`` as a polynomial of this ring; a scalar becomes a constant."""
         if not isinstance(other, WeightedPoly):
-            return WeightedPoly._of(self.weights, {(0,) * len(self.weights): as_fraction(other)})
+            return self._constant(as_fraction(other))
         self._check_ring(other)
         return other
 
     def __add__(self, other) -> "WeightedPoly":
-        other = self._same_ring(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
+        for mono, coeff in self._same_ring(other).terms.items():
             terms[mono] = terms[mono] + coeff if mono in terms else coeff
         return WeightedPoly._of(self.weights, terms)
 
@@ -178,13 +175,8 @@ class WeightedPoly:
         return WeightedPoly._of(self.weights, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "WeightedPoly":
-        other = self._same_ring(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return -other
         terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
+        for mono, coeff in self._same_ring(other).terms.items():
             terms[mono] = terms[mono] - coeff if mono in terms else -coeff
         return WeightedPoly._of(self.weights, terms)
 
@@ -207,9 +199,7 @@ class WeightedPoly:
         return self * other
 
     def __pow__(self, exponent: int) -> "WeightedPoly":
-        if exponent == 0:
-            return WeightedPoly._of(self.weights, {(0,) * len(self.weights): Fraction(1)})
-        return power(self, exponent, operator.mul)
+        return self._constant(Fraction(1)) if exponent == 0 else power(self, exponent, operator.mul)
 
     # ----------------------------------------------------------------- calculus
 

@@ -357,23 +357,16 @@ def test_bracket_spectra_agree_with_the_rank_test(name):
     probes = {Fraction(n, den) for n in range(-7, 8) for den in (1, 2, 3)}
     probes |= {rand_fraction(rng, span=12, den=6) for _ in range(30)}
     for lam, by_class in spectra.items():
+        assert set(by_class) == set(r.value_classes)
         for k in r.value_classes:
             assert all(rank_test_admits(r, lam, k, q) for q in by_class[k])
             for q in probes:
                 assert (q in by_class[k]) == rank_test_admits(r, lam, k, q)
-        # each class is computed on its first read, and kept
-        assert set(by_class) == set(r.value_classes)
-
-
-def every_spectrum(residue):
-    """``bracket_spectra`` with every value class read."""
-    return {lam: {k: by_class[k] for k in sorted(set(residue.value_classes))}
-            for lam, by_class in residue.bracket_spectra.items()}
 
 
 def test_bracket_spectra_hold_the_non_integer_values():
-    assert every_spectrum(SPECTRUM_RESIDUES["half"]) == {
+    assert SPECTRUM_RESIDUES["half"].bracket_spectra == {
         -1: {0: {Fraction(-1, 2)}}, 0: {0: {0}}, 1: {0: {Fraction(1, 2)}}}
-    assert every_spectrum(SPECTRUM_RESIDUES["half_and_whole"]) == {
+    assert SPECTRUM_RESIDUES["half_and_whole"].bracket_spectra == {
         -1: {0: {-1}, 1: {Fraction(-1, 3)}}, 0: {0: {0}, 1: {0}}, 1: {0: {1}, 1: {Fraction(1, 3)}}}
-    assert every_spectrum(SPECTRUM_RESIDUES["nilpotent_chi"])[0] == {0: {0}, 1: {0}}
+    assert SPECTRUM_RESIDUES["nilpotent_chi"].bracket_spectra[0] == {0: {0}, 1: {0}}

@@ -811,29 +811,6 @@ def test_the_sieve_reads_spectra_built_once_per_residue(monkeypatch, name, s):
     assert calls == []
 
 
-def test_only_the_spectra_the_sieve_reads_are_built(g2_divisor):
-    # g2 with chi = sl2 has four value classes; its one diagonal character, the h direction,
-    # reads the spectrum of ad h alone
-    residue = residue_for(g2_divisor, ZERO2, (CHI_H, CHI_E, CHI_F))
-    assert len(set(residue.value_classes)) == 4
-    moduli_system(g2_divisor, residue)
-    built = {(lam, k): spectrum for lam, by_class in residue.bracket_spectra.items()
-             for k, spectrum in by_class.items()}
-    assert built == {(0, 1): {-2, 0, 2}}
-    assert [k for k, _ in g2_divisor.diagonal_characters] == [1] and residue.values[1] == CHI_H
-
-
-def test_a_one_dimensional_restriction_is_read_off_its_entry(monkeypatch):
-    # diag(0, 1) has the one-dimensional eigenspaces E21 (lam = -1) and E12 (lam = 1)
-    from logres import liealg
-    residue = ResidueData(s_list=(S01,), positive_combination=(1,))
-    assert list(residue.grading_brackets) == [-1, 0, 1]
-    calls = []
-    monkeypatch.setattr(liealg, "integer_eigenvalues", lambda *args: calls.append(args) or [])
-    assert residue.bracket_spectra[-1][0] == {-1} and residue.bracket_spectra[1][0] == {1}
-    assert calls == []
-
-
 def test_a_divisor_without_characters_builds_no_spectra(cusp):
     assert not cusp.diagonal_characters
     residue = residue_for(cusp, diag(0, 1, 2))
