@@ -12,7 +12,9 @@ be ints (a non-integer raises ValueError; nothing is truncated),
 coefficients are coerced by ``as_fraction``, and a zero coefficient is
 dropped as it is inserted, so no stored term has coefficient zero.  The
 arithmetic trusts its checked operands: it builds its results through
-``WeightedPoly._of``, which only drops the zero sums.
+``WeightedPoly._of``, which only drops the zero sums.  A sum or difference
+with a zero operand returns the other operand unchanged (or its negation):
+values are immutable, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -163,8 +165,13 @@ class WeightedPoly:
         return other
 
     def __add__(self, other) -> "WeightedPoly":
+        other = self._same_ring(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
-        for mono, coeff in self._same_ring(other).terms.items():
+        for mono, coeff in other.terms.items():
             terms[mono] = terms[mono] + coeff if mono in terms else coeff
         return WeightedPoly._of(self.weights, terms)
 
@@ -175,8 +182,13 @@ class WeightedPoly:
         return WeightedPoly._of(self.weights, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "WeightedPoly":
+        other = self._same_ring(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
         terms = dict(self.terms)
-        for mono, coeff in self._same_ring(other).terms.items():
+        for mono, coeff in other.terms.items():
             terms[mono] = terms[mono] - coeff if mono in terms else -coeff
         return WeightedPoly._of(self.weights, terms)
 

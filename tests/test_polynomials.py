@@ -318,6 +318,8 @@ def test_arithmetic_trusts_its_own_results(monkeypatch, seed_):
         # what the checked constructor makes of the same terms, with no zero and no non-Fraction
         assert result == WeightedPoly(result.weights, result.terms)
         assert all(type(coeff) is Fraction and coeff != 0 for coeff in result.terms.values())
+    # a zero operand returns the other operand itself
+    assert a + zero is a and a - zero is a and zero + b is b
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("arithmetic revalidated its own result")
