@@ -2,10 +2,12 @@
 
 RationalMatrix is a small immutable dense matrix of Fractions.  The row
 reduction here, ``rref``, is the single exact solver behind every eigenspace,
-kernel and linear-system computation in the package; ``block_kernel``
-applies it to each connected block of two or more columns of a sparse
-matrix given by columns (the moduli solve and the structure functions of a
-divisor, one bracket at a time, hand it their columns), and ``inverse`` to [A | I] once.  It is fraction-free: each row is
+kernel and linear-system computation in the package, and it returns a kernel:
+a system A x = b is the kernel of [A | -b], read at its last column.
+``block_kernel`` applies it to each connected block of two or more columns of
+a sparse matrix given by columns (the moduli solve and the structure functions
+of a divisor, one bracket at a time, hand it their columns), and ``inverse``
+to [A | I] once.  It is fraction-free: each row is
 cleared of denominators once into ``IntegerRows`` (which callers with rows of
 ints build directly) and eliminated over Python ints, and ``Fraction``s are
 built only at the end, as quotients by the pivot entries.  The characteristic
@@ -23,7 +25,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
 
 from .univariate import (as_fraction, clear_denominators, power, uni_derivative, uni_evaluate, uni_primitive,
                          uni_pseudo_divmod, uni_squarefree_part)
@@ -129,33 +131,28 @@ class RationalMatrix:
 class RrefResult:
     rank: int
     pivots: Tuple[int, ...]
-    solution: Optional[Tuple[Fraction, ...]]
-    inconsistent: bool
     kernel: Tuple[Tuple[Fraction, ...], ...]
 
 
 class IntegerRows:
     """Dense rows of Python ints, the form that ``rref`` eliminates on.
 
-    ``cols`` counts the coefficient columns; when ``augmented`` is set, each
-    row has one more entry, its right-hand side.  ``rows`` and ``cols`` read
-    as on a ``RationalMatrix``.  The rows are shared, not copied: ``rref``
-    replaces rows of its own list and never writes into one.
+    ``rows`` and ``cols`` read as on a ``RationalMatrix``.  The rows are
+    shared, not copied: ``rref`` replaces rows of its own list and never
+    writes into one.
     """
 
-    __slots__ = ("entries", "cols", "augmented")
+    __slots__ = ("entries", "cols")
 
-    def __init__(self, entries: List[List[int]], cols: int, augmented: bool = False):
+    def __init__(self, entries: List[List[int]], cols: int):
         self.entries = entries
         self.cols = cols
-        self.augmented = augmented
 
     @classmethod
-    def cleared(cls, rows: Sequence[Sequence[Union[int, Fraction]]], cols: int,
-                augmented: bool = False) -> "IntegerRows":
+    def cleared(cls, rows: Sequence[Sequence[Union[int, Fraction]]], cols: int) -> "IntegerRows":
         """Rows of ints and ``Fraction``s, each scaled by the lcm of its
         denominators; that leaves the reduced row echelon form unchanged."""
-        return cls([clear_denominators(row)[1] for row in rows], cols, augmented)
+        return cls([clear_denominators(row)[1] for row in rows], cols)
 
     @property
     def rows(self) -> int:
@@ -163,13 +160,13 @@ class IntegerRows:
 
 
 def rref(matrix: Union[RationalMatrix, IntegerRows]) -> RrefResult:
-    """Reduced row echelon form.
+    """Reduced row echelon form: the rank, the pivot columns and a kernel basis.
 
-    When ``matrix`` is augmented ``IntegerRows``, reports a particular
-    solution or flags the system as inconsistent (a zero row equated to a
-    nonzero value).  The kernel basis always spans the nullspace of the
-    coefficient columns; free columns are parameterized in increasing column
-    order.
+    The kernel basis spans the nullspace; free columns are parameterized in
+    increasing column order, each vector with a 1 at its own free column.  A
+    system A x = b is read as the kernel of [A | -b]: it is consistent exactly
+    when that last column is free, and then the last kernel vector is (x, 1)
+    for a solution x.
 
     The elimination is fraction-free Gauss-Jordan over Python ints.  A
     ``RationalMatrix`` is first cleared row by row to ``IntegerRows``;
@@ -203,19 +200,7 @@ def rref(matrix: Union[RationalMatrix, IntegerRows]) -> RrefResult:
         if r == rows:
             break
 
-    rank = len(pivots)
     zero, one = Fraction(0), Fraction(1)
-    inconsistent = False
-    solution: Optional[Tuple[Fraction, ...]] = None
-    if matrix.augmented:
-        inconsistent = any(work[i][cols] for i in range(rank, rows))
-        if not inconsistent:
-            sol = [zero] * cols
-            for i, c in enumerate(pivots):
-                if work[i][cols]:
-                    sol[c] = Fraction(work[i][cols], work[i][c])
-            solution = tuple(sol)
-
     pivot_set = set(pivots)
     kernel: List[Tuple[Fraction, ...]] = []
     for free in range(cols):
@@ -228,13 +213,7 @@ def rref(matrix: Union[RationalMatrix, IntegerRows]) -> RrefResult:
                 v[c] = Fraction(-work[i][free], work[i][c])
         kernel.append(tuple(v))
 
-    return RrefResult(
-        rank=rank,
-        pivots=tuple(pivots),
-        solution=solution,
-        inconsistent=inconsistent,
-        kernel=tuple(kernel),
-    )
+    return RrefResult(rank=len(pivots), pivots=tuple(pivots), kernel=tuple(kernel))
 
 
 def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> List[Dict[int, Fraction]]:

@@ -407,6 +407,8 @@ class Equation:
 
     def evaluate(self, values: Sequence[_Scalar]) -> Fraction:
         """The value at a point given by one rational per coordinate."""
+        if len(values) != self.ncoords:
+            raise ValueError("coordinate value count mismatch")
         return next(_values((self,), values))
 
 
@@ -647,11 +649,8 @@ def coordinates_of(point: ModuliPoint, problem: ModuliProblem) -> Tuple[Fraction
 def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fraction]:
     if target.size != space.matrix_size:
         raise MembershipError("matrix size mismatch")
-    if not space.elements:
-        if target.is_zero():
-            return []
-        raise MembershipError(f"nonzero value in an empty solution space {space.slot}")
-    # one row per (row, column, monomial) of any element; the target is the last column
+    # one row per (row, column, monomial) of any element; the elements, whose terms are mostly ints, are negated
+    # and the target is the last column, so that target = sum x_j e_j makes (x, 1) the kernel vector
     width = space.dimension
     rows: Dict[Tuple[int, int, Monomial], List[_Scalar]] = {}
     for col, terms in enumerate([terms for _, terms in space.elements] + [_terms(target)]):
@@ -659,14 +658,14 @@ def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fract
             row = rows.get((r, c, mono))
             if row is None:
                 row = rows[(r, c, mono)] = [0] * (width + 1)
-            row[col] = coeff
-    result = rref(IntegerRows.cleared(list(rows.values()), width, augmented=True))
-    if result.inconsistent or result.solution is None:
+            row[col] = coeff if col == width else -coeff
+    kernel = rref(IntegerRows.cleared(list(rows.values()), width + 1)).kernel
+    if not kernel or not kernel[-1][width]:
         raise MembershipError(f"value does not lie in the span of solution space {space.slot}")
-    if result.rank < width:
+    if len(kernel) > 1:
         # basis elements are independent by construction; a rank drop here is a bug
         raise ArithmeticError("solution space basis is not independent; broken invariant")
-    return list(result.solution)
+    return list(kernel[-1][:width])
 
 
 def _problem_for(d: FreeDivisor, residue: ResidueData, problem: Optional[ModuliProblem]) -> ModuliProblem:
@@ -826,27 +825,24 @@ def linear_certificate(system: PolySystem) -> LinearCertificate:
         if not eq.terms:
             continue
         if max(map(len, eq.terms)) <= 1:
-            # coefficients of the coordinates, then the right-hand side
+            # coefficients of the coordinates, then the constant: a solution x makes (x, 1) the kernel vector
             row = [0] * (ncoords + 1)
             for key, coeff in eq.terms.items():
-                if key:
-                    row[key[0]] = coeff
-                else:
-                    row[ncoords] = -coeff
+                row[key[0] if key else ncoords] = coeff
             linear_rows.append(row)
         else:
             higher.append(eq)
-    result = rref(IntegerRows.cleared(linear_rows, ncoords, augmented=True))
-    if result.inconsistent:
+    kernel = rref(IntegerRows.cleared(linear_rows, ncoords + 1)).kernel
+    if not kernel or not kernel[-1][ncoords]:
         return LinearCertificate("inconsistent", None, "linear subsystem is already inconsistent")
-    if result.kernel:
+    if len(kernel) > 1:
         return LinearCertificate("undetermined", None, None)
-    solution = result.solution
+    solution = kernel[-1][:ncoords]
     for eq, value in zip(higher, _values(higher, solution)):
         if value != 0:
             witness = (
                 f"equation tagged {eq.tag} at entry {eq.entry} evaluates to {value} "
                 "at the unique solution of the linear part"
             )
-            return LinearCertificate("inconsistent", tuple(solution), witness)
-    return LinearCertificate("consistent", tuple(solution), None)
+            return LinearCertificate("inconsistent", solution, witness)
+    return LinearCertificate("consistent", solution, None)

@@ -1,5 +1,7 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Tuple
 
 import pytest
 
@@ -16,10 +18,31 @@ from logres import (
 from logres.linear import IntegerRows, inverse, rref
 
 
-def solve_system(matrix: RationalMatrix, rhs):
-    """``rref`` of the augmented rows [matrix | rhs]: a solution of matrix * x = rhs, or an inconsistency."""
-    return rref(IntegerRows.cleared([row + (Fraction(v),) for row, v in zip(matrix.entries, rhs)], matrix.cols,
-                                    augmented=True))
+@dataclass(frozen=True)
+class SystemResult:
+    """A x = b solved: the rank, pivots and kernel basis of A, and a solution unless b is out of A's image."""
+
+    rank: int
+    pivots: Tuple[int, ...]
+    solution: Optional[Tuple[Fraction, ...]]
+    inconsistent: bool
+    kernel: Tuple[Tuple[Fraction, ...], ...]
+
+
+def solve_system(matrix: RationalMatrix, rhs) -> SystemResult:
+    """matrix * x = rhs read from the kernel of [matrix | -rhs].
+
+    The system is consistent exactly when the last column is free, and then
+    the last kernel vector is (x, 1).  Every other kernel vector is 0 at the
+    last column (its pivot row, if any, starts there), and cut to the first
+    ``cols`` entries they are the kernel of ``matrix``.
+    """
+    cols = matrix.cols
+    result = rref(IntegerRows.cleared([row + (-Fraction(v),) for row, v in zip(matrix.entries, rhs)], cols + 1))
+    kernel = tuple(vec[:cols] for vec in result.kernel if not vec[cols])
+    solution = result.kernel[-1][:cols] if result.kernel and result.kernel[-1][cols] else None
+    return SystemResult(rank=cols - len(kernel), pivots=tuple(c for c in result.pivots if c < cols),
+                        solution=solution, inconsistent=solution is None, kernel=kernel)
 
 
 def frac(num, den=1):

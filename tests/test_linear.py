@@ -24,7 +24,7 @@ from logres.linear import (
 )
 from logres.univariate import uni_evaluate, uni_squarefree_part
 
-from conftest import conjugated, diag, fraction_conjugated, solve_system, trace
+from conftest import SystemResult, conjugated, diag, fraction_conjugated, solve_system, trace
 
 
 def test_rref_identity_solves_unit_vector():
@@ -306,7 +306,9 @@ def test_block_kernel_equals_dense_rref_kernel(columns):
 
 def oracle_rref(matrix, rhs=None):
     """Gauss-Jordan over Fractions, dividing each pivot row by its pivot: the
-    elimination that the fraction-free ``rref`` replaced, kept as its oracle."""
+    elimination that the fraction-free ``rref`` replaced, kept as its oracle.
+    With ``rhs`` it carries the right-hand side along and solves the system
+    directly, the reference for ``solve_system``'s reading of a kernel."""
     rows, cols = matrix.rows, matrix.cols
     work = matrix.row_list()
     vec = [Fraction(v) for v in rhs] if rhs is not None else None
@@ -350,8 +352,10 @@ def oracle_rref(matrix, rhs=None):
         for i, c in enumerate(pivots):
             v[c] = -work[i][free]
         kernel.append(tuple(v))
-    return RrefResult(rank=rank, pivots=tuple(pivots), solution=solution, inconsistent=inconsistent,
-                      kernel=tuple(kernel))
+    if vec is None:
+        return RrefResult(rank=rank, pivots=tuple(pivots), kernel=tuple(kernel))
+    return SystemResult(rank=rank, pivots=tuple(pivots), solution=solution, inconsistent=inconsistent,
+                        kernel=tuple(kernel))
 
 
 def oracle_charpoly(matrix):
@@ -378,8 +382,8 @@ def oracle_is_semisimple(a):
 
 
 def assert_same_result(result, expected):
-    assert result == expected  # every RrefResult field
-    scalars = [v for vec in result.kernel for v in vec] + list(result.solution or ())
+    assert result == expected  # every field
+    scalars = [v for vec in result.kernel for v in vec] + list(getattr(result, "solution", None) or ())
     assert all(type(v) is Fraction for v in scalars)
 
 
@@ -418,8 +422,11 @@ def test_rref_matches_the_fraction_oracle_on_seeded_matrices():
         matrix, rhs = random_rref_case(rng)
         result = rref(matrix) if rhs is None else solve_system(matrix, rhs)
         assert_same_result(result, oracle_rref(matrix, rhs))
-        rows = matrix.row_list() if rhs is None else [row + [v] for row, v in zip(matrix.row_list(), rhs)]
-        assert_same_result(rref(IntegerRows.cleared(rows, matrix.cols, rhs is not None)), result)
+        # the matrix itself, or the [matrix | -rhs] that solve_system reduces, from cleared rows
+        rows = matrix.row_list() if rhs is None else [row + [-v] for row, v in zip(matrix.row_list(), rhs)]
+        direct = rref(IntegerRows.cleared(rows, len(rows[0])))
+        assert_same_result(direct, rref(RationalMatrix(rows)))
+        assert_same_result(direct, oracle_rref(RationalMatrix(rows)))
         if rhs is not None:
             seen["inconsistent" if result.inconsistent else "consistent"] += 1
         seen["kernel"] += bool(result.kernel)
@@ -443,10 +450,11 @@ def test_rref_matches_the_fraction_oracle_on_the_hilbert_matrix():
 
 
 def test_rref_on_integer_rows_of_degenerate_shapes():
-    # no rows: every column is free, and an augmented system is solved by zero
+    # no rows: every column is free; with no coefficient column, the system of no
+    # equations is solved by zero, and 0 = 3 is inconsistent
     assert rref(IntegerRows([], 2)).kernel == ((1, 0), (0, 1))
-    assert rref(IntegerRows([], 0, augmented=True)).solution == ()
-    assert rref(IntegerRows([[3]], 0, augmented=True)).inconsistent
+    assert rref(IntegerRows([], 1)).kernel == ((1,),)
+    assert rref(IntegerRows([[3]], 1)).kernel == ()
 
 
 def test_block_kernel_matches_the_oracle_on_mixed_int_and_fraction_columns():

@@ -35,7 +35,8 @@ from logres import (
 from logres.divisor import TORAL, DivisorError, correction_pairings
 from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
-from logres.moduli import LinearCertificate, MembershipError, ResidueError, _commutator, _constant, _matmul
+from logres.moduli import (Coordinate, Equation, LinearCertificate, MembershipError, PolySystem, ResidueError,
+                           _commutator, _constant, _matmul, _span_coordinates)
 
 from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, conjugated, diag, divisor_named, e_degrees,
                       rand_fraction, residue_for, solve_system)
@@ -410,6 +411,28 @@ def test_membership_coordinates_roundtrip(seki):
     assert tuple(rebuilt[len(problem.component_spaces):]) == point.corrections
 
 
+def test_an_empty_component_space_holds_only_the_zero_map(cusp):
+    problem = moduli_system(cusp, residue_for(cusp, ZERO2))
+    assert [space.dimension for space in problem.component_spaces] == [0]
+    correction = problem.correction_spaces[0]
+    corrections = (correction.basis[0].scale(3),)
+    zero = MatrixPolyMap.zeros(2, cusp.weights)
+    expected = (Fraction(3),) + (Fraction(0),) * (correction.dimension - 1)
+    assert coordinates_of(ModuliPoint(components=(zero,), corrections=corrections), problem) == expected
+    with pytest.raises(MembershipError, match="solution space"):
+        coordinates_of(ModuliPoint(components=(unit_map(cusp, 0, 1),), corrections=corrections), problem)
+
+
+def test_a_dependent_basis_is_a_broken_invariant_only_for_a_target_in_its_span(cusp):
+    # every element twice: two more kernel vectors, so an outside target must be refused before the rank is read
+    space = moduli_system(cusp, residue_for(cusp, S01)).component_spaces[0]
+    doubled = replace(space, elements=space.elements + space.elements)
+    with pytest.raises(ArithmeticError, match="broken invariant"):
+        _span_coordinates(doubled, space.basis[0])
+    with pytest.raises(MembershipError):
+        _span_coordinates(doubled, unit_map(cusp, 0, 0))
+
+
 # --------------------------------------------------------------- restriction
 
 def test_restriction_and_certificate(seki):
@@ -446,6 +469,33 @@ def test_certificate_of_the_empty_system_is_consistent(seki):
     restricted = restrict_system(system, {name: Fraction(0) for name in system.coordinate_names})
     assert restricted.coordinates == () and restricted.equations == ()
     assert linear_certificate(restricted) == LinearCertificate("consistent", (), None)
+
+
+@pytest.mark.parametrize("ncoords", [2, 3])
+def test_a_contradictory_linear_part_is_inconsistent_not_undetermined(ncoords):
+    # x0 + x1 = 1 and x0 + x1 = 2 leave free directions (two with an unused x2), but the contradiction is reported first
+    coordinates = tuple(Coordinate(f"x{i}", ("component", 0), i, 0) for i in range(ncoords))
+    equations = tuple(Equation("curvature", (0,), (0, 0), (0,), {(0,): 1, (1,): 1, (): -c}, ncoords) for c in (1, 2))
+    system = PolySystem("lines", 1, coordinates, equations, {})
+    assert linear_certificate(system) == LinearCertificate(
+        "inconsistent", None, "linear subsystem is already inconsistent")
+    assert linear_certificate(replace(system, equations=equations[:1])).status == "undetermined"
+    if ncoords == 2:  # x0 + x1 = 1 and x0 - x1 = 3 meet at (2, -1)
+        crossing = Equation("curvature", (0,), (0, 0), (0,), {(0,): 1, (1,): -1, (): -3}, 2)
+        certificate = linear_certificate(replace(system, equations=(equations[0], crossing)))
+        assert certificate == LinearCertificate("consistent", (2, -1), None)
+        assert all(type(v) is Fraction for v in certificate.solution)
+
+
+def test_equation_evaluate_rejects_a_point_of_the_wrong_length():
+    d = catalog("sekiguchi_b5")
+    system = moduli_system(d, residue_for(d, diag(0, 1))).system
+    assert len(system.coordinates) == 16
+    equation = system.equations[0]
+    assert equation.evaluate([1] * 16) == system.evaluate([1] * 16)[0]
+    for count in (15, 21):
+        with pytest.raises(ValueError, match="coordinate value count mismatch"):
+            equation.evaluate([1] * count)
 
 
 def dense_restrict(system, assignments):
@@ -524,6 +574,26 @@ def test_restriction_and_certificate_match_the_dense_computation(case):
                    for eq in restricted.equations for coeff in eq.terms.values())
         if restricted.equations:
             assert linear_certificate(restricted) == dense_certificate(restricted)
+
+
+@pytest.mark.parametrize("case", range(len(CRITERION3)))
+def test_coordinates_of_returns_the_coefficients_of_a_seeded_point(case):
+    # the coordinates are read off the kernel vector of [-basis | target]: exactly the coefficients, as Fractions
+    name, s, chi = CRITERION3[case]
+    d = catalog(name)
+    problem = moduli_system(d, residue_for(d, s, chi))
+    rng = random.Random(f"coordinates:{case}")
+    coefficients, maps = [], []
+    for space in problem.component_spaces + problem.correction_spaces:
+        total = MatrixPolyMap.zeros(space.matrix_size, d.weights)
+        for element in space.basis:
+            coefficients.append(rand_fraction(rng))
+            total = total + element.scale(coefficients[-1])
+        maps.append(total)
+    ncomponents = len(problem.component_spaces)
+    point = ModuliPoint(components=tuple(maps[:ncomponents]), corrections=tuple(maps[ncomponents:]))
+    values = coordinates_of(point, problem)
+    assert values == tuple(coefficients) and all(type(v) is Fraction for v in values)
 
 
 def test_restrict_unknown_coordinate(cusp):
