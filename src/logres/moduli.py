@@ -18,8 +18,8 @@ the eigenmatrices and their brackets with the residue values from
 ``ResidueData.grading_brackets``.  It then emits the polynomial system
 cutting out the flat locus inside them (each value on the corrections once,
 on the first of them, shifted to every toral slot, by the one sparse matrix
-product ``_matmul``), assembles the connection attached to a point, and
-cross-checks the emitted system against a direct curvature computation.
+product kernel ``_products``), assembles the connection attached to a point,
+and cross-checks the emitted system against a direct curvature computation.
 
 Sparse matrix values are flat dicts from (coordinate monomial, row, column,
 base monomial) to a rational coefficient; a coordinate monomial is the
@@ -29,9 +29,11 @@ constant matrix.  A coefficient is held as an ``int`` when it is integral
 the structure-function scalars; ``on_monomial`` and ``grading_brackets``
 already give them that way), so products of integers skip ``Fraction``'s gcd
 work, and Python's int/Fraction promotion keeps every other value exact on
-one code path.  ``_matmul`` joins the terms of both sides on the inner matrix
-index, in blocks of equal (coordinate monomial, base monomial), and merges
-the keys of two blocks once per pair that meets.  Each emitted (row, column,
+one code path.  ``_products`` sums signed products of such values: it indexes
+each operand once, in blocks of equal (coordinate monomial, base monomial), by
+the inner matrix index, names the product of two blocks once per pair that
+meets, and adds its scalar products into one flat m * m accumulator per name,
+so a commutator is one pass with no subtraction.  Each emitted (row, column,
 base monomial) group becomes one ``Equation``, which keeps the coordinate
 monomials as its keys and its coefficients ``as_scalar`` (a product of
 ``Fraction``s stays one when integral): nothing in emission, evaluation,
@@ -163,48 +165,49 @@ def _sub(a: _Value, b: _Value) -> _Value:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def _matmul(a: _Value, b: _Value) -> _Value:
-    """Multiply only the term pairs whose inner matrix index matches.
+def _products(m: int, *factors: Tuple[_Value, _Value, int]) -> _Value:
+    """The sum of sign * a * b over the (a, b, sign) factors, sign 1 or -1, of m x m values.
 
-    A block is the terms of one side with one (coordinate monomial, base
-    monomial).  Both sides are joined on the inner index s, block by block;
-    each pair of blocks that meets on some s gets its product's coordinate
-    monomial and base monomial once, and then only scalar products remain.
+    A row-wise sparse product with a dense accumulator (Gustavson, ACM TOMS 4,
+    1978), block by block, a block being the terms of one operand with one
+    (coordinate monomial, base monomial).  Each operand is indexed once per
+    block by its inner index s.  Each pair of blocks that meets on some s names
+    its product once and adds the scalar products at r * m + c of one flat
+    accumulator per name, which all factors share, so a commutator is one call.
     """
-    def blocks(value: _Value, inner: int, outer: int):
-        """The value's (coordinate monomial, base monomial) blocks, numbered,
-        and per inner index, per block number, the (outer index, coefficient) terms."""
-        numbers: Dict[tuple, int] = {}
-        by_inner: Dict[int, Dict[int, list]] = {}
-        for term, coeff in value.items():
-            number = numbers.setdefault((term[0], term[3]), len(numbers))
-            by_inner.setdefault(term[inner], {}).setdefault(number, []).append((term[outer], coeff))
-        return list(numbers), by_inner
-
-    names_a, left = blocks(a, 2, 1)
-    names_b, right = blocks(b, 1, 2)
-    # (block of a, block of b) -> their (row terms, column terms) on each shared s
-    pairs: Dict[Tuple[int, int], list] = {}
-    for s, blocks_a in left.items():
-        blocks_b = right.get(s)
-        if blocks_b:
-            for block_a, rows in blocks_a.items():
-                for block_b, cols in blocks_b.items():
-                    pairs.setdefault((block_a, block_b), []).append((rows, cols))
-    products: Dict[tuple, Dict[Tuple[int, int], _Scalar]] = {}
-    for (block_a, block_b), parts in pairs.items():
-        (key_a, mono_a), (key_b, mono_b) = names_a[block_a], names_b[block_b]
-        entries = products.setdefault((tuple(sorted(key_a + key_b)), tuple(map(add, mono_a, mono_b))), {})
-        for rows, cols in parts:
-            for r, coeff_a in rows:
-                for c, coeff_b in cols:
-                    entries[r, c] = entries.get((r, c), 0) + coeff_a * coeff_b
-    return {(key, r, c, mono): coeff for (key, mono), entries in products.items()
-            for (r, c), coeff in entries.items() if coeff}
+    sums: Dict[tuple, list] = {}
+    for a, b, sign in factors:
+        left: Dict[tuple, Dict[int, list]] = {}
+        for (key, r, s, mono), coeff in a.items():
+            left.setdefault((key, mono), {}).setdefault(s, []).append((r * m, coeff if sign > 0 else -coeff))
+        numbers: Dict[tuple, int] = {}  # the blocks of b, numbered
+        right: Dict[int, Dict[int, list]] = {}
+        for (key, s, c, mono), coeff in b.items():
+            number = numbers.setdefault((key, mono), len(numbers))
+            right.setdefault(s, {}).setdefault(number, []).append((c, coeff))
+        names_b = list(numbers)
+        for (key_a, mono_a), by_inner in left.items():
+            named: List[Optional[list]] = [None] * len(names_b)  # the accumulator of each block of b times this one
+            for s, rows in by_inner.items():
+                for number, cols in right.get(s, {}).items():
+                    entries = named[number]
+                    if entries is None:
+                        key_b, mono_b = names_b[number]
+                        name = (tuple(sorted(key_a + key_b)), tuple(map(add, mono_a, mono_b)))
+                        entries = named[number] = sums.setdefault(name, [0] * (m * m))
+                    for base, coeff_a in rows:
+                        for c, coeff_b in cols:
+                            entries[base + c] += coeff_a * coeff_b
+    return {(key, i // m, i % m, mono): coeff for (key, mono), entries in sums.items()
+            for i, coeff in enumerate(entries) if coeff}
 
 
-def _commutator(a: _Value, b: _Value) -> _Value:
-    return _sub(_matmul(a, b), _matmul(b, a))
+def _matmul(m: int, a: _Value, b: _Value) -> _Value:
+    return _products(m, (a, b, 1))
+
+
+def _commutator(m: int, a: _Value, b: _Value) -> _Value:
+    return _products(m, (a, b, 1), (b, a, -1))
 
 
 def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
@@ -497,7 +500,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     with components (ZN), pairwise commutation of corrections (NN-commute),
     and entrywise nilpotency.  Ordering is deterministic for byte-stable
     output.  Coefficients are ints while they are integral, and every matrix
-    product is the block product ``_matmul``; each equation keeps its
+    product goes through the block kernel ``_products``; each equation keeps its
     coordinate monomials as sparse keys.
 
     The correction spaces share one basis, so toral slot l's correction is
@@ -571,7 +574,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
                              for base, scalar in poly.terms.items()
                              for (key, r, c, mono), coeff in frame_value[k].items())
         value = _sub(_sub(apply(i, comps[b]), apply(j, comps[a])), structure)
-        return _sub(value, _commutator(comps[a], comps[b]))
+        return _sub(value, _commutator(m, comps[a], comps[b]))
 
     # curvature equations on pairs of graded slots
     graded = list(enumerate(d.w_indices))
@@ -582,15 +585,15 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     toral = list(enumerate(d.toral_indices))
     # graded fields applied to corrections
     for a, i in graded:
-        emit("ZN", _sub(apply(i, corrs[0]), _commutator(comps[a], corrs[0])), [((i, t), l, 1) for l, t in toral])
+        emit("ZN", _sub(apply(i, corrs[0]), _commutator(m, comps[a], corrs[0])), [((i, t), l, 1) for l, t in toral])
 
     # corrections commute pairwise
     if len(toral) > 1:
-        emit("NN-commute", _commutator(corrs[0], corrs[1]),
+        emit("NN-commute", _commutator(m, corrs[0], corrs[1]),
              [((t1, t2), l1, l2) for l1, t1 in toral for l2, t2 in toral if l1 < l2])
 
     # corrections are nilpotent, encoded entrywise
-    emit("nilpotency", power(corrs[0], m, _matmul), [((t,), l, 1) for l, t in toral])
+    emit("nilpotency", power(corrs[0], m, partial(_matmul, m)), [((t,), l, 1) for l, t in toral])
 
     summary = {
         "divisor": d.name,
@@ -693,27 +696,22 @@ def assemble_connection(d: FreeDivisor, residue: ResidueData, point: ModuliPoint
 
 def _assemble(d: FreeDivisor, residue: ResidueData, point: ModuliPoint) -> LogConnection:
     """The connection of a point already known to lie in the solution spaces."""
+    zero = (0,) * d.n
+    # S on toral and chi on semisimple slots as constant maps, built unchecked: _check_pair validated them
+    components = {idx: MatrixPolyMap._of([[WeightedPoly._of(d.weights, {zero: v}) for v in row]
+                                          for row in value.entries])
+                  for idx, value in zip(d.toral_indices + d.semisimple_indices, residue.values)}
+    for pos, idx in enumerate(d.toral_indices):
+        components[idx] = components[idx] + point.corrections[pos]
     pairings = d.pairings if d.w_indices else ()
-    components: List[MatrixPolyMap] = []
-    toral_pos = {idx: pos for pos, idx in enumerate(d.toral_indices)}
-    semis_pos = {idx: pos for pos, idx in enumerate(d.semisimple_indices)}
-    w_pos = {idx: pos for pos, idx in enumerate(d.w_indices)}
-    for idx in range(d.n):
-        if idx in toral_pos:
-            pos = toral_pos[idx]
-            base = MatrixPolyMap.from_constant(residue.s_list[pos], d.weights)
-            components.append(base + point.corrections[pos])
-        elif idx in semis_pos:
-            components.append(MatrixPolyMap.from_constant(residue.chi[semis_pos[idx]], d.weights))
-        else:
-            pos = w_pos[idx]
-            total = point.components[pos]
-            for i in range(d.toral_count):
-                factor = pairings[i][pos]
-                if not factor.is_zero():
-                    total = total + point.corrections[i].scale(factor)
-            components.append(total)
-    return LogConnection(divisor=d, components=tuple(components))
+    for pos, idx in enumerate(d.w_indices):
+        total = point.components[pos]
+        for i in range(d.toral_count):
+            factor = pairings[i][pos]
+            if not factor.is_zero():
+                total = total + point.corrections[i].scale(factor)
+        components[idx] = total
+    return LogConnection(divisor=d, components=tuple(components[idx] for idx in range(d.n)))
 
 
 @dataclass(frozen=True)

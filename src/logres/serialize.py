@@ -66,6 +66,8 @@ def fraction_from_json(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     _require(isinstance(text, str), f"expected a rational string, got {text!r}")
+    # an exponent would make Fraction build its power of ten before any size check
+    _require("e" not in text and "E" not in text, f"bad rational literal {text!r}: no exponent notation")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -147,6 +147,15 @@ def test_verify_divisor_rejects_factors_not_multiplying_to_f(capsys, tmp_path):
     assert "factors" in err
 
 
+def test_emit_moduli_rejects_a_residue_entry_in_exponent_notation(capsys, tmp_path):
+    data = serialize.residue_to_json(residue_for(catalog("cusp"), S01))
+    data["S"][0][1][1] = "1e1000000000"
+    code, out, err = run(capsys, "emit-moduli", "--catalog", "cusp", "--residue",
+                         write_json(tmp_path / "exponent.json", data))
+    assert code == 2 and not out
+    assert "exponent" in err and "Traceback" not in err
+
+
 def test_frame_info(capsys):
     code, out, _ = run(capsys, "frame-info", "--catalog", "sekiguchi_b5", "--format", "json")
     assert code == 0

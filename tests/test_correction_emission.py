@@ -10,11 +10,12 @@ order of each equation's terms.
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from logres import catalog, moduli, moduli_system
-from logres.moduli import _commutator, _matmul, _sub
+from logres.moduli import _commutator, _matmul, _products, _sub
 from logres.univariate import power
 
 from conftest import S01, conjugated, diag, divisor_named, residue_for
@@ -54,12 +55,12 @@ def per_slot_equations(problem):
     out = []
     for a, i in enumerate(d.w_indices):
         for l, correction in enumerate(corrs):
-            out += split("ZN", (i, d.toral_indices[l]), _sub(apply(i, correction), _commutator(comps[a], correction)))
+            out += split("ZN", (i, d.toral_indices[l]), _sub(apply(i, correction), _commutator(m, comps[a], correction)))
     for l1 in range(d.toral_count):
         for l2 in range(l1 + 1, d.toral_count):
-            out += split("NN-commute", (d.toral_indices[l1], d.toral_indices[l2]), _commutator(corrs[l1], corrs[l2]))
+            out += split("NN-commute", (d.toral_indices[l1], d.toral_indices[l2]), _commutator(m, corrs[l1], corrs[l2]))
     for l, correction in enumerate(corrs):
-        out += split("nilpotency", (d.toral_indices[l],), power(correction, m, _matmul))
+        out += split("nilpotency", (d.toral_indices[l],), power(correction, m, partial(_matmul, m)))
     return out
 
 
@@ -99,15 +100,16 @@ def test_shifted_corrections_match_the_per_slot_emission(name):
 def test_the_emission_products_do_not_grow_with_the_toral_rank(monkeypatch):
     # S01 on every slot of normal_crossing_k: the solve multiplies no
     # matrices (it reads the residue's cached brackets), NN-commute makes one
-    # commutator (2 products) and nilpotency one square (1), whatever k is;
-    # an emission per slot or pair of slots makes 15, 31 and 70 products
+    # commutator (2 factor pairs of the product kernel) and nilpotency one
+    # square (1), whatever k is; an emission per slot or pair of slots makes
+    # 15, 31 and 70 factor pairs
     calls = []
 
-    def counting_matmul(a, b):
-        calls.append(1)
-        return _matmul(a, b)
+    def counting_products(m, *factors):
+        calls.extend(factors)
+        return _products(m, *factors)
 
-    monkeypatch.setattr(moduli, "_matmul", counting_matmul)
+    monkeypatch.setattr(moduli, "_products", counting_products)
     counts = []
     for k in (3, 5, 8):
         d = catalog(f"normal_crossing_{k}")

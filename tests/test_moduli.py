@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -35,8 +36,9 @@ from logres import (
 from logres.divisor import TORAL, DivisorError, correction_pairings
 from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
+from logres.univariate import power
 from logres.moduli import (Coordinate, Equation, LinearCertificate, MembershipError, PolySystem, ResidueError,
-                           _commutator, _constant, _matmul, _span_coordinates)
+                           _commutator, _constant, _matmul, _products, _span_coordinates)
 
 from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, conjugated, diag, divisor_named, e_degrees,
                       rand_fraction, residue_for, solve_system)
@@ -337,6 +339,42 @@ def test_check_point_computes_coordinates_once(monkeypatch, cusp):
     outside = ModuliPoint(components=(unit_map(cusp, 0, 0),), corrections=point.corrections)
     with pytest.raises(MembershipError):
         check_point(cusp, residue, outside, problem)
+
+
+CRITERION_3 = [(name, s, "auto") for name in ("cusp", "normal_crossing_2", "borel2", "g2", "d4", "sekiguchi_b5")
+               for s in (ZERO2, S01)] + [("g2", ZERO2, (CHI_H, CHI_E, CHI_F))]
+
+
+@pytest.mark.parametrize("name, s, chi", CRITERION_3,
+                         ids=[f"{name}/{'0' if s == ZERO2 else 'S01'}{'' if chi == 'auto' else '+sl2'}"
+                              for name, s, chi in CRITERION_3])
+def test_a_warm_check_point_builds_no_checked_polynomial(monkeypatch, name, s, chi):
+    from logres import moduli
+
+    d = catalog(name)
+    residue = residue_for(d, s, chi_value=chi)
+    problem = moduli_system(d, residue)
+    rng = random.Random(f"warm:{name}")
+    parts = []
+    for space in problem.component_spaces + problem.correction_spaces:
+        total = MatrixPolyMap.zeros(space.matrix_size, d.weights)
+        for element in space.basis:
+            total = total + element.scale(rand_fraction(rng))
+        parts.append(total)
+    k = len(problem.component_spaces)
+    point = ModuliPoint(components=tuple(parts[:k]), corrections=tuple(parts[k:]))
+    expected = check_point(d, residue, point, problem)
+    built = []
+    original = WeightedPoly.__init__
+    monkeypatch.setattr(WeightedPoly, "__init__", lambda self, *args: built.append(args) or original(self, *args))
+    assert check_point(d, residue, point, problem) == expected
+    assert built == []
+    # the residue values enter the connection as the checked constant maps would
+    components = moduli._assemble(d, residue, point).components
+    for pos, idx in enumerate(d.toral_indices):
+        assert components[idx] == MatrixPolyMap.from_constant(residue.s_list[pos], d.weights) + point.corrections[pos]
+    for pos, idx in enumerate(d.semisimple_indices):
+        assert components[idx] == MatrixPolyMap.from_constant(residue.chi[pos], d.weights)
 
 
 def test_a_problem_built_for_another_residue_or_divisor_is_refused(cusp):
@@ -767,7 +805,7 @@ def test_emission_builds_no_polynomial_over_the_coordinates(monkeypatch):
 
 
 def naive_matmul(a, b):
-    """The sparse product one term pair at a time: the oracle for ``_matmul``."""
+    """The sparse product one term pair at a time: the oracle for ``_products``."""
     out = {}
     for (key_a, r, s, mono_a), coeff_a in a.items():
         for (key_b, s_b, c, mono_b), coeff_b in b.items():
@@ -799,7 +837,7 @@ def test_block_matmul_matches_the_term_pair_product():
         m = rng.randint(1, 4)
         integral = trial % 3 == 0
         a, b = random_value(rng, m, integral), random_value(rng, m, integral)
-        product = _matmul(a, b)
+        product = _matmul(m, a, b)
         assert product == naive_matmul(a, b)
         assert all(coeff for coeff in product.values())
         if integral:
@@ -818,7 +856,58 @@ def test_block_matmul_sums_and_cancels_across_block_pairs():
     z = (0, 0)
     a = {((0,), 0, 0, z): 1, ((1,), 0, 0, z): 1}
     b = {((1,), 0, 0, z): 1, ((0,), 0, 0, z): Fraction(-1)}
-    assert _matmul(a, b) == {((0, 0), 0, 0, z): -1, ((1, 1), 0, 0, z): 1}
+    assert _matmul(1, a, b) == {((0, 0), 0, 0, z): -1, ((1, 1), 0, 0, z): 1}
+
+
+def naive_sum(*parts):
+    """The sum of sparse values, zeros dropped."""
+    out = {}
+    for part in parts:
+        for term, coeff in part.items():
+            out[term] = out.get(term, 0) + coeff
+    return {term: coeff for term, coeff in out.items() if coeff}
+
+
+def kernel_cases(seed):
+    """About 300 seeded (m, a, b, integral) operand pairs, m from 1 to 5,
+    every third one with int coefficients only."""
+    rng = random.Random(seed)
+    for trial in range(300):
+        m = rng.randint(1, 5)
+        integral = trial % 3 == 0
+        yield m, random_value(rng, m, integral), random_value(rng, m, integral), integral
+
+
+def test_kernel_commutator_matches_two_term_pair_products():
+    for m, a, b, integral in kernel_cases(21):
+        bracket = _commutator(m, a, b)
+        negated = {term: -coeff for term, coeff in naive_matmul(b, a).items()}
+        assert bracket == naive_sum(naive_matmul(a, b), negated)
+        assert all(coeff for coeff in bracket.values())
+        if integral:
+            assert all(type(coeff) is int for coeff in bracket.values())
+        # the factors of one call share their accumulators: the sum of the signed products
+        assert _products(m, (a, b, 1), (b, b, -1), (a, a, 1)) == naive_sum(
+            naive_matmul(a, b), {term: -coeff for term, coeff in naive_matmul(b, b).items()}, naive_matmul(a, a))
+
+
+def test_kernel_self_commutator_and_empty_operands_vanish():
+    for m, a, b, _ in kernel_cases(22):
+        assert _commutator(m, a, a) == {}
+        assert _matmul(m, a, {}) == _matmul(m, {}, b) == _commutator(m, {}, b) == _products(m) == {}
+
+
+def test_kernel_powers_match_repeated_term_pair_products():
+    # the nilpotency path: moduli_system emits power(corrs[0], m, partial(_matmul, m))
+    for m, a, _, integral in kernel_cases(23):
+        expected = a
+        for k in range(1, 6):
+            if k > 1:
+                expected = naive_matmul(expected, a)
+            result = power(a, k, partial(_matmul, m))
+            assert result == expected
+            if integral:
+                assert all(type(coeff) is int for coeff in result.values())
 
 
 def test_sparse_bracket_matches_the_matrix_commutator():
@@ -827,7 +916,7 @@ def test_sparse_bracket_matches_the_matrix_commutator():
         m = rng.randint(1, 5)
         a, b = (RationalMatrix([[rand_fraction(rng) if rng.random() < 0.5 else 0 for _ in range(m)]
                                 for _ in range(m)]) for _ in range(2))
-        assert _commutator(_constant(a, 2), _constant(b, 2)) == _constant(commutator(a, b), 2)
+        assert _commutator(m, _constant(a, 2), _constant(b, 2)) == _constant(commutator(a, b), 2)
 
 
 @pytest.mark.parametrize("name,s", [("cusp", diag(0, 1, 2, 3)), ("sekiguchi_b5", diag(0, 1, 2)),
@@ -839,7 +928,8 @@ def test_sparse_bracket_on_conjugated_residues(name, s):
     for basis in residue.grading_eigenspaces.values():
         for mat in basis:
             for a, b in ((value, mat), (mat, value)):
-                assert _commutator(_constant(a, d.n), _constant(b, d.n)) == _constant(commutator(a, b), d.n)
+                assert _commutator(residue.matrix_size, _constant(a, d.n), _constant(b, d.n)) == _constant(
+                    commutator(a, b), d.n)
 
 
 @pytest.mark.parametrize("name, s", [("normal_crossing_4", diag(0, 1, 2)),

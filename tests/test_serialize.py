@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,15 @@ def test_fraction_roundtrip():
     assert serialize.fraction_from_json(4) == Fraction(4)
     with pytest.raises(SchemaError):
         serialize.fraction_from_json("x")
+
+
+@pytest.mark.parametrize("text", ["1e400", "1E400", "-2.5e3", "1e-5", "1e1000000000"])
+def test_fraction_literals_reject_exponent_notation(text):
+    # Fraction("1e1000000000") would build a billion-digit integer before any check
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="exponent"):
+        serialize.fraction_from_json(text)
+    assert time.perf_counter() - start < 1
 
 
 def test_poly_roundtrip(cusp):
