@@ -36,9 +36,9 @@ from logres import (
 from logres.divisor import TORAL, DivisorError, correction_pairings
 from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
-from logres.univariate import power
 from logres.moduli import (Coordinate, Equation, LinearCertificate, MembershipError, PolySystem, ResidueError,
                            _commutator, _constant, _matmul, _products, _span_coordinates)
+from logres.univariate import power
 
 from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, conjugated, diag, divisor_named, e_degrees,
                       rand_fraction, residue_for, solve_system)
