@@ -153,10 +153,6 @@ class LogConnection:
         if any(c.weights != self.divisor.weights for c in self.components):
             raise ValueError("components live in the wrong polynomial ring")
 
-    @property
-    def matrix_size(self) -> int:
-        return self.components[0].size
-
 
 def _pair_curvature(conn: LogConnection, i: int, j: int) -> MatrixPolyMap:
     d = conn.divisor

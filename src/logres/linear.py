@@ -226,8 +226,9 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
     reduction.  The reduced form of a block-diagonal
     matrix is made of the reduced forms of its blocks, so the result is
     ``rref(dense).kernel`` exactly: the same vectors, in increasing order of
-    their free column.  Each vector is returned as its nonzero entries, in
-    increasing column order.
+    their free column, which is each vector's last entry: the others sit at
+    the pivots of rows that reach it.  Each vector is returned as its nonzero
+    entries, in increasing column order.
     """
     parent = list(range(len(columns)))
 
@@ -248,12 +249,12 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
     for j in range(len(columns)):
         blocks.setdefault(root(j), []).append(j)
 
-    kernel: List[Tuple[int, Dict[int, Fraction]]] = []
+    kernel: List[Dict[int, Fraction]] = []
     for block in blocks.values():
         if len(block) == 1:
             # a lone column is a pivot when it holds a nonzero value, else free
             if not any(columns[block[0]].values()):
-                kernel.append((block[0], {block[0]: Fraction(1)}))
+                kernel.append({block[0]: Fraction(1)})
             continue
         row_of: Dict[Hashable, int] = {}
         for j in block:
@@ -263,13 +264,10 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
         for pos, j in enumerate(block):
             for key, value in columns[j].items():
                 rows[row_of[key]][pos] = value
-        result = rref(IntegerRows.cleared(rows, len(block)))
-        pivots = set(result.pivots)
-        free = [pos for pos in range(len(block)) if pos not in pivots]
-        for pos, vec in zip(free, result.kernel):
-            kernel.append((block[pos], {block[q]: v for q, v in enumerate(vec) if v}))
-    kernel.sort(key=lambda item: item[0])
-    return [vec for _, vec in kernel]
+        for vec in rref(IntegerRows.cleared(rows, len(block))).kernel:
+            kernel.append({block[q]: v for q, v in enumerate(vec) if v})
+    kernel.sort(key=max)  # a vector's largest column is its free one
+    return kernel
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:

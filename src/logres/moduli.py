@@ -43,9 +43,11 @@ and ``linear_certificate``) clears the point's denominators once and sums
 each equation on integers, building one ``Fraction`` per equation.
 A ``SolutionSpace`` keeps its basis as the solve's sparse terms and builds
 ``MatrixPolyMap``s only on request; a point's maps enter the sparse form
-through ``_terms`` alone.  The curvature formula is written out here rather
-than taken from ``connections``, so that ``check_point``'s flatness
-cross-check stays an independent computation.
+through ``_terms`` alone, and its coordinates are its entries at the basis
+pivots (see ``SolutionSpace``), checked by one sum with no row reduction.
+The curvature formula is written out here rather than taken from
+``connections``, so that ``check_point``'s flatness cross-check stays an
+independent computation.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ class SolutionSpace:
     ``elements`` holds one (E-degree, terms) pair per basis element, in
     increasing degree, with the row-major terms ``_solve_slot`` gives;
     ``basis`` is their ``MatrixPolyMap``s over ``weights``, built on first access.
+    Each element is 1 at its pivot, its largest (monomial, row, column), where every other
+    element is 0: it is an ``rref`` kernel vector over the candidates z^a * M, ordered by
+    monomial, then eigenmatrix, and each M is one too, 1 at its last nonzero entry.
     """
 
     slot: Tuple[str, int]
@@ -650,25 +655,20 @@ def coordinates_of(point: ModuliPoint, problem: ModuliProblem) -> Tuple[Fraction
 
 
 def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fraction]:
+    """The target's coefficients on the basis: each is the target's entry at its element's pivot,
+    and the target lies in the span exactly when it is the sum they give."""
     if target.size != space.matrix_size:
         raise MembershipError("matrix size mismatch")
-    # one row per (row, column, monomial) of any element; the elements, whose terms are mostly ints, are negated
-    # and the target is the last column, so that target = sum x_j e_j makes (x, 1) the kernel vector
-    width = space.dimension
-    rows: Dict[Tuple[int, int, Monomial], List[_Scalar]] = {}
-    for col, terms in enumerate([terms for _, terms in space.elements] + [_terms(target)]):
+    given = {(r, c, mono): coeff for r, c, mono, coeff in _terms(target)}
+    values = [given.get(max(terms, key=lambda term: (term[2], term[0], term[1]))[:3], 0)
+              for _, terms in space.elements]
+    rebuilt = Counter()
+    for value, (_, terms) in zip(values, space.elements):
         for r, c, mono, coeff in terms:
-            row = rows.get((r, c, mono))
-            if row is None:
-                row = rows[(r, c, mono)] = [0] * (width + 1)
-            row[col] = coeff if col == width else -coeff
-    kernel = rref(IntegerRows.cleared(list(rows.values()), width + 1)).kernel
-    if not kernel or not kernel[-1][width]:
+            rebuilt[r, c, mono] += value * coeff
+    if {key: v for key, v in rebuilt.items() if v} != given:
         raise MembershipError(f"value does not lie in the span of solution space {space.slot}")
-    if len(kernel) > 1:
-        # basis elements are independent by construction; a rank drop here is a bug
-        raise ArithmeticError("solution space basis is not independent; broken invariant")
-    return list(kernel[-1][:width])
+    return [as_fraction(value) for value in values]
 
 
 def _problem_for(d: FreeDivisor, residue: ResidueData, problem: Optional[ModuliProblem]) -> ModuliProblem:
@@ -729,33 +729,24 @@ def check_point(d: FreeDivisor, residue: ResidueData, point: ModuliPoint,
                 problem: Optional[ModuliProblem] = None) -> PointReport:
     """Evaluate the emitted system at a point and cross-check against curvature.
 
-    The flatness verdict from the direct curvature of the assembled
-    connection must agree with the vanishing of all curvature, ZN, and
-    NN-commute equations; disagreement means one of the two independent
-    implementations is wrong, so it raises instead of returning.
+    The coordinates are read at the bases' pivots (``coordinates_of``), with no
+    row reduction.  The violated (tag, frame slots) pairs are collected once,
+    and both cross-checks read them: the direct curvature of the assembled
+    connection must agree with the curvature, ZN and NN-commute equations, and
+    each correction's direct m-th power with its nilpotency equations; as they
+    are independent computations, disagreement raises instead of returning.
     """
     problem = _problem_for(d, residue, problem)
-    values = coordinates_of(point, problem)
-    results = problem.system.evaluate(values)
+    equations = problem.system.equations
+    results = problem.system.evaluate(coordinates_of(point, problem))
     violations = tuple(i for i, v in enumerate(results) if v != 0)
-    flat_tags = ("curvature", "ZN", "NN-commute")
-    system_flat = all(
-        results[i] == 0 for i, eq in enumerate(problem.system.equations) if eq.tag in flat_tags
-    )
+    violated = {(equations[i].tag, equations[i].frame_slots) for i in violations}
     report = is_flat(_assemble(d, residue, point))
-    if report.flat != system_flat:
-        raise ArithmeticError(
-            "emitted system and direct curvature disagree on flatness; broken invariant"
-        )
-    # nilpotency tags are cross-checked against a direct matrix power
-    for l, correction in enumerate(point.corrections):
-        direct = correction.power(residue.matrix_size).is_zero()
-        tagged = all(
-            results[i] == 0
-            for i, eq in enumerate(problem.system.equations)
-            if eq.tag == "nilpotency" and eq.frame_slots == (d.toral_indices[l],)
-        )
-        if direct != tagged:
+    # each direct verdict must be the negation of "an equation of its tags is violated"
+    if report.flat == any(tag in ("curvature", "ZN", "NN-commute") for tag, _ in violated):
+        raise ArithmeticError("emitted system and direct curvature disagree on flatness; broken invariant")
+    for t, correction in zip(d.toral_indices, point.corrections):
+        if correction.power(residue.matrix_size).is_zero() == (("nilpotency", (t,)) in violated):
             raise ArithmeticError("nilpotency equations disagree with the direct power; broken invariant")
     return PointReport(flat=report.flat, violations=violations, flatness=report)
 

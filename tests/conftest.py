@@ -1,7 +1,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -16,6 +16,7 @@ from logres import (
     catalog,
 )
 from logres.linear import IntegerRows, inverse, rref
+from logres.moduli import MembershipError, _span_coordinates, _terms
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,65 @@ def solve_system(matrix: RationalMatrix, rhs) -> SystemResult:
     solution = result.kernel[-1][:cols] if result.kernel and result.kernel[-1][cols] else None
     return SystemResult(rank=cols - len(kernel), pivots=tuple(c for c in result.pivots if c < cols),
                         solution=solution, inconsistent=solution is None, kernel=kernel)
+
+
+def oracle_span_coordinates(space, target: MatrixPolyMap) -> List[Fraction]:
+    """A target's coefficients on a solution space's basis by one dense reduction.
+
+    One row per (row, column, monomial) of any element, with the negated
+    elements as columns and the target as the last one: target = sum x_j e_j
+    makes (x, 1) the last kernel vector.  MembershipError outside the span,
+    ArithmeticError when the basis is dependent.
+    """
+    if target.size != space.matrix_size:
+        raise MembershipError("matrix size mismatch")
+    width = space.dimension
+    rows = {}
+    for col, terms in enumerate([terms for _, terms in space.elements] + [_terms(target)]):
+        for r, c, mono, coeff in terms:
+            row = rows.setdefault((r, c, mono), [0] * (width + 1))
+            row[col] = coeff if col == width else -coeff
+    kernel = rref(IntegerRows.cleared(list(rows.values()), width + 1)).kernel
+    if not kernel or not kernel[-1][width]:
+        raise MembershipError(f"value does not lie in the span of solution space {space.slot}")
+    if len(kernel) > 1:
+        raise ArithmeticError("solution space basis is not independent")
+    return list(kernel[-1][:width])
+
+
+def assert_readings_agree(problem, rng: random.Random, moves: int = 6) -> None:
+    """``_span_coordinates`` and ``oracle_span_coordinates`` agree on every space of a problem.
+
+    Each space gets a seeded element (about a third of its basis weighted by
+    zero), whose coordinates must be the same ``Fraction``s by both readings.
+    Then one entry is moved by 1, at a few seeded positions of the basis
+    support and at one monomial no element has; both readings must return the
+    same coordinates or both raise MembershipError, and the last position is
+    off every span.
+    """
+    weights = problem.divisor.weights
+    for space in problem.component_spaces + problem.correction_spaces:
+        target = MatrixPolyMap.zeros(space.matrix_size, weights)
+        for element in space.basis:
+            if rng.random() < 2 / 3:
+                target = target + element.scale(rand_fraction(rng))
+        reading = _span_coordinates(space, target)
+        assert reading == oracle_span_coordinates(space, target)
+        assert all(type(value) is Fraction for value in reading)
+        support = sorted({(r, c, mono) for _, terms in space.elements for r, c, mono, _ in terms})
+        outside = (0, 0, (100,) + (0,) * (len(weights) - 1))
+        for r, c, mono in rng.sample(support, min(moves, len(support))) + [outside]:
+            entries = [[WeightedPoly.zero(weights)] * space.matrix_size for _ in range(space.matrix_size)]
+            entries[r][c] = WeightedPoly(weights, {mono: 1})
+            moved = target + MatrixPolyMap(entries)
+            outcomes = []
+            for read in (_span_coordinates, oracle_span_coordinates):
+                try:
+                    outcomes.append(read(space, moved))
+                except MembershipError:
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1]
+        assert outcomes == [None, None]
 
 
 def frac(num, den=1):

@@ -1,14 +1,15 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from logres import MatrixPolyMap, catalog, serialize
+from logres import MatrixPolyMap, catalog, moduli_system, serialize
 from logres import cli
 from logres.cli import main
 from logres.connections import LogConnection
 
-from conftest import S01, diag, fraction_conjugated, residue_for
+from conftest import S01, diag, fraction_conjugated, rand_fraction, residue_for
 
 
 def run(capsys, *argv):
@@ -147,6 +148,22 @@ def test_verify_divisor_rejects_factors_not_multiplying_to_f(capsys, tmp_path):
     assert "factors" in err
 
 
+@pytest.mark.parametrize("trials, strict, code, verdict", [
+    ("1", False, 0, "inconclusive"), ("1", True, 1, "inconclusive"), ("2", False, 1, "not-squarefree")])
+def test_verify_divisor_strict_makes_an_inconclusive_reducedness_check_a_finding(capsys, tmp_path, trials, strict,
+                                                                                   code, verdict):
+    # f = x^2 y with the Euler field and the grade-1 field xy d/dy: the determinant is f, but f is not reduced,
+    # and one random line cannot show it
+    data = _two_field_divisor({"kind": "w", "grade": 1,
+                               "coefficients": [[], [{"exponents": [1, 1], "coeff": "1/1"}]]})
+    data.update(f=[{"exponents": [2, 1], "coeff": "1/1"}], degree=3)
+    path = write_json(tmp_path / "x2y.json", data)
+    argv = ["verify-divisor", "--divisor", path, "--trials", trials] + (["--strict"] if strict else [])
+    got, out, err = run(capsys, *argv)
+    assert got == code and not err
+    assert f"reducedness (monte carlo, seed 0): {verdict}\n" in out
+
+
 def test_emit_moduli_rejects_a_residue_entry_in_exponent_notation(capsys, tmp_path):
     data = serialize.residue_to_json(residue_for(catalog("cusp"), S01))
     data["S"][0][1][1] = "1e1000000000"
@@ -215,6 +232,27 @@ def test_residue_space_malformed_residue(capsys, tmp_path, field, value):
     assert field in err
 
 
+def test_residue_space_needs_a_divisor(capsys, residue_file):
+    code, out, err = run(capsys, "residue-space", "--residue", residue_file)
+    assert code == 2 and not out
+    assert err == "error: either --catalog NAME or --divisor FILE is required\n"
+
+
+@pytest.mark.parametrize("name, mutate, message", [
+    ("sekiguchi_b5", lambda data: data.update(positive_combination=[2]),
+     "residue and divisor disagree on the positive combination"),
+    ("g2", lambda data: data["chi"].pop(), "chi must carry one value per semisimple frame slot"),
+    ("g2", lambda data: data.pop("chi"), "this divisor has semisimple frame directions; chi is required"),
+])
+def test_residue_space_refuses_a_residue_that_does_not_fit_the_divisor(capsys, tmp_path, name, mutate, message):
+    data = serialize.residue_to_json(residue_for(catalog(name), S01))
+    mutate(data)
+    code, out, err = run(capsys, "residue-space", "--catalog", name,
+                         "--residue", write_json(tmp_path / "unfit.json", data))
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_emit_moduli_writes_file(capsys, tmp_path, residue_file):
     out_path = tmp_path / "system.json"
     code, out, _ = run(capsys, "emit-moduli", "--catalog", "cusp", "--residue", residue_file,
@@ -258,6 +296,25 @@ def test_check_flat_malformed_components(capsys, tmp_path):
     assert "components" in err
 
 
+def test_check_flat_refuses_the_wrong_number_of_components(capsys, tmp_path):
+    zero = serialize.matrix_map_to_json(MatrixPolyMap.zeros(2, catalog("cusp").weights))
+    path = write_json(tmp_path / "short.json", {"divisor": {"catalog": "cusp"}, "components": [zero]})
+    code, out, err = run(capsys, "check-flat", "--connection", path)
+    assert code == 2 and not out
+    assert err == "error: need one component per frame element\n"
+
+
+def test_check_flat_reads_a_divisor_written_inline(capsys, tmp_path):
+    cusp = catalog("cusp")
+    connection = serialize.connection_to_json(LogConnection(
+        cusp, (MatrixPolyMap.from_constant(S01, cusp.weights), MatrixPolyMap.zeros(2, cusp.weights))))
+    connection["divisor"] = serialize.divisor_to_json(cusp)
+    code, out, _ = run(capsys, "check-flat", "--connection", write_json(tmp_path / "inline.json", connection),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"divisor": "cusp", "flat": True, "witness": None}
+
+
 def test_check_point(capsys, tmp_path, residue_file):
     seki = catalog("sekiguchi_b5")
     zero = MatrixPolyMap.zeros(2, seki.weights)
@@ -278,6 +335,41 @@ def test_check_point_malformed_point(capsys, tmp_path, residue_file, point):
     code, _, err = run(capsys, "check-point", "--catalog", "sekiguchi_b5", "--residue", residue_file, "--point", path)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("components, corrections, m, message", [
+    (1, 1, 2, "wrong number of component maps"), (2, 0, 2, "wrong number of correction maps"),
+    (2, 1, 3, "matrix size mismatch")])
+def test_check_point_refuses_a_point_of_the_wrong_shape(capsys, tmp_path, residue_file, components, corrections, m,
+                                                        message):
+    zero = serialize.matrix_map_to_json(MatrixPolyMap.zeros(m, catalog("sekiguchi_b5").weights))
+    path = write_json(tmp_path / "shape.json", {"components": [zero] * components, "corrections": [zero] * corrections})
+    code, out, err = run(capsys, "check-point", "--catalog", "sekiguchi_b5", "--residue", residue_file, "--point", path)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
+def test_check_point_prints_the_first_20_violations(capsys, tmp_path, residue_file):
+    seki = catalog("sekiguchi_b5")
+    problem = moduli_system(seki, residue_for(seki, S01))
+    rng = random.Random(5)
+    maps = []
+    for space in problem.component_spaces + problem.correction_spaces:
+        total = MatrixPolyMap.zeros(2, seki.weights)
+        for element in space.basis:
+            total = total + element.scale(rand_fraction(rng))
+        maps.append(serialize.matrix_map_to_json(total))
+    k = len(problem.component_spaces)
+    path = write_json(tmp_path / "point.json", {"components": maps[:k], "corrections": maps[k:]})
+    argv = ("check-point", "--catalog", "sekiguchi_b5", "--residue", residue_file, "--point", path)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    count = len(json.loads(out)["violations"])
+    assert code == 1 and count > 20
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 3 + 20 + 1
+    assert sum(line.startswith("  violated [") for line in lines) == 20
+    assert lines[-1] == f"  ... and {count - 20} more"
 
 
 def test_jordan_additive(capsys, tmp_path):

@@ -21,7 +21,7 @@ from logres import (MatrixPolyMap, ModuliPoint, RationalMatrix, catalog, check_p
 from logres.linear import IntegerRows, inverse, rref
 from logres.moduli import _span_coordinates
 
-from conftest import S01, conjugated, diag, residue_for
+from conftest import S01, assert_readings_agree, conjugated, diag, residue_for
 
 CASES = (("cusp", diag(0, 1, 2)), ("sekiguchi_b5", diag(0, 1, 2)), ("borel2", diag(0, 1, 2)),
          ("normal_crossing_3", diag(0, 1, 2)), ("g2", S01), ("d4", S01))
@@ -69,6 +69,14 @@ def test_solution_spaces_are_gauge_covariant(drawn):
         assert conjugate.dims_by_degree == space.dims_by_degree
         for element in conjugate.basis:
             _span_coordinates(space, left.matmul(element).matmul(right))  # raises outside the span
+
+
+@settings(max_examples=15, deadline=None)
+@given(conjugations(), st.integers(0, 2**16))
+def test_pivot_coordinates_match_the_dense_reduction_under_conjugation(drawn, seed):
+    case, p = drawn
+    d = catalog(CASES[case][0])
+    assert_readings_agree(moduli_system(d, residue_for(d, p * CASES[case][1] * inverse(p))), random.Random(seed))
 
 
 # ------------------------------------------------------------ point verdicts

@@ -40,8 +40,8 @@ from logres.moduli import (Coordinate, Equation, LinearCertificate, MembershipEr
                            _commutator, _constant, _matmul, _products, _span_coordinates)
 from logres.univariate import power
 
-from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, conjugated, diag, divisor_named, e_degrees,
-                      rand_fraction, residue_for, solve_system)
+from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, assert_readings_agree, conjugated, diag,
+                      divisor_named, e_degrees, rand_fraction, residue_for, solve_system)
 
 
 def unit_map(divisor, r, c, poly=None, m=2):
@@ -377,6 +377,31 @@ def test_a_warm_check_point_builds_no_checked_polynomial(monkeypatch, name, s, c
         assert components[idx] == MatrixPolyMap.from_constant(residue.chi[pos], d.weights)
 
 
+CRITERION_3_IDS = [f"{name}/{'0' if s == ZERO2 else 'S01'}{'' if chi == 'auto' else '+sl2'}"
+                   for name, s, chi in CRITERION_3]
+
+
+@pytest.mark.parametrize("name, s, chi", CRITERION_3, ids=CRITERION_3_IDS)
+def test_a_warm_check_point_calls_rref_zero_times(monkeypatch, name, s, chi):
+    d = catalog(name)
+    residue = residue_for(d, s, chi_value=chi)
+    problem = moduli_system(d, residue)
+    point = random_point(problem, random.Random(f"rref:{name}"))
+    expected = check_point(d, residue, point, problem)
+    calls = []
+    for module in [module for key, module in sys.modules.items() if key.split(".")[0] == "logres"]:
+        if hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref", lambda *args, _rref=module.rref: calls.append(args) or _rref(*args))
+    assert check_point(d, residue, point, problem) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, s, chi", CRITERION_3, ids=CRITERION_3_IDS)
+def test_pivot_coordinates_match_the_dense_reduction(name, s, chi):
+    d = catalog(name)
+    assert_readings_agree(moduli_system(d, residue_for(d, s, chi_value=chi)), random.Random(f"pivots:{name}:{s}"))
+
+
 def test_a_problem_built_for_another_residue_or_divisor_is_refused(cusp):
     # constant E12 is a correction for S = 0, not for S = diag(0, 1): trusting the S = 0 problem
     # would call it "in variety, flat" under S = diag(0, 1), whose spaces reject it
@@ -461,14 +486,14 @@ def test_an_empty_component_space_holds_only_the_zero_map(cusp):
         coordinates_of(ModuliPoint(components=(unit_map(cusp, 0, 1),), corrections=corrections), problem)
 
 
-def test_a_dependent_basis_is_a_broken_invariant_only_for_a_target_in_its_span(cusp):
-    # every element twice: two more kernel vectors, so an outside target must be refused before the rank is read
+def test_a_dependent_basis_refuses_every_nonzero_target(cusp):
+    # every element twice: each pivot is read twice, so the sum doubles every nonzero target
     space = moduli_system(cusp, residue_for(cusp, S01)).component_spaces[0]
     doubled = replace(space, elements=space.elements + space.elements)
-    with pytest.raises(ArithmeticError, match="broken invariant"):
-        _span_coordinates(doubled, space.basis[0])
-    with pytest.raises(MembershipError):
-        _span_coordinates(doubled, unit_map(cusp, 0, 0))
+    for target in (space.basis[0], space.basis[1].scale(Fraction(-2, 3)), unit_map(cusp, 0, 0)):
+        with pytest.raises(MembershipError, match="solution space"):
+            _span_coordinates(doubled, target)
+    assert _span_coordinates(doubled, MatrixPolyMap.zeros(2, cusp.weights)) == [Fraction(0)] * 4
 
 
 # --------------------------------------------------------------- restriction

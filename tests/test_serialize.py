@@ -16,7 +16,7 @@ from logres import (
 from logres import serialize
 from logres.serialize import SchemaError
 
-from conftest import S01, residue_for
+from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, residue_for
 
 
 def test_fraction_roundtrip():
@@ -71,6 +71,20 @@ def test_residue_roundtrip(seki):
     data = serialize.residue_to_json(r)
     back = serialize.residue_from_json(data)
     assert back == r
+
+
+def test_residue_with_chi_roundtrip(g2_divisor):
+    r = residue_for(g2_divisor, ZERO2, chi_value=(CHI_H, CHI_E, CHI_F))
+    data = json.loads(json.dumps(serialize.residue_to_json(r)))
+    assert data["chi"] == [serialize.matrix_to_json(value) for value in (CHI_H, CHI_E, CHI_F)]
+    assert serialize.residue_from_json(data) == r
+
+
+def test_several_toral_slots_need_a_positive_combination():
+    data = serialize.divisor_to_json(catalog("normal_crossing_2"))
+    del data["positive_combination"]
+    with pytest.raises(SchemaError, match="positive_combination is required when there are several toral slots"):
+        serialize.divisor_from_json(data)
 
 
 def test_residue_k_mismatch_rejected(seki):

@@ -40,8 +40,8 @@ from logres import (FrameElement, FreeDivisor, RationalMatrix, ResidueData, cata
 from logres.divisor import SEMISIMPLE, TORAL
 from logres.moduli import _terms
 
-from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, fraction_conjugated,
-                      rand_fraction, residue_for)
+from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, assert_readings_agree, conjugated, diag, divisor_named,
+                      fraction_conjugated, rand_fraction, residue_for)
 
 INPUTS = {f"{name}/{tag}": (name, s, "auto")
           for name in ("cusp", "normal_crossing_2", "borel2", "g2", "d4", "sekiguchi_b5")
@@ -294,6 +294,13 @@ def borel2_h() -> FreeDivisor:
                        frame=(FrameElement(TORAL, e1.field + e2.field, distinguished=True),
                               FrameElement(SEMISIMPLE, e1.field - e2.field), v),
                        positive_combination=(1,))
+
+
+def test_pivot_coordinates_match_the_dense_reduction_on_borel2_h():
+    # the one frame whose component solve has a nonzero semisimple offset
+    d = borel2_h()
+    for label, residue in list(seeded_residues(d)) + list(seeded_chi_residues(d)):
+        assert_readings_agree(moduli_system(d, residue), random.Random(f"pivots:{label}"))
 
 
 # the sl2 chi that the frame's bracket accepts, in each divisor's semisimple slot order
