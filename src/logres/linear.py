@@ -266,7 +266,7 @@ def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> 
                 rows[row_of[key]][pos] = value
         for vec in rref(IntegerRows.cleared(rows, len(block))).kernel:
             kernel.append({block[q]: v for q, v in enumerate(vec) if v})
-    kernel.sort(key=max)  # a vector's largest column is its free one
+    kernel.sort(key=max)
     return kernel
 
 
