@@ -431,6 +431,38 @@ def test_emit_moduli_stdout_is_unchanged(capsys, tmp_path, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == EMIT_STDOUT[fmt]
 
 
+# sha256 of residue-space's stdout for sekiguchi_b5 with S01 and for cusp with
+# fraction_conjugated(diag(0, 1, 2, 3)), and of jordan --mode multiplicative on
+# [[2, 2], [0, 2]], frozen before the public solve wrappers were removed
+RESIDUE_SPACE_STDOUT = {
+    ("sekiguchi_b5", "json"): "200dec3220f213ca3e1afd5601a54306955358fe0d212aa5695a6e2670e3f4ee",
+    ("sekiguchi_b5", "text"): "cb15074828e2e382b856e22663550b960d4fdd555bdbfe97ea6043e1acabd0d3",
+    ("cusp", "json"): "0ad297c4bce8927519c53c1fd80d8d1dd75baeaf514b0fd5e53713421c2052da",
+    ("cusp", "text"): "f959a65a88d8bd9bcb4a75dfca2045dd1d3161465d9a5c67f6f03f8096cf4a9f",
+}
+JORDAN_MULTIPLICATIVE_STDOUT = {
+    "json": "507cccfb16947c72930dfd99435700381a957a60eec861180d942dfd39be1f4b",
+    "text": "5cea30cf8f4cd57e35933de40875d19decf7a8517fb942adf49e99f41f59cdbf",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(RESIDUE_SPACE_STDOUT))
+def test_residue_space_stdout_is_unchanged(capsys, tmp_path, name, fmt):
+    s = S01 if name == "sekiguchi_b5" else fraction_conjugated(diag(0, 1, 2, 3))
+    path = write_json(tmp_path / "residue.json", serialize.residue_to_json(residue_for(catalog(name), s)))
+    code, out, _ = run(capsys, "residue-space", "--catalog", name, "--residue", path, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == RESIDUE_SPACE_STDOUT[name, fmt]
+
+
+@pytest.mark.parametrize("fmt", sorted(JORDAN_MULTIPLICATIVE_STDOUT))
+def test_jordan_multiplicative_stdout_is_unchanged(capsys, tmp_path, fmt):
+    path = write_json(tmp_path / "M.json", [["2", "2"], ["0", "2"]])
+    code, out, _ = run(capsys, "jordan", "--matrix", path, "--mode", "multiplicative", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JORDAN_MULTIPLICATIVE_STDOUT[fmt]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["definitely-not-a-command"]) == 2
 
