@@ -19,15 +19,12 @@ from .liealg import (
     JCDecomposition,
     ResidueData,
     ad_operator,
-    centralizer_algebra,
     commutator,
-    exp_nilpotent,
     is_nilpotent,
     is_semisimple,
     is_unipotent,
     jordan_chevalley,
     log_unipotent,
-    monodromy_split,
     validate_residue,
 )
 from .linear import RationalMatrix, charpoly, integer_eigenvalues, rref
@@ -40,9 +37,6 @@ from .moduli import (
     linear_certificate,
     moduli_system,
     restrict_system,
-    solve_component_spaces,
-    solve_correction_spaces,
-    symmetry_algebra,
 )
 from .polynomials import (
     InexactDivisionError,
@@ -74,7 +68,6 @@ __all__ = [
     "assemble_connection",
     "bracket",
     "catalog",
-    "centralizer_algebra",
     "charpoly",
     "check_point",
     "commutator",
@@ -83,7 +76,6 @@ __all__ = [
     "dlog_f_expansion",
     "dual_log_forms",
     "exact_divide",
-    "exp_nilpotent",
     "form_structure_equations",
     "frame_constants",
     "integer_eigenvalues",
@@ -95,17 +87,13 @@ __all__ = [
     "linear_certificate",
     "log_unipotent",
     "moduli_system",
-    "monodromy_split",
     "monomials_of_degree",
     "normal_crossing",
     "plane_curve",
     "restrict_system",
     "rref",
-    "solve_component_spaces",
-    "solve_correction_spaces",
     "squarefree_probable",
     "structure_functions",
-    "symmetry_algebra",
     "validate_residue",
     "verify_saito",
 ]

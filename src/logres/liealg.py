@@ -15,7 +15,6 @@ B = D * A from ``scaled_charpoly``, D the lcm of A's denominators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,22 +48,6 @@ def _kernel_matrices(rows: Sequence[Sequence[Fraction]], m: int) -> List[Rationa
     """Kernel basis of the rows of an operator on row-major flattened m x m matrices, as matrices."""
     kernel = rref(IntegerRows.cleared(rows, m * m)).kernel
     return [RationalMatrix([vec[i * m:(i + 1) * m] for i in range(m)]) for vec in kernel]
-
-
-def centralizer_algebra(mats: Sequence[RationalMatrix], size: Optional[int] = None) -> Tuple[int, List[RationalMatrix]]:
-    """Dimension and basis of {X : [X, M]_c = 0 for every M in mats}."""
-    if mats:
-        m = mats[0].rows
-        if any(not mat.is_square() or mat.rows != m for mat in mats):
-            raise ValueError("all matrices must be square and of equal size")
-    elif size is None:
-        raise ValueError("an empty family needs an explicit matrix size")
-    else:
-        m = size
-    # the empty family constrains nothing: one zero row has all of gl_m as kernel
-    stacked = [row for mat in mats for row in ad_operator(mat).entries] or [[0] * (m * m)]
-    basis = _kernel_matrices(stacked, m)
-    return len(basis), basis
 
 
 def is_semisimple(a: RationalMatrix) -> bool:
@@ -160,42 +143,18 @@ def _verify_multiplicative(a: RationalMatrix, s: RationalMatrix, u: RationalMatr
         raise ArithmeticError("multiplicative decomposition invariants failed; broken invariant")
 
 
-def _nilpotent_series(x: RationalMatrix, coefficient) -> RationalMatrix:
-    """Sum of coefficient(i) * x^i over i >= 1, up to the first zero power of the nilpotent x."""
-    total, power = RationalMatrix.zeros(x.rows, x.rows), x
-    for i in range(1, x.rows + 1):
-        if power.is_zero():
-            break
-        total, power = total + coefficient(i) * power, power * x
-    return total
-
-
 def log_unipotent(u: RationalMatrix) -> RationalMatrix:
-    """Logarithm of a unipotent matrix via the terminating nilpotent series."""
+    """Logarithm of a unipotent matrix: the sum of (-1)^(i+1) x^i / i over
+    i >= 1, x = u - 1, which stops at the first zero power of x."""
     if not is_unipotent(u):
         raise ValueError("logarithm is only defined here for unipotent matrices")
-    return _nilpotent_series(u - RationalMatrix.identity(u.rows), lambda i: Fraction((-1) ** (i + 1), i))
-
-
-def exp_nilpotent(n: RationalMatrix) -> RationalMatrix:
-    """Exponential of a nilpotent matrix via the terminating series."""
-    if not is_nilpotent(n):
-        raise ValueError("exponential is only exact here for nilpotent matrices")
-    return RationalMatrix.identity(n.rows) + _nilpotent_series(n, lambda i: Fraction(1, math.factorial(i)))
-
-
-@dataclass(frozen=True)
-class MonodromySplit:
-    semisimple: RationalMatrix
-    unipotent: RationalMatrix
-    log_unipotent: RationalMatrix
-
-
-def monodromy_split(m: RationalMatrix) -> MonodromySplit:
-    """Multiplicative decomposition of an invertible matrix plus log of U."""
-    decomposition = jordan_chevalley(m, mode="multiplicative")
-    u = decomposition.unipotent
-    return MonodromySplit(semisimple=decomposition.semisimple, unipotent=u, log_unipotent=log_unipotent(u))
+    x = u - RationalMatrix.identity(u.rows)
+    total, power = RationalMatrix.zeros(u.rows, u.rows), x
+    for i in range(1, u.rows + 1):
+        if power.is_zero():
+            break
+        total, power = total + Fraction((-1) ** (i + 1), i) * power, power * x
+    return total
 
 
 @dataclass(frozen=True)

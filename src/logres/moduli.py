@@ -300,23 +300,17 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
     return out
 
 
-def solve_component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
-    """One solution space per graded (w-kind) frame slot.
+def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
+    """One solution space per graded (w-kind) frame slot, each slot solved alone.
 
-    Each slot is solved alone.  Its basis elements solve every toral
-    direction equation E_i(B) = n_i B + [S_i, B]_c and, when chi is present,
-    every semisimple direction equation V_a(B) = c_a B + [chi_a, B]_c, with
-    c_a the constant of [V_a, Z] on the slot's own field Z.  A frame whose
+    Its basis elements solve every toral direction equation
+    E_i(B) = n_i B + [S_i, B]_c and, when chi is present, every semisimple
+    direction equation V_a(B) = c_a B + [chi_a, B]_c, with n_i the slot's
+    toral grading constants and c_a the constant of [V_a, Z] on the slot's
+    own field Z; the slot's grade shifts the degrees.  A frame whose
     semisimple fields move one graded slot into another has no per-slot
     basis and raises DivisorError.
     """
-    _check_pair(d, residue)
-    return _component_spaces(d, residue)
-
-
-def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
-    """Each graded slot solved alone: its grade shifts the degrees, and its
-    offsets are its toral grading constants, then its semisimple action on itself."""
     if not d.w_indices:
         return []
     toral_w, action = d.constants.toral_w, d.constants.semisimple_action
@@ -332,31 +326,14 @@ def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpac
 
 
 def _correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
-    """One space per toral slot (a divisor has at least one), all with the basis of one solve;
-    ``moduli_system`` computes each value on the first of them and shifts it to the others."""
+    """One space per toral slot (a divisor has at least one) solving E_i(N) = [S_i, N]_c.
+
+    The corrections of every toral slot satisfy the same linear equations, so
+    the spaces share one basis of one solve; ``moduli_system`` computes each
+    value on the first of them and shifts it to the others.
+    """
     elements = tuple(_solve_slot(d, residue, 0, [0] * (d.toral_count + len(d.semisimple_indices))))
     return [SolutionSpace(("correction", i), residue.matrix_size, d.weights, elements) for i in range(d.toral_count)]
-
-
-def solve_correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
-    """One copy per toral slot of the space solving E_i(N) = [S_i, N]_c.
-
-    The corrections for every toral slot satisfy the same linear equations,
-    so the returned spaces share one ``elements`` tuple computed once.
-    """
-    _check_pair(d, residue)
-    return _correction_spaces(d, residue)
-
-
-def symmetry_algebra(d: FreeDivisor, residue: ResidueData) -> SolutionSpace:
-    """Graded Lie algebra of infinitesimal symmetries fixing the residue: the
-    first correction space, whose basis elements are the symmetries.
-
-    The degree-zero part is the centralizer of the residue values inside
-    gl_m; the strictly positive part exponentiates to polynomial gauge
-    transformations equal to the identity at the origin.
-    """
-    return solve_correction_spaces(d, residue)[0]
 
 
 # ----------------------------------------------------------------- the system
@@ -492,8 +469,18 @@ class ModuliProblem:
     residue: ResidueData
     component_spaces: Tuple[SolutionSpace, ...]
     correction_spaces: Tuple[SolutionSpace, ...]
-    symmetry: SolutionSpace  # the first correction space
     system: PolySystem
+
+    @property
+    def symmetry(self) -> SolutionSpace:
+        """Graded Lie algebra of infinitesimal symmetries fixing the residue: the
+        first correction space, whose basis elements are the symmetries.
+
+        The degree-zero part is the centralizer of the residue values inside
+        gl_m; the strictly positive part exponentiates to polynomial gauge
+        transformations equal to the identity at the origin.
+        """
+        return self.correction_spaces[0]
 
 
 def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
@@ -623,7 +610,6 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         residue=residue,
         component_spaces=tuple(comp_spaces),
         correction_spaces=tuple(corr_spaces),
-        symmetry=corr_spaces[0],
         system=system,
     )
 

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,6 +14,7 @@ from logres import (
     ResidueData,
     VectorFieldPoly,
     WeightedPoly,
+    ad_operator,
     catalog,
 )
 from logres.linear import IntegerRows, inverse, rref
@@ -142,6 +144,28 @@ IDENT2 = RationalMatrix.identity(2)
 CHI_H = RationalMatrix([[-1, 0], [0, 1]])
 CHI_E = RationalMatrix([[0, 1], [0, 0]])
 CHI_F = RationalMatrix([[0, 0], [1, 0]])
+
+
+def centralizer_algebra(mats, size: Optional[int] = None) -> Tuple[int, List[RationalMatrix]]:
+    """Dimension and basis of {X : [X, M]_c = 0 for every M in mats}, the kernel of
+    the stacked ad operators: an oracle for the symmetry algebra's degree-zero part."""
+    m = mats[0].rows if size is None else size
+    # the empty family constrains nothing: one zero row has all of gl_m as kernel
+    stacked = [row for mat in mats for row in ad_operator(mat).entries] or [[0] * (m * m)]
+    kernel = rref(IntegerRows.cleared(stacked, m * m)).kernel
+    return len(kernel), [RationalMatrix([vec[i * m:(i + 1) * m] for i in range(m)]) for vec in kernel]
+
+
+def exp_nilpotent(n: RationalMatrix) -> RationalMatrix:
+    """exp(n) of a nilpotent n: the sum of n^i / i! over i >= 0, up to the first zero power."""
+    assert n.power(n.rows).is_zero(), "the series is exact only on a nilpotent matrix"
+    total = power = RationalMatrix.identity(n.rows)
+    for i in range(1, n.rows + 1):
+        power = power * n
+        if power.is_zero():
+            break
+        total = total + Fraction(1, math.factorial(i)) * power
+    return total
 
 
 def conjugated(s: RationalMatrix, rng: random.Random) -> RationalMatrix:

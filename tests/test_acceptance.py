@@ -19,7 +19,6 @@ from logres import (
     coordinates_of,
     curvature,
     dlog_f_expansion,
-    exp_nilpotent,
     form_structure_equations,
     is_flat,
     is_nilpotent,
@@ -39,7 +38,8 @@ from logres.liealg import ad_operator
 from logres.linear import determinant, integer_eigenvalues
 from logres.cli import main as cli_main
 
-from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, e_degrees, rand_fraction, residue_for, solve_system
+from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, e_degrees, exp_nilpotent, rand_fraction, residue_for,
+                      solve_system)
 
 
 def announce(number, text):

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logres import (MatrixPolyMap, ModuliPoint, RationalMatrix, catalog, check_point, moduli_system,
-                    solve_component_spaces, solve_correction_spaces)
+from logres import MatrixPolyMap, ModuliPoint, RationalMatrix, catalog, check_point, moduli_system
 from logres.linear import IntegerRows, inverse, rref
 from logres.moduli import _span_coordinates
 
@@ -28,8 +27,8 @@ CASES = (("cusp", diag(0, 1, 2)), ("sekiguchi_b5", diag(0, 1, 2)), ("borel2", di
 
 
 def spaces(d, s):
-    residue = residue_for(d, s)
-    return solve_component_spaces(d, residue) + solve_correction_spaces(d, residue)
+    problem = moduli_system(d, residue_for(d, s))
+    return problem.component_spaces + problem.correction_spaces
 
 
 @lru_cache(maxsize=None)

@@ -9,20 +9,18 @@ from logres import (
     RationalMatrix,
     ResidueData,
     ad_operator,
-    centralizer_algebra,
     commutator,
-    exp_nilpotent,
     is_nilpotent,
     is_semisimple,
     is_unipotent,
     jordan_chevalley,
     log_unipotent,
-    monodromy_split,
     validate_residue,
 )
 from logres.linear import IntegerRows, integer_eigenvalues, rref
 
-from conftest import CHI_E, CHI_F, CHI_H, E12, E21, IDENT2, conjugated, diag, rand_fraction, trace
+from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, IDENT2, centralizer_algebra, conjugated, diag, exp_nilpotent,
+                      rand_fraction, trace)
 
 
 def test_jordan_block_additive():
@@ -204,25 +202,32 @@ def test_jc_multiplicative_repeated_diagonal():
     assert d.semisimple == s and d.unipotent == u
 
 
-def test_monodromy_split_jordan_block():
-    split = monodromy_split(RationalMatrix([[1, 1], [0, 1]]))
-    assert split.semisimple == IDENT2
-    assert split.log_unipotent == E12
+def multiplicative_split(m):
+    """The jordan CLI's multiplicative path: S and U with m = S U, and log U."""
+    decomposition = jordan_chevalley(m, mode="multiplicative")
+    return decomposition.semisimple, decomposition.unipotent, log_unipotent(decomposition.unipotent)
 
 
-def test_monodromy_split_diagonal():
-    split = monodromy_split(diag(2, 3))
-    assert split.unipotent == IDENT2
-    assert split.log_unipotent.is_zero()
+def test_multiplicative_split_jordan_block():
+    s, _, log_u = multiplicative_split(RationalMatrix([[1, 1], [0, 1]]))
+    assert s == IDENT2
+    assert log_u == E12
 
 
-def test_monodromy_split_scaled_block():
+def test_multiplicative_split_diagonal():
+    _, u, log_u = multiplicative_split(diag(2, 3))
+    assert u == IDENT2
+    assert log_u.is_zero()
+
+
+def test_multiplicative_split_scaled_block():
     m = diag(2, 2) * RationalMatrix([[1, 1], [0, 1]])
-    split = monodromy_split(m)
-    assert split.semisimple == diag(2, 2)
-    assert split.unipotent == RationalMatrix([[1, 1], [0, 1]])
-    assert split.semisimple * split.unipotent == m
-    assert split.unipotent * split.semisimple == m
+    s, u, log_u = multiplicative_split(m)
+    assert s == diag(2, 2)
+    assert u == RationalMatrix([[1, 1], [0, 1]])
+    assert s * u == m
+    assert u * s == m
+    assert log_u == E12
 
 
 def test_exp_log_roundtrip():

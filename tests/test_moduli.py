@@ -20,7 +20,6 @@ from logres import (
     WeightedPoly,
     assemble_connection,
     catalog,
-    centralizer_algebra,
     check_point,
     commutator,
     coordinates_of,
@@ -28,10 +27,7 @@ from logres import (
     moduli_system,
     monomials_of_degree,
     restrict_system,
-    solve_component_spaces,
-    solve_correction_spaces,
     serialize,
-    symmetry_algebra,
 )
 from logres.divisor import TORAL, DivisorError, correction_pairings
 from logres.liealg import ResidueData, ad_operator
@@ -40,8 +36,8 @@ from logres.moduli import (Coordinate, Equation, LinearCertificate, MembershipEr
                            _commutator, _constant, _matmul, _products, _span_coordinates)
 from logres.univariate import power
 
-from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, assert_readings_agree, conjugated, diag,
-                      divisor_named, e_degrees, rand_fraction, residue_for, solve_system)
+from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, assert_readings_agree, centralizer_algebra,
+                      conjugated, diag, divisor_named, e_degrees, rand_fraction, residue_for, solve_system)
 
 
 def unit_map(divisor, r, c, poly=None, m=2):
@@ -68,7 +64,7 @@ def random_point(problem, rng):
 # ------------------------------------------------------------ solution spaces
 
 def test_cusp_component_space_basis(cusp):
-    spaces = solve_component_spaces(cusp, residue_for(cusp, S01))
+    spaces = moduli_system(cusp, residue_for(cusp, S01)).component_spaces
     assert len(spaces) == 1
     space = spaces[0]
     assert space.dimension == 2
@@ -80,7 +76,7 @@ def test_cusp_component_space_basis(cusp):
 
 def test_component_space_with_zero_residue(seki):
     # with S = 0 every slot is the full gl_2 times the monomials of its grade
-    spaces = solve_component_spaces(seki, residue_for(seki, ZERO2))
+    spaces = moduli_system(seki, residue_for(seki, ZERO2)).component_spaces
     dims = [space.dimension for space in spaces]
     assert dims == [
         4 * len(monomials_of_degree(seki.weights, 1)),
@@ -90,7 +86,7 @@ def test_component_space_with_zero_residue(seki):
 
 def test_sekiguchi_component_shapes(seki):
     # entrywise degrees: B has degrees [[1, 0], [2, 1]], C has [[2, 1], [3, 2]]
-    spaces = solve_component_spaces(seki, residue_for(seki, S01))
+    spaces = moduli_system(seki, residue_for(seki, S01)).component_spaces
     expected = [
         {(0, 0): 1, (0, 1): 0, (1, 0): 2, (1, 1): 1},
         {(0, 0): 2, (0, 1): 1, (1, 0): 3, (1, 1): 2},
@@ -109,13 +105,13 @@ def test_sekiguchi_component_shapes(seki):
 
 
 def test_correction_space_cusp(cusp):
-    spaces = solve_correction_spaces(cusp, residue_for(cusp, S01))
+    spaces = moduli_system(cusp, residue_for(cusp, S01)).correction_spaces
     assert len(spaces) == 1
     assert spaces[0].dims_by_degree == {0: 2}
 
 
 def test_correction_space_with_weight_one_variable(seki):
-    spaces = solve_correction_spaces(seki, residue_for(seki, S01))
+    spaces = moduli_system(seki, residue_for(seki, S01)).correction_spaces
     space = spaces[0]
     assert space.dims_by_degree == {0: 2, 1: 1}
     x = WeightedPoly.variable(0, seki.weights)
@@ -123,13 +119,13 @@ def test_correction_space_with_weight_one_variable(seki):
 
 
 def test_correction_space_zero_residue(cusp):
-    spaces = solve_correction_spaces(cusp, residue_for(cusp, ZERO2))
+    spaces = moduli_system(cusp, residue_for(cusp, ZERO2)).correction_spaces
     assert spaces[0].dims_by_degree == {0: 4}
 
 
 def test_normal_crossing_correction_space():
     d = catalog("normal_crossing_2")
-    spaces = solve_correction_spaces(d, residue_for(d, S01))
+    spaces = moduli_system(d, residue_for(d, S01)).correction_spaces
     assert len(spaces) == 2
     assert spaces[0].dims_by_degree == {0: 2, 2: 1}
     z1z2 = WeightedPoly((1, 1), {(1, 1): Fraction(1)})
@@ -146,13 +142,13 @@ def test_grading_soundness(name):
     constants = frame_constants(d)
     toral_fields = [d.frame[i].field for i in d.toral_indices]
     s_consts = [MatrixPolyMap.from_constant(s, d.weights) for s in residue.s_list]
-    for slot, space in enumerate(solve_component_spaces(d, residue)):
+    for slot, space in enumerate(moduli_system(d, residue).component_spaces):
         for element in space.basis:
             for t, field in enumerate(toral_fields):
                 lhs = element.apply_field(field)
                 rhs = element.scale(constants.toral_w[(t, slot)]) + s_consts[t].commutator(element)
                 assert (lhs - rhs).is_zero()
-    for space in solve_correction_spaces(d, residue):
+    for space in moduli_system(d, residue).correction_spaces:
         for element in space.basis:
             for t, field in enumerate(toral_fields):
                 assert (element.apply_field(field) - s_consts[t].commutator(element)).is_zero()
@@ -164,15 +160,16 @@ def test_degree_bound_is_respected(name):
     residue = residue_for(d, S01)
     grades = [e.grade for e in d.frame if e.grade is not None]
     bound = max(integer_eigenvalues(ad_operator(residue.grading_element()))) + max(grades + [0])
-    for space in solve_component_spaces(d, residue) + solve_correction_spaces(d, residue):
+    problem = moduli_system(d, residue)
+    for space in problem.component_spaces + problem.correction_spaces:
         assert all(degree <= bound for degree in space.dims_by_degree)
 
 
 def test_symmetry_algebra_levi_split(cusp, seki):
     residue = residue_for(cusp, S01)
-    sym = symmetry_algebra(cusp, residue)
+    sym = moduli_system(cusp, residue).symmetry
     assert (sym.dimension, sym.constant_dimension, sym.positive_dimension) == (2, 2, 0)
-    sym = symmetry_algebra(seki, residue_for(seki, S01))
+    sym = moduli_system(seki, residue_for(seki, S01)).symmetry
     assert (sym.dimension, sym.constant_dimension, sym.positive_dimension) == (3, 2, 1)
 
 
@@ -182,7 +179,7 @@ def test_symmetry_constant_part_is_centralizer(seki, g2_divisor):
         (g2_divisor, ResidueData((ZERO2,), (1,), chi=(CHI_H, CHI_E, CHI_F))),
     ]
     for d, residue in cases:
-        sym = symmetry_algebra(d, residue)
+        sym = moduli_system(d, residue).symmetry
         mats = list(residue.s_list) + list(residue.chi or ())
         dim, basis = centralizer_algebra(mats, size=2)
         assert sym.constant_dimension == dim
@@ -193,14 +190,14 @@ def test_symmetry_constant_part_is_centralizer(seki, g2_divisor):
 
 
 def test_scalar_residue_gives_full_constant_centralizer(cusp):
-    sym = symmetry_algebra(cusp, residue_for(cusp, diag(5, 5)))
+    sym = moduli_system(cusp, residue_for(cusp, diag(5, 5))).symmetry
     assert sym.constant_dimension == 4
 
 
 def test_residue_validation_is_enforced(cusp):
     bad = ResidueData((E12,), (1,))
     with pytest.raises(ResidueError):
-        solve_component_spaces(cusp, bad)
+        moduli_system(cusp, bad)
 
 
 def test_residue_slot_count_checked(cusp):
@@ -768,7 +765,7 @@ def test_slot_moving_semisimple_field_is_rejected():
     action[(0, 0)] = (Fraction(0), Fraction(1))
     d.__dict__["constants"] = replace(d.constants, semisimple_action=action)
     with pytest.raises(DivisorError, match="mixes graded slots"):
-        solve_component_spaces(d, residue_for(d, (ZERO2, S01)))
+        moduli_system(d, residue_for(d, (ZERO2, S01)))
 
 
 def test_emission_builds_no_matrix_maps(monkeypatch, seki):
@@ -1004,8 +1001,8 @@ def test_a_divisor_without_characters_builds_no_spectra(cusp):
 
 
 def test_a_residue_is_validated_and_bracketed_once(monkeypatch, cusp):
-    # chi-free, so validation reads nothing of the divisor: after the first
-    # call, every solve reads the residue's cached verdict and brackets
+    # chi-free, so validation reads nothing of the divisor: a repeated call
+    # reads the residue's cached verdict and brackets
     from logres import liealg
 
     calls = []
@@ -1020,8 +1017,7 @@ def test_a_residue_is_validated_and_bracketed_once(monkeypatch, cusp):
     moduli_system(cusp, residue)
     assert set(calls) == {"is_semisimple", "commutator"}
     calls.clear()
-    for solve in (moduli_system, solve_component_spaces, solve_correction_spaces, symmetry_algebra):
-        solve(cusp, residue)
+    moduli_system(cusp, residue)
     assert calls == []
 
 
@@ -1093,8 +1089,9 @@ def test_every_solve_block_is_reduced_through_the_rref_name(monkeypatch):
 
 
 def test_the_character_sieve_leaves_three_correction_columns(monkeypatch):
-    # normal_crossing_5 with S01 on every slot: of the 128 candidates of the
-    # correction solve, the toral characters keep the 3 that can solve it
+    # normal_crossing_5 with S01 on every slot has no graded slot: of the 128
+    # candidates of its one solve, the corrections', the toral characters keep
+    # the 3 that can solve it
     import logres.moduli
 
     handed = []
@@ -1106,7 +1103,7 @@ def test_the_character_sieve_leaves_three_correction_columns(monkeypatch):
 
     monkeypatch.setattr(logres.moduli, "block_kernel", counting_block_kernel)
     d = catalog("normal_crossing_5")
-    solve_correction_spaces(d, residue_for(d, S01))
+    moduli_system(d, residue_for(d, S01))
     assert sum(handed) == 3
 
 
@@ -1188,6 +1185,6 @@ def test_a_frame_without_diagonal_toral_fields_solves_unsieved():
     skewed, plain = skewed_normal_crossing_2(), catalog("normal_crossing_2")
     assert skewed.diagonal_characters == ()
     for s in (S01, diag(0, 2), (diag(0, 1), diag(0, 2))):
-        got, want = (solve_correction_spaces(d, residue_for(d, s)) for d in (skewed, plain))
+        got, want = (moduli_system(d, residue_for(d, s)).correction_spaces for d in (skewed, plain))
         assert [space.dims_by_degree for space in got] == [space.dims_by_degree for space in want]
         assert max(got[0].dims_by_degree) > 0

@@ -85,3 +85,12 @@ def test_only_univariate_spells_the_integral_test():
     spelled = [path.stem for path in sorted(SRC.glob("*.py"))
                if path.stem != "univariate" and ".denominator == 1" in path.read_text()]
     assert spelled == []
+
+
+def test_only_moduli_system_calls_the_private_solves():
+    # ``moduli_system`` is the one way into the component and correction
+    # solves: no other statement names them
+    solves = {"_component_spaces", "_correction_spaces"}
+    callers = sorted(getattr(node, "name", f"{module}:{node.lineno}") for module, node, names in statements()
+                     if names & solves and getattr(node, "name", None) not in solves)
+    assert callers == ["moduli_system"]

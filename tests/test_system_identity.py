@@ -36,7 +36,7 @@ from operator import mul
 import pytest
 
 from logres import (FrameElement, FreeDivisor, RationalMatrix, ResidueData, catalog, moduli_system, restrict_system,
-                    serialize, symmetry_algebra)
+                    serialize)
 from logres.divisor import SEMISIMPLE, TORAL
 from logres.moduli import _terms
 
@@ -227,7 +227,7 @@ def test_solution_spaces_keep_their_basis_as_terms(label):
     integral coefficients are ints and whose monomials all have the stored
     E-degree; ``dims_by_degree`` counts the stored degrees in increasing
     order, the coordinates carry them, and the symmetry algebra is the first
-    correction space, equal to a fresh ``symmetry_algebra``."""
+    correction space, equal to that of a fresh ``moduli_system``."""
     problem = problem_of(label)
     spaces = problem.component_spaces + problem.correction_spaces
     for space in spaces:
@@ -240,7 +240,7 @@ def test_solution_spaces_keep_their_basis_as_terms(label):
     assert [c.degree for c in problem.system.coordinates] == [
         degree for space in spaces for degree, _ in space.elements]
     assert problem.symmetry is problem.correction_spaces[0]
-    assert problem.symmetry == symmetry_algebra(problem.divisor, problem.residue)
+    assert problem.symmetry == moduli_system(problem.divisor, problem.residue).symmetry
 
 
 # ------------------------------------------ the solve without the character sieve
