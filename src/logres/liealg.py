@@ -47,7 +47,7 @@ def ad_operator(a: RationalMatrix) -> RationalMatrix:
 def _kernel_matrices(rows: Sequence[Sequence[Fraction]], m: int) -> List[RationalMatrix]:
     """Kernel basis of the rows of an operator on row-major flattened m x m matrices, as matrices."""
     kernel = rref(IntegerRows.cleared(rows, m * m)).kernel
-    return [RationalMatrix([vec[i * m:(i + 1) * m] for i in range(m)]) for vec in kernel]
+    return [RationalMatrix([[vec.get(i * m + j, 0) for j in range(m)] for i in range(m)]) for vec in kernel]
 
 
 def is_semisimple(a: RationalMatrix) -> bool:

@@ -3,14 +3,13 @@
 RationalMatrix is a small immutable dense matrix of Fractions.  The row
 reduction here, ``rref``, is the single exact solver behind every eigenspace,
 kernel and linear-system computation in the package, and it returns a kernel:
-a system A x = b is the kernel of [A | -b], read at its last column.
-``block_kernel`` applies it to each connected block of two or more columns of
-a sparse matrix given by columns (the moduli solve and the structure functions
-of a divisor, one bracket at a time, hand it their columns), and ``inverse``
-to [A | I] once.  It is fraction-free: each row is
-cleared of denominators once into ``IntegerRows`` (which callers with rows of
-ints build directly) and eliminated over Python ints, and ``Fraction``s are
-built only at the end, as quotients by the pivot entries.  The characteristic
+a system A x = b is the kernel of [A | -b], read at its last column.  It is
+sparse and fraction-free: each row is cleared of denominators once into a
+dict of ints (``IntegerRows``), only the rows that hold a column meet its
+pivot, and ``Fraction``s are built only at the end, as quotients by the pivot
+entries.  ``block_kernel`` hands it a matrix given by sparse columns (the
+moduli solve and the structure functions of a divisor, one bracket at a time),
+and ``inverse`` hands it [A | I].  The characteristic
 polynomial is likewise computed over ints, on B = D * A with D the lcm of A's
 denominators (``scaled_charpoly``); ``integer_eigenvalues``, ``is_semisimple``
 and the Jordan-Chevalley decomposition read it there, ``determinant`` reads
@@ -25,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Sequence, Set, Tuple, Union
 
 from .univariate import (as_fraction, clear_denominators, power, uni_derivative, uni_evaluate, uni_primitive,
                          uni_pseudo_divmod, uni_squarefree_part)
@@ -129,30 +128,38 @@ class RationalMatrix:
 
 @dataclass(frozen=True)
 class RrefResult:
+    """The rank, the increasing pivot columns, and a kernel basis in increasing
+    free-column order.  Each kernel vector is a dict of its nonzero entries in
+    increasing column order, ending at its free column, where it is 1."""
+
     rank: int
     pivots: Tuple[int, ...]
-    kernel: Tuple[Tuple[Fraction, ...], ...]
+    kernel: Tuple[Dict[int, Fraction], ...]
 
 
+@dataclass
 class IntegerRows:
-    """Dense rows of Python ints, the form that ``rref`` eliminates on.
+    """Sparse rows of Python ints, the form that ``rref`` eliminates on.
 
-    ``rows`` and ``cols`` read as on a ``RationalMatrix``.  The rows are
-    shared, not copied: ``rref`` replaces rows of its own list and never
-    writes into one.
+    Each row maps a column to its nonzero int.  ``rows`` and ``cols`` read as
+    on a ``RationalMatrix``.  The rows are shared, not copied: ``rref``
+    replaces rows of its own list and never writes into one.
     """
 
-    __slots__ = ("entries", "cols")
-
-    def __init__(self, entries: List[List[int]], cols: int):
-        self.entries = entries
-        self.cols = cols
+    entries: List[Dict[int, int]]
+    cols: int
 
     @classmethod
-    def cleared(cls, rows: Sequence[Sequence[Union[int, Fraction]]], cols: int) -> "IntegerRows":
-        """Rows of ints and ``Fraction``s, each scaled by the lcm of its
-        denominators; that leaves the reduced row echelon form unchanged."""
-        return cls([clear_denominators(row)[1] for row in rows], cols)
+    def cleared(cls, rows: Sequence[Union[Sequence, Dict]], cols: int) -> "IntegerRows":
+        """Dense rows, or rows mapping columns to values, of ints and
+        ``Fraction``s, each scaled by the lcm of its denominators and with its
+        zeros dropped; that leaves the reduced row echelon form unchanged."""
+        out = []
+        for row in rows:
+            items = list(row.items() if isinstance(row, dict) else enumerate(row))
+            ints = clear_denominators([v for _, v in items])[1]
+            out.append({j: n for (j, _), n in zip(items, ints) if n})
+        return cls(out, cols)
 
     @property
     def rows(self) -> int:
@@ -162,112 +169,82 @@ class IntegerRows:
 def rref(matrix: Union[RationalMatrix, IntegerRows]) -> RrefResult:
     """Reduced row echelon form: the rank, the pivot columns and a kernel basis.
 
-    The kernel basis spans the nullspace; free columns are parameterized in
-    increasing column order, each vector with a 1 at its own free column.  A
-    system A x = b is read as the kernel of [A | -b]: it is consistent exactly
-    when that last column is free, and then the last kernel vector is (x, 1)
-    for a solution x.
+    A system A x = b is read as the kernel of [A | -b]: it is consistent
+    exactly when that last column is free, and then the last kernel vector is
+    (x, 1) for a solution x.
 
-    The elimination is fraction-free Gauss-Jordan over Python ints.  A
-    ``RationalMatrix`` is first cleared row by row to ``IntegerRows``;
-    callers whose rows are integral pass ``IntegerRows`` directly.  A pivot p
-    in row r clears column c of row i by row_i <- p * row_i - f * row_r, and
-    the new row is divided by the gcd of its entries, so that entries stay
-    small.  Row i ends as a multiple of reduced row i, and the ``Fraction``s
-    of the result are the quotients by its pivot entry.
+    The elimination is fraction-free Gauss-Jordan over Python ints on sparse
+    rows.  A ``RationalMatrix`` is first cleared row by row to
+    ``IntegerRows``; callers whose rows are integral pass ``IntegerRows``
+    directly.  The columns are taken in increasing order, and an index from
+    each column to the rows that hold it, kept up to date, finds the rows to
+    eliminate, so rows that share no column never meet.  The pivot of column
+    c is the shortest row that holds c and is no pivot yet, the lowest index
+    first (Markowitz 1957).  Its entry p in row r clears column c of row i by
+    row_i <- p * row_i - f * row_r, and the new row is divided by the gcd of
+    its entries, so that entries stay small.  The reduced row echelon form is
+    unique, so the pivot choice changes no result.  Each pivot row ends as a
+    multiple of its reduced row, and the ``Fraction``s of the result are the
+    quotients by its pivot entry.
     """
     if isinstance(matrix, RationalMatrix):
         matrix = IntegerRows.cleared(matrix.entries, matrix.cols)
-    work, rows, cols = list(matrix.entries), matrix.rows, matrix.cols
+    work = list(matrix.entries)
+    holders: Dict[int, Set[int]] = {}  # column -> the rows that hold it
+    for i, row in enumerate(work):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
 
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
-        if pivot_row is None:
+    lead: Dict[int, int] = {}  # pivot row -> its column
+    for c in sorted(holders):
+        r = min((i for i in holders[c] if i not in lead), key=lambda i: (len(work[i]), i), default=None)
+        if r is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        row_r = work[r]
-        p = row_r[c]
-        for i in range(rows):
-            f = work[i][c]
-            if f and i != r:
-                row = [p * a - f * b for a, b in zip(work[i], row_r)]
-                content = math.gcd(*row)
-                work[i] = [a // content for a in row] if content > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+        row_r, p = work[r], work[r][c]
+        for i in holders[c] - {r}:
+            row_i, f = work[i], work[i][c]
+            row = {j: p * a for j, a in row_i.items()}
+            for j, b in row_r.items():
+                v = row.get(j, 0) - f * b
+                if v:
+                    row[j] = v
+                    if j not in row_i:
+                        holders[j].add(i)
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+            content = math.gcd(*row.values())
+            work[i] = {j: a // content for j, a in row.items()} if content > 1 else row
+        lead[r] = c
 
-    zero, one = Fraction(0), Fraction(1)
+    # a row that is no pivot ends as zero, and one that is holds no other pivot
+    # column: in increasing pivot order, each adds its entries to the free columns' vectors
+    one, pivots = Fraction(1), tuple(lead.values())
     pivot_set = set(pivots)
-    kernel: List[Tuple[Fraction, ...]] = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [zero] * cols
-        v[free] = one
-        for i, c in enumerate(pivots):
-            if work[i][free]:
-                v[c] = Fraction(-work[i][free], work[i][c])
-        kernel.append(tuple(v))
-
-    return RrefResult(rank=len(pivots), pivots=tuple(pivots), kernel=tuple(kernel))
+    kernel: Dict[int, Dict[int, Fraction]] = {free: {} for free in range(matrix.cols) if free not in pivot_set}
+    for r, c in lead.items():
+        p = work[r][c]
+        for free, a in work[r].items():
+            if free != c:
+                kernel[free][c] = Fraction(-a, p)
+    for free, vec in kernel.items():
+        vec[free] = one
+    return RrefResult(rank=len(pivots), pivots=pivots, kernel=tuple(kernel.values()))
 
 
 def block_kernel(columns: Sequence[Mapping[Hashable, Union[int, Fraction]]]) -> List[Dict[int, Fraction]]:
     """Kernel basis of the matrix whose column j has the entries ``columns[j]``.
 
-    Each column maps row keys to int or Fraction values.  Two columns are
-    connected when they share a row key, and every connected block of two or
-    more columns is row-reduced on its own by ``rref``; a lone column is a
-    pivot when it holds a nonzero value and free otherwise, so it needs no
-    reduction.  The reduced form of a block-diagonal
-    matrix is made of the reduced forms of its blocks, so the result is
-    ``rref(dense).kernel`` exactly: the same vectors, in increasing order of
-    their free column, which is each vector's last entry: the others sit at
-    the pivots of rows that reach it.  Each vector is returned as its nonzero
-    entries, in increasing column order.
+    Each column maps row keys to int or Fraction values.  The columns are
+    transposed into one sparse row per row key for one ``rref`` call, which
+    meets only rows that share a column, so the connected blocks are reduced
+    apart without a pass to find them; the vectors are its kernel.
     """
-    parent = list(range(len(columns)))
-
-    def root(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    owner: Dict[Hashable, int] = {}
+    rows: Dict[Hashable, Dict[int, Union[int, Fraction]]] = {}
     for j, column in enumerate(columns):
-        for key in column:
-            first = owner.setdefault(key, j)
-            a, b = root(first), root(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    blocks: Dict[int, List[int]] = {}
-    for j in range(len(columns)):
-        blocks.setdefault(root(j), []).append(j)
-
-    kernel: List[Dict[int, Fraction]] = []
-    for block in blocks.values():
-        if len(block) == 1:
-            # a lone column is a pivot when it holds a nonzero value, else free
-            if not any(columns[block[0]].values()):
-                kernel.append({block[0]: Fraction(1)})
-            continue
-        row_of: Dict[Hashable, int] = {}
-        for j in block:
-            for key in columns[j]:
-                row_of.setdefault(key, len(row_of))
-        rows = [[0] * len(block) for _ in row_of]
-        for pos, j in enumerate(block):
-            for key, value in columns[j].items():
-                rows[row_of[key]][pos] = value
-        for vec in rref(IntegerRows.cleared(rows, len(block))).kernel:
-            kernel.append({block[q]: v for q, v in enumerate(vec) if v})
-    kernel.sort(key=max)
-    return kernel
+        for key, value in column.items():
+            rows.setdefault(key, {})[j] = value
+    return list(rref(IntegerRows.cleared(list(rows.values()), len(columns))).kernel)
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:
@@ -281,7 +258,7 @@ def inverse(matrix: RationalMatrix) -> RationalMatrix:
                                        for i, row in enumerate(matrix.entries)], 2 * n))
     if result.pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return RationalMatrix([[-vec[i] for vec in result.kernel] for i in range(n)])
+    return RationalMatrix([[-vec.get(i, 0) for vec in result.kernel] for i in range(n)])
 
 
 def _matmul(a: List[List], b: List[List]) -> List[List]:

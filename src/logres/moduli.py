@@ -225,7 +225,7 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
     ``residue.grading_eigenspaces``.  A candidate's residual
     V_k(z^a) * M - z^a * (offsets[k] * M + [C_k, M]) is written straight into a
     sparse column keyed by (k, row, column, monomial), and ``block_kernel``
-    row-reduces each connected block of the columns.  M and the commutators
+    reduces the columns in one sparse ``rref``.  M and the commutators
     [C_k, M] depend on the residue alone: their entries are read from
     ``residue.grading_brackets``, computed once per residue and distinct value.
 
@@ -239,10 +239,9 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
     eigenvalue of ad C_k on the lam-eigenspace (``residue.bracket_spectra``),
     every candidate of monomial a is zero in every kernel vector, and none of
     them is built.  This is the one place where forced-zero candidates are
-    dropped, and dropping them leaves ``rref(dense).kernel`` as it is: a
-    column that is zero in every kernel vector is in the span of no set of
-    other columns, so it is a pivot of every reduction, and each other column
-    stays pivot or free as it was.
+    dropped, and dropping them leaves the kernel as it is: a column that is
+    zero in every kernel vector is in the span of no set of other columns, so
+    it is a pivot of every reduction, and each other column stays as it was.
     The value <chi_k, a> is final once the exponents up to chi_k's last
     nonzero entry are chosen, so the lookup runs there, and a prefix that
     fails it is not extended.
@@ -794,25 +793,22 @@ def linear_certificate(system: PolySystem) -> LinearCertificate:
     than guessed at.
     """
     ncoords = len(system.coordinates)
-    linear_rows: List[List[Union[int, Fraction]]] = []
+    linear_rows: List[Dict[int, _Scalar]] = []
     higher: List[Equation] = []
     for eq in system.equations:
         if not eq.terms:
             continue
         if max(map(len, eq.terms)) <= 1:
             # coefficients of the coordinates, then the constant: a solution x makes (x, 1) the kernel vector
-            row = [0] * (ncoords + 1)
-            for key, coeff in eq.terms.items():
-                row[key[0] if key else ncoords] = coeff
-            linear_rows.append(row)
+            linear_rows.append({key[0] if key else ncoords: coeff for key, coeff in eq.terms.items()})
         else:
             higher.append(eq)
     kernel = rref(IntegerRows.cleared(linear_rows, ncoords + 1)).kernel
-    if not kernel or not kernel[-1][ncoords]:
+    if not kernel or ncoords not in kernel[-1]:
         return LinearCertificate("inconsistent", None, "linear subsystem is already inconsistent")
     if len(kernel) > 1:
         return LinearCertificate("undetermined", None, None)
-    solution = kernel[-1][:ncoords]
+    solution = tuple(kernel[-1].get(i, Fraction(0)) for i in range(ncoords))
     for eq, value in zip(higher, _values(higher, solution)):
         if value != 0:
             witness = (

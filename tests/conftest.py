@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -32,6 +32,11 @@ class SystemResult:
     kernel: Tuple[Tuple[Fraction, ...], ...]
 
 
+def densify(vectors, cols: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Sparse kernel vectors, as ``rref`` returns them, as dense tuples of ``cols`` Fractions."""
+    return tuple(tuple(vec.get(j, Fraction(0)) for j in range(cols)) for vec in vectors)
+
+
 def solve_system(matrix: RationalMatrix, rhs) -> SystemResult:
     """matrix * x = rhs read from the kernel of [matrix | -rhs].
 
@@ -42,8 +47,9 @@ def solve_system(matrix: RationalMatrix, rhs) -> SystemResult:
     """
     cols = matrix.cols
     result = rref(IntegerRows.cleared([row + (-Fraction(v),) for row, v in zip(matrix.entries, rhs)], cols + 1))
-    kernel = tuple(vec[:cols] for vec in result.kernel if not vec[cols])
-    solution = result.kernel[-1][:cols] if result.kernel and result.kernel[-1][cols] else None
+    dense = densify(result.kernel, cols + 1)
+    kernel = tuple(vec[:cols] for vec in dense if not vec[cols])
+    solution = dense[-1][:cols] if dense and dense[-1][cols] else None
     return SystemResult(rank=cols - len(kernel), pivots=tuple(c for c in result.pivots if c < cols),
                         solution=solution, inconsistent=solution is None, kernel=kernel)
 
@@ -64,7 +70,7 @@ def oracle_span_coordinates(space, target: MatrixPolyMap) -> List[Fraction]:
         for r, c, mono, coeff in terms:
             row = rows.setdefault((r, c, mono), [0] * (width + 1))
             row[col] = coeff if col == width else -coeff
-    kernel = rref(IntegerRows.cleared(list(rows.values()), width + 1)).kernel
+    kernel = densify(rref(IntegerRows.cleared(list(rows.values()), width + 1)).kernel, width + 1)
     if not kernel or not kernel[-1][width]:
         raise MembershipError(f"value does not lie in the span of solution space {space.slot}")
     if len(kernel) > 1:
@@ -152,7 +158,7 @@ def centralizer_algebra(mats, size: Optional[int] = None) -> Tuple[int, List[Rat
     m = mats[0].rows if size is None else size
     # the empty family constrains nothing: one zero row has all of gl_m as kernel
     stacked = [row for mat in mats for row in ad_operator(mat).entries] or [[0] * (m * m)]
-    kernel = rref(IntegerRows.cleared(stacked, m * m)).kernel
+    kernel = densify(rref(IntegerRows.cleared(stacked, m * m)).kernel, m * m)
     return len(kernel), [RationalMatrix([vec[i * m:(i + 1) * m] for i in range(m)]) for vec in kernel]
 
 
@@ -238,6 +244,49 @@ def product_divisor(first, second) -> FreeDivisor:
         positive_combination=tuple(first.positive_combination) + tuple(second.positive_combination),
         factors=factors,
     )
+
+
+def pulled_back(d: FreeDivisor, rng: random.Random, moves: int = 4) -> FreeDivisor:
+    """d in the coordinates y with z = A y, for a seeded unimodular integer A
+    that mixes only variables of equal weight.
+
+    A is a product of elementary matrices I + k e_ij with w_i = w_j, so
+    det A = 1 and each (A y)_i is homogeneous of weight w_i.  f, the factors
+    and every frame field's coefficients are substituted, and each field is
+    mapped through A^-1: V'(y) = A^-1 V(A y).  The Euler field, the kinds,
+    the grades and the structure functions stay as they were, so the moduli
+    problem is the same one, written in other coordinates.
+    """
+    n, weights = d.n, d.weights
+    a = RationalMatrix.identity(n)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j and weights[i] == weights[j]]
+    for _ in range(moves if pairs else 0):
+        i, j = rng.choice(pairs)
+        rows = RationalMatrix.identity(n).row_list()
+        rows[i][j] = rng.choice((-2, -1, 1, 2))
+        a = RationalMatrix(rows) * a
+    a_inv = inverse(a)
+    zero = WeightedPoly.zero(weights)
+    images = [sum((a[i, k] * WeightedPoly.variable(k, weights) for k in range(n) if a[i, k]), zero) for i in range(n)]
+
+    def substituted(poly):
+        total = zero
+        for mono, c in poly.terms.items():
+            term = WeightedPoly.constant(c, weights)
+            for image, e in zip(images, mono):
+                if e:
+                    term = term * image ** e
+            total = total + term
+        return total
+
+    def field(v):
+        coeffs = [substituted(c) for c in v.coefficients]
+        return VectorFieldPoly(tuple(sum((a_inv[j, i] * coeffs[i] for i in range(n) if a_inv[j, i]), zero)
+                                     for j in range(n)))
+
+    return replace(d, name=f"{d.name}~pulled", f=substituted(d.f),
+                   frame=tuple(replace(e, field=field(e.field)) for e in d.frame),
+                   factors=None if d.factors is None else tuple(map(substituted, d.factors)))
 
 
 def divisor_named(name: str) -> FreeDivisor:

@@ -9,6 +9,7 @@ each group of emitted equations to one of the same rank.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +21,7 @@ from logres import MatrixPolyMap, ModuliPoint, RationalMatrix, catalog, check_po
 from logres.linear import IntegerRows, inverse, rref
 from logres.moduli import _span_coordinates
 
-from conftest import S01, assert_readings_agree, conjugated, diag, residue_for
+from conftest import S01, assert_readings_agree, conjugated, diag, pulled_back, residue_for
 
 CASES = (("cusp", diag(0, 1, 2)), ("sekiguchi_b5", diag(0, 1, 2)), ("borel2", diag(0, 1, 2)),
          ("normal_crossing_3", diag(0, 1, 2)), ("g2", S01), ("d4", S01))
@@ -135,23 +136,28 @@ def test_point_verdicts_are_gauge_invariant(drawn, seed):
 
 # --------------------------------------------------------- equation groups
 
+def rank_of(term_maps):
+    """Rank of the coefficient vectors of equations' terms, one sparse row each."""
+    column = {}
+    rows = [{column.setdefault(monomial, len(column)): coeff for monomial, coeff in terms.items()}
+            for terms in term_maps]
+    return rref(IntegerRows.cleared(rows, len(column))).rank
+
+
 def group_ranks(system):
     """Rank of the coefficient vectors of each (tag, frame slots, base monomial) group."""
     groups = {}
     for eq in system.equations:
         groups.setdefault((eq.tag, eq.frame_slots, eq.base_monomial), []).append(eq.terms)
-    ranks = {}
-    for key, group in groups.items():
-        column = {}
-        for terms in group:
-            for monomial in terms:
-                column.setdefault(monomial, len(column))
-        rows = [[0] * len(column) for _ in group]
-        for row, terms in zip(rows, group):
-            for monomial, coeff in terms.items():
-                row[column[monomial]] = coeff
-        ranks[key] = rref(IntegerRows.cleared(rows, len(column))).rank
-    return ranks
+    return {key: rank_of(group) for key, group in groups.items()}
+
+
+def fingerprint(system):
+    """The dimension of the span of all equations, and the rank of their linear
+    parts: the codimension of X's tangent space at the origin."""
+    terms = [eq.terms for eq in system.equations]
+    linear = [{monomial: coeff for monomial, coeff in t.items() if len(monomial) == 1} for t in terms]
+    return rank_of(terms), rank_of(linear)
 
 
 @settings(max_examples=20, deadline=None)
@@ -163,15 +169,16 @@ def test_equation_group_ranks_are_gauge_invariant(drawn):
     assert group_ranks(conjugate.system) == group_ranks(problem.system)
 
 
-@pytest.mark.parametrize("name, s, emitted, conjugate_emitted, rank", [
-    ("sekiguchi_b5", diag(0, 1, 2, 3), 122, 537, 118),
-    ("borel2", diag(0, 1, 2, 3), 49, 253, 49),
-    ("cusp", diag(0, 1, 2, 3), 16, 67, 16),
-    ("d4", diag(0, 1, 2), 45, 234, 45),
-    ("g2", S01, 2, 3, 2),
+@pytest.mark.parametrize("name, s, emitted, conjugate_emitted, rank, span, linear_rank", [
+    ("sekiguchi_b5", diag(0, 1, 2, 3), 122, 537, 118, 118, 59),
+    ("borel2", diag(0, 1, 2, 3), 49, 253, 49, 49, 14),
+    ("cusp", diag(0, 1, 2, 3), 16, 67, 16, 16, 3),
+    ("d4", diag(0, 1, 2), 45, 234, 45, 15, 0),
+    ("g2", S01, 2, 3, 2, 2, 0),
 ])
-def test_rank_sums_of_the_conjugated_residues(name, s, emitted, conjugate_emitted, rank):
-    # the ROADMAP table: conjugation multiplies the equations, not the rank
+def test_rank_sums_of_the_conjugated_residues(name, s, emitted, conjugate_emitted, rank, span, linear_rank):
+    # the ROADMAP table: conjugation multiplies the equations, not the rank,
+    # nor the span of all equations or the rank of their linear parts
     d = catalog(name)
     written = moduli_system(d, residue_for(d, s)).system
     conjugate = moduli_system(d, residue_for(d, conjugated(s, random.Random(name)))).system
@@ -179,3 +186,39 @@ def test_rank_sums_of_the_conjugated_residues(name, s, emitted, conjugate_emitte
     ranks = group_ranks(written)
     assert group_ranks(conjugate) == ranks
     assert sum(ranks.values()) == rank
+    assert fingerprint(written) == fingerprint(conjugate) == (span, linear_rank)
+
+# ------------------------------------------------- changes of coordinates
+
+@pytest.mark.parametrize("name, s, couples", [
+    ("normal_crossing_3", S01, True), ("normal_crossing_3", diag(0, 1, 2), True), ("normal_crossing_4", S01, True),
+    ("borel2", diag(0, 1, 2), True), ("g2", diag(0, 1), False), ("d4", diag(0, 1), True),
+])
+def test_solution_dimensions_survive_a_unimodular_change_of_coordinates(monkeypatch, name, s, couples):
+    # the character sieve leaves every block of a catalog solve trivial; in
+    # mixed coordinates the frame fields are no longer diagonal, so the solve
+    # hands block_kernel columns that share rows, and the dimensions per
+    # degree must come out as in the catalog's own coordinates.  The weights
+    # 3 of g2 leave it no monomial of degree 1, so its one solve, of degree
+    # 0, has no rows to share
+    import logres.moduli
+
+    d = catalog(name)
+    pulled = pulled_back(d, random.Random(name))
+    pulled.constants  # the frame analysis reduces through block_kernel too, so it runs first
+    coupled = []
+    block_kernel_at_import = logres.moduli.block_kernel
+
+    def recording_block_kernel(columns):
+        holders = Counter(key for column in columns for key in column)
+        coupled.append(any(count > 1 for count in holders.values()))
+        return block_kernel_at_import(columns)
+
+    monkeypatch.setattr(logres.moduli, "block_kernel", recording_block_kernel)
+    original, changed = moduli_system(d, residue_for(d, s)), moduli_system(pulled, residue_for(pulled, s))
+
+    def dimensions(problem):
+        return [space.dims_by_degree for space in problem.component_spaces + problem.correction_spaces]
+
+    assert dimensions(changed) == dimensions(original)
+    assert any(coupled) == couples

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from logres.linear import (
 )
 from logres.univariate import uni_evaluate, uni_squarefree_part
 
-from conftest import SystemResult, conjugated, diag, fraction_conjugated, solve_system, trace
+from conftest import SystemResult, conjugated, densify, diag, fraction_conjugated, solve_system, trace
 
 
 def test_rref_identity_solves_unit_vector():
@@ -46,7 +47,7 @@ def test_rref_kernel_spans_nullspace():
     assert result.rank == 1
     assert len(result.kernel) == 2
     for vec in result.kernel:
-        product = [sum(m[i, j] * vec[j] for j in range(3)) for i in range(2)]
+        product = [sum(m[i, j] * v for j, v in vec.items()) for i in range(2)]
         assert all(v == 0 for v in product)
 
 
@@ -151,10 +152,10 @@ def test_integer_eigenvalues_against_kernels(m):
 
 
 def dense_kernel(columns, ncols):
-    """The reference: rref of the dense matrix with one row per row key."""
+    """The reference: the Fraction oracle on the dense matrix with one row per row key."""
     keys = sorted({key for column in columns for key in column})
     rows = [[column.get(key, Fraction(0)) for column in columns] for key in keys]
-    return list(rref(RationalMatrix(rows or [[Fraction(0)] * ncols])).kernel)
+    return list(oracle_rref(RationalMatrix(rows or [[Fraction(0)] * ncols])).kernel)
 
 
 def assert_block_kernel_matches(columns):
@@ -163,8 +164,7 @@ def assert_block_kernel_matches(columns):
     for vec in vectors:
         assert list(vec) == sorted(vec)
         assert all(v != 0 for v in vec.values())
-    densified = [tuple(vec.get(j, Fraction(0)) for j in range(ncols)) for vec in vectors]
-    assert densified == dense_kernel(columns, ncols)
+    assert list(densify(vectors, ncols)) == dense_kernel(columns, ncols)
 
 
 def col(**entries):
@@ -200,14 +200,14 @@ def test_block_kernel_empty_row_set():
 
 @pytest.fixture
 def rref_calls(monkeypatch):
-    """The column count of each block reduced through the ``logres.linear.rref`` name."""
+    """The (rows, columns) of each reduction made through the ``logres.linear.rref`` name."""
     import logres.linear
 
     calls = []
     rref_at_import = logres.linear.rref
 
     def counting_rref(*args):
-        calls.append(args[0].cols)
+        calls.append((args[0].rows, args[0].cols))
         return rref_at_import(*args)
 
     monkeypatch.setattr(logres.linear, "rref", counting_rref)
@@ -242,17 +242,19 @@ def test_block_kernel_counts_only_nonzero_entries():
 def test_block_kernel_reduces_no_lone_column(rref_calls):
     # columns 0, 1, 2 and 4 are blocks of one column each: 0 and 4 hold a
     # nonzero value and are pivots, 1 and 2 hold only zeros and are free, like
-    # the empty column 5; only the block of columns 3 and 6 is reduced
+    # the empty column 5; the block of columns 3 and 6 has a kernel vector.
+    # All seven columns go to rref in one call, which needs no rule for a
+    # lone column: its rows meet no other column's
     columns = [col(a=1), {"b": 0}, {"c": 0, "d": Fraction(0)}, col(e=1, f=2), col(g=-3, h=1), col(), col(e=2, f=4)]
     assert block_kernel(columns) == [{1: 1}, {2: 1}, {5: 1}, {3: -2, 6: 1}]
-    assert rref_calls == [2]
+    assert [cols for _, cols in rref_calls] == [7]
     assert_block_kernel_matches(columns)
 
 
 def test_block_kernel_makes_no_reduction_on_the_torus_inputs(rref_calls):
     # a structural count: on these normal crossings the character sieve of
-    # the slot solve keeps only candidates whose residual column is empty, and
-    # block_kernel makes each empty column a free block of its own without rref
+    # the slot solve keeps only candidates whose residual column is empty, so
+    # every rref call that block_kernel makes gets no rows, and each column is free
     from logres import catalog, moduli_system
 
     from conftest import S01, residue_for
@@ -262,7 +264,7 @@ def test_block_kernel_makes_no_reduction_on_the_torus_inputs(rref_calls):
         d = catalog(name)
         problem = moduli_system(d, residue_for(d, s))
         assert problem.system.coordinates  # the solves did keep vectors
-    assert rref_calls == []
+    assert rref_calls and all(rows == 0 for rows, _ in rref_calls)
 
 
 @st.composite
@@ -382,6 +384,9 @@ def oracle_is_semisimple(a):
 
 
 def assert_same_result(result, expected):
+    """``result`` equals the oracle's ``expected``, an ``RrefResult``'s sparse kernel read densely."""
+    if isinstance(result, RrefResult):
+        result = replace(result, kernel=densify(result.kernel, result.rank + len(result.kernel)))
     assert result == expected  # every field
     scalars = [v for vec in result.kernel for v in vec] + list(getattr(result, "solution", None) or ())
     assert all(type(v) is Fraction for v in scalars)
@@ -425,13 +430,33 @@ def test_rref_matches_the_fraction_oracle_on_seeded_matrices():
         # the matrix itself, or the [matrix | -rhs] that solve_system reduces, from cleared rows
         rows = matrix.row_list() if rhs is None else [row + [-v] for row, v in zip(matrix.row_list(), rhs)]
         direct = rref(IntegerRows.cleared(rows, len(rows[0])))
-        assert_same_result(direct, rref(RationalMatrix(rows)))
+        assert direct == rref(RationalMatrix(rows))
         assert_same_result(direct, oracle_rref(RationalMatrix(rows)))
         if rhs is not None:
             seen["inconsistent" if result.inconsistent else "consistent"] += 1
         seen["kernel"] += bool(result.kernel)
         seen["large"] += any(abs(v) > 10**20 for v in matrix.flatten())
     assert all(seen.values()), seen
+
+
+def test_rref_is_unchanged_by_a_seeded_row_shuffle():
+    # the pivot of a column is the shortest row that holds it, the lowest
+    # index first; the reduced form is unique, so neither choice may show
+    rng = random.Random(31)
+    for _ in range(300):
+        matrix, _ = random_rref_case(rng)
+        rows = IntegerRows.cleared(matrix.entries, matrix.cols).entries
+        assert rref(IntegerRows(rng.sample(rows, len(rows)), matrix.cols)) == rref(matrix)
+
+
+def test_rref_leaves_the_callers_rows_unchanged():
+    rng = random.Random(32)
+    for _ in range(300):
+        matrix, _ = random_rref_case(rng)
+        rows = IntegerRows.cleared(matrix.entries, matrix.cols).entries
+        before = [list(row.items()) for row in rows]
+        rref(IntegerRows(rows, matrix.cols))
+        assert [list(row.items()) for row in rows] == before
 
 
 def test_rref_matches_the_fraction_oracle_on_the_hilbert_matrix():
@@ -452,9 +477,11 @@ def test_rref_matches_the_fraction_oracle_on_the_hilbert_matrix():
 def test_rref_on_integer_rows_of_degenerate_shapes():
     # no rows: every column is free; with no coefficient column, the system of no
     # equations is solved by zero, and 0 = 3 is inconsistent
-    assert rref(IntegerRows([], 2)).kernel == ((1, 0), (0, 1))
-    assert rref(IntegerRows([], 1)).kernel == ((1,),)
-    assert rref(IntegerRows([[3]], 1)).kernel == ()
+    assert rref(IntegerRows([], 2)).kernel == ({0: 1}, {1: 1})
+    assert rref(IntegerRows([], 1)).kernel == ({0: 1},)
+    assert rref(IntegerRows([{0: 3}], 1)).kernel == ()
+    # an empty row is a zero row, and a column past every row's entries is free
+    assert rref(IntegerRows([{}, {1: 2}], 3)) == RrefResult(rank=1, pivots=(1,), kernel=({0: 1}, {2: 1}))
 
 
 def test_block_kernel_matches_the_oracle_on_mixed_int_and_fraction_columns():
@@ -468,8 +495,8 @@ def test_block_kernel_matches_the_oracle_on_mixed_int_and_fraction_columns():
         assert all(type(v) is Fraction for vec in vectors for v in vec.values())
         keys = sorted({key for column in columns for key in column})
         dense = RationalMatrix([[column.get(key, 0) for column in columns] for key in keys] or [[0] * ncols])
-        densified = [tuple(vec.get(j, Fraction(0)) for j in range(ncols)) for vec in vectors]
-        assert densified == list(oracle_rref(dense).kernel) == list(rref(dense).kernel)
+        assert list(densify(vectors, ncols)) == list(oracle_rref(dense).kernel)
+        assert vectors == list(rref(dense).kernel)
 
 
 def random_square(rng):

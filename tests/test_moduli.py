@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -1035,57 +1034,36 @@ def test_moduli_system_applies_fields_without_polynomial_products(monkeypatch):
     assert moduli_system(d, residue).system.equations
 
 
-def key_blocks(columns):
-    """The number of connected blocks of two or more columns: the row keys
-    joined through the columns that share them."""
-    parent = {}
-
-    def root(key):
-        while parent[key] != key:
-            key = parent[key]
-        return key
-
-    for column in columns:
-        keys = list(column)
-        for key in keys:
-            parent.setdefault(key, key)
-        for key in keys[1:]:
-            parent[root(key)] = root(keys[0])
-    sizes = Counter(root(next(iter(column))) for column in columns if column)
-    return sum(size > 1 for size in sizes.values())
-
-
 def test_every_solve_block_is_reduced_through_the_rref_name(monkeypatch):
-    # a tracer sees the block reductions by rebinding logres.linear.rref, so
-    # block_kernel must look that name up once per connected block of two or
-    # more columns (a lone column needs no reduction); g2 with the sl2 chi
-    # keeps such a block, while the sieve leaves normal_crossing_4 diag(0,2)
-    # no column with entries
+    # a tracer sees the solves by rebinding logres.linear.rref, so
+    # block_kernel must look that name up exactly once per call; g2 with the
+    # sl2 chi hands it rows, while the sieve leaves normal_crossing_4
+    # diag(0,2) no column with entries, so its calls get none
     import logres.linear
     import logres.moduli
 
-    calls, expected = [], []
+    calls, made = [], []
     rref_at_import, block_kernel_at_import = logres.linear.rref, logres.linear.block_kernel
 
     def counting_rref(*args):
-        calls.append(args[0].cols)
+        calls.append(args[0].rows)
         return rref_at_import(*args)
 
     def counting_block_kernel(columns):
         before = len(calls)
         vectors = block_kernel_at_import(columns)
-        expected.append((key_blocks(columns), len(calls) - before))
+        made.append(calls[before:])
         return vectors
 
     monkeypatch.setattr(logres.linear, "rref", counting_rref)
     monkeypatch.setattr(logres.moduli, "block_kernel", counting_block_kernel)
     for name, residue, reduces in [("g2", lambda d: residue_for(d, ZERO2, chi_value=(CHI_H, CHI_E, CHI_F)), True),
                                    ("normal_crossing_4", lambda d: residue_for(d, diag(0, 2)), False)]:
-        expected.clear()
+        made.clear()
         d = catalog(name)
         moduli_system(d, residue(d))
-        assert expected and all(blocks == made for blocks, made in expected)
-        assert (sum(made for _, made in expected) > 0) == reduces
+        assert made and all(len(rows) == 1 for rows in made)
+        assert any(rows[0] for rows in made) == reduces
 
 
 def test_the_character_sieve_leaves_three_correction_columns(monkeypatch):
