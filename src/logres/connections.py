@@ -9,18 +9,34 @@ with c_ij^k the frame structure functions and [,]_c the plain commutator.
 The sign of the last term carries the right-invariant convention for frame
 fields and is pinned by the normal-form fixtures in the test suite; flipping
 it breaks the flatness of every assembled normal-form connection.
+
+``curvature`` and ``is_flat`` share one kernel.  The denominators of the
+components are cleared once per connection: with D the lcm of every
+coefficient's denominator, W_k = D * w_k holds integers, and each pair sums
+D^2 * R_ij = D * (V_i(W_j) - V_j(W_i) - sum_k c_ij^k W_k) - [W_i, W_j] into
+one dict per matrix entry, the field images read from ``on_monomial`` and
+the commutator a row-by-row sparse product.  The zero test reads those
+sums; a residual ``MatrixPolyMap`` (the sums over D^2) is built only for a
+pair that is returned.  This module does not import ``moduli``, whose
+emission kernel ``check_point`` cross-checks against this one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from math import lcm
+from operator import add
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .divisor import FreeDivisor, VectorFieldPoly
 from .linear import RationalMatrix
-from .polynomials import WeightedPoly
-from .univariate import power
+from .polynomials import Monomial, WeightedPoly
+from .univariate import as_scalar, power
+
+_Scalar = Union[int, Fraction]
+_Term = Tuple[int, Monomial, int]  # (column, monomial, integer coefficient) of one row of a cleared map
+_Rows = Tuple[Tuple[_Term, ...], ...]  # the rows of one cleared map
 
 
 class MatrixPolyMap:
@@ -103,15 +119,18 @@ class MatrixPolyMap:
         return MatrixPolyMap._of([[a * factor for a in row] for row in self.entries])
 
     def matmul(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
+        """The product, row by row: each output entry's terms are summed in one dict."""
         self._check_size(other)
-        zero = WeightedPoly._of(self.weights, {})
-        out = [[zero] * self.size for _ in self.entries]
-        for i, row in enumerate(self.entries):
-            for s, a in enumerate(row):
-                if a:
-                    for j, b in enumerate(other.entries[s]):
-                        if b:
-                            out[i][j] = out[i][j] + a * b
+        out = []
+        for row in self.entries:
+            sums: List[Dict[Monomial, Fraction]] = [{} for _ in row]
+            for a, right in zip(row, other.entries):
+                for m1, c1 in a.terms.items():
+                    for entry, b in zip(sums, right):
+                        for m2, c2 in b.terms.items():
+                            key = tuple(map(add, m1, m2))
+                            entry[key] = entry[key] + c1 * c2 if key in entry else c1 * c2
+            out.append([WeightedPoly._of(self.weights, entry) for entry in sums])
         return MatrixPolyMap._of(out)
 
     def commutator(self, other: "MatrixPolyMap") -> "MatrixPolyMap":
@@ -154,20 +173,69 @@ class LogConnection:
             raise ValueError("components live in the wrong polynomial ring")
 
 
-def _pair_curvature(conn: LogConnection, i: int, j: int) -> MatrixPolyMap:
+def _cleared(conn: LogConnection) -> Tuple[int, Tuple[_Rows, ...]]:
+    """D, the lcm of the denominators of every component coefficient, and the
+    integer map W_k = D * w_k of each component, as the (column, monomial,
+    coefficient) terms of each of its rows."""
+    scale = lcm(*(coeff.denominator for comp in conn.components for row in comp.entries
+                  for entry in row for coeff in entry.terms.values()))
+    return scale, tuple(tuple(tuple((c, mono, coeff.numerator * (scale // coeff.denominator))
+                                    for c, entry in enumerate(row) for mono, coeff in entry.terms.items())
+                              for row in comp.entries)
+                        for comp in conn.components)
+
+
+def _pair_sums(conn: LogConnection, scale: int, rows: Sequence[_Rows], i: int,
+               j: int) -> List[Dict[Monomial, _Scalar]]:
+    """D^2 * R_ij, one dict of monomial -> coefficient per entry r * m + c (zero sums kept).
+
+    With W = D * w this is D * (V_i(W_j) - V_j(W_i) - sum_k c_ij^k W_k) - [W_i, W_j],
+    summed in one pass: the field images come from ``on_monomial`` and the
+    commutator is a row-by-row sparse product (Gustavson, ACM TOMS 4, 1978).
+    """
     d = conn.divisor
-    comp = conn.components
-    term = comp[j].apply_field(d.frame[i].field) - comp[i].apply_field(d.frame[j].field)
-    for k, c in enumerate(d.structure.coefficients(i, j)):
-        if not c.is_zero():
-            term = term - comp[k].scale(c)
-    return term - comp[i].commutator(comp[j])
+    m = len(rows[0])
+    sums: List[Dict[Monomial, _Scalar]] = [{} for _ in range(m * m)]
+    for field, k, sign in ((d.frame[i].field, j, scale), (d.frame[j].field, i, -scale)):
+        for r, row in enumerate(rows[k]):
+            for c, mono, a in row:
+                entry = sums[r * m + c]
+                for key, e in field.on_monomial(mono).items():
+                    entry[key] = entry.get(key, 0) + sign * a * e
+    for k, poly in enumerate(d.structure.coefficients(i, j)):
+        if not poly:
+            continue
+        factors = [(shift, -scale * as_scalar(coeff)) for shift, coeff in poly.terms.items()]
+        for r, row in enumerate(rows[k]):
+            for c, mono, a in row:
+                entry = sums[r * m + c]
+                for shift, f in factors:
+                    key = tuple(map(add, mono, shift))
+                    entry[key] = entry.get(key, 0) + f * a
+    for left, right, sign in ((rows[i], rows[j], -1), (rows[j], rows[i], 1)):
+        for r, row in enumerate(left):
+            for s, mono_a, a in row:
+                for c, mono_b, b in right[s]:
+                    entry = sums[r * m + c]
+                    key = tuple(map(add, mono_a, mono_b))
+                    entry[key] = entry.get(key, 0) + sign * a * b
+    return sums
+
+
+def _residual(conn: LogConnection, scale: int, sums: List[Dict[Monomial, _Scalar]]) -> MatrixPolyMap:
+    """R_ij from its entry sums: each coefficient divided by D^2."""
+    m, square = conn.components[0].size, scale * scale
+    entries = [WeightedPoly._of(conn.divisor.weights, {mono: Fraction(v, square) for mono, v in entry.items()})
+               for entry in sums]
+    return MatrixPolyMap._of([entries[r * m:(r + 1) * m] for r in range(m)])
 
 
 def curvature(conn: LogConnection) -> Dict[Tuple[int, int], MatrixPolyMap]:
     """Curvature components R(V_i, V_j) for every frame pair i < j."""
     n = conn.divisor.n
-    return {(i, j): _pair_curvature(conn, i, j) for i in range(n) for j in range(i + 1, n)}
+    scale, rows = _cleared(conn)
+    return {(i, j): _residual(conn, scale, _pair_sums(conn, scale, rows, i, j))
+            for i in range(n) for j in range(i + 1, n)}
 
 
 @dataclass(frozen=True)
@@ -181,12 +249,14 @@ def is_flat(conn: LogConnection) -> FlatnessReport:
     """Exact flatness test; reports the first nonvanishing curvature pair.
 
     Pairs are taken in (i, j) order and the test stops at the first curved
-    one, so a non-flat connection does not pay for the rest.
+    one, so a non-flat connection does not pay for the rest; only that pair's
+    residual is built.
     """
     n = conn.divisor.n
+    scale, rows = _cleared(conn)
     for i in range(n):
         for j in range(i + 1, n):
-            component = _pair_curvature(conn, i, j)
-            if not component.is_zero():
-                return FlatnessReport(flat=False, witness=(i, j), residual=component)
+            sums = _pair_sums(conn, scale, rows, i, j)
+            if any(v for entry in sums for v in entry.values()):
+                return FlatnessReport(flat=False, witness=(i, j), residual=_residual(conn, scale, sums))
     return FlatnessReport(flat=True, witness=None, residual=None)

@@ -112,6 +112,11 @@ class SolutionSpace:
         return sum(count for degree, count in self.dims_by_degree.items() if degree > 0)
 
     @cached_property
+    def pivots(self) -> Tuple[Tuple[int, int, Monomial], ...]:
+        """Each element's pivot as its (row, column, monomial) key, found once."""
+        return tuple(max(terms, key=lambda term: (term[2], term[0], term[1]))[:3] for _, terms in self.elements)
+
+    @cached_property
     def basis(self) -> Tuple[MatrixPolyMap, ...]:
         maps = []
         for _, terms in self.elements:
@@ -645,8 +650,7 @@ def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fract
     if target.size != space.matrix_size:
         raise MembershipError("matrix size mismatch")
     given = {(r, c, mono): coeff for r, c, mono, coeff in _terms(target)}
-    values = [given.get(max(terms, key=lambda term: (term[2], term[0], term[1]))[:3], 0)
-              for _, terms in space.elements]
+    values = [given.get(pivot, 0) for pivot in space.pivots]
     rebuilt = Counter()
     for value, (_, terms) in zip(values, space.elements):
         for r, c, mono, coeff in terms:

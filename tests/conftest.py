@@ -78,6 +78,17 @@ def oracle_span_coordinates(space, target: MatrixPolyMap) -> List[Fraction]:
     return list(kernel[-1][:width])
 
 
+def oracle_pair_curvature(conn, i: int, j: int) -> MatrixPolyMap:
+    """R_ij = V_i(w_j) - V_j(w_i) - sum_k c_ij^k w_k - [w_i, w_j], composed from
+    whole ``MatrixPolyMap``s: the reference for ``connections``' one-pass kernel."""
+    d, comp = conn.divisor, conn.components
+    term = comp[j].apply_field(d.frame[i].field) - comp[i].apply_field(d.frame[j].field)
+    for k, c in enumerate(d.structure.coefficients(i, j)):
+        if not c.is_zero():
+            term = term - comp[k].scale(c)
+    return term - comp[i].commutator(comp[j])
+
+
 def assert_readings_agree(problem, rng: random.Random, moves: int = 6) -> None:
     """``_span_coordinates`` and ``oracle_span_coordinates`` agree on every space of a problem.
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from logres import MatrixPolyMap, catalog, moduli_system, serialize
+from logres import MatrixPolyMap, ModuliPoint, assemble_connection, catalog, moduli_system, serialize
 from logres import cli
 from logres.cli import main
 from logres.connections import LogConnection
@@ -461,6 +461,50 @@ def test_jordan_multiplicative_stdout_is_unchanged(capsys, tmp_path, fmt):
     code, out, _ = run(capsys, "jordan", "--matrix", path, "--mode", "multiplicative", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == JORDAN_MULTIPLICATIVE_STDOUT[fmt]
+
+
+# the check-flat and check-point inputs: a seeded point with mixed denominators
+# (thirds on cusp, halves and thirds on sekiguchi_b5) in the component spaces and
+# zero corrections; cusp's is flat and in the variety, sekiguchi_b5's is neither
+CHECK_INPUTS = {"cusp": diag(0, 1, 2), "sekiguchi_b5": S01}
+# sha256 of check-flat's stdout on each input's assembled connection and of
+# check-point's stdout on the point, frozen before the curvature kernel was rewritten
+CHECK_STDOUT = {
+    ("check-flat", "cusp", "json"): "365febad2e10b745b5e416c55a23d4b7e67173073470dd2889b89a6a5ed7baec",
+    ("check-flat", "cusp", "text"): "380c64eed59170e20730116a938491ea50538f58fed1e20d9c9d837232cee67d",
+    ("check-flat", "sekiguchi_b5", "json"): "00035f1115818b81dc9f025f3dafb5a618b99ce0b846cd2c6a636b7257bdda04",
+    ("check-flat", "sekiguchi_b5", "text"): "c15231d312d70142b5bf4bca5827aaed0ce7947dbe4d087769e2a4bbfac87932",
+    ("check-point", "cusp", "json"): "244976ab490c21372f37b3f38a4dfbc38d5fdf7aeb1d6ce9385104240ca4ba96",
+    ("check-point", "cusp", "text"): "ccd49eeef13412262e6f6a2f54ff5f379f7bbd4dfc8ebdffc936e6b06c1b2136",
+    ("check-point", "sekiguchi_b5", "json"): "14ea191b91f9dac1acb8d062356d29815f367601b1c716d90c8baa2b549e3050",
+    ("check-point", "sekiguchi_b5", "text"): "7157324fd2b86a9c2eac01a98fb4385dd2efd2cc44d7f4cc4a5632f20bc76e8d",
+}
+
+
+@pytest.mark.parametrize("command, name, fmt", sorted(CHECK_STDOUT))
+def test_check_flat_and_check_point_stdout_is_unchanged(capsys, tmp_path, command, name, fmt):
+    d = catalog(name)
+    residue = residue_for(d, CHECK_INPUTS[name])
+    problem = moduli_system(d, residue)
+    rng = random.Random(3)
+    components = []
+    for space in problem.component_spaces:
+        total = MatrixPolyMap.zeros(space.matrix_size, d.weights)
+        for element in space.basis:
+            total = total + element.scale(rand_fraction(rng))
+        components.append(total)
+    zero = MatrixPolyMap.zeros(residue.matrix_size, d.weights)
+    point = ModuliPoint(tuple(components), (zero,) * len(problem.correction_spaces))
+    if command == "check-flat":
+        connection = serialize.connection_to_json(assemble_connection(d, residue, point, problem))
+        argv = ("--connection", write_json(tmp_path / "connection.json", connection))
+    else:
+        residue_path = write_json(tmp_path / "residue.json", serialize.residue_to_json(residue))
+        argv = ("--catalog", name, "--residue", residue_path,
+                "--point", write_json(tmp_path / "point.json", serialize.point_to_json(point)))
+    code, out, _ = run(capsys, command, *argv, "--format", fmt)
+    assert code == (0 if name == "cusp" else 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_STDOUT[command, name, fmt]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

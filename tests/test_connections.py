@@ -6,14 +6,18 @@ import pytest
 from logres import (
     LogConnection,
     MatrixPolyMap,
+    ModuliPoint,
     RationalMatrix,
     WeightedPoly,
+    assemble_connection,
     catalog,
     curvature,
     is_flat,
+    moduli_system,
 )
 
-from conftest import S01, diag, rand_fraction
+from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, diag, divisor_named, oracle_pair_curvature, rand_fraction,
+                      residue_for)
 
 
 def constant(matrix, divisor):
@@ -165,3 +169,75 @@ def test_is_flat_reports_the_first_curved_pair_of_curvature(conn):
     assert not report.flat
     assert report.witness == pair
     assert report.residual == component
+
+
+def assert_kernel_matches_oracle(conn) -> bool:
+    """``curvature`` and ``is_flat`` against ``oracle_pair_curvature`` on every pair; True when flat.
+
+    Every component must be the oracle's map, with ``Fraction`` coefficients,
+    and ``is_flat`` must name the oracle's first curved pair and its map.
+    """
+    n = conn.divisor.n
+    expected = {(i, j): oracle_pair_curvature(conn, i, j) for i in range(n) for j in range(i + 1, n)}
+    got = curvature(conn)
+    assert got == expected
+    assert all(type(c) is Fraction for comp in got.values() for row in comp.entries for p in row
+               for c in p.terms.values())
+    curved = [pair for pair in sorted(expected) if not expected[pair].is_zero()]
+    report = is_flat(conn)
+    if curved:
+        assert (report.flat, report.witness, report.residual) == (False, curved[0], expected[curved[0]])
+    else:
+        assert (report.flat, report.witness, report.residual) == (True, None, None)
+    return not curved
+
+
+# label -> (divisor, S, chi): the 13 criterion-3 problems and one product divisor
+POINT_PROBLEMS = {f"{name}/{tag}": (name, s, "auto") for name in ("cusp", "normal_crossing_2", "borel2", "g2", "d4",
+                                                                  "sekiguchi_b5")
+                  for tag, s in (("0", ZERO2), ("S01", S01))}
+POINT_PROBLEMS["g2/0+sl2"] = ("g2", ZERO2, (CHI_H, CHI_E, CHI_F))
+POINT_PROBLEMS["cusp*normal_crossing_2/S01"] = ("cusp*normal_crossing_2", S01, "auto")
+
+
+@pytest.mark.parametrize("label", list(POINT_PROBLEMS))
+def test_curvature_kernel_equals_the_oracle_at_seeded_points(label):
+    name, s, chi = POINT_PROBLEMS[label]
+    d = divisor_named(name)
+    residue = residue_for(d, s, chi_value=chi)
+    problem = moduli_system(d, residue)
+    rng = random.Random(f"curvature:{label}")
+
+    def sample(space):
+        total = MatrixPolyMap.zeros(space.matrix_size, d.weights)
+        for element in space.basis:
+            if rng.random() < 2 / 3:
+                total = total + element.scale(rand_fraction(rng))
+        return total
+
+    for _ in range(4):
+        point = ModuliPoint(tuple(map(sample, problem.component_spaces)), tuple(map(sample, problem.correction_spaces)))
+        assert_kernel_matches_oracle(assemble_connection(d, residue, point, problem))
+
+
+def _seeded_map(rng, m, weights, den):
+    """About half the entries zero, the others one to three terms with exponents up to 2 and coefficients over den."""
+    def entry():
+        if rng.random() < 0.5:
+            return WeightedPoly.zero(weights)
+        return WeightedPoly(weights, {tuple(rng.randint(0, 2) for _ in weights): Fraction(rng.randint(-6, 6), den)
+                                      for _ in range(rng.randint(1, 3))})
+    return MatrixPolyMap([[entry() for _ in range(m)] for _ in range(m)])
+
+
+@pytest.mark.parametrize("name", ["borel2", "sekiguchi_b5", "g2", "cusp*normal_crossing_2"])
+def test_curvature_kernel_equals_the_oracle_with_mixed_denominators(name):
+    # borel2 and sekiguchi_b5 have nonzero c_ij^k; component k has denominator 1, 2, 3, 5 or 7
+    d = divisor_named(name)
+    rng = random.Random(f"denominators:{name}")
+    flat = []
+    for trial in range(6):
+        m = 2 + trial % 2
+        maps = tuple(_seeded_map(rng, m, d.weights, den) for den in (1, 2, 3, 5, 7)[:d.n])
+        flat.append(assert_kernel_matches_oracle(LogConnection(d, maps)))
+    assert not any(flat)

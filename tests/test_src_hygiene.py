@@ -94,3 +94,16 @@ def test_only_moduli_system_calls_the_private_solves():
     callers = sorted(getattr(node, "name", f"{module}:{node.lineno}") for module, node, names in statements()
                      if names & solves and getattr(node, "name", None) not in solves)
     assert callers == ["moduli_system"]
+
+
+def test_connections_imports_nothing_from_moduli():
+    # check_point cross-checks the emission kernel ``moduli._products`` against
+    # ``connections``' own curvature kernel, so the two must stay independent
+    tree = ast.parse((SRC / "connections.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.extend([node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names])
+    assert [name for name in imported if "moduli" in name.split(".")] == []
