@@ -118,14 +118,20 @@ def test_public_constructors_check_and_the_arithmetic_trusts(cusp, seki, monkeyp
         a.scale(WeightedPoly.variable(0, seki.weights))
 
 
-def _sparse_map(rng, m, weights):
-    """A seeded map with some whole rows and columns zero and about half the other entries zero."""
+def _sparse_map(rng, m, weights, den=None):
+    """A seeded map with some whole rows and columns zero and about half the other entries zero.
+
+    An entry has one to three terms, with exponents up to 2 in the first
+    variable and up to 1 in the others, and coefficients from ``rand_fraction``
+    or, when ``den`` is given, over ``den``.
+    """
     zero_rows, zero_cols = ({k for k in range(m) if rng.random() < 0.3} for _ in range(2))
 
     def entry(r, c):
         if r in zero_rows or c in zero_cols or rng.random() < 0.5:
             return WeightedPoly.zero(weights)
-        return WeightedPoly(weights, {(rng.randint(0, 2), rng.randint(0, 1)): rand_fraction(rng)
+        return WeightedPoly(weights, {tuple(rng.randint(0, 1 if k else 2) for k in range(len(weights))):
+                                      rand_fraction(rng) if den is None else Fraction(rng.randint(-6, 6), den)
                                       for _ in range(rng.randint(1, 3))})
     return MatrixPolyMap([[entry(r, c) for c in range(m)] for r in range(m)])
 
@@ -220,16 +226,6 @@ def test_curvature_kernel_equals_the_oracle_at_seeded_points(label):
         assert_kernel_matches_oracle(assemble_connection(d, residue, point, problem))
 
 
-def _seeded_map(rng, m, weights, den):
-    """About half the entries zero, the others one to three terms with exponents up to 2 and coefficients over den."""
-    def entry():
-        if rng.random() < 0.5:
-            return WeightedPoly.zero(weights)
-        return WeightedPoly(weights, {tuple(rng.randint(0, 2) for _ in weights): Fraction(rng.randint(-6, 6), den)
-                                      for _ in range(rng.randint(1, 3))})
-    return MatrixPolyMap([[entry() for _ in range(m)] for _ in range(m)])
-
-
 @pytest.mark.parametrize("name", ["borel2", "sekiguchi_b5", "g2", "cusp*normal_crossing_2"])
 def test_curvature_kernel_equals_the_oracle_with_mixed_denominators(name):
     # borel2 and sekiguchi_b5 have nonzero c_ij^k; component k has denominator 1, 2, 3, 5 or 7
@@ -238,6 +234,6 @@ def test_curvature_kernel_equals_the_oracle_with_mixed_denominators(name):
     flat = []
     for trial in range(6):
         m = 2 + trial % 2
-        maps = tuple(_seeded_map(rng, m, d.weights, den) for den in (1, 2, 3, 5, 7)[:d.n])
+        maps = tuple(_sparse_map(rng, m, d.weights, den) for den in (1, 2, 3, 5, 7)[:d.n])
         flat.append(assert_kernel_matches_oracle(LogConnection(d, maps)))
     assert not any(flat)
