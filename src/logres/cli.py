@@ -212,8 +212,11 @@ def cmd_emit_moduli(args) -> int:
     if args.format == "text":
         # json never prints these lines, so only text formats the equations
         names = problem.system.coordinate_names
-        human = [
-            f"divisor: {d.name}",
+        human = [f"divisor: {d.name}"]
+        if problem.system.gauge is not None:
+            # the entries below are in the basis of P's columns
+            human.append("gauge: " + "; ".join(" ".join(map(str, row)) for row in problem.system.gauge.entries))
+        human += [
             f"coordinates ({len(names)}): " + ", ".join(names),
             f"equations ({len(problem.system.equations)}):",
         ]

@@ -247,6 +247,51 @@ class ResidueData:
         return out
 
     @cached_property
+    def weight_form(self) -> Optional[Tuple[RationalMatrix, ResidueData]]:
+        """P and the gauged residue P^-1 (S, chi) P when some S_i is not diagonal and every S_i is
+        diagonalizable over Q, else None.
+
+        Each rational eigenvalue of S_i is ``integer_eigenvalues(D * S_i) / D``, D the lcm of its
+        denominators.  The joint eigenspaces are refined one distinct S_i at a time, each the ``rref``
+        kernel of the stacked rows of S_j - lambda_j, and they fill Q^m exactly when the S_i are
+        simultaneously diagonalizable over Q.  Their kernel vectors are the columns of P, ordered by the
+        grading element's eigenvalue sum_i c_i lambda_i, then by (lambda_1, ..., lambda_k), then in
+        kernel order; so P^-1 S_i P is diagonal, and a conjugate of a diagonal residue whose grading
+        element has increasing entries is gauged back to that residue.
+        """
+        m, classes = self.matrix_size, self.value_classes[:self.k]
+        if all(not v for s in self.s_list for i, row in enumerate(s.entries) for j, v in enumerate(row) if i != j):
+            return None
+        distinct = sorted(set(classes))
+        blocks = [((), [], ())]  # per joint eigenspace: the distinct S's eigenvalues, the stacked rows, the kernel
+        for k in distinct:
+            s = self.s_list[k]
+            scale = clear_denominators(s.flatten())[0]
+            eigenvalues = [Fraction(e, scale) for e in integer_eigenvalues(scale * s)]
+            refined = []
+            for lams, rows, _ in blocks:
+                for lam in eigenvalues:
+                    more = rows + [row[:i] + (row[i] - lam,) + row[i + 1:] for i, row in enumerate(s.entries)]
+                    kernel = rref(IntegerRows.cleared(more, m)).kernel
+                    if kernel:
+                        refined.append((lams + (lam,), more, kernel))
+            blocks = refined
+        if sum(len(kernel) for _, _, kernel in blocks) != m:
+            return None
+        columns = []  # ((grading eigenvalue, eigenvalue of each S_i), kernel vector)
+        for lams, _, kernel in blocks:
+            eigenvalues = tuple(lams[distinct.index(c)] for c in classes)
+            grading = sum(c * e for c, e in zip(self.positive_combination, eigenvalues))
+            columns += [((grading, eigenvalues), vec) for vec in kernel]
+        columns.sort(key=lambda column: column[0])  # stable, so each block keeps its kernel order
+        p = RationalMatrix([[vec.get(r, 0) for _, vec in columns] for r in range(m)])
+        p_inv = inverse(p)
+        s_list = tuple(RationalMatrix([[key[1][i] if r == c else 0 for c in range(m)]
+                                       for r, (key, _) in enumerate(columns)]) for i in range(self.k))
+        chi = tuple(p_inv * y * p for y in self.chi) if self.chi is not None else None
+        return p, ResidueData(s_list=s_list, positive_combination=self.positive_combination, chi=chi)
+
+    @cached_property
     def validity(self) -> ResidueReport:
         """The verdict of ``validate_residue`` short of the chi constants."""
         m = self.matrix_size

@@ -53,7 +53,7 @@ independent computation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import groupby
@@ -64,7 +64,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
 from .divisor import DivisorError, FreeDivisor
 from .liealg import ResidueData, validate_residue
-from .linear import IntegerRows, RationalMatrix, block_kernel, rref
+from .linear import IntegerRows, RationalMatrix, block_kernel, inverse, rref
 from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree, terms_text
 from .univariate import as_fraction, as_scalar, clear_denominators, power
 
@@ -88,12 +88,16 @@ class SolutionSpace:
     Each element is 1 at its pivot, its largest (monomial, row, column), where every other
     element is 0: it is an ``rref`` kernel vector over the candidates z^a * M, ordered by
     monomial, then eigenmatrix, and each M is one too, 1 at its last nonzero entry.
+    ``gauge`` is the P of ``ResidueData.weight_form`` when the space was solved for the
+    gauged residue, and None otherwise: ``elements`` and ``pivots`` are then in the gauged
+    basis, while ``basis`` holds P * E * P^-1 for each element E, in the residue's own basis.
     """
 
     slot: Tuple[str, int]
     matrix_size: int
     weights: Tuple[int, ...]
     elements: Tuple[Tuple[int, Tuple[_Term, ...]], ...]
+    gauge: Optional[RationalMatrix] = None
 
     @property
     def dimension(self) -> int:
@@ -117,9 +121,16 @@ class SolutionSpace:
         return tuple(max(terms, key=lambda term: (term[2], term[0], term[1]))[:3] for _, terms in self.elements)
 
     @cached_property
+    def gauge_inverse(self) -> RationalMatrix:
+        """P^-1, read only when ``gauge`` is set."""
+        return inverse(self.gauge)
+
+    @cached_property
     def basis(self) -> Tuple[MatrixPolyMap, ...]:
         maps = []
         for _, terms in self.elements:
+            if self.gauge is not None:
+                terms = _conjugate(terms, self.gauge, self.gauge_inverse, len(self.weights))
             entries: List[List[dict]] = [[{} for _ in range(self.matrix_size)] for _ in range(self.matrix_size)]
             for r, c, mono, coeff in terms:
                 entries[r][c][mono] = coeff
@@ -158,6 +169,14 @@ def _terms(mp: MatrixPolyMap) -> List[_Term]:
     """The (row, column, monomial, coefficient) terms of a map, row-major."""
     return [(r, c, mono, as_scalar(coeff)) for r, row in enumerate(mp.entries)
             for c, entry in enumerate(row) for mono, coeff in entry.terms.items()]
+
+
+def _conjugate(terms: Iterable[_Term], left: RationalMatrix, right: RationalMatrix, n: int) -> List[_Term]:
+    """The terms of left * X * right, for X given by its terms over n variables."""
+    m = left.rows
+    value = {((), r, c, mono): coeff for r, c, mono, coeff in terms}
+    product = _matmul(m, _matmul(m, _constant(left, n), value), _constant(right, n))
+    return [(r, c, mono, coeff) for (_, r, c, mono), coeff in product.items()]
 
 
 def _collect(terms: Iterable[Tuple[tuple, _Scalar]]) -> _Value:
@@ -304,7 +323,7 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
     return out
 
 
-def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
+def _component_spaces(d: FreeDivisor, residue: ResidueData, gauge: Optional[RationalMatrix]) -> List[SolutionSpace]:
     """One solution space per graded (w-kind) frame slot, each slot solved alone.
 
     Its basis elements solve every toral direction equation
@@ -324,12 +343,12 @@ def _component_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpac
     return [
         SolutionSpace(("component", b), residue.matrix_size, d.weights, tuple(_solve_slot(
             d, residue, d.frame[j].grade,
-            [toral_w[(t, b)] for t in range(d.toral_count)] + [action[(a, b)][b] for a in semis])))
+            [toral_w[(t, b)] for t in range(d.toral_count)] + [action[(a, b)][b] for a in semis])), gauge)
         for b, j in enumerate(d.w_indices)
     ]
 
 
-def _correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpace]:
+def _correction_spaces(d: FreeDivisor, residue: ResidueData, gauge: Optional[RationalMatrix]) -> List[SolutionSpace]:
     """One space per toral slot (a divisor has at least one) solving E_i(N) = [S_i, N]_c.
 
     The corrections of every toral slot satisfy the same linear equations, so
@@ -337,7 +356,8 @@ def _correction_spaces(d: FreeDivisor, residue: ResidueData) -> List[SolutionSpa
     value on the first of them and shifts it to the others.
     """
     elements = tuple(_solve_slot(d, residue, 0, [0] * (d.toral_count + len(d.semisimple_indices))))
-    return [SolutionSpace(("correction", i), residue.matrix_size, d.weights, elements) for i in range(d.toral_count)]
+    return [SolutionSpace(("correction", i), residue.matrix_size, d.weights, elements, gauge)
+            for i in range(d.toral_count)]
 
 
 # ----------------------------------------------------------------- the system
@@ -400,6 +420,11 @@ class Equation:
             raise ValueError("coordinate value count mismatch")
         return next(_values((self,), values))
 
+    @cached_property
+    def top(self) -> int:
+        """The length of the longest key, 0 for an equation with no terms."""
+        return max(map(len, self.terms), default=0)
+
 
 def _values(equations: Iterable[Equation], values: Sequence[_Scalar]) -> Iterator[Fraction]:
     """Each equation's value at the point, on integers.
@@ -407,14 +432,18 @@ def _values(equations: Iterable[Equation], values: Sequence[_Scalar]) -> Iterato
     The point's denominators are cleared once: with D their lcm and
     a_i = D * v_i, an equation whose longest key has length top is
     sum c * prod(a_i) * D^(top - len(key)) over D^top, one ``Fraction`` each.
+    Each equation's top is found once, and each power of D once per point.
     """
     scale, numerators = clear_denominators([as_fraction(v) for v in values])
+    get, powers = numerators.__getitem__, [1]
     for eq in equations:
-        top = max(map(len, eq.terms), default=0)
+        top = eq.top
+        while len(powers) <= top:
+            powers.append(powers[-1] * scale)
         total = 0
         for key, coeff in eq.terms.items():
-            total += coeff * prod(map(numerators.__getitem__, key)) * scale ** (top - len(key))
-        yield Fraction(total, scale ** top)
+            total += coeff * prod(map(get, key)) * powers[top - len(key)]
+        yield Fraction(total, powers[top])
 
 
 def exponent_vector(key: Tuple[int, ...], width: int) -> List[int]:
@@ -436,7 +465,8 @@ class PolySystem:
 
     The coordinate ring has one variable per basis element of every
     component and correction space; equations are tagged by origin and by
-    the (matrix entry, base monomial) pair they came from.
+    the (matrix entry, base monomial) pair they came from.  ``gauge`` is the
+    P of ``ResidueData.weight_form``, in whose basis the entries then are, or None.
     """
 
     divisor_name: str
@@ -444,6 +474,7 @@ class PolySystem:
     coordinates: Tuple[Coordinate, ...]
     equations: Tuple[Equation, ...]
     summary: Dict[str, object]
+    gauge: Optional[RationalMatrix] = None
 
     @property
     def coordinate_names(self) -> Tuple[str, ...]:
@@ -506,11 +537,25 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     renumbered for every slot or pair of slots.  The renumbering is
     increasing, so the equations, their order and their terms are those of a
     computation on each slot's own correction.
+
+    A residue with a ``weight_form`` is solved and emitted for P^-1 (S, chi) P:
+    B solves that problem exactly when P B P^-1 solves the given one, so the
+    equations cut out the same locus in the same coordinates.  The problem
+    keeps the given residue, and its spaces and system record P as ``gauge``.
     """
     _check_pair(d, residue)
+    if residue.weight_form is None:
+        return _build(d, residue)
+    gauge, gauged = residue.weight_form
+    return replace(_build(d, gauged, gauge), residue=residue)
+
+
+def _build(d: FreeDivisor, residue: ResidueData, gauge: Optional[RationalMatrix] = None) -> ModuliProblem:
+    """The solve and the emission of ``moduli_system`` for a validated residue, as written,
+    with ``gauge`` recorded on the spaces and the system."""
     m = residue.matrix_size
-    comp_spaces = _component_spaces(d, residue)
-    corr_spaces = _correction_spaces(d, residue)
+    comp_spaces = _component_spaces(d, residue, gauge)
+    corr_spaces = _correction_spaces(d, residue, gauge)
 
     def degree(mono: Monomial) -> int:
         return sum(w * e for w, e in zip(d.weights, mono))
@@ -608,6 +653,7 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
         coordinates=tuple(coordinates),
         equations=tuple(equations),
         summary=summary,
+        gauge=gauge,
     )
     return ModuliProblem(
         divisor=d,
@@ -646,10 +692,14 @@ def coordinates_of(point: ModuliPoint, problem: ModuliProblem) -> Tuple[Fraction
 
 def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fraction]:
     """The target's coefficients on the basis: each is the target's entry at its element's pivot,
-    and the target lies in the span exactly when it is the sum they give."""
+    and the target lies in the span exactly when it is the sum they give.  With a ``gauge`` P,
+    the target is read in the gauged basis, as P^-1 * target * P."""
     if target.size != space.matrix_size:
         raise MembershipError("matrix size mismatch")
-    given = {(r, c, mono): coeff for r, c, mono, coeff in _terms(target)}
+    terms = _terms(target)
+    if space.gauge is not None:
+        terms = _conjugate(terms, space.gauge_inverse, space.gauge, len(target.weights))
+    given = {(r, c, mono): coeff for r, c, mono, coeff in terms}
     values = [given.get(pivot, 0) for pivot in space.pivots]
     rebuilt = Counter()
     for value, (_, terms) in zip(values, space.elements):
@@ -724,6 +774,8 @@ def check_point(d: FreeDivisor, residue: ResidueData, point: ModuliPoint,
     connection must agree with the curvature, ZN and NN-commute equations, and
     each correction's direct m-th power with its nilpotency equations; as they
     are independent computations, disagreement raises instead of returning.
+    With a ``gauge``, only the coordinates are read through P: the cross-checks
+    take the point as given, so they check the gauge too.
     """
     problem = _problem_for(d, residue, problem)
     equations = problem.system.equations
@@ -777,6 +829,7 @@ def restrict_system(system: PolySystem, assignments: Dict[str, Fraction]) -> Pol
         coordinates=new_coords,
         equations=tuple(new_equations),
         summary=summary,
+        gauge=system.gauge,
     )
 
 

@@ -15,7 +15,7 @@ from .catalog import catalog
 from .connections import LogConnection, MatrixPolyMap
 from .divisor import TORAL, FrameElement, FreeDivisor, VectorFieldPoly
 from .liealg import ResidueData
-from .linear import RationalMatrix
+from .linear import RationalMatrix, rref
 from .moduli import Coordinate, Equation, ModuliPoint, PolySystem, coordinate_monomial, exponent_vector
 from .polynomials import WeightedPoly
 from .univariate import as_scalar
@@ -271,9 +271,10 @@ def point_from_json(data, weights: Sequence[int]) -> ModuliPoint:
 
 def system_to_json(system: PolySystem, variables: Sequence[str]) -> dict:
     """The system with each equation as a polynomial over max(#coordinates, 1)
-    variables, its exponent lists written straight from the sparse keys."""
+    variables, its exponent lists written straight from the sparse keys, and
+    its ``gauge`` only when it has one."""
     width = max(len(system.coordinates), 1)
-    return {
+    out = {
         "divisor": system.divisor_name,
         "matrix_size": system.matrix_size,
         "summary": system.summary,
@@ -298,6 +299,9 @@ def system_to_json(system: PolySystem, variables: Sequence[str]) -> dict:
             for eq in system.equations
         ],
     }
+    if system.gauge is not None:
+        out["gauge"] = matrix_to_json(system.gauge)
+    return out
 
 
 def system_from_json(data) -> PolySystem:
@@ -331,12 +335,23 @@ def system_from_json(data) -> PolySystem:
         ))
     summary = data.get("summary", {})
     _require(isinstance(summary, dict), f"summary must be a JSON object, got {summary!r}")
+    matrix_size = _integer(data["matrix_size"], "matrix_size")
+    gauge = None
+    if "gauge" in data:
+        try:
+            gauge = matrix_from_json(data["gauge"])
+        except ValueError as exc:  # ragged rows
+            raise SchemaError(f"gauge: {exc}") from exc
+        _require((gauge.rows, gauge.cols) == (matrix_size, matrix_size),
+                 f"gauge must be a square matrix of size {matrix_size}")
+        _require(not rref(gauge).kernel, "gauge must be invertible")
     return PolySystem(
         divisor_name=_string(data["divisor"], "divisor"),
-        matrix_size=_integer(data["matrix_size"], "matrix_size"),
+        matrix_size=matrix_size,
         coordinates=tuple(coords),
         equations=tuple(equations),
         summary=dict(summary),
+        gauge=gauge,
     )
 
 

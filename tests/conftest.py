@@ -18,7 +18,7 @@ from logres import (
     catalog,
 )
 from logres.linear import IntegerRows, inverse, rref
-from logres.moduli import MembershipError, _span_coordinates, _terms
+from logres.moduli import MembershipError, _build, _check_pair, _span_coordinates, _terms
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,17 @@ def solve_system(matrix: RationalMatrix, rhs) -> SystemResult:
 def oracle_span_coordinates(space, target: MatrixPolyMap) -> List[Fraction]:
     """A target's coefficients on a solution space's basis by one dense reduction.
 
-    One row per (row, column, monomial) of any element, with the negated
-    elements as columns and the target as the last one: target = sum x_j e_j
-    makes (x, 1) the last kernel vector.  MembershipError outside the span,
+    One row per (row, column, monomial) of any element of ``basis``, in the
+    residue's own basis whatever the space's gauge, with the negated elements
+    as columns and the target as the last one: target = sum x_j e_j makes
+    (x, 1) the last kernel vector.  MembershipError outside the span,
     ArithmeticError when the basis is dependent.
     """
     if target.size != space.matrix_size:
         raise MembershipError("matrix size mismatch")
     width = space.dimension
     rows = {}
-    for col, terms in enumerate([terms for _, terms in space.elements] + [_terms(target)]):
+    for col, terms in enumerate([_terms(element) for element in space.basis] + [_terms(target)]):
         for r, c, mono, coeff in terms:
             row = rows.setdefault((r, c, mono), [0] * (width + 1))
             row[col] = coeff if col == width else -coeff
@@ -108,7 +109,7 @@ def assert_readings_agree(problem, rng: random.Random, moves: int = 6) -> None:
         reading = _span_coordinates(space, target)
         assert reading == oracle_span_coordinates(space, target)
         assert all(type(value) is Fraction for value in reading)
-        support = sorted({(r, c, mono) for _, terms in space.elements for r, c, mono, _ in terms})
+        support = sorted({(r, c, mono) for element in space.basis for r, c, mono, _ in _terms(element)})
         outside = (0, 0, (100,) + (0,) * (len(weights) - 1))
         for r, c, mono in rng.sample(support, min(moves, len(support))) + [outside]:
             entries = [[WeightedPoly.zero(weights)] * space.matrix_size for _ in range(space.matrix_size)]
@@ -220,6 +221,15 @@ def residue_for(divisor, s_matrix, chi_value="auto") -> ResidueData:
         positive_combination=tuple(divisor.positive_combination),
         chi=chi,
     )
+
+
+def as_written(divisor, residue):
+    """The problem solved and emitted for the residue as written, with no gauge fix:
+    ``moduli_system``'s validation, then its builder on the given residue.  The
+    slow-path oracle for the gauged solve of a non-diagonal residue, and the way
+    to reach coupled solve blocks and dense products through a conjugated one."""
+    _check_pair(divisor, residue)
+    return _build(divisor, residue)
 
 
 def product_divisor(first, second) -> FreeDivisor:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from logres import MatrixPolyMap, ModuliPoint, assemble_connection, catalog, moduli_system, serialize
+from logres import MatrixPolyMap, ModuliPoint, RationalMatrix, assemble_connection, catalog, moduli_system, serialize
 from logres import cli
 from logres.cli import main
 from logres.connections import LogConnection
@@ -415,10 +415,12 @@ def test_machine_output_is_byte_stable(capsys, residue_file):
 
 
 # sha256 of emit-moduli's stdout for cusp with fraction_conjugated(diag(0, 1, 2, 3)),
-# frozen before the text lines were built only for the text format
+# frozen before the text lines were built only for the text format, and frozen
+# again once the residue was solved in its weight basis, after the JSON was seen
+# to be that of diag(0, 1, 2, 3) apart from its "gauge" key
 EMIT_STDOUT = {
-    "json": "3c0a675500d160a8e40c24bd34e19749bc8ab294771c239e7fce95021c152123",
-    "text": "5cf8b6a5f8a9b633f13437206e3cac0173b20efb52ebf643402fe2678c9d7fd6",
+    "json": "8a6080a73e129ceb68a49cd6c49d28b687d92bdec9171b9221acc3009ac11369",
+    "text": "498ea88363a50acae19ce7e9fb19c9e2ec5407acf2a907b75472b2d55cf60f19",
 }
 
 
@@ -429,15 +431,44 @@ def test_emit_moduli_stdout_is_unchanged(capsys, tmp_path, fmt):
     code, out, _ = run(capsys, "emit-moduli", "--catalog", "cusp", "--residue", path, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EMIT_STDOUT[fmt]
+    # the one gauge line or key, with the P that takes the residue back to diag(0, 1, 2, 3)
+    gauge = [["1/1", "1/2", "-2/3", "-2/3"], ["0/1", "1/1", "1/2", "-2/3"], ["0/1", "0/1", "1/1", "1/2"],
+             ["0/1", "0/1", "0/1", "1/1"]]
+    if fmt == "json":
+        assert json.loads(out)["gauge"] == gauge
+    else:
+        assert [line for line in out.splitlines() if "gauge" in line] == [
+            "gauge: 1 1/2 -2/3 -2/3; 0 1 1/2 -2/3; 0 0 1 1/2; 0 0 0 1"]
+
+
+# sha256 of emit-moduli's stdout for cusp with S = [[0, 2], [1, 0]], whose
+# eigenvalues are +-sqrt(2): the residue has no rational weight basis, so it is
+# solved as written, with the bytes frozen before weight bases were introduced
+IRRATIONAL_STDOUT = {
+    "json": "f2383a137f4857cd7b948ba3389774c9d4ed34e2f09e0f35e13964b10d2f6155",
+    "text": "2ef35c41b958a7ec055c24793ca1ad440e6a4cce904082348e69bde5fc9711ee",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(IRRATIONAL_STDOUT))
+def test_a_residue_with_irrational_eigenvalues_is_solved_as_written(capsys, tmp_path, fmt):
+    residue = residue_for(catalog("cusp"), RationalMatrix([[0, 2], [1, 0]]))
+    assert residue.weight_form is None
+    path = write_json(tmp_path / "residue.json", serialize.residue_to_json(residue))
+    code, out, _ = run(capsys, "emit-moduli", "--catalog", "cusp", "--residue", path, "--format", fmt)
+    assert code == 0 and "gauge" not in out
+    assert hashlib.sha256(out.encode()).hexdigest() == IRRATIONAL_STDOUT[fmt]
 
 
 # sha256 of residue-space's stdout for sekiguchi_b5 with S01 and for cusp with
 # fraction_conjugated(diag(0, 1, 2, 3)), and of jordan --mode multiplicative on
-# [[2, 2], [0, 2]], frozen before the public solve wrappers were removed
+# [[2, 2], [0, 2]], frozen before the public solve wrappers were removed; cusp's
+# JSON, whose coordinate names are read in the residue's weight basis, was
+# frozen again with EMIT_STDOUT
 RESIDUE_SPACE_STDOUT = {
     ("sekiguchi_b5", "json"): "200dec3220f213ca3e1afd5601a54306955358fe0d212aa5695a6e2670e3f4ee",
     ("sekiguchi_b5", "text"): "cb15074828e2e382b856e22663550b960d4fdd555bdbfe97ea6043e1acabd0d3",
-    ("cusp", "json"): "0ad297c4bce8927519c53c1fd80d8d1dd75baeaf514b0fd5e53713421c2052da",
+    ("cusp", "json"): "cb589d6e073845eae639e112b53a704c3eba5a2b704d6873a832eff97fcac151",
     ("cusp", "text"): "f959a65a88d8bd9bcb4a75dfca2045dd1d3161465d9a5c67f6f03f8096cf4a9f",
 }
 JORDAN_MULTIPLICATIVE_STDOUT = {

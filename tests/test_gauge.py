@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logres import MatrixPolyMap, ModuliPoint, RationalMatrix, catalog, check_point, moduli_system
+from logres import MatrixPolyMap, ModuliPoint, RationalMatrix, WeightedPoly, catalog, check_point, moduli_system
 from logres.linear import IntegerRows, inverse, rref
-from logres.moduli import _span_coordinates
+from logres.moduli import MembershipError, _span_coordinates
 
-from conftest import S01, assert_readings_agree, conjugated, diag, pulled_back, residue_for
+from conftest import (S01, as_written, assert_readings_agree, conjugated, diag, fraction_conjugated, pulled_back,
+                      residue_for)
 
 CASES = (("cusp", diag(0, 1, 2)), ("sekiguchi_b5", diag(0, 1, 2)), ("borel2", diag(0, 1, 2)),
          ("normal_crossing_3", diag(0, 1, 2)), ("g2", S01), ("d4", S01))
@@ -169,24 +170,65 @@ def test_equation_group_ranks_are_gauge_invariant(drawn):
     assert group_ranks(conjugate.system) == group_ranks(problem.system)
 
 
-@pytest.mark.parametrize("name, s, emitted, conjugate_emitted, rank, span, linear_rank", [
+@pytest.mark.parametrize("name, s, emitted, written_conjugate_emitted, rank, span, linear_rank", [
     ("sekiguchi_b5", diag(0, 1, 2, 3), 122, 537, 118, 118, 59),
     ("borel2", diag(0, 1, 2, 3), 49, 253, 49, 49, 14),
     ("cusp", diag(0, 1, 2, 3), 16, 67, 16, 16, 3),
     ("d4", diag(0, 1, 2), 45, 234, 45, 15, 0),
     ("g2", S01, 2, 3, 2, 2, 0),
 ])
-def test_rank_sums_of_the_conjugated_residues(name, s, emitted, conjugate_emitted, rank, span, linear_rank):
-    # the ROADMAP table: conjugation multiplies the equations, not the rank,
-    # nor the span of all equations or the rank of their linear parts
+def test_rank_sums_of_the_conjugated_residues(name, s, emitted, written_conjugate_emitted, rank, span, linear_rank):
+    # the ROADMAP table: conjugation written out multiplies the equations, not
+    # the rank, nor the span of all equations or the rank of their linear
+    # parts; the gauged conjugate emits the diagonal residue's equations
     d = catalog(name)
-    written = moduli_system(d, residue_for(d, s)).system
-    conjugate = moduli_system(d, residue_for(d, conjugated(s, random.Random(name)))).system
-    assert (len(written.equations), len(conjugate.equations)) == (emitted, conjugate_emitted)
-    ranks = group_ranks(written)
-    assert group_ranks(conjugate) == ranks
+    diagonal = moduli_system(d, residue_for(d, s)).system
+    residue = residue_for(d, conjugated(s, random.Random(name)))
+    conjugate, written = moduli_system(d, residue).system, as_written(d, residue).system
+    assert conjugate.gauge is not None and written.gauge is None
+    assert [len(system.equations) for system in (diagonal, conjugate, written)] == [
+        emitted, emitted, written_conjugate_emitted]
+    ranks = group_ranks(diagonal)
+    assert group_ranks(conjugate) == group_ranks(written) == ranks
     assert sum(ranks.values()) == rank
-    assert fingerprint(written) == fingerprint(conjugate) == (span, linear_rank)
+    assert fingerprint(diagonal) == fingerprint(conjugate) == fingerprint(written) == (span, linear_rank)
+
+
+# ------------------------------------------- the gauged solve and the written one
+
+GAUGED = [(name, s, form) for name, s in (("cusp", diag(0, 1, 2, 3)), ("borel2", diag(0, 1, 2)),
+                                          ("sekiguchi_b5", diag(0, 1, 2)), ("normal_crossing_3", S01))
+          for form in ("conjugated", "fraction_conjugated")]
+
+
+@pytest.mark.parametrize("name, s, form", GAUGED, ids=[f"{name}~{form}" for name, _, form in GAUGED])
+def test_the_gauged_solve_agrees_with_the_written_one(name, s, form):
+    # the residue solved as written is the slow-path oracle: the two problems
+    # must have the same fingerprint, dimensions and spans in the residue's own
+    # basis, and give every seeded point in that basis the same verdict
+    d = catalog(name)
+    value = conjugated(s, random.Random(f"gauged:{name}")) if form == "conjugated" else fraction_conjugated(s)
+    residue = residue_for(d, value)
+    gauged, written = moduli_system(d, residue), as_written(d, residue)
+    p = gauged.system.gauge
+    assert inverse(p) * value * p == s and gauged.residue is residue
+    assert fingerprint(gauged.system) == fingerprint(written.system)
+    pairs = list(zip(gauged.component_spaces + gauged.correction_spaces,
+                     written.component_spaces + written.correction_spaces, strict=True))
+    for ours, theirs in pairs:
+        assert ours.gauge is p and ours.dims_by_degree == theirs.dims_by_degree
+        for element in ours.basis:
+            _span_coordinates(theirs, element)  # raises outside the span
+    outside = MatrixPolyMap([[WeightedPoly(d.weights, {(100,) + (0,) * (d.n - 1): int(i == j == 0)})
+                              for j in range(value.rows)] for i in range(value.rows)])
+    for problem in (written, gauged):
+        for x in seeded_points(problem, name):
+            assert verdict(d, residue, x, gauged) == verdict(d, residue, x, written)
+        # moved off the correction span by a term no element has, the last point is refused by both
+        moved = ModuliPoint(x.components, (x.corrections[0] + outside,) + x.corrections[1:])
+        for solved in (gauged, written):
+            with pytest.raises(MembershipError):
+                check_point(d, residue, moved, solved)
 
 # ------------------------------------------------- changes of coordinates
 

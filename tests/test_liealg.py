@@ -17,10 +17,10 @@ from logres import (
     log_unipotent,
     validate_residue,
 )
-from logres.linear import IntegerRows, integer_eigenvalues, rref
+from logres.linear import IntegerRows, integer_eigenvalues, inverse, rref
 
 from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, IDENT2, centralizer_algebra, conjugated, diag, exp_nilpotent,
-                      rand_fraction, trace)
+                      fraction_conjugated, rand_fraction, trace)
 
 
 def test_jordan_block_additive():
@@ -375,3 +375,40 @@ def test_bracket_spectra_hold_the_non_integer_values():
     assert SPECTRUM_RESIDUES["half_and_whole"].bracket_spectra == {
         -1: {0: {-1}, 1: {Fraction(-1, 3)}}, 0: {0: {0}, 1: {0}}, 1: {0: {1}, 1: {Fraction(1, 3)}}}
     assert SPECTRUM_RESIDUES["nilpotent_chi"].bracket_spectra[0] == {0: {0}, 1: {0}}
+
+
+# the residues whose values are all diagonal, or not all diagonalizable over Q, are solved as written
+WRITTEN = {"diagonal", "chi", "sqrt2_blocks", "rotation", "half", "half_and_whole", "nilpotent_chi", "sqrt2_and_one",
+           "not_commuting"}
+WEIGHT_RESIDUES = {
+    **SPECTRUM_RESIDUES,
+    # the eigenvalue 1 is rational, +-sqrt(2) are not
+    "sqrt2_and_one": ResidueData(s_list=(RationalMatrix([[1, 1, 0], [0, 0, 2], [0, 1, 0]]),),
+                                 positive_combination=(1,)),
+    # each value is diagonalizable over Q, and their joint eigenspaces do not fill Q^2
+    "not_commuting": ResidueData(s_list=(diag(0, 1), RationalMatrix([[1, 1], [0, 2]])), positive_combination=(1, 0)),
+    "fraction~conj": ResidueData(s_list=(fraction_conjugated(diag(0, Fraction(1, 2), 3)),), positive_combination=(2,),
+                                 chi=(fraction_conjugated(diag(1, 1, 0)),)),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHT_RESIDUES)
+def test_weight_form_diagonalizes_the_values_in_grading_order(name):
+    r = WEIGHT_RESIDUES[name]
+    assert r.weight_form is r.weight_form
+    if name in WRITTEN:
+        assert r.weight_form is None
+        return
+    p, gauged = r.weight_form
+    p_inv = inverse(p)
+    assert [p_inv * value * p for value in r.values] == list(gauged.values)
+    assert gauged.positive_combination == r.positive_combination
+    m = r.matrix_size
+    assert all(s[i, j] == 0 for s in gauged.s_list for i in range(m) for j in range(m) if i != j)
+    # the columns in increasing grading eigenvalue, then eigenvalues of each S_i
+    keys = [(gauged.grading_element()[i, i], tuple(s[i, i] for s in gauged.s_list)) for i in range(m)]
+    assert keys == sorted(keys)
+    # and P's columns are the rref kernel vectors of their eigenspaces, 1 at their last nonzero entry
+    for j in range(m):
+        column = [p[i, j] for i in range(m)]
+        assert column[max(i for i, v in enumerate(column) if v)] == 1

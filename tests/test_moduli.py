@@ -35,8 +35,9 @@ from logres.moduli import (Coordinate, Equation, LinearCertificate, MembershipEr
                            _commutator, _constant, _matmul, _products, _span_coordinates)
 from logres.univariate import power
 
-from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, assert_readings_agree, centralizer_algebra,
-                      conjugated, diag, divisor_named, e_degrees, rand_fraction, residue_for, solve_system)
+from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, as_written, assert_readings_agree,
+                      centralizer_algebra, conjugated, diag, divisor_named, e_degrees, rand_fraction, residue_for,
+                      solve_system)
 
 
 def unit_map(divisor, r, c, poly=None, m=2):
@@ -1015,6 +1016,8 @@ def test_a_residue_is_validated_and_bracketed_once(monkeypatch, cusp):
     assert residue.chi is None
     moduli_system(cusp, residue)
     assert set(calls) == {"is_semisimple", "commutator"}
+    # the conjugate is solved in its weight basis: the gauged residue keeps the brackets
+    assert "grading_brackets" in vars(residue.weight_form[1]) and "grading_brackets" not in vars(residue)
     calls.clear()
     moduli_system(cusp, residue)
     assert calls == []
@@ -1086,10 +1089,12 @@ def test_the_character_sieve_leaves_three_correction_columns(monkeypatch):
 
 
 def test_the_h_character_keeps_d4_blocks_small(monkeypatch):
-    # d4 diag(0,1,2) with chi = 0, as written and conjugated: the toral and
-    # the h characters keep 10 of the 46 candidates, and the blocks reduced
-    # hold at most 84 and 504 cells (rows times columns); the frame analysis
-    # reduces through rref too, so it runs before the count
+    # d4 diag(0,1,2) with chi = 0, and conjugated, solved as written and
+    # gauged: the toral and the h characters keep 10 of the 46 candidates, and
+    # the blocks reduced hold at most 84 cells (rows times columns), and 504
+    # for the conjugate as written; the frame analysis reduces through rref
+    # too, so it runs before the count, as does the conjugate's weight form
+    # (P^-1 is one more rref)
     import logres.linear
     import logres.moduli
 
@@ -1108,10 +1113,13 @@ def test_the_h_character_keeps_d4_blocks_small(monkeypatch):
     monkeypatch.setattr(logres.moduli, "block_kernel", counting_block_kernel)
     d = catalog("d4")
     d.constants
-    for s, most in ((diag(0, 1, 2), 84), (conjugated(diag(0, 1, 2), random.Random(3)), 504)):
+    conjugate = residue_for(d, conjugated(diag(0, 1, 2), random.Random(3)))
+    conjugate.weight_form
+    for solve, residue, most in ((moduli_system, residue_for(d, diag(0, 1, 2)), 84), (moduli_system, conjugate, 84),
+                                 (as_written, conjugate, 504)):
         handed.clear()
         cells.clear()
-        moduli_system(d, residue_for(d, s))
+        solve(d, residue)
         assert sum(handed) <= 10 and 0 < sum(cells) <= most
 
 

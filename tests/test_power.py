@@ -10,8 +10,8 @@ import pytest
 from logres import LogConnection, MatrixPolyMap, RationalMatrix, WeightedPoly, curvature, moduli_system
 from logres.univariate import power
 
-from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, divisor_named, fraction_conjugated,
-                      rand_fraction, residue_for)
+from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, as_written, conjugated, diag, divisor_named,
+                      fraction_conjugated, rand_fraction, residue_for)
 
 SEED = 20260518
 WEIGHTS = (1, 2)
@@ -134,13 +134,15 @@ def with_chi_term(d):
 @functools.lru_cache(maxsize=None)
 def oracle_problem(label):
     """One case's divisor, residue and problem, the emitted values at seeded
-    coordinates, and the component and correction elements at those coordinates."""
+    coordinates, and the component and correction elements at those coordinates.
+    A conjugated residue is solved as written, so that the equations' entries are
+    its own and the solve and the products reach coupled blocks and dense values."""
     name, s, chi = oracle_cases()[label]
     d = divisor_named(name)
     if label.endswith("+c56"):
         d = with_chi_term(d)
     residue = residue_for(d, s, chi)
-    problem = moduli_system(d, residue)
+    problem = as_written(d, residue) if "~" in label else moduli_system(d, residue)
     rng = random.Random(SEED)
     values = [rand_fraction(rng) for _ in problem.system.coordinates]
     spaces = {space.slot: space for space in problem.component_spaces + problem.correction_spaces}

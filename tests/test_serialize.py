@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ from logres import (
     WeightedPoly,
     catalog,
     moduli_system,
+    restrict_system,
 )
 from logres import serialize
 from logres.serialize import SchemaError
 
-from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, residue_for
+from conftest import CHI_E, CHI_F, CHI_H, S01, ZERO2, conjugated, diag, fraction_conjugated, residue_for
 
 
 def test_fraction_roundtrip():
@@ -120,6 +122,39 @@ def test_system_roundtrip(seki):
     back = serialize.system_from_json(json.loads(json.dumps(data)))
     assert back.coordinate_names == problem.system.coordinate_names
     assert back.equations == problem.system.equations
+
+
+def test_system_roundtrip_keeps_the_gauge(seki):
+    # a conjugated residue is emitted with its gauge, and a diagonal one without the key
+    for s, gauged in ((fraction_conjugated(diag(0, 1, 2)), True), (S01, False)):
+        system = moduli_system(seki, residue_for(seki, s)).system
+        assert (system.gauge is not None) == gauged
+        data = serialize.system_to_json(system, seki.variables)
+        assert ("gauge" in data) == gauged
+        back = serialize.system_from_json(json.loads(json.dumps(data)))
+        assert back == system and back.gauge == system.gauge
+        assert serialize.system_to_json(back, seki.variables) == data
+        assert restrict_system(system, {system.coordinate_names[0]: Fraction(1, 2)}).gauge == system.gauge
+
+
+MALFORMED_GAUGES = {
+    "non-square": [["1", "0"]],
+    "wrong size": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "singular": [["1", "2"], ["2", "4"]],
+    "ragged": [["1", "0"], ["1"]],
+    "not a matrix": "P",
+    "bad entry": [["1", "x"], ["0", "1"]],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_GAUGES)
+def test_system_from_json_rejects_a_malformed_gauge(seki, case):
+    problem = moduli_system(seki, residue_for(seki, conjugated(S01, random.Random(1))))
+    data = json.loads(json.dumps(serialize.system_to_json(problem.system, seki.variables)))
+    assert data["gauge"]
+    data["gauge"] = MALFORMED_GAUGES[case]
+    with pytest.raises(SchemaError, match="gauge"):
+        serialize.system_from_json(data)
 
 
 MALFORMED_SYSTEMS = {

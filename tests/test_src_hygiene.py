@@ -89,11 +89,13 @@ def test_only_univariate_spells_the_integral_test():
 
 def test_only_moduli_system_calls_the_private_solves():
     # ``moduli_system`` is the one way into the component and correction
-    # solves: no other statement names them
-    solves = {"_component_spaces", "_correction_spaces"}
-    callers = sorted(getattr(node, "name", f"{module}:{node.lineno}") for module, node, names in statements()
-                     if names & solves and getattr(node, "name", None) not in solves)
-    assert callers == ["moduli_system"]
+    # solves, through its builder ``_build``: no other statement names them
+    def callers(names):
+        return sorted(getattr(node, "name", f"{module}:{node.lineno}") for module, node, named in statements()
+                      if named & names and getattr(node, "name", None) not in names)
+
+    assert callers({"_component_spaces", "_correction_spaces"}) == ["_build"]
+    assert callers({"_build"}) == ["moduli_system"]
 
 
 def test_connections_imports_nothing_from_moduli():

@@ -24,24 +24,33 @@ every case here but ``normal_crossing_8`` (unsieved, its degree-16 solve
 builds the columns of all 245,157 monomials of that degree), on seeded residues with a distinct diagonal S per toral
 slot, and on seeded residues with a nonzero chi on the semisimple slots;
 the solve without the sieve is the oracle for the one with it.
+
+``moduli_system`` solves a conjugated residue in its weight basis, where it is
+the diagonal residue again, so every "~conj" and "~frac" case must emit the
+JSON of its diagonal case with one more key, ``gauge``.  The frozen digests of
+those cases are the residue solved as written (``conftest.as_written``), the
+slow path that still reaches the coupled solve blocks and dense products.
 """
 
 import functools
 import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from operator import mul
+from typing import Tuple
 
 import pytest
 
 from logres import (FrameElement, FreeDivisor, RationalMatrix, ResidueData, catalog, moduli_system, restrict_system,
                     serialize)
 from logres.divisor import SEMISIMPLE, TORAL
+from logres.linear import inverse
 from logres.moduli import _terms
 
-from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, assert_readings_agree, conjugated, diag, divisor_named,
-                      fraction_conjugated, rand_fraction, residue_for)
+from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, as_written, assert_readings_agree, conjugated, diag,
+                      divisor_named, fraction_conjugated, rand_fraction, residue_for)
 
 INPUTS = {f"{name}/{tag}": (name, s, "auto")
           for name in ("cusp", "normal_crossing_2", "borel2", "g2", "d4", "sekiguchi_b5")
@@ -148,7 +157,8 @@ def residue_of(label: str) -> ResidueData:
 
 @functools.lru_cache(maxsize=None)
 def problem_of(label: str):
-    return moduli_system(divisor_named(INPUTS[base_label(label)][0]), residue_of(label))
+    """The case's problem, its residue solved as written."""
+    return as_written(divisor_named(INPUTS[base_label(label)][0]), residue_of(label))
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,6 +172,13 @@ def system_of(label: str):
 def system_sha256(label: str) -> str:
     text = serialize.canonical_dumps(system_of(label)[2])
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def ungauged_sha256(text: str) -> str:
+    """The sha256 of a canonical system JSON with its ``gauge`` key dropped."""
+    payload = json.loads(text)
+    payload.pop("gauge", None)
+    return hashlib.sha256(serialize.canonical_dumps(payload).encode()).hexdigest()
 
 
 FRACTIONAL = ["cusp/diag(0,1,2,3)~frac", "borel2/diag(0,1,2)~frac", "sekiguchi_b5/diag(0,1,2)~frac"]
@@ -240,7 +257,27 @@ def test_solution_spaces_keep_their_basis_as_terms(label):
     assert [c.degree for c in problem.system.coordinates] == [
         degree for space in spaces for degree, _ in space.elements]
     assert problem.symmetry is problem.correction_spaces[0]
-    assert problem.symmetry == moduli_system(problem.divisor, problem.residue).symmetry
+    assert problem.symmetry == as_written(problem.divisor, problem.residue).symmetry
+
+
+@pytest.mark.parametrize("label", [label for label in LABELS if label != base_label(label)])
+def test_a_conjugate_emits_its_diagonal_case_and_the_gauge(label):
+    """The gauged solve of a conjugated case emits the diagonal case's JSON byte
+    for byte, apart from ``gauge``, which is there exactly when some S_i is not
+    diagonal and conjugates the residue back to the diagonal one."""
+    d, residue = divisor_named(INPUTS[base_label(label)][0]), residue_of(label)
+    problem = moduli_system(d, residue)
+    text = serialize.canonical_dumps(serialize.system_to_json(problem.system, d.variables))
+    assert ungauged_sha256(text) == FROZEN[base_label(label)]
+    gauge = json.loads(text).get("gauge")
+    diagonal = residue_of(base_label(label))
+    if all(value == diagonal_value for value, diagonal_value in zip(residue.s_list, diagonal.s_list)):
+        assert gauge is None and problem.system.gauge is None
+        return
+    p = problem.system.gauge
+    assert gauge == serialize.matrix_to_json(p) and problem.residue is residue
+    assert residue.weight_form[1] == diagonal
+    assert [inverse(p) * value * p for value in residue.values] == list(diagonal.values)
 
 
 # ------------------------------------------ the solve without the character sieve
@@ -250,8 +287,10 @@ def sieve_off(monkeypatch):
     monkeypatch.setattr(FreeDivisor, "diagonal_characters", property(lambda d: ()))
 
 
-def emitted_json(d: FreeDivisor, residue: ResidueData) -> str:
-    return serialize.canonical_dumps(serialize.system_to_json(moduli_system(d, residue).system, d.variables))
+def emitted_json(d: FreeDivisor, residue: ResidueData) -> Tuple[str, str]:
+    """The canonical system JSON of the residue solved as written, then of ``moduli_system``."""
+    return tuple(serialize.canonical_dumps(serialize.system_to_json(problem.system, d.variables))
+                 for problem in (as_written(d, residue), moduli_system(d, residue)))
 
 
 def test_the_identity_cases_reach_the_sieve():
@@ -264,7 +303,9 @@ def test_the_identity_cases_reach_the_sieve():
 def test_system_json_is_byte_identical_without_the_sieve(label, monkeypatch):
     sieve_off(monkeypatch)
     d = divisor_named(INPUTS[base_label(label)][0])
-    assert hashlib.sha256(emitted_json(d, residue_of(label)).encode()).hexdigest() == FROZEN[label]
+    written, gauged = emitted_json(d, residue_of(label))
+    assert hashlib.sha256(written.encode()).hexdigest() == FROZEN[label]
+    assert ungauged_sha256(gauged) == FROZEN[base_label(label)]
 
 
 def seeded_residues(d: FreeDivisor):
