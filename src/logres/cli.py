@@ -43,6 +43,11 @@ def _load_residue(args):
     return serialize.residue_from_json(serialize.load_json_file(args.residue))
 
 
+def _gauge_line(gauge) -> str:
+    """The text form of a gauge P, printed when the output's matrix entries are in the basis of P's columns."""
+    return "gauge: " + "; ".join(" ".join(map(str, row)) for row in gauge.entries)
+
+
 def _emit(args, machine: Optional[dict], human_lines: List[str]) -> None:
     if args.format == "json":
         sys.stdout.write(serialize.canonical_dumps(machine))
@@ -182,6 +187,8 @@ def cmd_residue_space(args) -> int:
         },
         "coordinates": [c.name for c in problem.system.coordinates],
     }
+    if problem.system.gauge is not None:  # the coordinate names are read in P's basis
+        machine["gauge"] = serialize.matrix_to_json(problem.system.gauge)
     human = [f"divisor: {d.name}"]
     for space in problem.component_spaces:
         human.append(
@@ -214,8 +221,7 @@ def cmd_emit_moduli(args) -> int:
         names = problem.system.coordinate_names
         human = [f"divisor: {d.name}"]
         if problem.system.gauge is not None:
-            # the entries below are in the basis of P's columns
-            human.append("gauge: " + "; ".join(" ".join(map(str, row)) for row in problem.system.gauge.entries))
+            human.append(_gauge_line(problem.system.gauge))
         human += [
             f"coordinates ({len(names)}): " + ", ".join(names),
             f"equations ({len(problem.system.equations)}):",
@@ -271,6 +277,9 @@ def cmd_check_point(args) -> int:
         "violations": violated,
     }
     human = [f"divisor: {d.name}", f"flat: {report.flat}", f"in variety: {report.in_variety}"]
+    if problem.system.gauge is not None:  # the violated entries are in P's basis
+        machine["gauge"] = serialize.matrix_to_json(problem.system.gauge)
+        human.insert(1, _gauge_line(problem.system.gauge))
     for v in violated[:20]:
         slots = ",".join(f"V{k + 1}" for k in v["frame_slots"])
         human.append(

@@ -10,15 +10,19 @@ The sign of the last term carries the right-invariant convention for frame
 fields and is pinned by the normal-form fixtures in the test suite; flipping
 it breaks the flatness of every assembled normal-form connection.
 
-``curvature`` and ``is_flat`` share one kernel.  The denominators of the
-components are cleared once per connection: with D the lcm of every
-coefficient's denominator, W_k = D * w_k holds integers, and each pair sums
+``curvature`` and ``is_flat`` share one kernel, which reads integer rows:
+with D the lcm of every coefficient's denominator, W_k = D * w_k holds
+integers, and each pair sums
 D^2 * R_ij = D * (V_i(W_j) - V_j(W_i) - sum_k c_ij^k W_k) - [W_i, W_j] into
 one dict per matrix entry, the field images read from ``on_monomial`` and
 the commutator a row-by-row sparse product.  The zero test reads those
 sums; a residual ``MatrixPolyMap`` (the sums over D^2) is built only for a
-pair that is returned.  This module does not import ``moduli``, whose
-emission kernel ``check_point`` cross-checks against this one.
+pair that is returned.  ``is_flat`` clears a connection's components into
+such rows (``_cleared``); ``moduli.check_point`` assembles its point's rows
+on integers itself and calls the rows-level entry ``_flatness``, and tests
+each correction's nilpotency by ``_nilpotent``, an integer row-sparse m-th
+power.  This module does not import ``moduli``, whose emission kernel
+``_products`` these cross-checks test.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .univariate import as_scalar, power
 
 _Scalar = Union[int, Fraction]
 _Term = Tuple[int, Monomial, int]  # (column, monomial, integer coefficient) of one row of a cleared map
-_Rows = Tuple[Tuple[_Term, ...], ...]  # the rows of one cleared map
+_Rows = Sequence[Sequence[_Term]]  # the rows of one cleared map
 
 
 class MatrixPolyMap:
@@ -185,15 +189,27 @@ def _cleared(conn: LogConnection) -> Tuple[int, Tuple[_Rows, ...]]:
                         for comp in conn.components)
 
 
-def _pair_sums(conn: LogConnection, scale: int, rows: Sequence[_Rows], i: int,
-               j: int) -> List[Dict[Monomial, _Scalar]]:
+def _add_product(sums: List[Dict[Monomial, _Scalar]], left: _Rows, right: _Rows, sign: int) -> None:
+    """Add sign * left * right into the entry dicts sums[r * m + c], row by row:
+    each row of the left factor scales the rows of the right one that its
+    columns name (Gustavson, ACM TOMS 4, 1978)."""
+    m = len(left)
+    for r, row in enumerate(left):
+        for s, mono_a, a in row:
+            for c, mono_b, b in right[s]:
+                entry = sums[r * m + c]
+                key = tuple(map(add, mono_a, mono_b))
+                entry[key] = entry.get(key, 0) + sign * a * b
+
+
+def _pair_sums(d: FreeDivisor, scale: int, rows: Sequence[_Rows], i: int, j: int) -> List[Dict[Monomial, _Scalar]]:
     """D^2 * R_ij, one dict of monomial -> coefficient per entry r * m + c (zero sums kept).
 
     With W = D * w this is D * (V_i(W_j) - V_j(W_i) - sum_k c_ij^k W_k) - [W_i, W_j],
     summed in one pass: the field images come from ``on_monomial`` and the
-    commutator is a row-by-row sparse product (Gustavson, ACM TOMS 4, 1978).
+    commutator is two ``_add_product`` calls.  A row may name one (column,
+    monomial) more than once: every term is added in on its own.
     """
-    d = conn.divisor
     m = len(rows[0])
     sums: List[Dict[Monomial, _Scalar]] = [{} for _ in range(m * m)]
     for field, k, sign in ((d.frame[i].field, j, scale), (d.frame[j].field, i, -scale)):
@@ -212,30 +228,25 @@ def _pair_sums(conn: LogConnection, scale: int, rows: Sequence[_Rows], i: int,
                 for shift, f in factors:
                     key = tuple(map(add, mono, shift))
                     entry[key] = entry.get(key, 0) + f * a
-    for left, right, sign in ((rows[i], rows[j], -1), (rows[j], rows[i], 1)):
-        for r, row in enumerate(left):
-            for s, mono_a, a in row:
-                for c, mono_b, b in right[s]:
-                    entry = sums[r * m + c]
-                    key = tuple(map(add, mono_a, mono_b))
-                    entry[key] = entry.get(key, 0) + sign * a * b
+    _add_product(sums, rows[i], rows[j], -1)
+    _add_product(sums, rows[j], rows[i], 1)
     return sums
 
 
-def _residual(conn: LogConnection, scale: int, sums: List[Dict[Monomial, _Scalar]]) -> MatrixPolyMap:
-    """R_ij from its entry sums: each coefficient divided by D^2."""
-    m, square = conn.components[0].size, scale * scale
-    entries = [WeightedPoly._of(conn.divisor.weights, {mono: Fraction(v, square) for mono, v in entry.items()})
+def _divided(d: FreeDivisor, m: int, denominator: int, sums: List[Dict[Monomial, _Scalar]]) -> MatrixPolyMap:
+    """The map whose entry r * m + c is that sum of integer terms over the denominator, zeros dropped:
+    R_ij from its sums over D^2, or a connection component from its rows' sums over D."""
+    entries = [WeightedPoly._of(d.weights, {mono: Fraction(v, denominator) for mono, v in entry.items()})
                for entry in sums]
     return MatrixPolyMap._of([entries[r * m:(r + 1) * m] for r in range(m)])
 
 
 def curvature(conn: LogConnection) -> Dict[Tuple[int, int], MatrixPolyMap]:
     """Curvature components R(V_i, V_j) for every frame pair i < j."""
-    n = conn.divisor.n
+    d, m = conn.divisor, conn.components[0].size
     scale, rows = _cleared(conn)
-    return {(i, j): _residual(conn, scale, _pair_sums(conn, scale, rows, i, j))
-            for i in range(n) for j in range(i + 1, n)}
+    return {(i, j): _divided(d, m, scale * scale, _pair_sums(d, scale, rows, i, j))
+            for i in range(d.n) for j in range(i + 1, d.n)}
 
 
 @dataclass(frozen=True)
@@ -246,17 +257,38 @@ class FlatnessReport:
 
 
 def is_flat(conn: LogConnection) -> FlatnessReport:
-    """Exact flatness test; reports the first nonvanishing curvature pair.
+    """Exact flatness test; reports the first nonvanishing curvature pair."""
+    return _flatness(conn.divisor, *_cleared(conn))
+
+
+def _flatness(d: FreeDivisor, scale: int, rows: Sequence[_Rows]) -> FlatnessReport:
+    """The flatness test of the connection whose components, times D, have these integer rows.
 
     Pairs are taken in (i, j) order and the test stops at the first curved
     one, so a non-flat connection does not pay for the rest; only that pair's
     residual is built.
     """
-    n = conn.divisor.n
-    scale, rows = _cleared(conn)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sums = _pair_sums(conn, scale, rows, i, j)
+    for i in range(d.n):
+        for j in range(i + 1, d.n):
+            sums = _pair_sums(d, scale, rows, i, j)
             if any(v for entry in sums for v in entry.values()):
-                return FlatnessReport(flat=False, witness=(i, j), residual=_residual(conn, scale, sums))
+                return FlatnessReport(flat=False, witness=(i, j),
+                                      residual=_divided(d, len(rows[0]), scale * scale, sums))
     return FlatnessReport(flat=True, witness=None, residual=None)
+
+
+def _nilpotent(rows: _Rows) -> bool:
+    """Whether the m x m map with these integer rows has a zero m-th power.
+
+    The powers are row-sparse products (``_add_product``) taken by
+    ``univariate.power``; a nonzero multiple of the map has the same verdict.
+    """
+    m = len(rows)
+
+    def multiply(a: _Rows, b: _Rows) -> _Rows:
+        sums: List[Dict[Monomial, _Scalar]] = [{} for _ in range(m * m)]
+        _add_product(sums, a, b, 1)
+        return tuple(tuple((c, mono, v) for c in range(m) for mono, v in sums[r * m + c].items() if v)
+                     for r in range(m))
+
+    return not any(power(rows, m, multiply))

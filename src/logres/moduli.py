@@ -38,13 +38,17 @@ base monomial) group becomes one ``Equation``, which keeps the coordinate
 monomials as its keys and its coefficients ``as_scalar`` (a product of
 ``Fraction``s stays one when integral): nothing in emission, evaluation,
 restriction or the JSON output builds a polynomial over all the coordinates.
-Evaluation (``_values``, behind ``PolySystem.evaluate``, ``Equation.evaluate``
-and ``linear_certificate``) clears the point's denominators once and sums
-each equation on integers, building one ``Fraction`` per equation.
+Evaluation (``_values``) sums each equation on integers, given a point's
+coordinates as one D and their numerators; ``PolySystem.evaluate``,
+``Equation.evaluate`` and ``linear_certificate`` clear their rational values
+first and build one ``Fraction`` per equation.
 A ``SolutionSpace`` keeps its basis as the solve's sparse terms and builds
-``MatrixPolyMap``s only on request; a point's maps enter the sparse form
-through ``_terms`` alone, and its coordinates are its entries at the basis
-pivots (see ``SolutionSpace``), checked by one sum with no row reduction.
+``MatrixPolyMap``s only on request.  A point is read once (``_reading``):
+each map enters through ``_terms``, is cleared to integers once, and its
+coordinates are its entries at the basis pivots (see ``SolutionSpace``),
+checked by one integer sum with no row reduction.  ``coordinates_of``,
+``assemble_connection`` and ``check_point`` all start from that reading, and
+the connection is assembled as integer rows (``_connection_rows``).
 The curvature formula is written out here rather than taken from
 ``connections``, so that ``check_point``'s flatness cross-check stays an
 independent computation.
@@ -57,15 +61,16 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import groupby
-from math import prod
+from math import lcm, prod
 from operator import add, mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .connections import FlatnessReport, LogConnection, MatrixPolyMap, is_flat
+from .connections import FlatnessReport, LogConnection, MatrixPolyMap, _divided, _flatness, _nilpotent
 from .divisor import DivisorError, FreeDivisor
 from .liealg import ResidueData, validate_residue
 from .linear import IntegerRows, RationalMatrix, block_kernel, inverse, rref
-from .polynomials import Monomial, WeightedPoly, monomial_text, monomials_of_degree, terms_text
+from .polynomials import (Monomial, WeightedPoly, WeightMismatchError, monomial_text, monomials_of_degree,
+                          terms_text)
 from .univariate import as_fraction, as_scalar, clear_denominators, power
 
 
@@ -119,6 +124,14 @@ class SolutionSpace:
     def pivots(self) -> Tuple[Tuple[int, int, Monomial], ...]:
         """Each element's pivot as its (row, column, monomial) key, found once."""
         return tuple(max(terms, key=lambda term: (term[2], term[0], term[1]))[:3] for _, terms in self.elements)
+
+    @cached_property
+    def cleared(self) -> Tuple[int, Tuple[Tuple[Tuple[Tuple[int, int, Monomial], int], ...], ...]]:
+        """L, the lcm of the denominators of every element's coefficients, and each element
+        times L as ((row, column, monomial), integer) pairs: the form ``_span_coordinates`` sums."""
+        scale = lcm(*(coeff.denominator for _, terms in self.elements for *_, coeff in terms))
+        return scale, tuple(tuple(((r, c, mono), coeff.numerator * (scale // coeff.denominator))
+                                  for r, c, mono, coeff in terms) for _, terms in self.elements)
 
     @cached_property
     def gauge_inverse(self) -> RationalMatrix:
@@ -418,7 +431,7 @@ class Equation:
         """The value at a point given by one rational per coordinate."""
         if len(values) != self.ncoords:
             raise ValueError("coordinate value count mismatch")
-        return next(_values((self,), values))
+        return Fraction(*next(_values((self,), *_cleared_values(values))))
 
     @cached_property
     def top(self) -> int:
@@ -426,15 +439,22 @@ class Equation:
         return max(map(len, self.terms), default=0)
 
 
-def _values(equations: Iterable[Equation], values: Sequence[_Scalar]) -> Iterator[Fraction]:
-    """Each equation's value at the point, on integers.
+def _cleared_values(values: Sequence[_Scalar]) -> Tuple[int, List[int]]:
+    """D, the lcm of the coordinate values' denominators, and D times each value."""
+    return clear_denominators([as_fraction(v) for v in values])
 
-    The point's denominators are cleared once: with D their lcm and
-    a_i = D * v_i, an equation whose longest key has length top is
-    sum c * prod(a_i) * D^(top - len(key)) over D^top, one ``Fraction`` each.
-    Each equation's top is found once, and each power of D once per point.
+
+def _values(equations: Iterable[Equation], scale: int, numerators: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """Each equation's value at the point x = a / D, given as D and the integers a,
+    as an integer numerator and denominator.
+
+    An equation whose longest key has length top is
+    sum c * prod(a_i) * D^(top - len(key)) over D^top.  Each equation's top is
+    found once, and each power of D once per point.  ``check_point`` passes
+    its one integer reading of the point and tests the numerators; the public
+    evaluators clear the denominators of their rational values first and
+    build one ``Fraction`` per equation.
     """
-    scale, numerators = clear_denominators([as_fraction(v) for v in values])
     get, powers = numerators.__getitem__, [1]
     for eq in equations:
         top = eq.top
@@ -443,7 +463,7 @@ def _values(equations: Iterable[Equation], values: Sequence[_Scalar]) -> Iterato
         total = 0
         for key, coeff in eq.terms.items():
             total += coeff * prod(map(get, key)) * powers[top - len(key)]
-        yield Fraction(total, powers[top])
+        yield total, powers[top]
 
 
 def exponent_vector(key: Tuple[int, ...], width: int) -> List[int]:
@@ -483,7 +503,7 @@ class PolySystem:
     def evaluate(self, values: Sequence[_Scalar]) -> List[Fraction]:
         if len(values) != len(self.coordinates):
             raise ValueError("coordinate value count mismatch")
-        return list(_values(self.equations, values))
+        return [Fraction(*value) for value in _values(self.equations, *_cleared_values(values))]
 
 
 def _coordinate_name(prefix: str, slot_number: int, terms: Sequence[tuple], variables: Sequence[str], index: int) -> str:
@@ -676,38 +696,70 @@ class ModuliPoint:
     corrections: Tuple[MatrixPolyMap, ...]
 
 
-def coordinates_of(point: ModuliPoint, problem: ModuliProblem) -> Tuple[Fraction, ...]:
-    """Express a point in the emitted coordinates; MembershipError if outside."""
-    values: List[Fraction] = []
-    slots = list(problem.component_spaces) + list(problem.correction_spaces)
-    given = list(point.components) + list(point.corrections)
+_Entries = Dict[Tuple[int, int, Monomial], int]  # D times a map: (row, column, monomial) -> nonzero int
+_Rows = List[List[Tuple[int, Monomial, int]]]  # the integer rows of one map that ``connections`` reads
+
+
+def _cleared(terms: Iterable[_Term]) -> Tuple[int, _Entries]:
+    """D, the lcm of the terms' denominators, and the terms times D, keyed (row, column, monomial)."""
+    terms = list(terms)
+    scale = lcm(*(coeff.denominator for *_, coeff in terms))
+    return scale, {(r, c, mono): coeff.numerator * (scale // coeff.denominator) for r, c, mono, coeff in terms}
+
+
+def _reading(point: ModuliPoint, problem: ModuliProblem) -> Tuple[List[Tuple[int, _Entries]], int, List[int]]:
+    """The one integer reading of a point: each map X flattened and cleared once, as
+    (D_X, D_X * X), and the coordinates x as one D and the integers D * x;
+    MembershipError unless the point lies in the spaces."""
     if len(point.components) != len(problem.component_spaces):
         raise MembershipError("wrong number of component maps")
     if len(point.corrections) != len(problem.correction_spaces):
         raise MembershipError("wrong number of correction maps")
-    for space, target in zip(slots, given):
-        values.extend(_span_coordinates(space, target))
-    return tuple(values)
+    maps = point.components + point.corrections
+    cleared = [_cleared(_terms(target)) for target in maps]
+    readings = [_span_coordinates(space, target, *reading) for space, target, reading
+                in zip(problem.component_spaces + problem.correction_spaces, maps, cleared)]
+    common = lcm(*(scale for scale, _ in readings))
+    return cleared, common, [v * (common // scale) for scale, values in readings for v in values]
 
 
-def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap) -> List[Fraction]:
-    """The target's coefficients on the basis: each is the target's entry at its element's pivot,
-    and the target lies in the span exactly when it is the sum they give.  With a ``gauge`` P,
-    the target is read in the gauged basis, as P^-1 * target * P."""
+def _span_coordinates(space: SolutionSpace, target: MatrixPolyMap, scale: int,
+                      given: _Entries) -> Tuple[int, List[int]]:
+    """D' and D' * x, x the target's coefficients on the basis, from its reading (D, D * target).
+
+    Each coefficient is the entry at its element's pivot, and the target lies
+    in the span (else MembershipError) exactly when one integer sum gives it
+    back: sum_j (D' * x_j) * (L * e_j) = L * (D' * target), with
+    ``SolutionSpace.cleared``.  With a ``gauge`` P the target is read as
+    P^-1 * target * P, cleared again after the conjugation.
+    """
     if target.size != space.matrix_size:
         raise MembershipError("matrix size mismatch")
-    terms = _terms(target)
+    if target.weights != space.weights:
+        raise WeightMismatchError(f"weight vectors differ: {target.weights} vs {space.weights}")
     if space.gauge is not None:
-        terms = _conjugate(terms, space.gauge_inverse, space.gauge, len(target.weights))
-    given = {(r, c, mono): coeff for r, c, mono, coeff in terms}
+        conjugate = _conjugate([(*key, v) for key, v in given.items()], space.gauge_inverse, space.gauge,
+                               len(space.weights))
+        factor, given = _cleared(conjugate)
+        scale *= factor
     values = [given.get(pivot, 0) for pivot in space.pivots]
-    rebuilt = Counter()
-    for value, (_, terms) in zip(values, space.elements):
-        for r, c, mono, coeff in terms:
-            rebuilt[r, c, mono] += value * coeff
-    if {key: v for key, v in rebuilt.items() if v} != given:
+    common, elements = space.cleared
+    rebuilt: Dict[Tuple[int, int, Monomial], int] = {}
+    for value, terms in zip(values, elements):
+        if value:
+            for key, coeff in terms:
+                rebuilt[key] = rebuilt.get(key, 0) + value * coeff
+    if {key: v for key, v in rebuilt.items() if v} != (given if common == 1 else
+                                                        {key: common * v for key, v in given.items()}):
         raise MembershipError(f"value does not lie in the span of solution space {space.slot}")
-    return [as_fraction(value) for value in values]
+    return scale, values
+
+
+def coordinates_of(point: ModuliPoint, problem: ModuliProblem) -> Tuple[Fraction, ...]:
+    """Express a point in the emitted coordinates, its integer reading divided by
+    its D; MembershipError if outside."""
+    _, scale, numerators = _reading(point, problem)
+    return tuple(Fraction(v, scale) for v in numerators)
 
 
 def _problem_for(d: FreeDivisor, residue: ResidueData, problem: Optional[ModuliProblem]) -> ModuliProblem:
@@ -720,6 +772,45 @@ def _problem_for(d: FreeDivisor, residue: ResidueData, problem: Optional[ModuliP
     return problem
 
 
+def _put(rows: _Rows, entries: _Entries, factor: int = 1, shift: Optional[Monomial] = None) -> _Rows:
+    """Append factor * z^shift times a cleared map to its rows' (column, monomial, integer) terms."""
+    for (r, c, mono), v in entries.items():
+        rows[r].append((c, mono if shift is None else tuple(map(add, mono, shift)), factor * v))
+    return rows
+
+
+def _connection_rows(d: FreeDivisor, residue: ResidueData,
+                     maps: Sequence[Tuple[int, _Entries]]) -> Tuple[int, List[_Rows]]:
+    """D and the integer rows W_k = D * w_k of the connection of a point, from its cleared maps.
+
+    w_k is S_i + N_i on toral, chi on semisimple and B_j + sum_i p_ij * N_i on
+    graded slots, p_ij the pairings ``d.pairings``.  D is the lcm of the point's
+    and the residue's denominators times the lcm L of the pairings', so a
+    coefficient p of p_ij scales D_i * N_i by the integer (p * L) * (D / L / D_i).
+    A row may repeat a (column, monomial); ``connections`` sums as it reads.
+    """
+    m, zero, graded = residue.matrix_size, (0,) * d.n, len(d.w_indices)
+    corrections = maps[graded:]
+    pairings = [[list(d.pairings[i][pos].terms.items()) for pos in range(graded)]
+                for i in range(d.toral_count)] if graded else ()
+    common = lcm(*(p.denominator for row in pairings for terms in row for _, p in terms))
+    base = lcm(*(scale for scale, _ in maps),
+               *(v.denominator for value in residue.values for row in value.entries for v in row))
+    scale = base * common
+    rows = {idx: [[(c, zero, v.numerator * (scale // v.denominator)) for c, v in enumerate(row) if v]
+                  for row in value.entries]
+            for idx, value in zip(d.toral_indices + d.semisimple_indices, residue.values)}
+    for idx, (own, entries) in zip(d.toral_indices, corrections):
+        _put(rows[idx], entries, scale // own)
+    for pos, idx in enumerate(d.w_indices):
+        own, entries = maps[pos]
+        rows[idx] = _put([[] for _ in range(m)], entries, scale // own)
+        for i, (own, entries) in enumerate(corrections):
+            for shift, p in pairings[i][pos]:
+                _put(rows[idx], entries, p.numerator * (common // p.denominator) * (base // own), shift)
+    return scale, [rows[idx] for idx in range(d.n)]
+
+
 def assemble_connection(d: FreeDivisor, residue: ResidueData, point: ModuliPoint,
                         problem: Optional[ModuliProblem] = None) -> LogConnection:
     """Build the connection attached to a normal-form point.
@@ -727,30 +818,20 @@ def assemble_connection(d: FreeDivisor, residue: ResidueData, point: ModuliPoint
     Toral components are S_i + N_i, semisimple components are the constant
     chi values, and each graded component is B_j corrected by the pairing of
     the grading characters with the graded field times the corrections.
-    Membership of the point in the solution spaces is enforced.
+    Membership of the point in the solution spaces is enforced.  The
+    components are ``check_point``'s integer rows, each divided by its D.
     """
-    coordinates_of(point, _problem_for(d, residue, problem))  # membership check
-    return _assemble(d, residue, point)
-
-
-def _assemble(d: FreeDivisor, residue: ResidueData, point: ModuliPoint) -> LogConnection:
-    """The connection of a point already known to lie in the solution spaces."""
-    zero = (0,) * d.n
-    # S on toral and chi on semisimple slots as constant maps, built unchecked: _check_pair validated them
-    components = {idx: MatrixPolyMap._of([[WeightedPoly._of(d.weights, {zero: v}) for v in row]
-                                          for row in value.entries])
-                  for idx, value in zip(d.toral_indices + d.semisimple_indices, residue.values)}
-    for pos, idx in enumerate(d.toral_indices):
-        components[idx] = components[idx] + point.corrections[pos]
-    pairings = d.pairings if d.w_indices else ()
-    for pos, idx in enumerate(d.w_indices):
-        total = point.components[pos]
-        for i in range(d.toral_count):
-            factor = pairings[i][pos]
-            if not factor.is_zero():
-                total = total + point.corrections[i].scale(factor)
-        components[idx] = total
-    return LogConnection(divisor=d, components=tuple(components[idx] for idx in range(d.n)))
+    maps, _, _ = _reading(point, _problem_for(d, residue, problem))
+    scale, rows = _connection_rows(d, residue, maps)
+    m = residue.matrix_size
+    components = []
+    for component in rows:
+        sums: List[Dict[Monomial, int]] = [{} for _ in range(m * m)]
+        for r, row in enumerate(component):
+            for c, mono, v in row:
+                sums[r * m + c][mono] = sums[r * m + c].get(mono, 0) + v
+        components.append(_divided(d, m, scale, sums))
+    return LogConnection(divisor=d, components=tuple(components))
 
 
 @dataclass(frozen=True)
@@ -768,26 +849,26 @@ def check_point(d: FreeDivisor, residue: ResidueData, point: ModuliPoint,
                 problem: Optional[ModuliProblem] = None) -> PointReport:
     """Evaluate the emitted system at a point and cross-check against curvature.
 
-    The coordinates are read at the bases' pivots (``coordinates_of``), with no
-    row reduction.  The violated (tag, frame slots) pairs are collected once,
-    and both cross-checks read them: the direct curvature of the assembled
-    connection must agree with the curvature, ZN and NN-commute equations, and
-    each correction's direct m-th power with its nilpotency equations; as they
-    are independent computations, disagreement raises instead of returning.
-    With a ``gauge``, only the coordinates are read through P: the cross-checks
-    take the point as given, so they check the gauge too.
+    The point is read once, on integers (``_reading``), and the equations are
+    summed on that reading (``_values``); the violated (tag, frame slots) pairs
+    are collected once.  Both cross-checks run in ``connections``, apart from
+    the emission kernel ``_products``: the flatness of the connection's integer
+    rows (``_connection_rows``) must agree with the curvature, ZN and
+    NN-commute equations, and each correction's integer m-th power with its
+    nilpotency equations; disagreement raises.  With a ``gauge``, only the
+    coordinates are read through P, so the cross-checks check the gauge too.
     """
     problem = _problem_for(d, residue, problem)
+    maps, scale, numerators = _reading(point, problem)
     equations = problem.system.equations
-    results = problem.system.evaluate(coordinates_of(point, problem))
-    violations = tuple(i for i, v in enumerate(results) if v != 0)
+    violations = tuple(i for i, (total, _) in enumerate(_values(equations, scale, numerators)) if total)
     violated = {(equations[i].tag, equations[i].frame_slots) for i in violations}
-    report = is_flat(_assemble(d, residue, point))
+    report = _flatness(d, *_connection_rows(d, residue, maps))
     # each direct verdict must be the negation of "an equation of its tags is violated"
     if report.flat == any(tag in ("curvature", "ZN", "NN-commute") for tag, _ in violated):
         raise ArithmeticError("emitted system and direct curvature disagree on flatness; broken invariant")
-    for t, correction in zip(d.toral_indices, point.corrections):
-        if correction.power(residue.matrix_size).is_zero() == (("nilpotency", (t,)) in violated):
+    for t, (_, entries) in zip(d.toral_indices, maps[len(d.w_indices):]):
+        if _nilpotent(_put([[] for _ in range(residue.matrix_size)], entries)) == (("nilpotency", (t,)) in violated):
             raise ArithmeticError("nilpotency equations disagree with the direct power; broken invariant")
     return PointReport(flat=report.flat, violations=violations, flatness=report)
 
@@ -866,10 +947,10 @@ def linear_certificate(system: PolySystem) -> LinearCertificate:
     if len(kernel) > 1:
         return LinearCertificate("undetermined", None, None)
     solution = tuple(kernel[-1].get(i, Fraction(0)) for i in range(ncoords))
-    for eq, value in zip(higher, _values(higher, solution)):
-        if value != 0:
+    for eq, (total, denominator) in zip(higher, _values(higher, *_cleared_values(solution))):
+        if total:
             witness = (
-                f"equation tagged {eq.tag} at entry {eq.entry} evaluates to {value} "
+                f"equation tagged {eq.tag} at entry {eq.entry} evaluates to {Fraction(total, denominator)} "
                 "at the unique solution of the linear part"
             )
             return LinearCertificate("inconsistent", solution, witness)

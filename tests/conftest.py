@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -18,7 +19,9 @@ from logres import (
     catalog,
 )
 from logres.linear import IntegerRows, inverse, rref
-from logres.moduli import MembershipError, _build, _check_pair, _span_coordinates, _terms
+from logres import LogConnection, is_flat
+from logres.moduli import (MembershipError, PointReport, _build, _check_pair, _cleared, _conjugate, _span_coordinates,
+                           _terms)
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,79 @@ def oracle_span_coordinates(space, target: MatrixPolyMap) -> List[Fraction]:
     return list(kernel[-1][:width])
 
 
+def span_coordinates(space, target: MatrixPolyMap) -> List[Fraction]:
+    """The library's integer reading of one map on one space, as ``Fraction``s."""
+    scale, values = _span_coordinates(space, target, *_cleared(_terms(target)))
+    return [Fraction(value, scale) for value in values]
+
+
+def fraction_span_coordinates(space, target: MatrixPolyMap) -> List[Fraction]:
+    """The target's coefficients read at the pivots on ``Fraction`` terms, with one
+    ``Counter`` sum as the membership check: the reading ``coordinates_of`` made
+    before it read a point once on integers."""
+    if target.size != space.matrix_size:
+        raise MembershipError("matrix size mismatch")
+    terms = _terms(target)
+    if space.gauge is not None:
+        terms = _conjugate(terms, space.gauge_inverse, space.gauge, len(target.weights))
+    given = {(r, c, mono): coeff for r, c, mono, coeff in terms}
+    values = [given.get(pivot, 0) for pivot in space.pivots]
+    rebuilt = Counter()
+    for value, (_, terms) in zip(values, space.elements):
+        for r, c, mono, coeff in terms:
+            rebuilt[r, c, mono] += value * coeff
+    if {key: v for key, v in rebuilt.items() if v} != given:
+        raise MembershipError(f"value does not lie in the span of solution space {space.slot}")
+    return [Fraction(value) for value in values]
+
+
+def oracle_coordinates_of(point, problem) -> Tuple[Fraction, ...]:
+    """``coordinates_of`` composed from ``fraction_span_coordinates``, one space at a time."""
+    if len(point.components) != len(problem.component_spaces):
+        raise MembershipError("wrong number of component maps")
+    if len(point.corrections) != len(problem.correction_spaces):
+        raise MembershipError("wrong number of correction maps")
+    values = []
+    for space, target in zip(problem.component_spaces + problem.correction_spaces,
+                             point.components + point.corrections):
+        values.extend(fraction_span_coordinates(space, target))
+    return tuple(values)
+
+
+def oracle_assemble(d, residue, point) -> LogConnection:
+    """The connection of a point from ``MatrixPolyMap`` arithmetic: S_i + N_i on
+    toral, chi on semisimple and B_j + sum_i pairing * N_i on graded slots."""
+    components = {idx: MatrixPolyMap.from_constant(value, d.weights)
+                  for idx, value in zip(d.toral_indices + d.semisimple_indices, residue.values)}
+    for pos, idx in enumerate(d.toral_indices):
+        components[idx] = components[idx] + point.corrections[pos]
+    for pos, idx in enumerate(d.w_indices):
+        total = point.components[pos]
+        for i in range(d.toral_count):
+            factor = d.pairings[i][pos]
+            if not factor.is_zero():
+                total = total + point.corrections[i].scale(factor)
+        components[idx] = total
+    return LogConnection(divisor=d, components=tuple(components[idx] for idx in range(d.n)))
+
+
+def oracle_check_point(d, residue, point, problem) -> PointReport:
+    """``check_point`` on ``Fraction`` maps: ``oracle_coordinates_of``, then
+    ``PolySystem.evaluate``, ``oracle_assemble``, ``is_flat`` and each
+    correction's ``MatrixPolyMap.power``, with the same consistency checks."""
+    equations = problem.system.equations
+    results = problem.system.evaluate(oracle_coordinates_of(point, problem))
+    violations = tuple(i for i, v in enumerate(results) if v != 0)
+    violated = {(equations[i].tag, equations[i].frame_slots) for i in violations}
+    report = is_flat(oracle_assemble(d, residue, point))
+    if report.flat == any(tag in ("curvature", "ZN", "NN-commute") for tag, _ in violated):
+        raise ArithmeticError("emitted system and direct curvature disagree on flatness; broken invariant")
+    for t, correction in zip(d.toral_indices, point.corrections):
+        if correction.power(residue.matrix_size).is_zero() == (("nilpotency", (t,)) in violated):
+            raise ArithmeticError("nilpotency equations disagree with the direct power; broken invariant")
+    return PointReport(flat=report.flat, violations=violations, flatness=report)
+
+
 def oracle_pair_curvature(conn, i: int, j: int) -> MatrixPolyMap:
     """R_ij = V_i(w_j) - V_j(w_i) - sum_k c_ij^k w_k - [w_i, w_j], composed from
     whole ``MatrixPolyMap``s: the reference for ``connections``' one-pass kernel."""
@@ -91,7 +167,7 @@ def oracle_pair_curvature(conn, i: int, j: int) -> MatrixPolyMap:
 
 
 def assert_readings_agree(problem, rng: random.Random, moves: int = 6) -> None:
-    """``_span_coordinates`` and ``oracle_span_coordinates`` agree on every space of a problem.
+    """``span_coordinates`` and ``oracle_span_coordinates`` agree on every space of a problem.
 
     Each space gets a seeded element (about a third of its basis weighted by
     zero), whose coordinates must be the same ``Fraction``s by both readings.
@@ -106,7 +182,7 @@ def assert_readings_agree(problem, rng: random.Random, moves: int = 6) -> None:
         for element in space.basis:
             if rng.random() < 2 / 3:
                 target = target + element.scale(rand_fraction(rng))
-        reading = _span_coordinates(space, target)
+        reading = span_coordinates(space, target)
         assert reading == oracle_span_coordinates(space, target)
         assert all(type(value) is Fraction for value in reading)
         support = sorted({(r, c, mono) for element in space.basis for r, c, mono, _ in _terms(element)})
@@ -116,7 +192,7 @@ def assert_readings_agree(problem, rng: random.Random, moves: int = 6) -> None:
             entries[r][c] = WeightedPoly(weights, {mono: 1})
             moved = target + MatrixPolyMap(entries)
             outcomes = []
-            for read in (_span_coordinates, oracle_span_coordinates):
+            for read in (span_coordinates, oracle_span_coordinates):
                 try:
                     outcomes.append(read(space, moved))
                 except MembershipError:

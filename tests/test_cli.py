@@ -414,6 +414,12 @@ def test_machine_output_is_byte_stable(capsys, residue_file):
     assert outputs[0] == outputs[1]
 
 
+# the gauge that takes fraction_conjugated(diag(0, 1, 2, 3)) back to diag(0, 1, 2, 3)
+CUSP_GAUGE = [["1/1", "1/2", "-2/3", "-2/3"], ["0/1", "1/1", "1/2", "-2/3"], ["0/1", "0/1", "1/1", "1/2"],
+              ["0/1", "0/1", "0/1", "1/1"]]
+CUSP_GAUGE_LINE = "gauge: 1 1/2 -2/3 -2/3; 0 1 1/2 -2/3; 0 0 1 1/2; 0 0 0 1"
+
+
 # sha256 of emit-moduli's stdout for cusp with fraction_conjugated(diag(0, 1, 2, 3)),
 # frozen before the text lines were built only for the text format, and frozen
 # again once the residue was solved in its weight basis, after the JSON was seen
@@ -432,13 +438,10 @@ def test_emit_moduli_stdout_is_unchanged(capsys, tmp_path, fmt):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EMIT_STDOUT[fmt]
     # the one gauge line or key, with the P that takes the residue back to diag(0, 1, 2, 3)
-    gauge = [["1/1", "1/2", "-2/3", "-2/3"], ["0/1", "1/1", "1/2", "-2/3"], ["0/1", "0/1", "1/1", "1/2"],
-             ["0/1", "0/1", "0/1", "1/1"]]
     if fmt == "json":
-        assert json.loads(out)["gauge"] == gauge
+        assert json.loads(out)["gauge"] == CUSP_GAUGE
     else:
-        assert [line for line in out.splitlines() if "gauge" in line] == [
-            "gauge: 1 1/2 -2/3 -2/3; 0 1 1/2 -2/3; 0 0 1 1/2; 0 0 0 1"]
+        assert [line for line in out.splitlines() if "gauge" in line] == [CUSP_GAUGE_LINE]
 
 
 # sha256 of emit-moduli's stdout for cusp with S = [[0, 2], [1, 0]], whose
@@ -464,11 +467,12 @@ def test_a_residue_with_irrational_eigenvalues_is_solved_as_written(capsys, tmp_
 # fraction_conjugated(diag(0, 1, 2, 3)), and of jordan --mode multiplicative on
 # [[2, 2], [0, 2]], frozen before the public solve wrappers were removed; cusp's
 # JSON, whose coordinate names are read in the residue's weight basis, was
-# frozen again with EMIT_STDOUT
+# frozen again with EMIT_STDOUT, and again once it printed that basis, its
+# "gauge", after the rest was seen to be the bytes before (the test below)
 RESIDUE_SPACE_STDOUT = {
     ("sekiguchi_b5", "json"): "200dec3220f213ca3e1afd5601a54306955358fe0d212aa5695a6e2670e3f4ee",
     ("sekiguchi_b5", "text"): "cb15074828e2e382b856e22663550b960d4fdd555bdbfe97ea6043e1acabd0d3",
-    ("cusp", "json"): "cb589d6e073845eae639e112b53a704c3eba5a2b704d6873a832eff97fcac151",
+    ("cusp", "json"): "52f59a9c2ee802dba5c1a58d41639585b3a9a8a3689c6958c79231cdceecaf3c",
     ("cusp", "text"): "f959a65a88d8bd9bcb4a75dfca2045dd1d3161465d9a5c67f6f03f8096cf4a9f",
 }
 JORDAN_MULTIPLICATIVE_STDOUT = {
@@ -484,6 +488,64 @@ def test_residue_space_stdout_is_unchanged(capsys, tmp_path, name, fmt):
     code, out, _ = run(capsys, "residue-space", "--catalog", name, "--residue", path, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == RESIDUE_SPACE_STDOUT[name, fmt]
+
+
+def without_gauge(out, fmt):
+    """The output with its gauge key or line taken out, and the gauge as printed."""
+    if fmt == "json":
+        payload = json.loads(out)
+        gauge = payload.pop("gauge")
+        return serialize.canonical_dumps(payload), gauge
+    lines = out.splitlines(keepends=True)
+    gauges = [line for line in lines if line.startswith("gauge: ")]
+    assert len(gauges) == 1
+    return "".join(line for line in lines if line not in gauges), gauges[0].rstrip("\n")
+
+
+def test_residue_space_json_prints_the_gauge_and_otherwise_the_bytes_before_it(capsys, tmp_path):
+    # the coordinate names are read in the basis of P's columns, so P is printed
+    # with them; the rest is the output frozen before the gauge was printed
+    residue = residue_for(catalog("cusp"), fraction_conjugated(diag(0, 1, 2, 3)))
+    path = write_json(tmp_path / "residue.json", serialize.residue_to_json(residue))
+    code, out, _ = run(capsys, "residue-space", "--catalog", "cusp", "--residue", path, "--format", "json")
+    rest, gauge = without_gauge(out, "json")
+    assert code == 0 and gauge == CUSP_GAUGE
+    assert hashlib.sha256(rest.encode()).hexdigest() == \
+        "cb589d6e073845eae639e112b53a704c3eba5a2b704d6873a832eff97fcac151"
+
+
+# sha256 of check-point's stdout on a seeded cusp point for fraction_conjugated(diag(0, 1, 2, 3)),
+# frozen before the gauge was printed
+GAUGED_CHECK_STDOUT = {
+    "json": "fa4cd91adbd5922b66f48ae9df3c31cc0f0a9d434f4046257e99ab0cc141c262",
+    "text": "15ea7bddfc927e14c9a8f73e7b163b85e486e63c58585186469adfd8db6f5ea0",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GAUGED_CHECK_STDOUT))
+def test_check_point_prints_the_gauge_of_a_conjugated_residue(capsys, tmp_path, fmt):
+    # the violations' entries are in the basis of P's columns
+    d = catalog("cusp")
+    residue = residue_for(d, fraction_conjugated(diag(0, 1, 2, 3)))
+    problem = moduli_system(d, residue)
+    rng = random.Random(3)
+    maps = []
+    for space in problem.component_spaces + problem.correction_spaces:
+        total = MatrixPolyMap.zeros(space.matrix_size, d.weights)
+        for element in space.basis:
+            if rng.random() < 0.5:
+                total = total + element.scale(rand_fraction(rng))
+        maps.append(serialize.matrix_map_to_json(total))
+    path = write_json(tmp_path / "point.json", {"components": maps[:1], "corrections": maps[1:]})
+    residue_path = write_json(tmp_path / "residue.json", serialize.residue_to_json(residue))
+    code, out, _ = run(capsys, "check-point", "--catalog", "cusp", "--residue", residue_path, "--point", path,
+                       "--format", fmt)
+    rest, gauge = without_gauge(out, fmt)
+    assert code == 1 and "ZN" in out
+    assert gauge == (CUSP_GAUGE if fmt == "json" else CUSP_GAUGE_LINE)
+    if fmt == "text":
+        assert out.splitlines()[1] == CUSP_GAUGE_LINE
+    assert hashlib.sha256(rest.encode()).hexdigest() == GAUGED_CHECK_STDOUT[fmt]
 
 
 @pytest.mark.parametrize("fmt", sorted(JORDAN_MULTIPLICATIVE_STDOUT))

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from logres import MatrixPolyMap, ModuliPoint, RationalMatrix, WeightedPoly, catalog, check_point, moduli_system
 from logres.linear import IntegerRows, inverse, rref
-from logres.moduli import MembershipError, _span_coordinates
+from logres.moduli import MembershipError
 
 from conftest import (S01, as_written, assert_readings_agree, conjugated, diag, fraction_conjugated, pulled_back,
-                      residue_for)
+                      residue_for, span_coordinates)
 
 CASES = (("cusp", diag(0, 1, 2)), ("sekiguchi_b5", diag(0, 1, 2)), ("borel2", diag(0, 1, 2)),
          ("normal_crossing_3", diag(0, 1, 2)), ("g2", S01), ("d4", S01))
@@ -69,7 +69,7 @@ def test_solution_spaces_are_gauge_covariant(drawn):
     for space, conjugate in zip(before, after, strict=True):
         assert conjugate.dims_by_degree == space.dims_by_degree
         for element in conjugate.basis:
-            _span_coordinates(space, left.matmul(element).matmul(right))  # raises outside the span
+            span_coordinates(space, left.matmul(element).matmul(right))  # raises outside the span
 
 
 @settings(max_examples=15, deadline=None)
@@ -218,7 +218,7 @@ def test_the_gauged_solve_agrees_with_the_written_one(name, s, form):
     for ours, theirs in pairs:
         assert ours.gauge is p and ours.dims_by_degree == theirs.dims_by_degree
         for element in ours.basis:
-            _span_coordinates(theirs, element)  # raises outside the span
+            span_coordinates(theirs, element)  # raises outside the span
     outside = MatrixPolyMap([[WeightedPoly(d.weights, {(100,) + (0,) * (d.n - 1): int(i == j == 0)})
                               for j in range(value.rows)] for i in range(value.rows)])
     for problem in (written, gauged):

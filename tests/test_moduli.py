@@ -32,12 +32,12 @@ from logres.divisor import TORAL, DivisorError, correction_pairings
 from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
 from logres.moduli import (Coordinate, Equation, LinearCertificate, MembershipError, PolySystem, ResidueError,
-                           _commutator, _constant, _matmul, _products, _span_coordinates)
+                           _commutator, _constant, _matmul, _products)
 from logres.univariate import power
 
 from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, as_written, assert_readings_agree,
                       centralizer_algebra, conjugated, diag, divisor_named, e_degrees, rand_fraction, residue_for,
-                      solve_system)
+                      solve_system, span_coordinates)
 
 
 def unit_map(divisor, r, c, poly=None, m=2):
@@ -323,19 +323,22 @@ def test_check_point_flat_example(cusp):
 
 
 def test_check_point_computes_coordinates_once(monkeypatch, cusp):
+    # one integer reading per check, which flattens and clears each map once
     from logres import moduli
 
-    calls = []
-    original = moduli.coordinates_of
-    monkeypatch.setattr(moduli, "coordinates_of", lambda *args: calls.append(args) or original(*args))
+    readings, clearings = [], []
+    reading, cleared = moduli._reading, moduli._cleared
+    monkeypatch.setattr(moduli, "_reading", lambda *args: readings.append(args) or reading(*args))
+    monkeypatch.setattr(moduli, "_cleared", lambda terms: clearings.append(terms) or cleared(terms))
     residue = residue_for(cusp, S01)
     problem = moduli_system(cusp, residue)
     point = ModuliPoint(components=(unit_map(cusp, 0, 1),), corrections=(MatrixPolyMap.zeros(2, cusp.weights),))
     assert check_point(cusp, residue, point, problem).flat
-    assert len(calls) == 1
+    assert (len(readings), len(clearings)) == (1, 2)
     outside = ModuliPoint(components=(unit_map(cusp, 0, 0),), corrections=point.corrections)
     with pytest.raises(MembershipError):
         check_point(cusp, residue, outside, problem)
+    assert (len(readings), len(clearings)) == (2, 4)
 
 
 CRITERION_3 = [(name, s, "auto") for name in ("cusp", "normal_crossing_2", "borel2", "g2", "d4", "sekiguchi_b5")
@@ -346,8 +349,6 @@ CRITERION_3 = [(name, s, "auto") for name in ("cusp", "normal_crossing_2", "bore
                          ids=[f"{name}/{'0' if s == ZERO2 else 'S01'}{'' if chi == 'auto' else '+sl2'}"
                               for name, s, chi in CRITERION_3])
 def test_a_warm_check_point_builds_no_checked_polynomial(monkeypatch, name, s, chi):
-    from logres import moduli
-
     d = catalog(name)
     residue = residue_for(d, s, chi_value=chi)
     problem = moduli_system(d, residue)
@@ -367,7 +368,7 @@ def test_a_warm_check_point_builds_no_checked_polynomial(monkeypatch, name, s, c
     assert check_point(d, residue, point, problem) == expected
     assert built == []
     # the residue values enter the connection as the checked constant maps would
-    components = moduli._assemble(d, residue, point).components
+    components = assemble_connection(d, residue, point, problem).components
     for pos, idx in enumerate(d.toral_indices):
         assert components[idx] == MatrixPolyMap.from_constant(residue.s_list[pos], d.weights) + point.corrections[pos]
     for pos, idx in enumerate(d.semisimple_indices):
@@ -489,8 +490,8 @@ def test_a_dependent_basis_refuses_every_nonzero_target(cusp):
     doubled = replace(space, elements=space.elements + space.elements)
     for target in (space.basis[0], space.basis[1].scale(Fraction(-2, 3)), unit_map(cusp, 0, 0)):
         with pytest.raises(MembershipError, match="solution space"):
-            _span_coordinates(doubled, target)
-    assert _span_coordinates(doubled, MatrixPolyMap.zeros(2, cusp.weights)) == [Fraction(0)] * 4
+            span_coordinates(doubled, target)
+    assert span_coordinates(doubled, MatrixPolyMap.zeros(2, cusp.weights)) == [Fraction(0)] * 4
 
 
 # --------------------------------------------------------------- restriction
