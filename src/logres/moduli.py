@@ -29,13 +29,12 @@ constant matrix.  A coefficient is held as an ``int`` when it is integral
 the structure-function scalars; ``on_monomial`` and ``grading_brackets``
 already give them that way), so products of integers skip ``Fraction``'s gcd
 work, and Python's int/Fraction promotion keeps every other value exact on
-one code path.  ``_products`` sums signed products of such values: it indexes
-each operand once, in blocks of equal (coordinate monomial, base monomial), by
-the inner matrix index, names the product of two blocks once per pair that
-meets, and adds its scalar products into one flat m * m accumulator per name,
-so a commutator is one pass with no subtraction.  Each emitted (row, column,
-base monomial) group becomes one ``Equation``, which keeps the coordinate
-monomials as its keys and its coefficients ``as_scalar`` (a product of
+one code path.  ``_products`` sums signed products of such values, a plain
+row-wise sparse product: it indexes each right operand once by the inner
+matrix index and adds each matching pair of terms into one dict keyed like
+the values, so a commutator is one pass with no subtraction.  Each emitted
+(row, column, base monomial) group becomes one ``Equation``, which keeps the
+coordinate monomials as its keys and its coefficients ``as_scalar`` (a product of
 ``Fraction``s stays one when integral): nothing in emission, evaluation,
 restriction or the JSON output builds a polynomial over all the coordinates.
 Evaluation (``_values``) sums each equation on integers, given a point's
@@ -186,9 +185,8 @@ def _terms(mp: MatrixPolyMap) -> List[_Term]:
 
 def _conjugate(terms: Iterable[_Term], left: RationalMatrix, right: RationalMatrix, n: int) -> List[_Term]:
     """The terms of left * X * right, for X given by its terms over n variables."""
-    m = left.rows
     value = {((), r, c, mono): coeff for r, c, mono, coeff in terms}
-    product = _matmul(m, _matmul(m, _constant(left, n), value), _constant(right, n))
+    product = _matmul(_matmul(_constant(left, n), value), _constant(right, n))
     return [(r, c, mono, coeff) for (_, r, c, mono), coeff in product.items()]
 
 
@@ -207,49 +205,34 @@ def _sub(a: _Value, b: _Value) -> _Value:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def _products(m: int, *factors: Tuple[_Value, _Value, int]) -> _Value:
-    """The sum of sign * a * b over the (a, b, sign) factors, sign 1 or -1, of m x m values.
+def _products(*factors: Tuple[_Value, _Value, int]) -> _Value:
+    """The sum of sign * a * b over the (a, b, sign) factors, sign 1 or -1.
 
-    A row-wise sparse product with a dense accumulator (Gustavson, ACM TOMS 4,
-    1978), block by block, a block being the terms of one operand with one
-    (coordinate monomial, base monomial).  Each operand is indexed once per
-    block by its inner index s.  Each pair of blocks that meets on some s names
-    its product once and adds the scalar products at r * m + c of one flat
-    accumulator per name, which all factors share, so a commutator is one call.
+    A row-wise sparse product (Gustavson, ACM TOMS 4, 1978): b is indexed once
+    by its inner index s, and each term of a adds its products with the terms
+    of b in row s into one dict keyed by (coordinate monomial, row, column,
+    base monomial), which all factors share, so a commutator is one call.
     """
-    sums: Dict[tuple, list] = {}
+    out: _Value = {}
     for a, b, sign in factors:
-        left: Dict[tuple, Dict[int, list]] = {}
-        for (key, r, s, mono), coeff in a.items():
-            left.setdefault((key, mono), {}).setdefault(s, []).append((r * m, coeff if sign > 0 else -coeff))
-        numbers: Dict[tuple, int] = {}  # the blocks of b, numbered
-        right: Dict[int, Dict[int, list]] = {}
+        by_inner: Dict[int, list] = {}
         for (key, s, c, mono), coeff in b.items():
-            number = numbers.setdefault((key, mono), len(numbers))
-            right.setdefault(s, {}).setdefault(number, []).append((c, coeff))
-        names_b = list(numbers)
-        for (key_a, mono_a), by_inner in left.items():
-            named: List[Optional[list]] = [None] * len(names_b)  # the accumulator of each block of b times this one
-            for s, rows in by_inner.items():
-                for number, cols in right.get(s, {}).items():
-                    entries = named[number]
-                    if entries is None:
-                        key_b, mono_b = names_b[number]
-                        name = (tuple(sorted(key_a + key_b)), tuple(map(add, mono_a, mono_b)))
-                        entries = named[number] = sums.setdefault(name, [0] * (m * m))
-                    for base, coeff_a in rows:
-                        for c, coeff_b in cols:
-                            entries[base + c] += coeff_a * coeff_b
-    return {(key, i // m, i % m, mono): coeff for (key, mono), entries in sums.items()
-            for i, coeff in enumerate(entries) if coeff}
+            by_inner.setdefault(s, []).append((key, c, mono, coeff))
+        for (key_a, r, s, mono_a), coeff_a in a.items():
+            if sign < 0:
+                coeff_a = -coeff_a
+            for key_b, c, mono_b, coeff_b in by_inner.get(s, ()):
+                term = (tuple(sorted(key_a + key_b)), r, c, tuple(map(add, mono_a, mono_b)))
+                out[term] = out.get(term, 0) + coeff_a * coeff_b
+    return {term: coeff for term, coeff in out.items() if coeff}
 
 
-def _matmul(m: int, a: _Value, b: _Value) -> _Value:
-    return _products(m, (a, b, 1))
+def _matmul(a: _Value, b: _Value) -> _Value:
+    return _products((a, b, 1))
 
 
-def _commutator(m: int, a: _Value, b: _Value) -> _Value:
-    return _products(m, (a, b, 1), (b, a, -1))
+def _commutator(a: _Value, b: _Value) -> _Value:
+    return _products((a, b, 1), (b, a, -1))
 
 
 def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
@@ -547,8 +530,8 @@ def moduli_system(d: FreeDivisor, residue: ResidueData) -> ModuliProblem:
     with components (ZN), pairwise commutation of corrections (NN-commute),
     and entrywise nilpotency.  Ordering is deterministic for byte-stable
     output.  Coefficients are ints while they are integral, and every matrix
-    product goes through the block kernel ``_products``; each equation keeps its
-    coordinate monomials as sparse keys.
+    product goes through the sparse product kernel ``_products``; each equation
+    keeps its coordinate monomials as sparse keys.
 
     The correction spaces share one basis, so toral slot l's correction is
     the first one with its coordinates moved up by l * dim.  ZN (per graded
@@ -635,7 +618,7 @@ def _build(d: FreeDivisor, residue: ResidueData, gauge: Optional[RationalMatrix]
                              for base, scalar in poly.terms.items()
                              for (key, r, c, mono), coeff in frame_value[k].items())
         value = _sub(_sub(apply(i, comps[b]), apply(j, comps[a])), structure)
-        return _sub(value, _commutator(m, comps[a], comps[b]))
+        return _sub(value, _commutator(comps[a], comps[b]))
 
     # curvature equations on pairs of graded slots
     graded = list(enumerate(d.w_indices))
@@ -646,15 +629,15 @@ def _build(d: FreeDivisor, residue: ResidueData, gauge: Optional[RationalMatrix]
     toral = list(enumerate(d.toral_indices))
     # graded fields applied to corrections
     for a, i in graded:
-        emit("ZN", _sub(apply(i, corrs[0]), _commutator(m, comps[a], corrs[0])), [((i, t), l, 1) for l, t in toral])
+        emit("ZN", _sub(apply(i, corrs[0]), _commutator(comps[a], corrs[0])), [((i, t), l, 1) for l, t in toral])
 
     # corrections commute pairwise
     if len(toral) > 1:
-        emit("NN-commute", _commutator(m, corrs[0], corrs[1]),
+        emit("NN-commute", _commutator(corrs[0], corrs[1]),
              [((t1, t2), l1, l2) for l1, t1 in toral for l2, t2 in toral if l1 < l2])
 
     # corrections are nilpotent, encoded entrywise
-    emit("nilpotency", power(corrs[0], m, partial(_matmul, m)), [((t,), l, 1) for l, t in toral])
+    emit("nilpotency", power(corrs[0], m, _matmul), [((t,), l, 1) for l, t in toral])
 
     summary = {
         "divisor": d.name,

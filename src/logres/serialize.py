@@ -319,12 +319,17 @@ def system_from_json(data) -> PolySystem:
         ))
     ncoords = len(coords)
     coord_weights = (1,) * (ncoords if ncoords else 1)
+    matrix_size = _integer(data["matrix_size"], "matrix_size")
     equations = []
     for eq in _list(data["equations"], "equations"):
         _object(eq, ("tag", "frame_slots", "entry", "base_monomial", "poly"), "equation")
         entry = _integers(eq["entry"], "entry")
-        _require(len(entry) == 2 and min(entry) >= 1, f"entry must be two indices from 1, got {entry!r}")
+        _require(len(entry) == 2 and min(entry) >= 1 and max(entry) <= matrix_size,
+                 f"entry must be two indices from 1 to matrix_size {matrix_size}, got {entry!r}")
         poly = poly_from_json(eq["poly"], coord_weights)
+        # with no coordinates, the one exponent of each term is a placeholder that must be 0
+        _require(ncoords or not any(map(any, poly.terms)),
+                 "a system with no coordinates takes only constant terms, with the exponents [0]")
         equations.append(Equation(
             tag=_string(eq["tag"], "tag"),
             frame_slots=_integers(eq["frame_slots"], "frame_slots"),
@@ -335,7 +340,6 @@ def system_from_json(data) -> PolySystem:
         ))
     summary = data.get("summary", {})
     _require(isinstance(summary, dict), f"summary must be a JSON object, got {summary!r}")
-    matrix_size = _integer(data["matrix_size"], "matrix_size")
     gauge = None
     if "gauge" in data:
         try:

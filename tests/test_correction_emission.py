@@ -10,7 +10,6 @@ order of each equation's terms.
 
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -55,12 +54,12 @@ def per_slot_equations(problem):
     out = []
     for a, i in enumerate(d.w_indices):
         for l, correction in enumerate(corrs):
-            out += split("ZN", (i, d.toral_indices[l]), _sub(apply(i, correction), _commutator(m, comps[a], correction)))
+            out += split("ZN", (i, d.toral_indices[l]), _sub(apply(i, correction), _commutator(comps[a], correction)))
     for l1 in range(d.toral_count):
         for l2 in range(l1 + 1, d.toral_count):
-            out += split("NN-commute", (d.toral_indices[l1], d.toral_indices[l2]), _commutator(m, corrs[l1], corrs[l2]))
+            out += split("NN-commute", (d.toral_indices[l1], d.toral_indices[l2]), _commutator(corrs[l1], corrs[l2]))
     for l, correction in enumerate(corrs):
-        out += split("nilpotency", (d.toral_indices[l],), power(correction, m, partial(_matmul, m)))
+        out += split("nilpotency", (d.toral_indices[l],), power(correction, m, _matmul))
     return out
 
 
@@ -107,9 +106,9 @@ def test_the_emission_products_do_not_grow_with_the_toral_rank(monkeypatch):
     # 15, 31 and 70 factor pairs
     calls = []
 
-    def counting_products(m, *factors):
+    def counting_products(*factors):
         calls.extend(factors)
-        return _products(m, *factors)
+        return _products(*factors)
 
     monkeypatch.setattr(moduli, "_products", counting_products)
     counts = []

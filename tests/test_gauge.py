@@ -138,11 +138,13 @@ def test_point_verdicts_are_gauge_invariant(drawn, seed):
 # --------------------------------------------------------- equation groups
 
 def rank_of(term_maps):
-    """Rank of the coefficient vectors of equations' terms, one sparse row each."""
-    column = {}
-    rows = [{column.setdefault(monomial, len(column)): coeff for monomial, coeff in terms.items()}
-            for terms in term_maps]
-    return rref(IntegerRows.cleared(rows, len(column))).rank
+    """Rank of the coefficient vectors of equations' terms, read on the transpose:
+    one sparse row per coordinate monomial, one column per equation."""
+    rows = {}
+    for column, terms in enumerate(term_maps):
+        for monomial, coeff in terms.items():
+            rows.setdefault(monomial, {})[column] = coeff
+    return rref(IntegerRows.cleared(list(rows.values()), len(term_maps))).rank
 
 
 def group_ranks(system):

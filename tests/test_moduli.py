@@ -4,7 +4,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -845,41 +844,24 @@ def random_value(rng, m, integral):
         key = tuple(sorted(rng.randrange(4) for _ in range(rng.randint(0, 2))))
         mono = (rng.randint(0, 2), rng.randint(0, 1))
         for _ in range(rng.randint(1, 3)):
-            if integral or rng.random() < 0.5:
-                coeff = rng.choice((-2, -1, 1, 3))
-            else:
-                coeff = rand_fraction(rng) or Fraction(1, 2)
-            value[(key, rng.randrange(m), rng.randrange(m), mono)] = coeff
+            value[(key, rng.randrange(m), rng.randrange(m), mono)] = random_coeff(rng, integral)
     return value
 
 
-def test_block_matmul_matches_the_term_pair_product():
-    rng = random.Random(11)
-    disjoint = 0
-    for trial in range(300):
-        m = rng.randint(1, 4)
-        integral = trial % 3 == 0
-        a, b = random_value(rng, m, integral), random_value(rng, m, integral)
-        product = _matmul(m, a, b)
-        assert product == naive_matmul(a, b)
-        assert all(coeff for coeff in product.values())
-        if integral:
-            assert all(type(coeff) is int for coeff in product.values())
-        columns, rows = {}, {}
-        for key, _, s, mono in a:
-            columns.setdefault((key, mono), set()).add(s)
-        for key, s, _, mono in b:
-            rows.setdefault((key, mono), set()).add(s)
-        disjoint += sum(not cols & rws for cols in columns.values() for rws in rows.values())
-    assert disjoint > 0
+def dense_value(rng, m, integral):
+    """One or two base monomials, each carrying two or three coordinate
+    monomials whose m x m blocks have every entry nonzero."""
+    value = {}
+    for mono in rng.sample([(0, 0), (1, 0), (0, 1), (2, 1)], rng.randint(1, 2)):
+        for key in rng.sample([(), (0,), (1,), (0, 1), (2, 2)], rng.randint(2, 3)):
+            value.update(((key, r, c, mono), random_coeff(rng, integral)) for r in range(m) for c in range(m))
+    return value
 
 
-def test_block_matmul_sums_and_cancels_across_block_pairs():
-    # (0,) x (1,) and (1,) x (0,) land on one coordinate monomial and cancel
-    z = (0, 0)
-    a = {((0,), 0, 0, z): 1, ((1,), 0, 0, z): 1}
-    b = {((1,), 0, 0, z): 1, ((0,), 0, 0, z): Fraction(-1)}
-    assert _matmul(1, a, b) == {((0, 0), 0, 0, z): -1, ((1, 1), 0, 0, z): 1}
+def random_coeff(rng, integral):
+    if integral or rng.random() < 0.5:
+        return rng.choice((-2, -1, 1, 3))
+    return rand_fraction(rng) or Fraction(1, 2)
 
 
 def naive_sum(*parts):
@@ -892,42 +874,75 @@ def naive_sum(*parts):
 
 
 def kernel_cases(seed):
-    """About 300 seeded (m, a, b, integral) operand pairs, m from 1 to 5,
-    every third one with int coefficients only."""
+    """300 seeded (a, b, integral) operand pairs, every third one with int
+    coefficients only: sparse m x m operands, m from 1 to 5, with at most 18
+    terms, and in every tenth pair dense ones, m from 2 to 6."""
     rng = random.Random(seed)
     for trial in range(300):
-        m = rng.randint(1, 5)
         integral = trial % 3 == 0
-        yield m, random_value(rng, m, integral), random_value(rng, m, integral), integral
+        if trial % 10 == 9:
+            m = rng.randint(2, 6)
+            yield dense_value(rng, m, integral), dense_value(rng, m, integral), integral
+        else:
+            m = rng.randint(1, 5)
+            yield random_value(rng, m, integral), random_value(rng, m, integral), integral
+
+
+def test_matmul_matches_the_term_pair_product():
+    unmatched = full = 0
+    for a, b, integral in kernel_cases(11):
+        product = _matmul(a, b)
+        assert product == naive_matmul(a, b)
+        assert all(coeff for coeff in product.values())
+        if integral:
+            assert all(type(coeff) is int for coeff in product.values())
+        rows = {s for _, s, _, _ in b}
+        unmatched += sum(s not in rows for _, _, s, _ in a)
+        blocks = {}
+        for key, r, c, mono in a:
+            blocks.setdefault(mono, {}).setdefault(key, set()).add((r, c))
+        full += any(len(keys) > 1 and all(len(entries) == 36 for entries in keys.values())
+                    for keys in blocks.values())
+    assert unmatched > 0  # terms of a whose inner index meets no row of b
+    assert full > 0  # several full 6 x 6 blocks on one base monomial
+
+
+def test_matmul_sums_and_cancels_across_coordinate_monomials():
+    # (0,) x (1,) and (1,) x (0,) land on one coordinate monomial and cancel
+    z = (0, 0)
+    a = {((0,), 0, 0, z): 1, ((1,), 0, 0, z): 1}
+    b = {((1,), 0, 0, z): 1, ((0,), 0, 0, z): Fraction(-1)}
+    assert _matmul(a, b) == {((0, 0), 0, 0, z): -1, ((1, 1), 0, 0, z): 1}
 
 
 def test_kernel_commutator_matches_two_term_pair_products():
-    for m, a, b, integral in kernel_cases(21):
-        bracket = _commutator(m, a, b)
+    for a, b, integral in kernel_cases(21):
+        bracket = _commutator(a, b)
         negated = {term: -coeff for term, coeff in naive_matmul(b, a).items()}
         assert bracket == naive_sum(naive_matmul(a, b), negated)
         assert all(coeff for coeff in bracket.values())
         if integral:
             assert all(type(coeff) is int for coeff in bracket.values())
-        # the factors of one call share their accumulators: the sum of the signed products
-        assert _products(m, (a, b, 1), (b, b, -1), (a, a, 1)) == naive_sum(
+        # the factors of one call add into one dict: the sum of the signed products
+        assert _products((a, b, 1), (b, b, -1), (a, a, 1)) == naive_sum(
             naive_matmul(a, b), {term: -coeff for term, coeff in naive_matmul(b, b).items()}, naive_matmul(a, a))
 
 
 def test_kernel_self_commutator_and_empty_operands_vanish():
-    for m, a, b, _ in kernel_cases(22):
-        assert _commutator(m, a, a) == {}
-        assert _matmul(m, a, {}) == _matmul(m, {}, b) == _commutator(m, {}, b) == _products(m) == {}
+    for a, b, _ in kernel_cases(22):
+        assert _commutator(a, a) == {}
+        assert _matmul(a, {}) == _matmul({}, b) == _commutator({}, b) == _products() == {}
 
 
 def test_kernel_powers_match_repeated_term_pair_products():
-    # the nilpotency path: moduli_system emits power(corrs[0], m, partial(_matmul, m))
-    for m, a, _, integral in kernel_cases(23):
+    # the nilpotency path: moduli_system emits power(corrs[0], m, _matmul)
+    for a, _, integral in kernel_cases(23):
         expected = a
-        for k in range(1, 6):
+        # the fourth and fifth powers of a dense operand hold thousands of terms
+        for k in range(1, 6 if len(a) <= 18 else 4):
             if k > 1:
                 expected = naive_matmul(expected, a)
-            result = power(a, k, partial(_matmul, m))
+            result = power(a, k, _matmul)
             assert result == expected
             if integral:
                 assert all(type(coeff) is int for coeff in result.values())
@@ -939,7 +954,7 @@ def test_sparse_bracket_matches_the_matrix_commutator():
         m = rng.randint(1, 5)
         a, b = (RationalMatrix([[rand_fraction(rng) if rng.random() < 0.5 else 0 for _ in range(m)]
                                 for _ in range(m)]) for _ in range(2))
-        assert _commutator(m, _constant(a, 2), _constant(b, 2)) == _constant(commutator(a, b), 2)
+        assert _commutator(_constant(a, 2), _constant(b, 2)) == _constant(commutator(a, b), 2)
 
 
 @pytest.mark.parametrize("name,s", [("cusp", diag(0, 1, 2, 3)), ("sekiguchi_b5", diag(0, 1, 2)),
@@ -951,7 +966,7 @@ def test_sparse_bracket_on_conjugated_residues(name, s):
     for basis in residue.grading_eigenspaces.values():
         for mat in basis:
             for a, b in ((value, mat), (mat, value)):
-                assert _commutator(residue.matrix_size, _constant(a, d.n), _constant(b, d.n)) == _constant(
+                assert _commutator(_constant(a, d.n), _constant(b, d.n)) == _constant(
                     commutator(a, b), d.n)
 
 

@@ -177,6 +177,28 @@ def test_system_from_json_rejects_malformed_fields(seki, field):
         serialize.system_from_json(data)
 
 
+def test_system_from_json_rejects_an_entry_outside_the_matrix(seki):
+    problem = moduli_system(seki, residue_for(seki, S01))
+    data = json.loads(json.dumps(serialize.system_to_json(problem.system, seki.variables)))
+    assert data["matrix_size"] == 2
+    data["equations"][0]["entry"] = [9, 9]
+    with pytest.raises(SchemaError, match="entry"):
+        serialize.system_from_json(data)
+
+
+def test_system_from_json_rejects_a_coordinate_exponent_without_coordinates(seki):
+    # a system with every coordinate pinned writes its constant equations with the exponents [0]
+    system = moduli_system(seki, residue_for(seki, S01)).system
+    pinned = restrict_system(system, {name: Fraction(1) for name in system.coordinate_names})
+    data = json.loads(json.dumps(serialize.system_to_json(pinned, seki.variables)))
+    assert data["coordinates"] == [] and data["equations"]
+    back = serialize.system_from_json(data)
+    assert back == pinned and back.evaluate([]) == pinned.evaluate([])
+    data["equations"][0]["poly"] = [{"exponents": [2], "coeff": "1/1"}]
+    with pytest.raises(SchemaError, match="no coordinates"):
+        serialize.system_from_json(data)
+
+
 def test_canonical_dumps_is_stable():
     payload = {"b": [1, 2], "a": {"y": Fraction is not None, "x": 0}}
     assert serialize.canonical_dumps(payload) == serialize.canonical_dumps(payload)

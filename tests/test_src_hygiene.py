@@ -109,3 +109,29 @@ def test_connections_imports_nothing_from_moduli():
         elif isinstance(node, ast.ImportFrom):
             imported.extend([node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names])
     assert [name for name in imported if "moduli" in name.split(".")] == []
+
+
+def test_private_and_nested_functions_read_every_parameter():
+    # a private or nested function is called only from inside the package, so
+    # a parameter it never reads is dropped with its arguments rather than
+    # passed along; public functions keep their signatures for outside callers,
+    # and dunders, ``self``, ``cls`` and lambdas are exempt
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        nested = {id(inner) for node in ast.walk(tree) if isinstance(node, functions)
+                  for stmt in node.body for inner in ast.walk(stmt) if isinstance(inner, functions)}
+        for node in ast.walk(tree):
+            if not isinstance(node, functions):
+                continue
+            private = node.name.startswith("_") and not node.name.endswith("__")
+            if not (private or id(node) in nested):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread.extend(f"{path.stem}.{node.name}: {param.arg}" for param in params
+                          if param.arg not in ("self", "cls") and param.arg not in read)
+    assert unread == []
