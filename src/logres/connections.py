@@ -27,7 +27,6 @@ power.  This module does not import ``moduli``, whose emission kernel
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -36,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .divisor import FreeDivisor, VectorFieldPoly
 from .linear import RationalMatrix
 from .polynomials import Monomial, WeightedPoly
+from .record import Record
 from .univariate import as_scalar, power
 
 _Scalar = Union[int, Fraction]
@@ -160,8 +160,7 @@ class MatrixPolyMap:
         return f"MatrixPolyMap([{body}])"
 
 
-@dataclass(frozen=True)
-class LogConnection:
+class LogConnection(Record):
     """Connection components in the dual frame, one matrix map per frame slot."""
 
     divisor: FreeDivisor
@@ -249,8 +248,7 @@ def curvature(conn: LogConnection) -> Dict[Tuple[int, int], MatrixPolyMap]:
             for i in range(d.n) for j in range(i + 1, d.n)}
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(Record):
     flat: bool
     witness: Optional[Tuple[int, int]]
     residual: Optional[MatrixPolyMap]

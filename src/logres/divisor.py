@@ -29,7 +29,6 @@ and the solve and emission in ``moduli`` call it directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
@@ -45,6 +44,7 @@ from .polynomials import (
     monomials_of_degree,
     squarefree_probable,
 )
+from .record import Record
 from .univariate import as_scalar
 
 TORAL = "toral"
@@ -56,8 +56,7 @@ class DivisorError(ValueError):
     """Raised for structurally invalid divisor data."""
 
 
-@dataclass(frozen=True)
-class VectorFieldPoly:
+class VectorFieldPoly(Record):
     """A polynomial vector field sum_i coefficients[i] * d/dz_i."""
 
     coefficients: Tuple[WeightedPoly, ...]
@@ -137,8 +136,7 @@ def bracket(v: VectorFieldPoly, w: VectorFieldPoly) -> VectorFieldPoly:
     return VectorFieldPoly(tuple(out))
 
 
-@dataclass(frozen=True)
-class FrameElement:
+class FrameElement(Record):
     """One logarithmic frame field with its kind annotation.
 
     ``grade`` is required for w-kind elements and is the eigenvalue of the
@@ -162,8 +160,7 @@ class FrameElement:
             raise DivisorError("only toral elements can be distinguished")
 
 
-@dataclass(frozen=True)
-class FreeDivisor:
+class FreeDivisor(Record):
     """A weighted-homogeneous free divisor with frame and grading data.
 
     ``factors`` lists one defining polynomial per toral direction (the
@@ -352,8 +349,7 @@ class FreeDivisor:
         return tuple(map(tuple, correction_pairings(self)))
 
 
-@dataclass(frozen=True)
-class SaitoResult:
+class SaitoResult(Record):
     ok: bool
     constant: Optional[Fraction]
     squarefree: str
@@ -439,8 +435,7 @@ def verify_saito(d: FreeDivisor, trials: int = 8, seed: int = 0) -> SaitoResult:
     return SaitoResult(ok, constant, verdict, message)
 
 
-@dataclass(frozen=True)
-class StructureFunctions:
+class StructureFunctions(Record):
     """Coefficients c_ij^k with [V_i, V_j] = sum_k c_ij^k V_k, for i < j."""
 
     table: Dict[Tuple[int, int], Tuple[WeightedPoly, ...]]
@@ -499,8 +494,7 @@ def structure_functions(d: FreeDivisor) -> StructureFunctions:
     return StructureFunctions(table=table, size=d.n, weights=d.weights)
 
 
-@dataclass(frozen=True)
-class FrameConstants:
+class FrameConstants(Record):
     """Constant blocks of the structure functions, validated against kinds.
 
     ``toral_w`` maps (toral position, w position) to the integer n with
@@ -568,8 +562,7 @@ def frame_constants(d: FreeDivisor) -> FrameConstants:
     return FrameConstants(toral_w=toral_w, semisimple=semisimple, semisimple_action=action)
 
 
-@dataclass(frozen=True)
-class LogFormFrame:
+class LogFormFrame(Record):
     """Dual logarithmic 1-forms, stored as numerators over c * f.
 
     Row i of ``numerators`` holds the dz_j coefficients of the form dual to

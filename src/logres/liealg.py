@@ -15,13 +15,13 @@ B = D * A from ``scaled_charpoly``, D the lcm of A's denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .linear import (IntegerRows, RationalMatrix, determinant, integer_eigenvalues, inverse, poly_at, rref,
                      scaled_charpoly)
+from .record import Record
 from .univariate import as_scalar, clear_denominators, uni_derivative, uni_squarefree_part
 
 
@@ -73,8 +73,7 @@ def is_unipotent(a: RationalMatrix) -> bool:
     return (a - RationalMatrix.identity(a.rows)).power(a.rows).is_zero()
 
 
-@dataclass(frozen=True)
-class JCDecomposition:
+class JCDecomposition(Record):
     """Commuting semisimple plus nilpotent (or times unipotent) split."""
 
     semisimple: RationalMatrix
@@ -157,8 +156,7 @@ def log_unipotent(u: RationalMatrix) -> RationalMatrix:
     return total
 
 
-@dataclass(frozen=True)
-class ResidueData:
+class ResidueData(Record):
     """Commuting semisimple residue values for the toral frame directions.
 
     ``s_list`` holds one matrix per toral slot, ``positive_combination`` the
@@ -315,8 +313,7 @@ class ResidueData:
         return ResidueReport(True)
 
 
-@dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(Record):
     ok: bool
     message: str = ""
 

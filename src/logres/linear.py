@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Sequence, Set, Tuple, Union
 
+from .record import Record
 from .univariate import (as_fraction, clear_denominators, power, uni_derivative, uni_evaluate, uni_primitive,
                          uni_pseudo_divmod, uni_squarefree_part)
 
@@ -126,8 +126,7 @@ class RationalMatrix:
         return f"RationalMatrix([{body}])"
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(Record):
     """The rank, the increasing pivot columns, and a kernel basis in increasing
     free-column order.  Each kernel vector is a dict of its nonzero entries in
     increasing column order, ending at its free column, where it is 1."""
@@ -137,8 +136,7 @@ class RrefResult:
     kernel: Tuple[Dict[int, Fraction], ...]
 
 
-@dataclass
-class IntegerRows:
+class IntegerRows(Record):
     """Sparse rows of Python ints, the form that ``rref`` eliminates on.
 
     Each row maps a column to its nonzero int.  ``rows`` and ``cols`` read as

@@ -56,7 +56,6 @@ independent computation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import groupby
@@ -70,6 +69,7 @@ from .liealg import ResidueData, validate_residue
 from .linear import IntegerRows, RationalMatrix, block_kernel, inverse, rref
 from .polynomials import (Monomial, WeightedPoly, WeightMismatchError, monomial_text, monomials_of_degree,
                           terms_text)
+from .record import Record, replace
 from .univariate import as_fraction, as_scalar, clear_denominators, power
 
 
@@ -81,8 +81,7 @@ class ResidueError(ValueError):
     """Raised when residue data is rejected by validation."""
 
 
-@dataclass(frozen=True)
-class SolutionSpace:
+class SolutionSpace(Record):
     """Exact graded basis of one linear solution space.
 
     ``slot`` is ("component", w-position) or ("correction", toral-position).
@@ -359,16 +358,14 @@ def _correction_spaces(d: FreeDivisor, residue: ResidueData, gauge: Optional[Rat
 # ----------------------------------------------------------------- the system
 
 
-@dataclass(frozen=True)
-class Coordinate:
+class Coordinate(Record):
     name: str
     slot: Tuple[str, int]
     basis_index: int
     degree: int
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     """One emitted equation, sparse in the coordinates.
 
     ``terms`` maps a coordinate monomial, the sorted tuple of the coordinate
@@ -381,8 +378,12 @@ class Equation:
     frame_slots: Tuple[int, ...]
     entry: Tuple[int, int]
     base_monomial: Monomial
-    terms: Dict[Tuple[int, ...], _Scalar] = field(hash=False)  # equations stay hashable
+    terms: Dict[Tuple[int, ...], _Scalar]
     ncoords: int
+
+    def __hash__(self):
+        # every field but the dict ``terms``, so that equations stay hashable
+        return hash((self.tag, self.frame_slots, self.entry, self.base_monomial, self.ncoords))
 
     @cached_property
     def poly(self) -> WeightedPoly:
@@ -462,8 +463,7 @@ def coordinate_monomial(exponents: Sequence[int]) -> Tuple[int, ...]:
     return tuple(index for index, e in enumerate(exponents) for _ in range(e))
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(Record):
     """Equations in affine coordinates on the solution spaces.
 
     The coordinate ring has one variable per basis element of every
@@ -499,8 +499,7 @@ def _coordinate_name(prefix: str, slot_number: int, terms: Sequence[tuple], vari
     return f"{prefix}{slot_number}#{index + 1}"
 
 
-@dataclass(frozen=True)
-class ModuliProblem:
+class ModuliProblem(Record):
     """Solution spaces plus the emitted polynomial system, bundled."""
 
     divisor: FreeDivisor
@@ -572,7 +571,7 @@ def _build(d: FreeDivisor, residue: ResidueData, gauge: Optional[RationalMatrix]
         for b_idx, (e_degree, terms) in enumerate(space.elements):
             value.update((((len(coordinates),), r, c, mono), coeff) for r, c, mono, coeff in terms)
             name = _coordinate_name(prefix, space.slot[1] + 1, terms, d.variables, b_idx)
-            coordinates.append(Coordinate(name=name, slot=space.slot, basis_index=b_idx, degree=e_degree))
+            coordinates.append(Coordinate(name, space.slot, b_idx, e_degree))
         general.append(value)
     ncoords = len(coordinates)
     comps, corrs = general[:len(comp_spaces)], general[len(comp_spaces):]
@@ -607,8 +606,7 @@ def _build(d: FreeDivisor, residue: ResidueData, gauge: Optional[RationalMatrix]
                 terms = groups[r, c, base]
                 if (l1, l2) != (0, 1):
                     terms = {tuple([moved[i] for i in key]): coeff for key, coeff in terms.items()}
-                equations.append(Equation(tag=tag, frame_slots=frame_slots, entry=(r, c), base_monomial=base,
-                                          terms=terms, ncoords=ncoords))
+                equations.append(Equation(tag, frame_slots, (r, c), base, terms, ncoords))
 
     def curvature(a: int, i: int, b: int, j: int) -> _Value:
         """The curvature value on the graded slots a < b, of frame slots i and j."""
@@ -670,8 +668,7 @@ def _build(d: FreeDivisor, residue: ResidueData, gauge: Optional[RationalMatrix]
 # ------------------------------------------------------------------- points
 
 
-@dataclass(frozen=True)
-class ModuliPoint:
+class ModuliPoint(Record):
     """Candidate normal-form data: one component map per graded slot and one
     correction map per toral slot."""
 
@@ -817,8 +814,7 @@ def assemble_connection(d: FreeDivisor, residue: ResidueData, point: ModuliPoint
     return LogConnection(divisor=d, components=tuple(components))
 
 
-@dataclass(frozen=True)
-class PointReport:
+class PointReport(Record):
     flat: bool
     violations: Tuple[int, ...]  # indices into system.equations
     flatness: FlatnessReport
@@ -897,8 +893,7 @@ def restrict_system(system: PolySystem, assignments: Dict[str, Fraction]) -> Pol
     )
 
 
-@dataclass(frozen=True)
-class LinearCertificate:
+class LinearCertificate(Record):
     status: str  # "consistent" | "inconsistent" | "undetermined"
     solution: Optional[Tuple[Fraction, ...]]
     witness: Optional[str]

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -22,6 +22,7 @@ from logres.linear import IntegerRows, inverse, rref
 from logres import LogConnection, is_flat
 from logres.moduli import (MembershipError, PointReport, _build, _check_pair, _cleared, _conjugate, _span_coordinates,
                            _terms)
+from logres.record import replace
 
 
 @dataclass(frozen=True)

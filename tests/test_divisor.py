@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -38,6 +37,7 @@ from logres.divisor import (
     poly_determinant,
 )
 from logres.polynomials import InexactDivisionError, exact_divide
+from logres.record import replace
 
 from conftest import S01, divisor_named, e_degrees, poly_of, rand_fraction, residue_for
 

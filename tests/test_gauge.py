@@ -155,12 +155,19 @@ def group_ranks(system):
     return {key: rank_of(group) for key, group in groups.items()}
 
 
-def fingerprint(system):
-    """The dimension of the span of all equations, and the rank of their linear
-    parts: the codimension of X's tangent space at the origin."""
+def fingerprint(system, weights):
+    """The dimension of the span of all equations, the rank of their linear
+    parts (the codimension of X's tangent space at the origin), the rank of
+    each (tag, frame slots, E-degree of the base monomial) group, and every
+    dimension of the summary."""
     terms = [eq.terms for eq in system.equations]
     linear = [{monomial: coeff for monomial, coeff in t.items() if len(monomial) == 1} for t in terms]
-    return rank_of(terms), rank_of(linear)
+    graded = {}
+    for eq in system.equations:
+        e_degree = sum(w * a for w, a in zip(weights, eq.base_monomial))
+        graded.setdefault((eq.tag, eq.frame_slots, e_degree), []).append(eq.terms)
+    dims = {key: value for key, value in system.summary.items() if key.startswith("dim_")}
+    return rank_of(terms), rank_of(linear), {key: rank_of(group) for key, group in graded.items()}, dims
 
 
 @settings(max_examples=20, deadline=None)
@@ -193,7 +200,8 @@ def test_rank_sums_of_the_conjugated_residues(name, s, emitted, written_conjugat
     ranks = group_ranks(diagonal)
     assert group_ranks(conjugate) == group_ranks(written) == ranks
     assert sum(ranks.values()) == rank
-    assert fingerprint(diagonal) == fingerprint(conjugate) == fingerprint(written) == (span, linear_rank)
+    prints = [fingerprint(system, d.weights) for system in (diagonal, conjugate, written)]
+    assert prints[0] == prints[1] == prints[2] and prints[0][:2] == (span, linear_rank)
 
 
 # ------------------------------------------- the gauged solve and the written one
@@ -214,7 +222,7 @@ def test_the_gauged_solve_agrees_with_the_written_one(name, s, form):
     gauged, written = moduli_system(d, residue), as_written(d, residue)
     p = gauged.system.gauge
     assert inverse(p) * value * p == s and gauged.residue is residue
-    assert fingerprint(gauged.system) == fingerprint(written.system)
+    assert fingerprint(gauged.system, d.weights) == fingerprint(written.system, d.weights)
     pairs = list(zip(gauged.component_spaces + gauged.correction_spaces,
                      written.component_spaces + written.correction_spaces, strict=True))
     for ours, theirs in pairs:

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from logres.linear import (
     determinant,
     inverse,
 )
+from logres.record import replace
 from logres.univariate import uni_evaluate, uni_squarefree_part
 
 from conftest import SystemResult, conjugated, densify, diag, fraction_conjugated, solve_system, trace

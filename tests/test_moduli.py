@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from logres.liealg import ResidueData, ad_operator
 from logres.linear import integer_eigenvalues, rref
 from logres.moduli import (Coordinate, Equation, LinearCertificate, MembershipError, PolySystem, ResidueError,
                            _commutator, _constant, _matmul, _products)
+from logres.record import replace
 from logres.univariate import power
 
 from conftest import (CHI_E, CHI_F, CHI_H, E12, E21, S01, ZERO2, as_written, assert_readings_agree,

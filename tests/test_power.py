@@ -2,12 +2,12 @@
 
 import functools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from logres import LogConnection, MatrixPolyMap, RationalMatrix, WeightedPoly, curvature, moduli_system
+from logres.record import replace
 from logres.univariate import power
 
 from conftest import (CHI_E, CHI_F, CHI_H, S01, ZERO2, as_written, conjugated, diag, divisor_named,

@@ -135,3 +135,20 @@ def test_private_and_nested_functions_read_every_parameter():
             unread.extend(f"{path.stem}.{node.name}: {param.arg}" for param in params
                           if param.arg not in ("self", "cls") and param.arg not in read)
     assert unread == []
+
+
+def test_no_module_imports_dataclasses():
+    # the value types are ``record.Record``s: ``dataclasses`` would cost every
+    # process its import, with ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    # and the code each decorator compiles
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            importers.extend(path.stem for module in modules if module.split(".")[0] == "dataclasses")
+    assert importers == []
