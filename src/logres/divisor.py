@@ -295,26 +295,27 @@ class FreeDivisor(Record):
         return matrix
 
     @cached_property
-    def diagonal_characters(self) -> Tuple[Tuple[int, Tuple[Union[int, Fraction], ...]], ...]:
-        """(direction, chi) for each diagonal toral or semisimple field sum_j chi_j * z_j d/dz_j.
-
-        Directions count the toral fields first, then the semisimple ones.
-        Such a field scales z^a by <chi, a>.  A field with any other term is
-        left out, and so is one whose chi is a multiple of the weights: the
-        grading already fixes its value on each degree.  A coefficient of chi
-        is an int when it is integral.
-        """
+    def frame_characters(self) -> Tuple[Optional[Tuple[Union[int, Fraction], ...]], ...]:
+        """Per toral, then semisimple, direction: chi when its field is the diagonal
+        sum_j chi_j * z_j d/dz_j, which scales z^a by <chi, a>, and None otherwise.
+        A coefficient of chi is an int when it is integral."""
         out = []
-        for k, idx in enumerate(self.toral_indices + self.semisimple_indices):
+        for idx in self.toral_indices + self.semisimple_indices:
             chi = []
             for j, terms in enumerate(self.frame[idx].field._integer_terms):
                 if len(terms) > 1 or (terms and terms[0][0] != tuple(int(i == j) for i in range(self.n))):
+                    chi = None
                     break
                 chi.append(terms[0][1] if terms else 0)
-            else:
-                if len({Fraction(c) / w for c, w in zip(chi, self.weights)}) > 1:
-                    out.append((k, tuple(chi)))
+            out.append(None if chi is None else tuple(chi))
         return tuple(out)
+
+    @cached_property
+    def diagonal_characters(self) -> Tuple[Tuple[int, Tuple[Union[int, Fraction], ...]], ...]:
+        """(direction, chi) for each of ``frame_characters`` that is not a multiple of the
+        weights: the grading already fixes such a field's value on each degree."""
+        return tuple((k, chi) for k, chi in enumerate(self.frame_characters)
+                     if chi is not None and len({Fraction(c) / w for c, w in zip(chi, self.weights)}) > 1)
 
     @cached_property
     def _minors(self):

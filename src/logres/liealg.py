@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .linear import (IntegerRows, RationalMatrix, determinant, integer_eigenvalues, inverse, poly_at, rref,
                      scaled_charpoly)
@@ -227,18 +227,37 @@ class ResidueData(Record):
         return out
 
     @cached_property
-    def bracket_spectra(self) -> Dict[int, Dict[int, FrozenSet[Fraction]]]:
+    def bracket_scalars(self) -> Dict[int, Dict[int, Optional[Tuple[Union[int, Fraction], ...]]]]:
         """Per eigenvalue of ``grading_eigenspaces``, per value class (a position ``value_classes``
-        names), the rational eigenvalues of ad C_k on that eigenspace.  Each eigenmatrix is an ``rref``
-        kernel vector: 1 at its last nonzero entry, where every other one is 0, so row i of the
-        restriction R of ad C_k holds the brackets' entries at that entry of eigenmatrix i.  With D the
-        lcm of R's denominators, D * R has a monic integer characteristic polynomial, whose rational
-        roots are integers."""
-        out: Dict[int, Dict[int, FrozenSet[Fraction]]] = {}
+        names), the mu_i with [C_k, M_i]_c = mu_i * M_i for each eigenmatrix M_i, or None when some
+        M_i is not an eigenmatrix of ad C_k.  M_i is 1 at its last nonzero entry, so mu_i is the
+        bracket's entry there."""
+        out: Dict[int, Dict[int, Optional[tuple]]] = {}
         for lam, pairs in self.grading_brackets.items():
             ends = [max(i for i, v in enumerate(eig) if v) for eig, _ in pairs]
             out[lam] = {}
             for k in set(self.value_classes):
+                mus = tuple(brackets[k][end] for (_, brackets), end in zip(pairs, ends))
+                scalar = all(mu * v == b for (eig, brackets), mu in zip(pairs, mus) for v, b in zip(eig, brackets[k]))
+                out[lam][k] = mus if scalar else None
+        return out
+
+    @cached_property
+    def bracket_spectra(self) -> Dict[int, Dict[int, FrozenSet[Fraction]]]:
+        """Per eigenvalue of ``grading_eigenspaces``, per value class, the rational eigenvalues of
+        ad C_k on that eigenspace: the set of its ``bracket_scalars`` when ad C_k is diagonal there.
+        Otherwise each eigenmatrix is an ``rref`` kernel vector: 1 at its last nonzero entry, where
+        every other one is 0, so row i of the restriction R of ad C_k holds the brackets' entries at
+        that entry of eigenmatrix i.  With D the lcm of R's denominators, D * R has a monic integer
+        characteristic polynomial, whose rational roots are integers."""
+        out: Dict[int, Dict[int, FrozenSet[Fraction]]] = {}
+        for lam, pairs in self.grading_brackets.items():
+            ends = [max(i for i, v in enumerate(eig) if v) for eig, _ in pairs]
+            out[lam] = {}
+            for k, mus in self.bracket_scalars[lam].items():
+                if mus is not None:
+                    out[lam][k] = frozenset(map(Fraction, mus))
+                    continue
                 restriction = RationalMatrix([[brackets[k][end] for _, brackets in pairs] for end in ends])
                 scale = clear_denominators(restriction.flatten())[0]
                 out[lam][k] = frozenset(Fraction(e, scale) for e in integer_eigenvalues(scale * restriction))

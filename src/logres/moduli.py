@@ -9,10 +9,11 @@ slot into another is rejected before any solve).  The characters of the
 diagonal toral and semisimple fields first sieve out the monomials z^a
 whose candidates are forced to zero, by looking each character value up in
 the residue's ``bracket_spectra`` while the monomials are enumerated, so
-that a rejected prefix is never extended;
-every remaining candidate z^a * M gets its residual as a sparse column,
-and the columns are row-reduced block by block, where a block is a
-connected set of columns sharing equation rows.  Frame fields act on
+that a rejected prefix is never extended; then each candidate z^a * M_i is
+tested against the ``bracket_scalars`` of every scalar direction, and only
+the general directions' residuals of the kept ones are written as sparse
+columns, row-reduced block by block, where a block is a connected set of
+columns sharing equation rows.  Frame fields act on
 monomials through ``VectorFieldPoly.on_monomial`` alone, and the solve reads
 the eigenmatrices and their brackets with the residue values from
 ``ResidueData.grading_brackets``.  It then emits the polynomial system
@@ -239,31 +240,36 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
     """The (degree, terms) basis of one slot's solution space, in increasing degree.
 
     Equation k is frame direction k (toral ones first, then semisimple ones),
-    with C_k its residue value.  The candidates of degree lam + shift are z^a * M
-    for each monomial z^a of that degree and M in the lam-eigenspace of
-    ``residue.grading_eigenspaces``.  A candidate's residual
-    V_k(z^a) * M - z^a * (offsets[k] * M + [C_k, M]) is written straight into a
-    sparse column keyed by (k, row, column, monomial), and ``block_kernel``
-    reduces the columns in one sparse ``rref``.  M and the commutators
-    [C_k, M] depend on the residue alone: their entries are read from
-    ``residue.grading_brackets``, computed once per residue and distinct value.
+    with C_k its residue value.  The candidates of degree lam + shift are z^a * M_i
+    for each monomial z^a of that degree and M_i in the lam-eigenspace of
+    ``residue.grading_eigenspaces``; their kernel vectors are the basis.  M_i and
+    the commutators [C_k, M_i] depend on the residue alone: their entries are read
+    from ``residue.grading_brackets``, computed once per residue and distinct value.
 
-    The characters of the diagonal frame fields sieve the monomials while
-    ``monomials_of_degree`` enumerates them.  A diagonal toral or semisimple
-    field V_k (``FreeDivisor.diagonal_characters``) has
-    V_k(z^a) = <chi_k, a> * z^a, so only the candidates z^a * M_i reach the
-    rows (k, ., ., a), and there they read z^a * (q * M_i - [C_k, M_i]) with
-    q = <chi_k, a> - offsets[k].  A kernel vector with coefficients x_i on
-    them thus has sum_i x_i * (q * M_i - [C_k, M_i]) = 0, so unless q is an
-    eigenvalue of ad C_k on the lam-eigenspace (``residue.bracket_spectra``),
-    every candidate of monomial a is zero in every kernel vector, and none of
-    them is built.  This is the one place where forced-zero candidates are
-    dropped, and dropping them leaves the kernel as it is: a column that is
-    zero in every kernel vector is in the span of no set of other columns, so
-    it is a pivot of every reduction, and each other column stays as it was.
-    The value <chi_k, a> is final once the exponents up to chi_k's last
-    nonzero entry are chosen, so the lookup runs there, and a prefix that
-    fails it is not extended.
+    Direction k is scalar on lam when V_k is diagonal (``FreeDivisor.frame_characters``),
+    so V_k(z^a) = <chi_k, a> * z^a, and each M_i has [C_k, M_i] = mu_i * M_i
+    (``residue.bracket_scalars``).  Only the candidates z^a * M_i reach its rows
+    (k, ., ., a), and there they read z^a * (q - mu_i) * M_i with
+    q = <chi_k, a> - offsets[k].  A kernel vector with coefficients x_i on them thus
+    has sum_i x_i * (q - mu_i) * M_i = 0, and as the M_i are independent, a
+    candidate with q != mu_i is zero in every kernel vector: it is dropped.  A kept
+    one has no entry in a scalar row.  Dropping a candidate that is zero in every
+    kernel vector leaves the kernel as it is: its column is in the span of no set
+    of other columns, so it is a pivot of every reduction, and each other column
+    stays as it was.  So a kept candidate's residual
+    V_k(z^a) * M_i - z^a * (offsets[k] * M_i + [C_k, M_i]) is written into a
+    sparse column keyed by (k, row, column, monomial) for the general directions
+    k alone, and ``block_kernel`` reduces the columns in one sparse ``rref``.
+    With no general direction the columns are empty, their kernel is the identity
+    in candidate order, and each kept candidate is a basis element by itself.
+
+    The same argument over a whole eigenspace sieves the monomials while
+    ``monomials_of_degree`` enumerates them: for the diagonal fields whose chi is
+    not a multiple of the weights (``FreeDivisor.diagonal_characters``), unless q
+    is an eigenvalue of ad C_k on the lam-eigenspace (``residue.bracket_spectra``),
+    no candidate of monomial a is built.  The value <chi_k, a> is final once the
+    exponents up to chi_k's last nonzero entry are chosen, so the lookup runs
+    there, and a prefix that fails it is not extended.
     """
     fields = [d.frame[i].field for i in d.toral_indices + d.semisimple_indices]
     m, same, offsets = residue.matrix_size, residue.value_classes, [as_scalar(offset) for offset in offsets]
@@ -286,15 +292,25 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
         monos = monomials_of_degree(d.weights, degree, partial(admissible, lam))
         if not monos:
             continue
-        # per eigenmatrix M: the (row, column, value) of M, and of offsets[k] * M + [C_k, M] per k
-        eigendata = [(triples(eig), [triples([offset * v + b for v, b in zip(eig, bracket)])
-                                     for bracket, offset in zip(brackets, offsets)])
+        mus = residue.bracket_scalars[lam]
+        # the scalar directions as (chi_k, offsets[k], mu_i per eigenmatrix), then the general ones
+        scalar = [(chi, offsets[k], mus[same[k]]) for k, chi in enumerate(d.frame_characters)
+                  if chi is not None and mus[same[k]] is not None]
+        general = [k for k, chi in enumerate(d.frame_characters) if chi is None or mus[same[k]] is None]
+        # per eigenmatrix M: the (row, column, value) of M, and of offsets[k] * M + [C_k, M] per general k
+        eigendata = [(triples(eig), [triples([offsets[k] * v + b for v, b in zip(eig, brackets[k])])
+                                     for k in general])
                      for eig, brackets in pairs]
         candidates: List[Tuple[Monomial, list]] = []
         columns: List[Dict[tuple, Fraction]] = []
         for mono in monos:
-            images = [field.on_monomial(mono) for field in fields]
-            for entries, rhs in eigendata:
+            qs = [sum(map(mul, chi, mono)) - offset for chi, offset, _ in scalar]
+            kept = [eigendata[i] for i in range(len(pairs)) if all(q == mu[i] for q, (*_, mu) in zip(qs, scalar))]
+            if not general:
+                out += [(degree, tuple((r, c, mono, v) for r, c, v in entries)) for entries, _ in kept]
+                continue
+            images = [fields[k].on_monomial(mono) for k in general] if kept else []
+            for entries, rhs in kept:
                 column: Dict[tuple, Fraction] = {}
                 for k, image in enumerate(images):
                     for image_mono, coeff in image.items():
@@ -306,6 +322,8 @@ def _solve_slot(d: FreeDivisor, residue: ResidueData, shift: int,
                         column[key] = column.get(key, 0) - v
                 candidates.append((mono, entries))
                 columns.append({key: v for key, v in column.items() if v})
+        if not general:
+            continue
         for vec in block_kernel(columns):
             sums: Dict[Tuple[int, int, Monomial], _Scalar] = {}
             for pos, coeff in vec.items():

@@ -310,8 +310,9 @@ def test_populated_grading_cache_keeps_equality_and_hash():
     r = ResidueData(s_list=(diag(0, 1, 3),), positive_combination=(1,))
     other = ResidueData(s_list=(diag(0, 1, 3),), positive_combination=(1,))
     before = hash(r)
-    r.grading_eigenspaces, r.value_classes, r.grading_brackets, r.bracket_spectra, r.validity
-    assert {"grading_eigenspaces", "value_classes", "grading_brackets", "bracket_spectra", "validity"} <= set(vars(r))
+    r.grading_eigenspaces, r.value_classes, r.grading_brackets, r.bracket_scalars, r.bracket_spectra, r.validity
+    assert {"grading_eigenspaces", "value_classes", "grading_brackets", "bracket_scalars", "bracket_spectra",
+            "validity"} <= set(vars(r))
     assert r == other
     assert hash(r) == before == hash(other)
 
@@ -367,6 +368,31 @@ def test_bracket_spectra_agree_with_the_rank_test(name):
             assert all(rank_test_admits(r, lam, k, q) for q in by_class[k])
             for q in probes:
                 assert (q in by_class[k]) == rank_test_admits(r, lam, k, q)
+
+
+@pytest.mark.parametrize("name", SPECTRUM_RESIDUES)
+def test_bracket_scalars_are_the_eigenvalues_of_each_eigenmatrix(name):
+    # mu * M = [C_k, M]_c for every eigenmatrix M where a class has scalars,
+    # and some M is no eigenmatrix of ad C_k where it has None
+    r = SPECTRUM_RESIDUES[name]
+    assert r.bracket_scalars is r.bracket_scalars and list(r.bracket_scalars) == list(r.grading_eigenspaces)
+    for lam, basis in r.grading_eigenspaces.items():
+        assert set(r.bracket_scalars[lam]) == set(r.value_classes)
+        for k, mus in r.bracket_scalars[lam].items():
+            brackets = [commutator(r.values[k], mat) for mat in basis]
+            if mus is None:
+                assert any(rref(RationalMatrix([mat.flatten(), b.flatten()])).rank == 2
+                           for mat, b in zip(basis, brackets))
+            else:
+                assert [mu * mat for mu, mat in zip(mus, basis)] == brackets
+                assert r.bracket_spectra[lam][k] == set(mus)
+
+
+def test_bracket_scalars_are_none_on_the_sl2_e_and_f_values():
+    r = GRADED_RESIDUES["chi"]  # S = 1, chi = (h, e, f): the classes 0, 1, 2, 3
+    assert r.value_classes == (0, 1, 2, 3)
+    assert r.bracket_scalars[0][0] == (0, 0, 0, 0) and sorted(r.bracket_scalars[0][1]) == [-2, 0, 0, 2]
+    assert r.bracket_scalars[0][2] is None and r.bracket_scalars[0][3] is None
 
 
 def test_bracket_spectra_hold_the_non_integer_values():

@@ -251,20 +251,30 @@ def test_block_kernel_reduces_no_lone_column(rref_calls):
     assert_block_kernel_matches(columns)
 
 
-def test_block_kernel_makes_no_reduction_on_the_torus_inputs(rref_calls):
-    # a structural count: on these normal crossings the character sieve of
-    # the slot solve keeps only candidates whose residual column is empty, so
-    # every rref call that block_kernel makes gets no rows, and each column is free
+def test_block_kernel_makes_no_reduction_on_the_torus_inputs(monkeypatch):
+    # a structural count: on the normal crossings, and on the diagonal and
+    # conjugated rank 3 and 4 residues (the conjugates are solved gauged,
+    # so diagonal too), every frame direction the slot solve tests is
+    # diagonal and each ad C_k is diagonal on the eigenmatrices, so each
+    # kept candidate is a basis element by itself and no block_kernel call
+    # is made
+    import logres.moduli
     from logres import catalog, moduli_system
 
     from conftest import S01, residue_for
 
-    for name, s in [("normal_crossing_3", S01), ("normal_crossing_4", S01), ("normal_crossing_5", S01),
-                    ("normal_crossing_4", diag(0, 2)), ("normal_crossing_4", diag(0, 1, 2))]:
+    def forbidden(columns):
+        raise AssertionError("the solve called block_kernel")
+
+    monkeypatch.setattr(logres.moduli, "block_kernel", forbidden)
+    cases = [("normal_crossing_3", S01), ("normal_crossing_4", S01), ("normal_crossing_5", S01),
+             ("normal_crossing_4", diag(0, 2)), ("normal_crossing_4", diag(0, 1, 2))]
+    for name, s in [("cusp", diag(0, 1, 2, 3)), ("sekiguchi_b5", diag(0, 1, 2)), ("borel2", diag(0, 1, 2))]:
+        cases += [(name, s), (name, conjugated(s, random.Random(name)))]
+    for name, s in cases:
         d = catalog(name)
         problem = moduli_system(d, residue_for(d, s))
         assert problem.system.coordinates  # the solves did keep vectors
-    assert rref_calls and all(rows == 0 for rows, _ in rref_calls)
 
 
 @st.composite

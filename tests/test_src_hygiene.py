@@ -1,5 +1,5 @@
 """Static checks on the library source: no unused import, no orphaned private
-name, one integral-rational normaliser.
+name, one integral-rational normaliser, no module-level state or memo.
 
 The import and private-name rules read the modules with the stdlib ``ast``
 only.  A name counts as used when it is loaded, is the attribute of an
@@ -152,3 +152,30 @@ def test_no_module_imports_dataclasses():
                 continue
             importers.extend(path.stem for module in modules if module.split(".")[0] == "dataclasses")
     assert importers == []
+
+
+MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
+MEMOS = {"cache", "lru_cache"}
+
+
+def test_no_module_level_state_or_memo():
+    # a fact is derived once per record, as a ``cached_property``, and dies
+    # with it: a module-level container or a ``functools`` memo would keep
+    # every divisor and residue a process ever saw, shared across callers
+    def mutable(value):
+        if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+            return True
+        return (isinstance(value, ast.Call) and
+                (getattr(value.func, "id", None) or getattr(value.func, "attr", None)) in MUTABLE_CALLS)
+
+    found = []
+    for module, node, _ in statements():
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None and mutable(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(f"{module}: {getattr(t, 'id', '?')}" for t in targets if getattr(t, "id", None) != "__all__")
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.ImportFrom) and sub.module == "functools":
+                found.extend(f"{module}: {alias.name}" for alias in sub.names if alias.name in MEMOS)
+            elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "functools" and sub.attr in MEMOS:
+                found.append(f"{module}: functools.{sub.attr}")
+    assert found == []

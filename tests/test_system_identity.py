@@ -283,8 +283,11 @@ def test_a_conjugate_emits_its_diagonal_case_and_the_gauge(label):
 # ------------------------------------------ the solve without the character sieve
 
 def sieve_off(monkeypatch):
-    """Give every divisor no characters, so that ``_solve_slot`` sieves no monomial."""
+    """Give every divisor no characters, so that ``_solve_slot`` sieves no monomial, tests no
+    direction as scalar, and reduces the full residual column of every candidate."""
     monkeypatch.setattr(FreeDivisor, "diagonal_characters", property(lambda d: ()))
+    monkeypatch.setattr(FreeDivisor, "frame_characters",
+                        property(lambda d: (None,) * (d.toral_count + len(d.semisimple_indices))))
 
 
 def emitted_json(d: FreeDivisor, residue: ResidueData) -> Tuple[str, str]:
@@ -294,9 +297,12 @@ def emitted_json(d: FreeDivisor, residue: ResidueData) -> Tuple[str, str]:
 
 
 def test_the_identity_cases_reach_the_sieve():
-    assert {name for name, _, _ in INPUTS.values() if divisor_named(name).diagonal_characters} == {
-        "normal_crossing_2", "normal_crossing_3", "normal_crossing_4", "normal_crossing_5", "normal_crossing_8",
-        "borel2", "d4", "g2", "g2*sekiguchi_b5"}
+    sieved = {"normal_crossing_2", "normal_crossing_3", "normal_crossing_4", "normal_crossing_5", "normal_crossing_8",
+              "borel2", "d4", "g2", "g2*sekiguchi_b5"}
+    assert {name for name, _, _ in INPUTS.values() if divisor_named(name).diagonal_characters} == sieved
+    # a lone Euler field is no sieve character, and still a diagonal direction the solve tests
+    assert {name for name, _, _ in INPUTS.values()
+            if any(chi is not None for chi in divisor_named(name).frame_characters)} == sieved | {"cusp", "sekiguchi_b5"}
 
 
 @pytest.mark.parametrize("label", [label for label in LABELS if not label.startswith("normal_crossing_8/")])
@@ -382,10 +388,10 @@ def seeded_chi_residues(d: FreeDivisor):
 
 
 @pytest.mark.parametrize("name", ["normal_crossing_2", "normal_crossing_3", "normal_crossing_4", "borel2", "d4", "g2",
-                                  "borel2_h"])
+                                  "borel2_h", "cusp", "sekiguchi_b5"])
 def test_seeded_residues_emit_the_same_bytes_without_the_sieve(name, monkeypatch):
     d = borel2_h() if name == "borel2_h" else divisor_named(name)
-    assert d.diagonal_characters
+    assert any(chi is not None for chi in d.frame_characters)
     cases = list(seeded_residues(d))
     if d.semisimple_indices:
         cases += seeded_chi_residues(d)
